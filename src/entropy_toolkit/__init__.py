@@ -31,6 +31,7 @@ from .core import (
     convolve_modular_iterative,
     delta,
     delta_given,
+    delta_vec,
     is_modular,
     is_tight,
     load_set_function,
@@ -81,10 +82,12 @@ from .frame import (
     ingleton_base,
     ingleton_score,
     ingleton_value,
+    pipeline_operator,
     point_from_weights,
     reconstruct,
+    section_weight_matrix,
     section_weights,
-    stv_coefficients,
+    stv_vec,
     tetra_vertices,
     violated_instances,
 )

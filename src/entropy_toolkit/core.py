@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
@@ -212,6 +213,20 @@ def delta_given(f: SetFunction, a: SubsetLike, b: SubsetLike,
     return delta(f, g.mask(a) | L, g.mask(b) | L)
 
 
+def delta_vec(ground: GroundSet, a: SubsetLike, b: SubsetLike,
+              given: SubsetLike = 0) -> np.ndarray:
+    """Mask-indexed coefficient vector of delta(ab|given).
+
+    ``delta_vec(g, a, b, L) @ f.values == delta_given(f, a, b, L)``; linear
+    functionals over subsets are sums of such vectors.
+    """
+    L = ground.mask(given)
+    mA, mB = ground.mask(a) | L, ground.mask(b) | L
+    vec = np.zeros(ground.size)
+    np.add.at(vec, [mA, mB, mA | mB, mA & mB], [1.0, 1.0, -1.0, -1.0])
+    return vec
+
+
 def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
     """Check monotonicity and submodularity through elemental inequalities.
 
@@ -290,14 +305,7 @@ def modular_from(ground: GroundSet,
             raise ValueError(f"need {ground.n} singleton values, got {len(per_bit)}")
     if any(x < 0 for x in per_bit):
         raise ValueError(f"singleton values must be nonnegative: {per_bit}")
-    vals = np.zeros(ground.size)
-    for I in ground.subsets():
-        acc = 0.0
-        for b in range(ground.n):
-            if I >> b & 1:
-                acc += per_bit[b]
-        vals[I] = acc
-    return SetFunction(ground, vals)
+    return SetFunction(ground, _bit_matrix(ground.n) @ np.array(per_bit))
 
 
 def is_modular(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
@@ -315,11 +323,6 @@ def is_tight(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
                for b in range(f.ground.n))
 
 
-def _top_increments(h: SetFunction) -> list[float]:
-    full = h.ground.full_mask
-    return [float(h.values[full] - h.values[full ^ (1 << b)]) for b in range(h.ground.n)]
-
-
 def _warn_if_not_polymatroid(h: SetFunction, where: str) -> None:
     if not check_axioms(h, tol=TOL_ENTROPIC).is_polymatroid:
         warnings.warn(f"{where}: input is not a polymatroid at tolerance "
@@ -327,16 +330,25 @@ def _warn_if_not_polymatroid(h: SetFunction, where: str) -> None:
                       NonPolymatroidWarning, stacklevel=3)
 
 
-def _modular_values(h: SetFunction) -> np.ndarray:
-    incr = _top_increments(h)
-    vals = np.zeros(h.ground.size)
-    for I in h.ground.subsets():
-        acc = 0.0
-        for b in range(h.ground.n):
-            if I >> b & 1:
-                acc += incr[b]
-        vals[I] = acc
-    return vals
+@lru_cache(maxsize=None)
+def _bit_matrix(n: int) -> np.ndarray:
+    """Membership matrix: entry (I, b) is 1.0 iff bit b is set in mask I."""
+    bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
+    bits.flags.writeable = False
+    return bits
+
+
+def _spread_masks(n: int, targets) -> np.ndarray:
+    """For every mask I over n bits, the mask with bit b moved to targets[b]."""
+    return (_bit_matrix(n) @ np.exp2(targets)).astype(np.int64)
+
+
+def _modular_values(values: np.ndarray) -> np.ndarray:
+    """Values of the modular part: the top increments h(N) - h(N - i) summed
+    over each subset.  Works columnwise on a stack of value vectors."""
+    n = values.shape[0].bit_length() - 1
+    full = (1 << n) - 1
+    return _bit_matrix(n) @ (values[full] - values[full ^ (1 << np.arange(n))])
 
 
 def modular_part(h: SetFunction) -> SetFunction:
@@ -348,7 +360,7 @@ def modular_part(h: SetFunction) -> SetFunction:
     reported through :class:`NonPolymatroidWarning`; the formula is total.
     """
     _warn_if_not_polymatroid(h, "modular_part")
-    return SetFunction(h.ground, _modular_values(h))
+    return SetFunction(h.ground, _modular_values(h.values))
 
 
 def tight_part(h: SetFunction) -> SetFunction:
@@ -358,7 +370,7 @@ def tight_part(h: SetFunction) -> SetFunction:
     the formula is total.
     """
     _warn_if_not_polymatroid(h, "tight_part")
-    return SetFunction(h.ground, h.values - _modular_values(h))
+    return SetFunction(h.ground, h.values - _modular_values(h.values))
 
 
 def convolution(f: SetFunction, g: SetFunction) -> SetFunction:
@@ -417,14 +429,7 @@ def contraction(f: SetFunction, I: SubsetLike) -> SetFunction:
     if not rest_bits:
         raise ValueError("cannot contract along the full ground set")
     sub = GroundSet(g.labels[b] for b in rest_bits)
-    base = f.values[mI]
-    vals = np.zeros(sub.size)
-    for J in sub.subsets():
-        mJ = 0
-        for new_b, old_b in enumerate(rest_bits):
-            if J >> new_b & 1:
-                mJ |= 1 << old_b
-        vals[J] = f.values[mJ | mI] - base
+    vals = f.values[_spread_masks(sub.n, rest_bits) | mI] - f.values[mI]
     vals[0] = 0.0
     return SetFunction(sub, vals)
 
@@ -514,14 +519,8 @@ def relabel(f: SetFunction, perm: Mapping[str, str]) -> SetFunction:
     full = {lab: perm.get(lab, lab) for lab in g.labels}
     if sorted(full.values()) != sorted(g.labels):
         raise ValueError(f"not a permutation of {g.labels}: {full}")
-    bit_map = [g.bit(full[lab]) for lab in g.labels]
     vals = np.zeros(g.size)
-    for I in g.subsets():
-        J = 0
-        for b in range(g.n):
-            if I >> b & 1:
-                J |= 1 << bit_map[b]
-        vals[J] = f.values[I]
+    vals[_spread_masks(g.n, [g.bit(full[lab]) for lab in g.labels])] = f.values
     return SetFunction(g, vals)
 
 
@@ -529,13 +528,22 @@ def relabel(f: SetFunction, perm: Mapping[str, str]) -> SetFunction:
 #
 # {"labels": ["i","j","k","l"], "values": {"": 0.0, "i": ..., "ij": ..., ...}}
 # with every subset key present, keys being labels concatenated in ground
-# order.  The reader enforces values[""] == 0 and completeness.
+# order.  The reader enforces values[""] == 0 and completeness.  Labels whose
+# concatenations collide (a, b, ab) are rejected both ways.
+
+def _json_keys(ground: GroundSet) -> list[str]:
+    keys = [ground.subset_key(m) for m in ground.subsets()]
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"labels {ground.labels} give two subsets the same "
+                         "JSON key; rename them")
+    return keys
+
 
 def set_function_to_json(f: SetFunction) -> dict:
-    g = f.ground
+    keys = _json_keys(f.ground)
     return {
-        "labels": list(g.labels),
-        "values": {g.subset_key(m): float(f.values[m]) for m in g.subsets()},
+        "labels": list(f.ground.labels),
+        "values": {key: float(v) for key, v in zip(keys, f.values)},
     }
 
 
@@ -545,7 +553,7 @@ def set_function_from_json(data: dict) -> SetFunction:
         raw = data["values"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed set-function document: {exc}") from exc
-    expected = [ground.subset_key(m) for m in ground.subsets()]
+    expected = _json_keys(ground)
     if set(raw) != set(expected):
         missing = sorted(set(expected) - set(raw))
         extra = sorted(set(raw) - set(expected))

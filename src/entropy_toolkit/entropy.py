@@ -1,6 +1,11 @@
 """Entropy functions of finite random vectors and two closed-form families.
 
-The generic path goes distribution -> marginals -> Shannon entropies (nats).
+The generic path goes distribution -> marginals -> Shannon entropies (nats):
+:func:`marginal_index` numbers the cells of every marginal at once, and
+:func:`subset_entropies` turns atom probabilities into all marginal entropies
+with one bincount.  The search engine evaluates entropies through the same
+two functions.
+
 On top of that sit the two hand-analyzed families used throughout the Ingleton
 score experiments:
 
@@ -34,6 +39,9 @@ KAPPA_FLOOR = 1e-15
 
 #: refuse to enumerate product alphabets larger than this
 MAX_CELLS = 10_000_000
+
+#: index entries per marginal_index call in entropy_function, bounding its memory
+INDEX_CHUNK = 1 << 22
 
 
 def kappa(u: float) -> float:
@@ -75,8 +83,8 @@ class JointDistribution:
             if any(not 0 <= x < s for x, s in zip(cfg, sizes)):
                 raise ValueError(f"configuration {cfg} outside alphabet {sizes}")
             p = float(p)
-            if p < -1e-12:
-                raise ValueError(f"negative probability {p} at {cfg}")
+            if not math.isfinite(p) or p < -1e-12:
+                raise ValueError(f"probability {p} at {cfg} is negative or not finite")
             p = max(p, 0.0)
             if cfg in clean:
                 raise ValueError(f"duplicate configuration {cfg}")
@@ -91,17 +99,6 @@ class JointDistribution:
     @property
     def n_cells(self) -> int:
         return math.prod(self.alphabet_sizes)
-
-    def marginal(self, subset) -> dict[tuple[int, ...], float]:
-        """Marginal pmf on the given subset of variables, sparsely accumulated."""
-        bits = [b for b in range(self.ground.n) if self.ground.mask(subset) >> b & 1]
-        out: dict[tuple[int, ...], float] = {}
-        for cfg, p in self.atoms.items():
-            if p <= 0.0:
-                continue
-            key = tuple(cfg[b] for b in bits)
-            out[key] = out.get(key, 0.0) + p
-        return out
 
     def as_dense(self) -> np.ndarray:
         """Flat probability vector over all cells, C-order over the alphabet grid."""
@@ -122,11 +119,51 @@ class JointDistribution:
         return cls(ground, sizes, atoms)
 
 
+def marginal_index(configs: np.ndarray, sizes,
+                   masks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cell of every atom (rows of ``configs``) in the marginal on every subset.
+
+    An atom's key on subset I is the mixed-radix index of its configuration
+    restricted to I, lowest bit most significant, offset per subset so the
+    blocks do not overlap; one ``configs @ place_values`` product gives all
+    keys and ``np.unique`` numbers the occupied cells.  Returns the cell
+    indices subset by subset, each subset's first cell and the cell count.
+    ``masks`` defaults to every nonempty subset.
+    """
+    n = configs.shape[1]
+    masks = np.arange(1, 1 << n) if masks is None else masks
+    member = (masks >> np.arange(n)[:, None]) & 1
+    radix = np.where(member, np.asarray(sizes, dtype=np.int64)[:, None], 1)
+    block = np.cumprod(radix[::-1], axis=0)[::-1]
+    place = member * np.vstack([block[1:], np.ones_like(block[:1])])
+    offsets = np.concatenate(([0], np.cumsum(block[0])[:-1]))
+    cells, flat_idx = np.unique((configs @ place + offsets).T.ravel(),
+                                return_inverse=True)
+    return flat_idx, np.searchsorted(cells, offsets), len(cells)
+
+
+def subset_entropies(p: np.ndarray, flat_idx: np.ndarray, starts: np.ndarray,
+                     n_cells: int) -> np.ndarray:
+    """Entropies (nats) of the marginals of a :func:`marginal_index`, one per
+    subset, from the atom probabilities ``p`` in ``configs`` row order."""
+    masses = np.bincount(flat_idx, weights=np.tile(p, len(starts)), minlength=n_cells)
+    contrib = np.zeros_like(masses)
+    live = (masses > KAPPA_FLOOR) & (masses < 1.0)
+    contrib[live] = -masses[live] * np.log(masses[live])
+    return np.add.reduceat(contrib, starts)
+
+
 def entropy_function(d: JointDistribution) -> SetFunction:
     """Entropy function of a joint distribution: I -> H(marginal on I), in nats."""
+    live = [(cfg, p) for cfg, p in d.atoms.items() if p > 0.0]
+    configs = np.array([cfg for cfg, _ in live], dtype=np.int64)
+    probs = np.array([p for _, p in live])
     vals = np.zeros(d.ground.size)
-    for I in range(1, d.ground.size):
-        vals[I] = sum(kappa(p) for p in d.marginal(I).values())
+    step = max(1, INDEX_CHUNK // len(probs))
+    for lo in range(1, d.ground.size, step):
+        masks = np.arange(lo, min(lo + step, d.ground.size))
+        vals[masks] = subset_entropies(
+            probs, *marginal_index(configs, d.alphabet_sizes, masks))
     return SetFunction(d.ground, vals)
 
 
@@ -207,8 +244,8 @@ class ExLParams:
 
     def __post_init__(self):
         vals = self.as_tuple()
-        if any(v < -1e-15 for v in vals):
-            raise ValueError(f"parameters must be nonnegative: {vals}")
+        if any(not math.isfinite(v) or v < -1e-15 for v in vals):
+            raise ValueError(f"parameters must be finite and nonnegative: {vals}")
         if abs(sum(vals) - 0.125) > 1e-12:
             raise ValueError(f"parameters sum to {sum(vals)!r}, need 1/8")
 

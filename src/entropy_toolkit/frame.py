@@ -15,11 +15,17 @@ The central objects:
 * the linear maps ``a_map`` and ``b_map`` that zero one basis coordinate
   each while preserving stv, the stabilizer average ``c_sym``, and the
   tetrahedron coordinates of the resulting three-dimensional cross-section.
+
+Linear functionals are mask-indexed coefficient vectors (:func:`stv_vec`,
+:func:`~entropy_toolkit.core.delta_vec`).  The projection tighten -> b -> a
+-> symmetrize is linear too; :func:`pipeline_operator` derives its matrix
+from the maps above, which stay the specification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -27,11 +33,16 @@ import numpy as np
 from .core import (
     GroundSet,
     SetFunction,
+    _modular_values,
+    _warn_if_not_polymatroid,
     delta_given,
+    delta_vec,
     matroid_rank,
     relabel,
-    tight_part,
 )
+
+#: frames whose derived vectors and matrices stay cached (24 per ground set)
+FRAME_CACHE = 96
 
 
 @dataclass(frozen=True)
@@ -81,16 +92,15 @@ def _require_frame_ground(h: SetFunction, frame: IngletonFrame) -> None:
                          f"{frame.ground.labels}")
 
 
-def stv_coefficients(frame: IngletonFrame) -> dict[int, float]:
-    """Coefficient vector of the Ingleton functional, keyed by subset mask."""
-    m = frame.ground.mask
+@lru_cache(maxsize=FRAME_CACHE)
+def stv_vec(frame: IngletonFrame) -> np.ndarray:
+    """The Ingleton functional as a mask-indexed coefficient vector, written
+    as delta(kl|i) + delta(kl|j) + delta(ij) - delta(kl)."""
     i, j, k, l = frame.roles
-    coeff: dict[int, float] = {}
-    for subset, c in [((i, k), 1), ((i, l), 1), ((j, k), 1), ((j, l), 1),
-                      ((k, l), 1), ((i, j), -1), ((k,), -1), ((l,), -1),
-                      ((i, k, l), -1), ((j, k, l), -1)]:
-        coeff[m(subset)] = coeff.get(m(subset), 0.0) + c
-    return coeff
+    d = partial(delta_vec, frame.ground)
+    vec = d(k, l, i) + d(k, l, j) + d(i, j) - d(k, l)
+    vec.flags.writeable = False
+    return vec
 
 
 def ingleton_value(h: SetFunction, frame: IngletonFrame) -> float:
@@ -101,7 +111,7 @@ def ingleton_value(h: SetFunction, frame: IngletonFrame) -> float:
     entropy functions.
     """
     _require_frame_ground(h, frame)
-    return float(sum(c * h.values[msk] for msk, c in stv_coefficients(frame).items()))
+    return float(stv_vec(frame) @ h.values)
 
 
 def ingleton_score(h: SetFunction, frame: IngletonFrame) -> float:
@@ -335,8 +345,9 @@ class CrossSectionPoint:
         return self.alpha_w + self.beta_w + self.gamma_w + self.delta_w
 
 
-def section_weights(h: SetFunction, frame: IngletonFrame) -> tuple[float, float, float, float]:
-    """Tetrahedron weight functionals evaluated at h.
+@lru_cache(maxsize=FRAME_CACHE)
+def section_weight_matrix(frame: IngletonFrame) -> np.ndarray:
+    """Rows: the tetrahedron weight functionals as mask-indexed vectors.
 
     alpha = -4 stv, beta = delta(kl|i) + delta(kl|j),
     gamma = 2 delta(ij|k) + 2 delta(ij|l),
@@ -344,14 +355,37 @@ def section_weights(h: SetFunction, frame: IngletonFrame) -> tuple[float, float,
     They sum to h(N) whenever h is tight with delta(ij|empty) =
     delta(kl|ij) = 0, i.e. on pipeline outputs before normalization.
     """
-    _require_frame_ground(h, frame)
     i, j, k, l = frame.roles
-    alpha_w = -4.0 * ingleton_value(h, frame)
-    beta_w = delta_given(h, k, l, i) + delta_given(h, k, l, j)
-    gamma_w = 2.0 * delta_given(h, i, j, k) + 2.0 * delta_given(h, i, j, l)
-    delta_w = (delta_given(h, j, l, k) + delta_given(h, i, l, k)
-               + delta_given(h, j, k, l) + delta_given(h, i, k, l))
-    return (alpha_w, beta_w, gamma_w, delta_w)
+    d = partial(delta_vec, frame.ground)
+    mat = np.vstack([-4.0 * stv_vec(frame),
+                     d(k, l, i) + d(k, l, j),
+                     2.0 * d(i, j, k) + 2.0 * d(i, j, l),
+                     d(j, l, k) + d(i, l, k) + d(j, k, l) + d(i, k, l)])
+    mat.flags.writeable = False
+    return mat
+
+
+def section_weights(h: SetFunction, frame: IngletonFrame) -> tuple[float, float, float, float]:
+    """Tetrahedron weight functionals of :func:`section_weight_matrix` at h."""
+    _require_frame_ground(h, frame)
+    return tuple(float(w) for w in section_weight_matrix(frame) @ h.values)
+
+
+@lru_cache(maxsize=FRAME_CACHE)
+def pipeline_operator(frame: IngletonFrame) -> np.ndarray:
+    """Matrix P with ``P @ f.values == c_sym(a_map(b_map(tight_part(f)))).values``.
+
+    Column m is the image of the unit vector at mask m under the maps
+    themselves.  A build takes a few milliseconds, so it is cached per frame.
+    """
+    g = frame.ground
+    units = np.eye(g.size)
+    op = np.zeros((g.size, g.size))
+    for m in range(1, g.size):
+        tight = SetFunction(g, units[m] - _modular_values(units[m]))
+        op[:, m] = c_sym(a_map(b_map(tight, frame), frame), frame).values
+    op.flags.writeable = False
+    return op
 
 
 def cross_section_point(f: SetFunction, frame: IngletonFrame,
@@ -362,16 +396,18 @@ def cross_section_point(f: SetFunction, frame: IngletonFrame,
     Returns the weight quadruple and the normalized symmetrized function
     itself.  Raises on degenerate inputs whose projected value at N is not
     positive (then the score is 0 and the point is undefined).
+    Non-polymatroid input is reported through
+    :class:`~entropy_toolkit.core.NonPolymatroidWarning`.
     """
     _require_frame_ground(f, frame)
-    g = c_sym(a_map(b_map(tight_part(f), frame), frame), frame)
-    norm = g.rank
+    _warn_if_not_polymatroid(f, "cross_section_point")
+    g = pipeline_operator(frame) @ f.values
+    norm = float(g[-1])
     if norm <= tol:
         raise ValueError(f"degenerate input: projected value at N is {norm}, "
                          "score vanishes and no cross-section point exists")
-    h = g / norm
-    w = section_weights(h, frame)
-    return CrossSectionPoint(*w, source_tag=source_tag), h
+    h = SetFunction(frame.ground, g / norm)
+    return CrossSectionPoint(*section_weights(h, frame), source_tag=source_tag), h
 
 
 def point_from_weights(w: CrossSectionPoint, frame: IngletonFrame,

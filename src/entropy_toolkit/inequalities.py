@@ -21,10 +21,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import partial
+from typing import Mapping, Sequence
 
-from .core import SetFunction
-from .frame import IngletonFrame, stv_coefficients
+import numpy as np
+
+from .core import SetFunction, delta_vec
+from .frame import IngletonFrame, stv_vec
 
 BALANCE_TOL = 1e-12
 
@@ -104,26 +107,11 @@ class CrossSectionHalfspace:
 
 # --- built-in functionals and inequalities ------------------------------------
 
-def _delta_coeffs(a: str, b: str, given: Iterable[str] = ()) -> dict[frozenset, float]:
-    """Coefficients of the conditional functional delta(ab|L) over subsets."""
-    L = frozenset(given)
-    out: dict[frozenset, float] = {}
-    for key, c in [(L | {a}, 1.0), (L | {b}, 1.0), (L | {a, b}, -1.0), (L, -1.0)]:
-        if key:
-            out[frozenset(key)] = out.get(frozenset(key), 0.0) + c
-    return out
-
-
-def _merge(*parts: Mapping) -> dict[frozenset, float]:
-    out: dict[frozenset, float] = {}
-    for part in parts:
-        for key, c in part.items():
-            out[key] = out.get(key, 0.0) + c
-    return {k: v for k, v in out.items() if v != 0.0}
-
-
-def _scale(coeffs: Mapping, factor: float) -> dict[frozenset, float]:
-    return {k: factor * v for k, v in coeffs.items()}
+def _from_vec(name: str, frame: IngletonFrame, vec: np.ndarray) -> LinearInequality:
+    """The inequality whose coefficients are the nonzero entries of a
+    mask-indexed vector; the empty-set entry is inert and dropped."""
+    labels_of = frame.ground.labels_of
+    return LinearInequality(name, {labels_of(m): c for m, c in enumerate(vec) if m})
 
 
 def stv_functional(frame: IngletonFrame) -> LinearInequality:
@@ -132,9 +120,7 @@ def stv_functional(frame: IngletonFrame) -> LinearInequality:
     Not a valid information inequality (entropic points can make it
     negative); exposed for balancedness checks and diagnostics.
     """
-    g = frame.ground
-    coeffs = {frozenset(g.labels_of(m)): c for m, c in stv_coefficients(frame).items()}
-    return LinearInequality("ingleton-stv", coeffs)
+    return _from_vec("ingleton-stv", frame, stv_vec(frame))
 
 
 def symmetrized_zy(frame: IngletonFrame) -> LinearInequality:
@@ -145,12 +131,10 @@ def symmetrized_zy(frame: IngletonFrame) -> LinearInequality:
     In section weights it reads beta + delta >= alpha / 2.
     """
     i, j, k, l = frame.roles
-    coeffs = _merge(
-        _scale(stv_functional(frame).coefficients, 2.0),
-        _delta_coeffs(i, k, (l,)), _delta_coeffs(i, l, (k,)), _delta_coeffs(k, l, (i,)),
-        _delta_coeffs(j, k, (l,)), _delta_coeffs(j, l, (k,)), _delta_coeffs(k, l, (j,)),
-    )
-    return LinearInequality("symmetrized-zhang-yeung", coeffs)
+    d = partial(delta_vec, frame.ground)
+    vec = (2.0 * stv_vec(frame) + d(i, k, l) + d(i, l, k) + d(k, l, i)
+           + d(j, k, l) + d(j, l, k) + d(k, l, j))
+    return _from_vec("symmetrized-zhang-yeung", frame, vec)
 
 
 def dfz_linear(s: int, frame: IngletonFrame) -> LinearInequality:
@@ -162,15 +146,12 @@ def dfz_linear(s: int, frame: IngletonFrame) -> LinearInequality:
     """
     _check_dfz_s(s)
     i, j, k, l = frame.roles
+    d = partial(delta_vec, frame.ground)
     half = 2 ** (s - 1)
-    coeffs = _merge(
-        _scale(stv_functional(frame).coefficients, float(2 ** s - 1)),
-        _delta_coeffs(k, l, (i,)),
-        _scale(_merge(_delta_coeffs(i, k, (l,)), _delta_coeffs(i, l, (k,))), float(s * half)),
-        _scale(_merge(_delta_coeffs(j, k, (l,)), _delta_coeffs(j, l, (k,))),
-               float((s - 2) * half + 1)),
-    )
-    return LinearInequality(f"dfz-linear-s{s}", coeffs)
+    vec = ((2 ** s - 1) * stv_vec(frame) + d(k, l, i)
+           + s * half * (d(i, k, l) + d(i, l, k))
+           + ((s - 2) * half + 1) * (d(j, k, l) + d(j, l, k)))
+    return _from_vec(f"dfz-linear-s{s}", frame, vec)
 
 
 def _check_dfz_s(s: int) -> None:
@@ -241,9 +222,13 @@ def check_point(weights, bank: Sequence[CrossSectionHalfspace],
 # LinearInequality JSON:      {"name": ..., "coefficients": {"ik": 1.0, ...}}
 # CrossSectionHalfspace JSON: {"name": ..., "abcd": [a, b, c, d]}
 # A file may hold one object or a list of them; labels inside coefficient keys
-# must be single characters.
+# must be single characters, and the writer rejects longer ones.
 
 def inequality_to_json(ineq: LinearInequality) -> dict:
+    long = sorted(str(lab) for lab in ineq.elements()
+                  if not isinstance(lab, str) or len(lab) != 1)
+    if long:
+        raise ValueError(f"inequality JSON needs single-character labels, got {long}")
     keys = {"".join(sorted(k)): v for k, v in ineq.coefficients.items()}
     return {"name": ineq.name, "coefficients": dict(sorted(keys.items()))}
 

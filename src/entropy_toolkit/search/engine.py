@@ -6,7 +6,8 @@ restart runs a Nelder-Mead simplex descent (reflection 1, expansion 2,
 contraction 0.5, shrink 0.5) from a seeded start; restarts are independent
 and merged deterministically, so a fixed master seed gives bit-identical
 results regardless of the worker count.  ENTROPY_TOOLKIT_THREADS (or the
-``threads`` argument) caps parallel restarts.
+``threads`` argument) caps parallel restarts; the worker count never exceeds
+the restarts or ``os.cpu_count()``.
 
 Objectives:
 
@@ -23,7 +24,6 @@ Degenerate inputs whose normalizer vanishes score 0 by convention.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -32,13 +32,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import GroundSet
-from ..entropy import JointDistribution, entropy_function
+from ..core import GroundSet, _modular_values
+from ..entropy import JointDistribution, entropy_function, marginal_index, subset_entropies
 from ..frame import (
     CrossSectionPoint,
     IngletonFrame,
     cross_section_point,
-    stv_coefficients,
+    pipeline_operator,
+    section_weight_matrix,
+    stv_vec,
 )
 
 OBJECTIVES = ("raw_score", "tight_score", "pipeline_score", "alpha_in_direction")
@@ -99,10 +101,10 @@ class SearchConfig:
             raise ValueError(f"alphabet sizes must be four integers in 1..11: {sizes}")
         if all(s < 2 for s in sizes):
             raise ValueError("at least one variable needs an alphabet of size >= 2")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be positive: {self.restarts}")
-        if self.budget_evals < 1:
-            raise ValueError(f"budget must be positive: {self.budget_evals}")
+        for name in ("restarts", "budget_evals"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ValueError(f"{name} must be a positive integer: {count!r}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective {self.objective!r} not one of {OBJECTIVES}")
         if self.objective == "alpha_in_direction":
@@ -148,100 +150,37 @@ class SearchResult:
     best_restart: int
 
 
-def _functional_vector(ground: GroundSet, coeffs: dict[int, float]) -> np.ndarray:
-    vec = np.zeros(ground.size)
-    for mask, c in coeffs.items():
-        vec[mask] += c
-    return vec
-
-
-def _delta_vec(ground: GroundSet, a, b, given=()) -> np.ndarray:
-    mA, mB = ground.mask(a), ground.mask(b)
-    L = ground.mask(tuple(given))
-    vec = np.zeros(ground.size)
-    vec[mA | L] += 1.0
-    vec[mB | L] += 1.0
-    vec[mA | mB | L] -= 1.0
-    vec[L] -= 1.0
-    return vec
-
-
 class DistributionObjective:
     """Vectorized entropy and score evaluation over a fixed product alphabet.
 
     Marginal masses for all nonempty subsets are accumulated with a single
-    bincount over precomputed flat cell indices; scores and cross-section
-    weights are then linear functionals of the entropy vector.  Agrees with
-    the compositional path through SetFunction operations to ~1e-13.
+    bincount over a precomputed :func:`~entropy_toolkit.entropy.marginal_index`;
+    scores and cross-section weights are then linear functionals of the
+    entropy vector, read off :func:`~entropy_toolkit.frame.pipeline_operator`.
+    Agrees with the compositional path through SetFunction operations to
+    ~1e-13.
     """
 
     def __init__(self, frame: IngletonFrame, alphabet_sizes: Sequence[int]):
-        ground = frame.ground
         sizes = tuple(int(s) for s in alphabet_sizes)
         self.frame = frame
         self.sizes = sizes
-        self.n_atoms = int(np.prod(sizes))
-        configs = np.array(list(itertools.product(*(range(s) for s in sizes))),
-                           dtype=np.int64).reshape(self.n_atoms, 4)
+        self.n_atoms = math.prod(sizes)
+        configs = np.indices(sizes).reshape(len(sizes), -1).T
+        self._flat_idx, self._offsets, self._n_cells = marginal_index(configs, sizes)
 
-        idx_blocks = []
-        offsets = [0]
-        total = 0
-        for I in range(1, ground.size):
-            axes = [b for b in range(4) if I >> b & 1]
-            idx = np.zeros(self.n_atoms, dtype=np.int64)
-            for a in axes:
-                idx = idx * sizes[a] + configs[:, a]
-            idx_blocks.append(idx + total)
-            total += int(np.prod([sizes[a] for a in axes]))
-            offsets.append(total)
-        self._flat_idx = np.concatenate(idx_blocks)
-        self._offsets = np.array(offsets[:-1], dtype=np.int64)
-        self._n_cells = total
-
-        i, j, k, l = frame.roles
-        m = ground.mask
-        self.stv_vec = _functional_vector(ground, stv_coefficients(frame))
-        full = ground.full_mask
-
-        raw = np.zeros(ground.size)
-        raw[full] = 1.0
-        self.raw_rank_vec = raw
-
-        tight = np.zeros(ground.size)
-        tight[full] = -3.0
-        for b in range(4):
-            tight[full ^ (1 << b)] += 1.0
-        self.tight_rank_vec = tight
-
-        pipe = np.zeros(ground.size)
-        pipe[m((i, j))] += 1.0
-        pipe[m((i, k, l))] += 1.0
-        pipe[m((j, k, l))] += 1.0
-        pipe[full] -= 2.0
-        self.pipeline_rank_vec = pipe
-
-        self.weight_mat = np.vstack([
-            -4.0 * self.stv_vec,
-            _delta_vec(ground, k, l, (i,)) + _delta_vec(ground, k, l, (j,))
-            + _delta_vec(ground, i, j),
-            2.0 * _delta_vec(ground, i, j, (k,)) + 2.0 * _delta_vec(ground, i, j, (l,))
-            + 2.0 * _delta_vec(ground, k, l, (i, j)),
-            _delta_vec(ground, j, l, (k,)) + _delta_vec(ground, i, l, (k,))
-            + _delta_vec(ground, j, k, (l,)) + _delta_vec(ground, i, k, (l,)),
-        ])
-        # entropy vectors vanish on the empty set, so coefficients there are inert
-        self.weight_mat[:, 0] = 0.0
+        eye = np.eye(frame.ground.size)
+        pipeline = pipeline_operator(frame)
+        self.stv_vec = stv_vec(frame)
+        self.raw_rank_vec = eye[-1]
+        self.tight_rank_vec = eye[-1] - _modular_values(eye)[-1]
+        self.pipeline_rank_vec = pipeline[-1]
+        self.weight_mat = section_weight_matrix(frame) @ pipeline
 
     def entropy_vector(self, p: np.ndarray) -> np.ndarray:
         """Entropy (nats) of every nonempty marginal, as a 16-vector over masks."""
-        masses = np.bincount(self._flat_idx, weights=np.tile(p, 15),
-                             minlength=self._n_cells)
-        contrib = np.zeros_like(masses)
-        live = (masses > 1e-15) & (masses < 1.0)
-        contrib[live] = -masses[live] * np.log(masses[live])
         h = np.zeros(16)
-        h[1:] = np.add.reduceat(contrib, self._offsets)
+        h[1:] = subset_entropies(p, self._flat_idx, self._offsets, self._n_cells)
         return h
 
     def score_from_entropy(self, h: np.ndarray, objective: str) -> float:
@@ -400,13 +339,14 @@ def _run_restart(args) -> tuple[float, np.ndarray, int, bool, list | None]:
 
 
 def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("ENTROPY_TOOLKIT_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    """Requested workers (argument, else ENTROPY_TOOLKIT_THREADS), capped at
+    the CPU count."""
+    if threads is None:
+        try:
+            threads = int(os.environ.get("ENTROPY_TOOLKIT_THREADS", "1"))
+        except ValueError:
+            threads = 1
+    return max(1, min(int(threads), os.cpu_count() or 1))
 
 
 def _run_all_restarts(cfg: SearchConfig, frame: IngletonFrame,
@@ -419,6 +359,20 @@ def _run_all_restarts(cfg: SearchConfig, frame: IngletonFrame,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_run_restart, tasks))
     return [_run_restart(t) for t in tasks]
+
+
+def _best_restart(outcomes: list[tuple], cfg: SearchConfig, frame: IngletonFrame,
+                  tag: str) -> tuple[int, JointDistribution, CrossSectionPoint | None]:
+    """Winner of the merged restarts (smallest value, ties by index), its
+    distribution and its cross-section point (None when degenerate)."""
+    best = min(range(cfg.restarts), key=lambda r: (outcomes[r][0], r))
+    dist = JointDistribution.from_dense(frame.ground, cfg.alphabet_sizes, outcomes[best][1])
+    try:
+        point, _ = cross_section_point(entropy_function(dist), frame,
+                                       source_tag=f"{tag}/r{best}")
+    except ValueError:
+        point = None
+    return best, dist, point
 
 
 def optimize_distribution(cfg: SearchConfig, frame: IngletonFrame,
@@ -439,29 +393,16 @@ def optimize_distribution(cfg: SearchConfig, frame: IngletonFrame,
 
     outcomes = _run_all_restarts(cfg, frame, init_dense, collect=False,
                                  threads=threads)
-    best_restart = min(range(cfg.restarts),
-                       key=lambda r: (outcomes[r][0], r))
-    best_val, best_p, _, _, _ = outcomes[best_restart]
-    eval_count = sum(o[2] for o in outcomes)
-    budget_exhausted = any(not o[3] for o in outcomes)
-
-    best_distribution = JointDistribution.from_dense(
-        frame.ground, cfg.alphabet_sizes, best_p)
-    try:
-        point, _ = cross_section_point(
-            entropy_function(best_distribution), frame,
-            source_tag=f"search/seed{cfg.master_seed}/r{best_restart}")
-    except ValueError:
-        point = None
-
+    best_restart, best_distribution, point = _best_restart(
+        outcomes, cfg, frame, f"search/seed{cfg.master_seed}")
     return SearchResult(
-        best_value=float(best_val),
+        best_value=float(outcomes[best_restart][0]),
         best_distribution=best_distribution,
         best_point=point,
-        eval_count=eval_count,
+        eval_count=sum(o[2] for o in outcomes),
         seed_trace=tuple(restart_seed(cfg.master_seed, r)
                          for r in range(cfg.restarts)),
-        budget_exhausted=budget_exhausted,
+        budget_exhausted=any(not o[3] for o in outcomes),
         best_restart=best_restart,
     )
 
@@ -485,17 +426,9 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
         outcomes = _run_all_restarts(d_cfg, frame, None, collect=True,
                                      threads=threads)
         if optima_only:
-            best_restart = min(range(d_cfg.restarts),
-                               key=lambda r: (outcomes[r][0], r))
-            dist = JointDistribution.from_dense(
-                frame.ground, d_cfg.alphabet_sizes, outcomes[best_restart][1])
-            try:
-                point, _ = cross_section_point(
-                    entropy_function(dist), frame,
-                    source_tag=f"{tag}/r{best_restart}")
+            point = _best_restart(outcomes, d_cfg, frame, tag)[2]
+            if point is not None:
                 cloud.append(point)
-            except ValueError:
-                pass
         else:
             for r, outcome in enumerate(outcomes):
                 for w in outcome[4]:

@@ -65,3 +65,24 @@ def full_monotone_ok(f: SetFunction, tol: float) -> bool:
                 break
             I = (I - 1) & J
     return True
+
+
+def entropy_by_dict_marginals(d: JointDistribution) -> SetFunction:
+    """Oracle: every marginal accumulated in a dict, then summed kappa terms."""
+    vals = np.zeros(d.ground.size)
+    for I in range(1, d.ground.size):
+        marginal: dict = {}
+        for cfg, p in d.atoms.items():
+            key = tuple(x for b, x in enumerate(cfg) if I >> b & 1)
+            marginal[key] = marginal.get(key, 0.0) + p
+        vals[I] = sum(-p * np.log(p) for p in marginal.values() if 1e-15 < p < 1.0)
+    return SetFunction(d.ground, vals)
+
+
+def modular_by_bit_loop(ground: GroundSet, per_bit) -> np.ndarray:
+    """Oracle: additive extension by accumulating bit by bit."""
+    vals = np.zeros(ground.size)
+    for I in ground.subsets():
+        vals[I] = sum(per_bit[b] for b in range(ground.n) if I >> b & 1)
+    return vals
+

@@ -293,3 +293,12 @@ class TestExport:
         doc = json.loads(path.read_text())
         assert doc["values"]["ik"] == 3.0
         assert doc["values"]["ijkl"] == 4.0
+
+
+class TestNonFiniteInput:
+    def test_nan_probability_exits_two(self, capsys, tmp_path):
+        dist = tmp_path / "nan.csv"
+        dist.write_text("x_i,x_j,x_k,x_l,prob\n0,0,0,0,1.0\n1,1,1,1,nan\n")
+        code, _, err = run(capsys, "entropy", str(dist))
+        assert code == 2
+        assert "not finite" in err

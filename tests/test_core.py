@@ -13,6 +13,7 @@ from entropy_toolkit import (
     convolve_modular_iterative,
     delta,
     delta_given,
+    delta_vec,
     is_modular,
     is_tight,
     load_set_function,
@@ -31,6 +32,7 @@ from entropy_toolkit import (
 from entropy_toolkit.frame import ingleton_base
 
 from helpers import (
+    modular_by_bit_loop,
     full_monotone_ok,
     full_pairwise_submodular_ok,
     rand_modular,
@@ -525,3 +527,53 @@ class TestJsonFormat:
         del doc["values"]["ik"]
         with pytest.raises(ValueError):
             set_function_from_json(doc)
+
+
+class TestDeltaVec:
+    def test_matches_delta_given(self, ground, rng):
+        f = rand_set_function(rng, ground)
+        for a, b, given in [("i", "j", ""), ("k", "l", "ij"), ("ik", "jk", "l"),
+                            ("i", "ij", ""), ("i", "i", "k")]:
+            vec = delta_vec(ground, a, b, given)
+            assert vec @ f.values == pytest.approx(delta_given(f, a, b, given), abs=1e-12)
+
+
+class TestJsonKeyCollisions:
+    """Labels a, b, ab give the subsets {a, b} and {ab} the same key "ab"."""
+
+    def test_writer_rejects_colliding_keys(self):
+        g = GroundSet(["a", "b", "ab"])
+        with pytest.raises(ValueError, match="same JSON key"):
+            set_function_to_json(matroid_rank(g, 2))
+
+    def test_reader_rejects_colliding_keys(self):
+        keys = ["", "a", "b", "ab", "aab", "bab", "abab"]
+        doc = {"labels": ["a", "b", "ab"],
+               "values": {k: float(len(k) > 0) for k in keys}}
+        with pytest.raises(ValueError, match="same JSON key"):
+            set_function_from_json(doc)
+
+
+class TestBitMatrixAgainstLoops:
+    def test_modular_from_and_parts(self, rng):
+        g = GroundSet("abcdefgh")
+        per_bit = list(rng.uniform(0.0, 3.0, g.n))
+        assert np.max(np.abs(modular_from(g, per_bit).values
+                             - modular_by_bit_loop(g, per_bit))) <= 1e-13
+        h = rand_polymatroid(rng, g)
+        incr = [h.rank - h.values[g.full_mask ^ (1 << b)] for b in range(g.n)]
+        assert np.max(np.abs(modular_part(h).values
+                             - modular_by_bit_loop(g, incr))) <= 1e-13
+
+    def test_relabel_and_contraction(self, rng):
+        g = GroundSet("abcdef")
+        f = rand_set_function(rng, g)
+        perm = dict(zip("abcdef", "cafbed"))
+        h = relabel(f, perm)
+        for I in g.subsets():
+            assert h(tuple(perm[lab] for lab in g.labels_of(I))) == f.values[I]
+        c = contraction(f, "be")
+        for J in c.ground.subsets():
+            expected = f(c.ground.labels_of(J) + ("b", "e")) - f("be")
+            assert c.values[J] == (expected if J else 0.0)
+

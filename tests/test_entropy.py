@@ -26,9 +26,11 @@ from entropy_toolkit import (
     load_exl_table,
     modular_from,
 )
+from entropy_toolkit import entropy as entropy_mod
 from entropy_toolkit.core import TOL_ENTROPIC
+from entropy_toolkit.search.engine import DistributionObjective
 
-from helpers import rand_distribution
+from helpers import entropy_by_dict_marginals, rand_distribution
 
 LN2 = math.log(2.0)
 
@@ -204,3 +206,55 @@ class TestDistributionFormats:
     def test_csv_header_rejected(self):
         with pytest.raises(ValueError):
             distribution_from_csv("a,b,prob\n0,0,1.0\n")
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_distribution_rejects_non_finite(self, ground, bad):
+        with pytest.raises(ValueError, match="not finite"):
+            JointDistribution(ground, (2, 2, 2, 2), {(0, 0, 0, 0): 1.0,
+                                                     (1, 1, 1, 1): bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_exl_params_reject_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ExLParams(0.125, 0.0, 0.0, 0.0, bad)
+
+
+class TestMarginalIndex:
+    def test_full_alphabet_index_is_mixed_radix(self):
+        sizes = (3, 2, 4, 2)
+        configs = np.indices(sizes).reshape(4, -1).T
+        flat, starts, n_cells = entropy_mod.marginal_index(configs, sizes)
+        I = 0b1010
+        block = flat[(I - 1) * len(configs):I * len(configs)] - starts[I - 1]
+        assert np.array_equal(block, configs[:, 1] * 2 + configs[:, 3])
+        assert n_cells == math.prod(s + 1 for s in sizes) - 1
+
+    def test_entropy_function_matches_engine(self, ground, frame, rng):
+        for sizes in [(2, 2, 2, 2), (3, 2, 4, 2)]:
+            ev = DistributionObjective(frame, sizes)
+            for _ in range(5):
+                d = rand_distribution(rng, ground, sizes)
+                assert np.max(np.abs(entropy_function(d).values
+                                     - ev.entropy_vector(d.as_dense()))) <= 1e-13
+
+    def test_chunked_index_agrees(self, monkeypatch):
+        d = exl_distribution(EXL_REFERENCE)
+        whole = entropy_function(d)
+        monkeypatch.setattr(entropy_mod, "INDEX_CHUNK", 100)
+        assert np.array_equal(entropy_function(d).values, whole.values)
+
+    def test_matches_dict_marginals(self, ground, rng):
+        cases = [rand_distribution(rng, ground, s) for s in [(2, 2, 2, 2), (3, 2, 4, 2)]]
+        cases.append(exl_distribution(EXL_REFERENCE))
+        g8 = GroundSet("abcdefgh")
+        atoms = {tuple(int(x) for x in rng.integers(0, 7, 8)): 1.0 for _ in range(50)}
+        cases.append(JointDistribution(g8, (7,) * 8, {c: 1 / len(atoms) for c in atoms}))
+        for d in cases:
+            assert entropy_function(d).allclose(entropy_by_dict_marginals(d), tol=1e-13)
+
+    def test_zero_atoms_are_ignored(self, ground):
+        d = JointDistribution(ground, (2, 2, 2, 2),
+                              {(0, 0, 0, 0): 0.5, (1, 1, 1, 1): 0.5, (0, 1, 0, 1): 0.0})
+        assert np.allclose(entropy_function(d).values[1:], LN2, atol=1e-15)

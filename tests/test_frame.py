@@ -1,7 +1,10 @@
 """Ingleton functional, basis expansion, face maps and cross-section weights."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entropy_toolkit import (
     BasisCoefficients,
@@ -29,10 +32,15 @@ from entropy_toolkit import (
     is_tight,
     matroid_rank,
     modular_from,
+    NonPolymatroidWarning,
+    pipeline_operator,
     point_from_weights,
     reconstruct,
     relabel,
+    section_weight_matrix,
     section_weights,
+    SetFunction,
+    stv_vec,
     tetra_vertices,
     tight_part,
     violated_instances,
@@ -354,3 +362,62 @@ class TestEFace:
         coeffs[[2, 3, 4, 5, 6]] = 0.0
         g = reconstruct(BasisCoefficients(*coeffs), frame)
         assert in_e_face(g, frame)
+
+
+ALL_FRAMES = [IngletonFrame(GroundSet("ijkl"), *roles)
+              for roles in itertools.permutations("ijkl")]
+
+
+@st.composite
+def polymatroids(draw):
+    """Conic combinations of uniform-up-to-loops matroids plus a modular part."""
+    g = GroundSet("ijkl")
+    vals = modular_from(g, draw(st.lists(st.floats(0.0, 0.5), min_size=4,
+                                         max_size=4))).values.copy()
+    terms = st.tuples(st.integers(0, 15), st.integers(0, 4), st.floats(0.0, 1.0))
+    for loops, m, w in draw(st.lists(terms, min_size=1, max_size=6)):
+        vals += w * matroid_rank(g, min(m, 4 - bin(loops).count("1")), loops).values
+    return SetFunction(g, vals)
+
+
+class TestPipelineOperator:
+    @settings(max_examples=40, deadline=None)
+    @given(polymatroids())
+    def test_matches_composed_maps(self, f):
+        for frame in ALL_FRAMES:
+            composed = c_sym(a_map(b_map(tight_part(f), frame), frame), frame)
+            assert np.max(np.abs(pipeline_operator(frame) @ f.values
+                                 - composed.values)) <= 1e-12
+
+    def test_cached_and_read_only(self, frame):
+        op = pipeline_operator(frame)
+        assert pipeline_operator(IngletonFrame.default(frame.ground)) is op
+        assert not op.flags.writeable
+
+    def test_stv_vec_is_the_ten_term_functional(self, frame, rng):
+        h = rand_polymatroid(rng, frame.ground)
+        v = h.values
+        m = frame.ground.mask
+        ten = (v[m("ik")] + v[m("il")] + v[m("jk")] + v[m("jl")] + v[m("kl")]
+               - v[m("ij")] - v[m("k")] - v[m("l")] - v[m("ikl")] - v[m("jkl")])
+        assert stv_vec(frame) @ v == pytest.approx(ten, abs=1e-12)
+
+    def test_weight_rows_match_delta_formulas(self, rng):
+        for frame in ALL_FRAMES:
+            h = rand_polymatroid(rng, frame.ground)
+            i, j, k, l = frame.roles
+            expected = (
+                -4.0 * ingleton_value(h, frame),
+                delta_given(h, k, l, i) + delta_given(h, k, l, j),
+                2.0 * delta_given(h, i, j, k) + 2.0 * delta_given(h, i, j, l),
+                delta_given(h, j, l, k) + delta_given(h, i, l, k)
+                + delta_given(h, j, k, l) + delta_given(h, i, k, l))
+            assert section_weight_matrix(frame) @ h.values == pytest.approx(
+                expected, abs=1e-12)
+
+    def test_cross_section_point_warns_on_non_polymatroid(self, frame):
+        vals = np.array(ingleton_base(frame).values)
+        vals[frame.ground.mask("i")] = -0.5
+        with pytest.warns(NonPolymatroidWarning, match="cross_section_point"):
+            point, _ = cross_section_point(SetFunction(frame.ground, vals), frame)
+        assert point.weight_sum == pytest.approx(1.0, abs=1e-12)

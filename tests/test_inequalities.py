@@ -208,3 +208,45 @@ class TestWireFormats:
     def test_all_zero_halfspace_rejected(self):
         with pytest.raises(ValueError):
             CrossSectionHalfspace("null", 0.0, 0.0, 0.0, 0.0)
+
+
+def _keyed(ineq):
+    return {"".join(sorted(k)): v for k, v in ineq.coefficients.items()}
+
+
+class TestBuiltinGoldens:
+    """Coefficients of the built-in functionals, recorded from the former
+    frozenset-dictionary construction."""
+
+    def test_symmetrized_zy(self, frame):
+        assert _keyed(symmetrized_zy(frame)) == {
+            "i": -1.0, "ij": -2.0, "ik": 4.0, "ikl": -5.0, "il": 4.0, "j": -1.0,
+            "jk": 4.0, "jkl": -5.0, "jl": 4.0, "k": -4.0, "kl": 6.0, "l": -4.0}
+
+    def test_dfz_linear(self, frame):
+        assert _keyed(dfz_linear(1, frame)) == {
+            "i": -1.0, "ij": -1.0, "ik": 3.0, "ikl": -4.0, "il": 3.0, "jk": 1.0,
+            "jkl": -1.0, "jl": 1.0, "k": -2.0, "kl": 3.0, "l": -2.0}
+        assert _keyed(dfz_linear(2, frame)) == {
+            "i": -1.0, "ij": -3.0, "ik": 8.0, "ikl": -12.0, "il": 8.0, "jk": 4.0,
+            "jkl": -5.0, "jl": 4.0, "k": -8.0, "kl": 13.0, "l": -8.0}
+        assert _keyed(dfz_linear(3, frame)) == {
+            "i": -1.0, "ij": -7.0, "ik": 20.0, "ikl": -32.0, "il": 20.0, "jk": 12.0,
+            "jkl": -17.0, "jl": 12.0, "k": -24.0, "kl": 41.0, "l": -24.0}
+
+    def test_stv(self, frame):
+        assert _keyed(stv_functional(frame)) == {
+            "ik": 1.0, "il": 1.0, "jk": 1.0, "jl": 1.0, "kl": 1.0,
+            "ij": -1.0, "k": -1.0, "l": -1.0, "ikl": -1.0, "jkl": -1.0}
+
+
+class TestInequalityJsonLabels:
+    def test_multi_character_label_rejected(self):
+        ineq = LinearInequality("long", {("x1", "y"): 1.0, ("y",): -1.0})
+        with pytest.raises(ValueError, match="single-character"):
+            inequality_to_json(ineq)
+
+    def test_single_character_labels_round_trip(self):
+        ineq = LinearInequality("short", {("x", "y"): 1.0, ("y",): -1.0})
+        back = inequality_from_json(json.loads(json.dumps(inequality_to_json(ineq))))
+        assert back.coefficients == ineq.coefficients

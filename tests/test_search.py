@@ -1,6 +1,8 @@
 """Scalar minimization, distribution search, determinism and clouds."""
 
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,7 +27,9 @@ from entropy_toolkit import (
     tight_part,
     vertex_seed_distributions,
 )
+from entropy_toolkit import GroundSet, delta_vec
 from entropy_toolkit.frame import a_map, b_map
+from entropy_toolkit.search import engine
 from entropy_toolkit.search.engine import (
     DistributionObjective,
     nelder_mead,
@@ -313,3 +317,141 @@ class TestNonDefaultFrame:
         pipeline = a_map(b_map(tight_part(f), fr), fr)
         assert ingleton_score(pipeline, fr) == pytest.approx(
             res.best_value, abs=1e-12)
+
+
+ALL_FRAMES = [IngletonFrame(GroundSet("ijkl"), *roles)
+              for roles in itertools.permutations("ijkl")]
+
+
+def hand_rows(frame):
+    """The score and weight vectors as formerly transcribed by hand."""
+    g = frame.ground
+    m = g.mask
+    i, j, k, l = frame.roles
+    stv = np.zeros(16)
+    for subset, c in [((i, k), 1), ((i, l), 1), ((j, k), 1), ((j, l), 1), ((k, l), 1),
+                      ((i, j), -1), ((k,), -1), ((l,), -1), ((i, k, l), -1),
+                      ((j, k, l), -1)]:
+        stv[m(subset)] += c
+    tight = np.zeros(16)
+    tight[15] = -3.0
+    for b in range(4):
+        tight[15 ^ (1 << b)] += 1.0
+    pipe = np.zeros(16)
+    for subset in [(i, j), (i, k, l), (j, k, l)]:
+        pipe[m(subset)] += 1.0
+    pipe[15] -= 2.0
+    d = lambda a, b, given=(): delta_vec(g, a, b, given)  # noqa: E731
+    weights = np.vstack([
+        -4.0 * stv,
+        d(k, l, (i,)) + d(k, l, (j,)) + d(i, j),
+        2.0 * d(i, j, (k,)) + 2.0 * d(i, j, (l,)) + 2.0 * d(k, l, (i, j)),
+        d(j, l, (k,)) + d(i, l, (k,)) + d(j, k, (l,)) + d(i, k, (l,)),
+    ])
+    weights[:, 0] = 0.0
+    return stv, tight, pipe, weights
+
+
+class TestDerivedRows:
+    def test_rows_equal_hand_transcription(self):
+        for frame in ALL_FRAMES:
+            ev = DistributionObjective(frame, (2, 2, 2, 2))
+            stv, tight, pipe, weights = hand_rows(frame)
+            assert np.array_equal(ev.stv_vec, stv)
+            assert np.array_equal(ev.tight_rank_vec, tight)
+            assert np.array_equal(ev.pipeline_rank_vec, pipe)
+            assert np.array_equal(ev.weight_mat, weights)
+
+
+class TestSearchGoldens:
+    """Literals recorded before the score vectors were derived from the face
+    maps; the search arithmetic must reproduce them bit for bit."""
+
+    def test_optimize_distribution(self, frame):
+        cfg = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=3, budget_evals=300,
+                           master_seed=11, objective="pipeline_score")
+        result = optimize_distribution(cfg, frame, threads=1)
+        assert result.best_value.hex() == "-0x1.584d1913c2438p-4"
+        assert result.eval_count == 901
+        assert result.best_restart == 1
+        assert [float(x).hex() for x in result.best_distribution.as_dense()] == [
+            "0x1.7d95413b5445ap-6", "0x1.0cd6db7ac813cp-3", "0x1.c1c45c1f0d8fbp-8",
+            "0x1.4a50ab8e9e42dp-6", "0x1.32a0c4c0f7a0cp-19", "0x1.5fb451e9cc9cap-13",
+            "0x1.16fd88eecb43cp-14", "0x1.b607860e6ee94p-2", "0x1.00adc379a8725p-2",
+            "0x1.2d7769447dd09p-8", "0x1.3348b2ac6641fp-14", "0x1.a6a7bae4600c3p-18",
+            "0x1.2a11016d90711p-11", "0x1.0b7d8a876ee0fp-3", "0x1.2dfe72d9d0095p-12",
+            "0x1.d8e9488f33193p-9"]
+        assert result.best_point.as_tuple() == pytest.approx(
+            (0.3362316053686012, 0.08760970614690056, 0.14183479045055525,
+             0.43432389803394433), abs=1e-13)
+
+    def test_generate_cloud(self, frame):
+        cfg = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=1, budget_evals=60,
+                           master_seed=5)
+        cloud = generate_cloud(sphere_directions(2, seed=5), cfg, frame, threads=1)
+        assert len(cloud) == 120
+        assert [[w.hex() for w in p.as_tuple()] for p in cloud[:3]] == [
+            ["-0x1.c2f6b577730e1p+0", "0x1.115902ea9a5ccp-1",
+             "0x1.6d595294e27a8p+0", "0x1.99e1c2da86cbbp-1"],
+            ["-0x1.d8544598fd16cp+0", "0x1.1ad8b472c77b6p-1",
+             "0x1.6a24a8ec573b8p+0", "0x1.c18684e6843bap-1"],
+            ["-0x1.ca9136ee0cbacp+0", "0x1.192c42b444f74p-1",
+             "0x1.6fd159c0d06c4p+0", "0x1.9c5377a633a54p-1"]]
+        assert cloud[0].source_tag == "dir0(-0.25621,0.0925889,0.962177)/r0"
+
+
+class TestSearchConfigCounts:
+    @pytest.mark.parametrize("field", ["restarts", "budget_evals"])
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0, "4"])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match="positive integer"):
+            SearchConfig(**{field: value})
+        with pytest.raises(ValueError, match="positive integer"):
+            SearchConfig.from_json({field: value})
+
+
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    requested: list = []
+
+    def __init__(self, max_workers):
+        FakePool.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+class TestWorkerCap:
+    CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=8, budget_evals=40,
+                       master_seed=3, objective="raw_score")
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+        FakePool.requested = []
+
+    def test_argument_capped_at_cpu_count(self, frame):
+        optimize_distribution(self.CFG, frame, threads=100_000)
+        assert FakePool.requested == [3]
+
+    def test_env_variable_capped_at_cpu_count(self, frame, monkeypatch):
+        monkeypatch.setenv("ENTROPY_TOOLKIT_THREADS", "100000")
+        optimize_distribution(self.CFG, frame)
+        assert FakePool.requested == [3]
+
+    def test_restarts_still_cap(self, frame):
+        optimize_distribution(replace(self.CFG, restarts=2), frame, threads=100_000)
+        assert FakePool.requested == [2]
+
+    def test_unknown_cpu_count_runs_serially(self, frame, monkeypatch):
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
+        optimize_distribution(self.CFG, frame, threads=100_000)
+        assert FakePool.requested == []
