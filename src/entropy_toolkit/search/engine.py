@@ -25,6 +25,7 @@ Degenerate inputs whose normalizer vanishes score 0 by convention.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -52,6 +53,14 @@ DIRECTION_PENALTY = 8.0
 
 #: normalizers at or below this are treated as degenerate (score 0)
 DEGENERATE_TOL = 1e-12
+
+#: largest alphabet product a search accepts: the Nelder-Mead simplex holds
+#: (atoms + 1) * atoms float64s per worker, 128 MiB at 8^4 = 4096 atoms
+MAX_ATOMS = 4096
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
@@ -95,24 +104,35 @@ class SearchConfig:
     direction: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.alphabet_sizes)
-        object.__setattr__(self, "alphabet_sizes", sizes)
-        if len(sizes) != 4 or any(not 1 <= s <= 11 for s in sizes):
+        sizes = tuple(self.alphabet_sizes)
+        if len(sizes) != 4 or any(not _is_integer(s) or not 1 <= s <= 11 for s in sizes):
             raise ValueError(f"alphabet sizes must be four integers in 1..11: {sizes}")
+        sizes = tuple(int(s) for s in sizes)
+        object.__setattr__(self, "alphabet_sizes", sizes)
         if all(s < 2 for s in sizes):
             raise ValueError("at least one variable needs an alphabet of size >= 2")
+        atoms = math.prod(sizes)
+        if atoms > MAX_ATOMS:
+            simplex_mib = (atoms + 1) * atoms * 8 / 2**20
+            raise ValueError(
+                f"alphabet {sizes} has {atoms} atoms, above MAX_ATOMS = {MAX_ATOMS}: "
+                f"its Nelder-Mead simplex would take {simplex_mib:,.0f} MiB per worker")
         for name in ("restarts", "budget_evals"):
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, int) or count < 1:
                 raise ValueError(f"{name} must be a positive integer: {count!r}")
+        if not _is_integer(self.master_seed) or self.master_seed < 0:
+            raise ValueError(f"master_seed must be a non-negative integer: "
+                             f"{self.master_seed!r}")
+        object.__setattr__(self, "master_seed", int(self.master_seed))
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective {self.objective!r} not one of {OBJECTIVES}")
         if self.objective == "alpha_in_direction":
             if self.direction is None:
                 raise ValueError("alpha_in_direction needs a 3-vector direction")
             d = tuple(float(x) for x in self.direction)
-            if len(d) != 3 or not any(d):
-                raise ValueError(f"direction must be a nonzero 3-vector: {d}")
+            if len(d) != 3 or not any(d) or not all(map(math.isfinite, d)):
+                raise ValueError(f"direction must be a finite nonzero 3-vector: {d}")
             object.__setattr__(self, "direction", d)
 
     def to_json(self) -> dict:
@@ -258,52 +278,67 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     simplex diameter drops below diam_tol or the evaluation budget is spent
     (an in-flight iteration may finish, so the count can exceed the budget by
     at most dim + 1).  Returns (best_x, best_value, evals, converged).
+
+    The simplex is one ``(dim + 1, dim)`` array whose rows never move; the
+    permutation ``rank`` lists them from best to worst.  Each iteration
+    re-ranks with a stable argsort of the values, so ties keep their previous
+    rank (initially x0 first, then x0 + initial_step * e_b in order of b).  A
+    replacement overwrites the worst row in place, and ``fn`` always gets a
+    fresh array, never a view of the simplex.  A non-finite objective value
+    raises ValueError, because it has no place in that order.
     """
+    def evaluate(x: np.ndarray) -> float:
+        value = fn(x)
+        if not math.isfinite(value):
+            raise ValueError(f"objective returned a non-finite value: {value!r}")
+        return value
+
     dim = len(x0)
-    pts = [np.array(x0, dtype=float)]
-    for b in range(dim):
-        step = np.array(x0, dtype=float)
-        step[b] += initial_step
-        pts.append(step)
-    vals = [fn(p) for p in pts]
+    simplex = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
+    simplex[np.arange(1, dim + 1), np.arange(dim)] += initial_step
+    vals = np.array([evaluate(row.copy()) for row in simplex], dtype=float)
+    rank = np.arange(dim + 1)
     evals = dim + 1
     converged = False
 
     while evals < budget:
-        order = sorted(range(dim + 1), key=lambda idx: (vals[idx], idx))
-        pts = [pts[o] for o in order]
-        vals = [vals[o] for o in order]
-        diam = max(float(np.max(np.abs(p - pts[0]))) for p in pts[1:])
-        if diam < diam_tol:
+        rank = rank[np.argsort(vals[rank], kind="stable")]
+        best, second, worst = rank[0], rank[-2], rank[-1]
+        # The diameter is a max, so the worst vertex alone rules out
+        # convergence whenever it is at least diam_tol from the best.
+        if (np.max(np.abs(simplex[worst] - simplex[best])) < diam_tol
+                and np.max(np.abs(simplex - simplex[best])) < diam_tol):
             converged = True
             break
-        centroid = np.mean(pts[:-1], axis=0)
-        reflected = centroid + (centroid - pts[-1])
-        f_r = fn(reflected)
+        # Summing the rows in rank order keeps the centroid bit-identical.
+        centroid = np.mean(simplex[rank[:-1]], axis=0)
+        reflected = centroid + (centroid - simplex[worst])
+        f_r = evaluate(reflected)
         evals += 1
-        if f_r < vals[0]:
-            expanded = centroid + 2.0 * (centroid - pts[-1])
-            f_e = fn(expanded)
+        if f_r < vals[best]:
+            expanded = centroid + 2.0 * (centroid - simplex[worst])
+            f_e = evaluate(expanded)
             evals += 1
             if f_e < f_r:
-                pts[-1], vals[-1] = expanded, f_e
+                simplex[worst], vals[worst] = expanded, f_e
             else:
-                pts[-1], vals[-1] = reflected, f_r
-        elif f_r < vals[-2]:
-            pts[-1], vals[-1] = reflected, f_r
+                simplex[worst], vals[worst] = reflected, f_r
+        elif f_r < vals[second]:
+            simplex[worst], vals[worst] = reflected, f_r
         else:
-            contracted = centroid + 0.5 * (pts[-1] - centroid)
-            f_c = fn(contracted)
+            contracted = centroid + 0.5 * (simplex[worst] - centroid)
+            f_c = evaluate(contracted)
             evals += 1
-            if f_c < vals[-1]:
-                pts[-1], vals[-1] = contracted, f_c
+            if f_c < vals[worst]:
+                simplex[worst], vals[worst] = contracted, f_c
             else:
-                pts = [pts[0] + 0.5 * (p - pts[0]) for p in pts]
-                vals = [vals[0]] + [fn(p) for p in pts[1:]]
+                simplex = simplex[best] + 0.5 * (simplex - simplex[best])
+                for row in rank[1:]:
+                    vals[row] = evaluate(simplex[row].copy())
                 evals += dim
 
-    best = min(range(dim + 1), key=lambda idx: (vals[idx], idx))
-    return pts[best], vals[best], evals, converged
+    best = rank[np.argmin(vals[rank])]
+    return simplex[best].copy(), float(vals[best]), evals, converged
 
 
 def restart_seed(master_seed: int, restart: int) -> int:

@@ -1,5 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
+from typing import Callable
+
 import numpy as np
 
 from entropy_toolkit import (
@@ -86,3 +88,66 @@ def modular_by_bit_loop(ground: GroundSet, per_bit) -> np.ndarray:
         vals[I] = sum(per_bit[b] for b in range(ground.n) if I >> b & 1)
     return vals
 
+
+def nelder_mead_by_lists(fn: Callable[[np.ndarray], float], x0: np.ndarray,
+                          budget: int, diam_tol: float = 1e-10,
+                          initial_step: float = 0.5,
+                          shrinks: list | None = None) -> tuple[np.ndarray, float, int, bool]:
+    """Nelder-Mead descent with the standard coefficient set.
+
+    Reflection 1, expansion 2, contraction 0.5, shrink 0.5.  Stops when the
+    simplex diameter drops below diam_tol or the evaluation budget is spent
+    (an in-flight iteration may finish, so the count can exceed the budget by
+    at most dim + 1).  Returns (best_x, best_value, evals, converged).
+
+    Reference: the list-based search that the array-based
+    ``engine.nelder_mead`` must reproduce bit for bit.  When ``shrinks`` is
+    given, the evaluation count at every shrink step is appended to it.
+    """
+    dim = len(x0)
+    pts = [np.array(x0, dtype=float)]
+    for b in range(dim):
+        step = np.array(x0, dtype=float)
+        step[b] += initial_step
+        pts.append(step)
+    vals = [fn(p) for p in pts]
+    evals = dim + 1
+    converged = False
+
+    while evals < budget:
+        order = sorted(range(dim + 1), key=lambda idx: (vals[idx], idx))
+        pts = [pts[o] for o in order]
+        vals = [vals[o] for o in order]
+        diam = max(float(np.max(np.abs(p - pts[0]))) for p in pts[1:])
+        if diam < diam_tol:
+            converged = True
+            break
+        centroid = np.mean(pts[:-1], axis=0)
+        reflected = centroid + (centroid - pts[-1])
+        f_r = fn(reflected)
+        evals += 1
+        if f_r < vals[0]:
+            expanded = centroid + 2.0 * (centroid - pts[-1])
+            f_e = fn(expanded)
+            evals += 1
+            if f_e < f_r:
+                pts[-1], vals[-1] = expanded, f_e
+            else:
+                pts[-1], vals[-1] = reflected, f_r
+        elif f_r < vals[-2]:
+            pts[-1], vals[-1] = reflected, f_r
+        else:
+            contracted = centroid + 0.5 * (pts[-1] - centroid)
+            f_c = fn(contracted)
+            evals += 1
+            if f_c < vals[-1]:
+                pts[-1], vals[-1] = contracted, f_c
+            else:
+                if shrinks is not None:
+                    shrinks.append(evals)
+                pts = [pts[0] + 0.5 * (p - pts[0]) for p in pts]
+                vals = [vals[0]] + [fn(p) for p in pts[1:]]
+                evals += dim
+
+    best = min(range(dim + 1), key=lambda idx: (vals[idx], idx))
+    return pts[best], vals[best], evals, converged

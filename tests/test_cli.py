@@ -196,6 +196,37 @@ class TestMinimizeCommand:
         assert code == 0
         assert "objective      = raw_score" in out
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"alphabet_sizes": [2.7, 2, 2, 2]}, "alphabet sizes"),
+        ({"master_seed": 2.5}, "master_seed"),
+        ({"master_seed": "7"}, "master_seed"),
+        ({"objective": "alpha_in_direction", "direction": [float("nan"), 0, 1]}, "finite"),
+    ])
+    def test_bad_config_file_exits_2(self, capsys, tmp_path, fields, message):
+        cfg = tmp_path / "cfg.json"
+        doc = {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1, "budget_evals": 80,
+               "master_seed": 3, **fields}
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "minimize", "--config", str(cfg))
+        assert code == 2
+        assert message in err
+
+    def test_nan_direction_exits_2(self, capsys, tmp_path):
+        dirs = tmp_path / "dirs.json"
+        dirs.write_text("[[NaN, 0.0, 1.0]]")
+        code, _, err = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "1",
+                           "--budget", "20", "--directions-file", str(dirs),
+                           "-o", str(tmp_path / "cloud.csv"))
+        assert code == 2
+        assert "finite" in err
+
+    def test_alphabet_above_memory_guard_exits_2(self, capsys, tmp_path):
+        code, _, err = run(capsys, "minimize", "--alphabet", "11,11,11,11",
+                           "--restarts", "1", "--budget", "10",
+                           "-o", str(tmp_path / "res.json"))
+        assert code == 2
+        assert "MiB" in err
+
 
 class TestCloudHullOuter:
     def test_cloud_then_hull(self, capsys, tmp_path):

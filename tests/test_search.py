@@ -31,12 +31,14 @@ from entropy_toolkit import GroundSet, delta_vec
 from entropy_toolkit.frame import a_map, b_map
 from entropy_toolkit.search import engine
 from entropy_toolkit.search.engine import (
+    MAX_ATOMS,
     DistributionObjective,
     nelder_mead,
     restart_seed,
 )
 
-from helpers import rand_distribution
+from helpers import nelder_mead_by_lists, rand_distribution
+from search_goldens import BEST_3242, BEST_4444
 
 
 class TestMinimizeScalar:
@@ -143,6 +145,69 @@ class TestNelderMead:
             lambda v: float(np.sum(v ** 2)), np.ones(8), budget=50)
         assert not converged
         assert evals <= 50 + 9
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            nelder_mead(lambda v: bad, np.zeros(3), budget=100)
+        calls = []
+
+        def late(v):
+            calls.append(v)
+            return bad if len(calls) == 20 else float(np.sum(v ** 2))
+        with pytest.raises(ValueError, match="non-finite"):
+            nelder_mead(late, np.ones(3), budget=100)
+        assert len(calls) == 20
+
+
+TIE_HEAVY = {
+    "rounded_quadratic": lambda v: round(float(np.sum((v - 0.3) ** 2)), 1),
+    "floor_l1": lambda v: math.floor(float(np.sum(np.abs(v)))),
+    "constant": lambda v: 0.0,
+    "quadratic": lambda v: float(np.sum((v - np.linspace(-1.0, 1.0, len(v))) ** 2)),
+}
+
+
+def recorded(fn):
+    """fn plus the arguments it was called with, as passed and as copied."""
+    passed, copies = [], []
+
+    def wrapped(v):
+        passed.append(v)
+        copies.append(np.array(v, copy=True))
+        return fn(v)
+    return wrapped, passed, copies
+
+
+class TestNelderMeadReference:
+    """The array-based search reproduces the list-based reference bit for
+    bit: result, evaluation count, and every point handed to fn, in order."""
+
+    @pytest.mark.parametrize("name", sorted(TIE_HEAVY))
+    def test_matches_list_reference(self, name):
+        regimes = set()
+        for dim in range(1, 13):
+            x0 = np.random.default_rng(dim).normal(size=dim)
+            for budget in (20, 300, 3000):
+                ref_fn, _, ref_calls = recorded(TIE_HEAVY[name])
+                shrinks = []
+                ref = nelder_mead_by_lists(ref_fn, x0, budget, shrinks=shrinks)
+                new_fn, passed, new_calls = recorded(TIE_HEAVY[name])
+                x, value, evals, converged = nelder_mead(new_fn, x0, budget)
+
+                assert x.tobytes() == ref[0].tobytes()
+                assert type(value) is float
+                assert value.hex() == float(ref[1]).hex()
+                assert (evals, converged) == (ref[2], ref[3])
+                assert [c.tobytes() for c in new_calls] == [c.tobytes() for c in ref_calls]
+                # no argument was a view that the search overwrote later
+                assert all(p.tobytes() == c.tobytes() for p, c in zip(passed, new_calls))
+                assert not any(np.shares_memory(x, p) for p in passed)
+                regimes.add("converged" if converged else "budget")
+                if shrinks:
+                    regimes.add("shrink")
+        assert {"converged", "budget"} <= regimes
+        assert "shrink" in regimes or name == "quadratic"
 
 
 class TestOptimizeDistribution:
@@ -399,6 +464,18 @@ class TestSearchGoldens:
              "0x1.6fd159c0d06c4p+0", "0x1.9c5377a633a54p-1"]]
         assert cloud[0].source_tag == "dir0(-0.25621,0.0925889,0.962177)/r0"
 
+    @pytest.mark.parametrize("sizes, value, evals, dense", [
+        ((4, 4, 4, 4), "0x1.0d0375dca2d3bp-2", 600, BEST_4444),
+        ((3, 2, 4, 2), "-0x1.c3cba9c5aa776p-12", 601, BEST_3242),
+    ])
+    def test_larger_alphabets(self, frame, sizes, value, evals, dense):
+        cfg = SearchConfig(alphabet_sizes=sizes, restarts=1, budget_evals=600,
+                           master_seed=1)
+        result = optimize_distribution(cfg, frame, threads=1)
+        assert result.best_value.hex() == value
+        assert result.eval_count == evals
+        assert [float(x).hex() for x in result.best_distribution.as_dense()] == dense
+
 
 class TestSearchConfigCounts:
     @pytest.mark.parametrize("field", ["restarts", "budget_evals"])
@@ -408,6 +485,43 @@ class TestSearchConfigCounts:
             SearchConfig(**{field: value})
         with pytest.raises(ValueError, match="positive integer"):
             SearchConfig.from_json({field: value})
+
+
+class TestSearchConfigInputs:
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"alphabet_sizes": (2.7, 2, 2, 2)}, "four integers"),
+        ({"alphabet_sizes": (2, 2.0, 2, 2)}, "four integers"),
+        ({"alphabet_sizes": (True, 2, 2, 2)}, "four integers"),
+        ({"alphabet_sizes": ("2", 2, 2, 2)}, "four integers"),
+        ({"master_seed": 2.5}, "master_seed"),
+        ({"master_seed": "7"}, "master_seed"),
+        ({"master_seed": True}, "master_seed"),
+        ({"master_seed": -1}, "master_seed"),
+        ({"objective": "alpha_in_direction", "direction": (math.nan, 0.0, 0.0)}, "finite"),
+        ({"objective": "alpha_in_direction", "direction": (1.0, math.inf, 0.0)}, "finite"),
+        ({"objective": "alpha_in_direction", "direction": (0.0, 0.0, -math.inf)}, "finite"),
+    ])
+    def test_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SearchConfig(**kwargs)
+        with pytest.raises(ValueError, match=match):
+            SearchConfig.from_json(kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SearchConfig(alphabet_sizes=np.array([2, 3, 2, 2]),
+                           master_seed=np.int64(7))
+        assert cfg.alphabet_sizes == (2, 3, 2, 2)
+        assert type(cfg.master_seed) is int
+        assert all(type(s) is int for s in cfg.alphabet_sizes)
+        assert cfg.to_json()["master_seed"] == 7
+
+    def test_alphabet_memory_guard(self):
+        assert MAX_ATOMS == 8 ** 4
+        SearchConfig(alphabet_sizes=(8, 8, 8, 8))
+        with pytest.raises(ValueError, match="MiB"):
+            SearchConfig(alphabet_sizes=(9, 9, 9, 9))
+        with pytest.raises(ValueError, match="MAX_ATOMS"):
+            SearchConfig.from_json({"alphabet_sizes": [11, 11, 11, 11]})
 
 
 class FakePool:
