@@ -229,7 +229,11 @@ def cmd_cloud(args) -> int:
     fr = _load_frame(ground, args.frame)
     if args.directions_file:
         with open(args.directions_file) as fh:
-            directions = [tuple(d) for d in json.load(fh)]
+            directions = json.load(fh)
+        if not (isinstance(directions, list)
+                and all(isinstance(d, list) for d in directions)):
+            raise ValueError(f"malformed directions document {args.directions_file}: "
+                             "expected a JSON list of 3-vectors")
     else:
         directions = engine.sphere_directions(args.directions, seed=cfg.master_seed)
     points = engine.generate_cloud(directions, cfg, fr, optima_only=args.optima_only)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Mapping
@@ -360,8 +361,13 @@ def distribution_from_json(data: dict) -> JointDistribution:
         ground = GroundSet(data["labels"])
         sizes = data["alphabet_sizes"]
         atoms = {tuple(a["config"]): a["prob"] for a in data["atoms"]}
+        symbols = [*sizes, *(x for cfg in atoms for x in cfg)]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distribution document: {exc}") from exc
+    if not (all(isinstance(x, numbers.Integral) for x in symbols)
+            and all(isinstance(p, numbers.Real) for p in atoms.values())):
+        raise ValueError("malformed distribution document: alphabet sizes and "
+                         "configurations need integers, probabilities numbers")
     return JointDistribution(ground, sizes, atoms)
 
 

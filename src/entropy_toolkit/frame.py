@@ -11,10 +11,15 @@ The central objects:
   cone, and stv(h) / h(N) is the Ingleton score.
 * the eleven generators (one special non-almost-entropic rank function plus
   ten uniform-up-to-loops matroids) whose conic hull is the tight cone on the
-  reversed-Ingleton side; every tight function expands uniquely in them.
-* the linear maps ``a_map`` and ``b_map`` that zero one basis coordinate
-  each while preserving stv, the stabilizer average ``c_sym``, and the
-  tetrahedron coordinates of the resulting three-dimensional cross-section.
+  reversed-Ingleton side, and the eleven coordinate functionals dual to them
+  (-stv, and one conditional mutual information delta(ab|L) per matroid).
+  One table pairs them; its cached coordinate matrix C (11 x 16) and
+  generator matrix G (16 x 11) satisfy C @ G = I, and the basis expansion,
+  the face maps, the tetrahedron and its weights all read these matrices.
+* the maps ``a_map`` and ``b_map`` that each move one coordinate onto
+  another generator while preserving stv, the stabilizer average ``c_sym``,
+  and the tetrahedron coordinates of the resulting three-dimensional
+  cross-section.
 
 Linear functionals are mask-indexed coefficient vectors (:func:`stv_vec`,
 :func:`~entropy_toolkit.core.delta_vec`).  The projection tighten -> b -> a
@@ -24,7 +29,7 @@ from the maps above, which stay the specification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import lru_cache, partial
 from itertools import combinations
 
@@ -35,7 +40,6 @@ from .core import (
     SetFunction,
     _modular_values,
     _warn_if_not_polymatroid,
-    delta_given,
     delta_vec,
     matroid_rank,
     relabel,
@@ -177,107 +181,116 @@ class BasisCoefficients:
     c_ik_l: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.c_bar, self.c_ij, self.c_kl_ij, self.c_kl_i,
-                         self.c_kl_j, self.c_ij_k, self.c_ij_l, self.c_jl_k,
-                         self.c_il_k, self.c_jk_l, self.c_ik_l])
+        return np.array(astuple(self))
 
     @classmethod
     def from_array(cls, arr) -> "BasisCoefficients":
         return cls(*(float(x) for x in arr))
 
 
-def basis_generators(frame: IngletonFrame) -> tuple[SetFunction, ...]:
-    """The eleven generators, ordered to match :class:`BasisCoefficients`.
+_COORDINATES = tuple(f.name for f in fields(BasisCoefficients))
 
-    The matroid paired with each coefficient is the one the corresponding
-    functional picks out: c_ij pairs with the free rank-1 matroid, c_ij_k
-    with the rank-2 matroid whose loop is l, c_jl_k with the rank-1 matroid
-    with loops {i, k}, and so on.
-    """
-    g = frame.ground
-    i, j, k, l = frame.roles
-    return (
-        ingleton_base(frame),
-        matroid_rank(g, 1),
-        matroid_rank(g, 3),
-        matroid_rank(g, 1, (i,)),
-        matroid_rank(g, 1, (j,)),
-        matroid_rank(g, 2, (l,)),
-        matroid_rank(g, 2, (k,)),
-        matroid_rank(g, 1, (i, k)),
-        matroid_rank(g, 1, (j, k)),
-        matroid_rank(g, 1, (i, l)),
-        matroid_rank(g, 1, (j, l)),
-    )
+#: One row per matroid coordinate, in BasisCoefficients field order after
+#: c_bar: the functional delta(a b | given) that reads the coordinate off and
+#: the uniform-up-to-loops matroid (rank, loops) it pairs with, both in roles.
+#: c_bar itself is -stv paired with ingleton_base.
+_MATROID_COORDINATES = (
+    (("i", "j", ""), (1, "")),      # c_ij
+    (("k", "l", "ij"), (3, "")),    # c_kl_ij
+    (("k", "l", "i"), (1, "i")),    # c_kl_i
+    (("k", "l", "j"), (1, "j")),    # c_kl_j
+    (("i", "j", "k"), (2, "l")),    # c_ij_k
+    (("i", "j", "l"), (2, "k")),    # c_ij_l
+    (("j", "l", "k"), (1, "ik")),   # c_jl_k
+    (("i", "l", "k"), (1, "jk")),   # c_il_k
+    (("j", "k", "l"), (1, "il")),   # c_jk_l
+    (("i", "k", "l"), (1, "jl")),   # c_ik_l
+)
+
+#: The tetrahedron weights as combinations of the eleven coordinates:
+#: alpha = 4 c_bar, beta = c_kl_i + c_kl_j, gamma = 2 (c_ij_k + c_ij_l),
+#: delta = c_jl_k + c_il_k + c_jk_l + c_ik_l.
+_SECTION_GROUPING = np.array([[4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+                              [0, 0, 0, 1, 1, 0, 0, 0, 0, 0, 0],
+                              [0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 0],
+                              [0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1]], dtype=float)
+_SECTION_GROUPING.flags.writeable = False
+
+
+def _in_roles(frame: IngletonFrame, roles: str) -> tuple[str, ...]:
+    """The labels that play the given roles (a string over "ijkl")."""
+    return tuple(frame.roles["ijkl".index(r)] for r in roles)
+
+
+@lru_cache(maxsize=FRAME_CACHE)
+def _coordinate_matrix(frame: IngletonFrame) -> np.ndarray:
+    """C: row c is the functional that reads coordinate c off (11 x 16)."""
+    rows = [delta_vec(frame.ground, *(_in_roles(frame, r) for r in functional))
+            for functional, _ in _MATROID_COORDINATES]
+    mat = np.vstack([-stv_vec(frame)] + rows)
+    mat.flags.writeable = False
+    return mat
+
+
+@lru_cache(maxsize=FRAME_CACHE)
+def _generator_matrix(frame: IngletonFrame) -> np.ndarray:
+    """G: column c is the generator paired with coordinate c (16 x 11)."""
+    cols = [matroid_rank(frame.ground, rank, _in_roles(frame, loops)).values
+            for _, (rank, loops) in _MATROID_COORDINATES]
+    mat = np.column_stack([ingleton_base(frame).values] + cols)
+    mat.flags.writeable = False
+    return mat
+
+
+def basis_generators(frame: IngletonFrame) -> tuple[SetFunction, ...]:
+    """The eleven generators, ordered to match :class:`BasisCoefficients`:
+    ingleton_base, then the matroids of ``_MATROID_COORDINATES``."""
+    return tuple(SetFunction(frame.ground, col) for col in _generator_matrix(frame).T)
 
 
 def basis_coefficients(h: SetFunction, frame: IngletonFrame) -> BasisCoefficients:
-    """Read the basis coordinates of h off the coordinate functionals.
-
-    The read-off is linear and total; it inverts :func:`reconstruct` exactly
-    on tight inputs (the generators form a basis of the tight subspace).
-    """
+    """Read the basis coordinates of h off the coordinate functionals.  The
+    read-off is linear and total; it inverts :func:`reconstruct` on tight
+    inputs (the generators form a basis of the tight subspace)."""
     _require_frame_ground(h, frame)
-    i, j, k, l = frame.roles
-    return BasisCoefficients(
-        c_bar=-ingleton_value(h, frame),
-        c_ij=delta_given(h, i, j),
-        c_kl_ij=delta_given(h, k, l, (i, j)),
-        c_kl_i=delta_given(h, k, l, i),
-        c_kl_j=delta_given(h, k, l, j),
-        c_ij_k=delta_given(h, i, j, k),
-        c_ij_l=delta_given(h, i, j, l),
-        c_jl_k=delta_given(h, j, l, k),
-        c_il_k=delta_given(h, i, l, k),
-        c_jk_l=delta_given(h, j, k, l),
-        c_ik_l=delta_given(h, i, k, l),
-    )
+    return BasisCoefficients.from_array(_coordinate_matrix(frame) @ h.values)
 
 
 def reconstruct(coeffs: BasisCoefficients, frame: IngletonFrame) -> SetFunction:
     """Sum coefficient * generator over the eleven basis functions."""
-    gens = basis_generators(frame)
-    vals = np.zeros(frame.ground.size)
-    for c, gen in zip(coeffs.as_array(), gens):
-        vals += c * gen.values
-    return SetFunction(frame.ground, vals)
+    return SetFunction(frame.ground, _generator_matrix(frame) @ coeffs.as_array())
 
 
 # --- the face maps and symmetrization ----------------------------------------
 
-def a_map(h: SetFunction, frame: IngletonFrame) -> SetFunction:
-    """Add delta(ij|empty)(h) times (rank-1-with-loop-i minus rank-1).
-
-    Zeroes the mutual-information coordinate delta(ij|empty) while preserving
-    stv; commutes with :func:`b_map`.
-    """
+def _move_coordinate(h: SetFunction, frame: IngletonFrame,
+                     source: str, target: str) -> SetFunction:
+    """Add coordinate ``source`` of h times (generator of ``target`` minus
+    generator of ``source``): ``source`` drops to zero and ``target`` gains
+    its value, while stv and the other coordinates stay."""
     _require_frame_ground(h, frame)
-    c = delta_given(h, frame.i, frame.j)
-    shift = matroid_rank(frame.ground, 1, (frame.i,)) - matroid_rank(frame.ground, 1)
-    return h + c * shift
+    s, t = _COORDINATES.index(source), _COORDINATES.index(target)
+    gens = _generator_matrix(frame)
+    c = float(_coordinate_matrix(frame)[s] @ h.values)
+    return SetFunction(frame.ground, h.values + c * (gens[:, t] - gens[:, s]))
+
+
+def a_map(h: SetFunction, frame: IngletonFrame) -> SetFunction:
+    """Add delta(ij|empty)(h) times (rank-1-with-loop-i minus rank-1): zeroes
+    that coordinate, preserves stv and commutes with :func:`b_map`."""
+    return _move_coordinate(h, frame, "c_ij", "c_kl_i")
 
 
 def b_map(h: SetFunction, frame: IngletonFrame) -> SetFunction:
-    """Add delta(kl|ij)(h) times (rank-2-with-loop-k minus rank-3).
-
-    Zeroes the delta(kl|ij) coordinate while preserving stv; commutes with
-    :func:`a_map`.
-    """
-    _require_frame_ground(h, frame)
-    c = delta_given(h, frame.k, frame.l, (frame.i, frame.j))
-    shift = matroid_rank(frame.ground, 2, (frame.k,)) - matroid_rank(frame.ground, 3)
-    return h + c * shift
+    """Add delta(kl|ij)(h) times (rank-2-with-loop-k minus rank-3): zeroes
+    that coordinate, preserves stv and commutes with :func:`a_map`."""
+    return _move_coordinate(h, frame, "c_kl_ij", "c_ij_l")
 
 
 def stabilizer_permutations(frame: IngletonFrame) -> tuple[dict[str, str], ...]:
     """The four label permutations fixing the pair {i, j}: id, i<->j, k<->l, both."""
     i, j, k, l = frame.roles
-    return (
-        {},
-        {i: j, j: i},
-        {k: l, l: k},
-        {i: j, j: i, k: l, l: k},
-    )
+    return ({}, {i: j, j: i}, {k: l, l: k}, {i: j, j: i, k: l, l: k})
 
 
 def c_sym(h: SetFunction, frame: IngletonFrame) -> SetFunction:
@@ -299,16 +312,11 @@ def tetra_vertices(frame: IngletonFrame) -> tuple[SetFunction, SetFunction,
 
     alpha is a quarter of the extreme non-almost-entropic generator (score
     -1/4); beta, gamma, delta are symmetrized matroid averages lying on the
-    Ingleton hyperplane.  All four have value 1 at N.
+    Ingleton hyperplane.  All four have value 1 at N.  Vertex k is the
+    generator combination that weight k reads as exactly 1, the others as 0.
     """
-    g = frame.ground
-    i, j, k, l = frame.roles
-    alpha = 0.25 * ingleton_base(frame)
-    beta = 0.5 * (matroid_rank(g, 1, (j,)) + matroid_rank(g, 1, (i,)))
-    gamma = 0.25 * (matroid_rank(g, 2, (l,)) + matroid_rank(g, 2, (k,)))
-    delta_v = 0.25 * (matroid_rank(g, 1, (i, k)) + matroid_rank(g, 1, (j, k))
-                      + matroid_rank(g, 1, (i, l)) + matroid_rank(g, 1, (j, l)))
-    return alpha, beta, gamma, delta_v
+    unit = _SECTION_GROUPING / np.sum(_SECTION_GROUPING ** 2, axis=1, keepdims=True)
+    return tuple(SetFunction(frame.ground, v) for v in (_generator_matrix(frame) @ unit.T).T)
 
 
 # --- cross-section coordinates ------------------------------------------------
@@ -347,20 +355,11 @@ class CrossSectionPoint:
 
 @lru_cache(maxsize=FRAME_CACHE)
 def section_weight_matrix(frame: IngletonFrame) -> np.ndarray:
-    """Rows: the tetrahedron weight functionals as mask-indexed vectors.
-
-    alpha = -4 stv, beta = delta(kl|i) + delta(kl|j),
-    gamma = 2 delta(ij|k) + 2 delta(ij|l),
-    delta = delta(jl|k) + delta(il|k) + delta(jk|l) + delta(ik|l).
-    They sum to h(N) whenever h is tight with delta(ij|empty) =
-    delta(kl|ij) = 0, i.e. on pipeline outputs before normalization.
-    """
-    i, j, k, l = frame.roles
-    d = partial(delta_vec, frame.ground)
-    mat = np.vstack([-4.0 * stv_vec(frame),
-                     d(k, l, i) + d(k, l, j),
-                     2.0 * d(i, j, k) + 2.0 * d(i, j, l),
-                     d(j, l, k) + d(i, l, k) + d(j, k, l) + d(i, k, l)])
+    """Rows: the tetrahedron weight functionals, the coordinate sums of
+    ``_SECTION_GROUPING``, as mask-indexed vectors.  They sum to h(N) whenever
+    h is tight with delta(ij|empty) = delta(kl|ij) = 0, i.e. on pipeline
+    outputs before normalization."""
+    mat = _SECTION_GROUPING @ _coordinate_matrix(frame)
     mat.flags.writeable = False
     return mat
 
@@ -423,20 +422,16 @@ def point_from_weights(w: CrossSectionPoint, frame: IngletonFrame,
 
 # --- diagnostics ---------------------------------------------------------------
 
-def e_face_margins(h: SetFunction, frame: IngletonFrame) -> dict[str, float]:
-    """The five functionals cutting out the distinguished face: all zero on it.
+#: the face functionals delta(ab|L), keyed "ab|L", and their coordinates
+_E_FACE = {"ij|k": "c_ij_k", "ij|l": "c_ij_l", "kl|i": "c_kl_i",
+           "kl|j": "c_kl_j", "kl|ij": "c_kl_ij"}
 
-    delta(ij|k), delta(ij|l), delta(kl|i), delta(kl|j) and delta(kl|ij).
-    """
-    _require_frame_ground(h, frame)
-    i, j, k, l = frame.roles
-    return {
-        "ij|k": delta_given(h, i, j, k),
-        "ij|l": delta_given(h, i, j, l),
-        "kl|i": delta_given(h, k, l, i),
-        "kl|j": delta_given(h, k, l, j),
-        "kl|ij": delta_given(h, k, l, (i, j)),
-    }
+
+def e_face_margins(h: SetFunction, frame: IngletonFrame) -> dict[str, float]:
+    """The five coordinate functionals of ``_E_FACE``, which cut out the
+    distinguished face: all zero on it."""
+    coords = basis_coefficients(h, frame)
+    return {key: getattr(coords, name) for key, name in _E_FACE.items()}
 
 
 def in_e_face(h: SetFunction, frame: IngletonFrame, tol: float = 1e-9) -> bool:

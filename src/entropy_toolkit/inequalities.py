@@ -260,6 +260,9 @@ def load_inequality_file(path) -> list[LinearInequality | CrossSectionHalfspace]
         data = json.load(fh)
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list) or not all(isinstance(item, dict) for item in data):
+        raise ValueError(f"malformed inequality document {path}: expected an object "
+                         "or a list of objects")
     out: list[LinearInequality | CrossSectionHalfspace] = []
     for item in data:
         if "abcd" in item:

@@ -28,12 +28,12 @@ import math
 import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import GroundSet, _modular_values
+from ..core import _modular_values
 from ..entropy import JointDistribution, entropy_function, marginal_index, subset_entropies
 from ..frame import (
     CrossSectionPoint,
@@ -61,6 +61,14 @@ MAX_ATOMS = 4096
 
 def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _as_tuple(x) -> tuple:
+    """x as a tuple, or () when it is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        return ()
 
 
 def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
@@ -104,9 +112,10 @@ class SearchConfig:
     direction: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        sizes = tuple(self.alphabet_sizes)
+        sizes = _as_tuple(self.alphabet_sizes)
         if len(sizes) != 4 or any(not _is_integer(s) or not 1 <= s <= 11 for s in sizes):
-            raise ValueError(f"alphabet sizes must be four integers in 1..11: {sizes}")
+            raise ValueError(f"alphabet sizes must be four integers in 1..11: "
+                             f"{self.alphabet_sizes!r}")
         sizes = tuple(int(s) for s in sizes)
         object.__setattr__(self, "alphabet_sizes", sizes)
         if all(s < 2 for s in sizes):
@@ -127,13 +136,15 @@ class SearchConfig:
         object.__setattr__(self, "master_seed", int(self.master_seed))
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective {self.objective!r} not one of {OBJECTIVES}")
-        if self.objective == "alpha_in_direction":
-            if self.direction is None:
-                raise ValueError("alpha_in_direction needs a 3-vector direction")
-            d = tuple(float(x) for x in self.direction)
-            if len(d) != 3 or not any(d) or not all(map(math.isfinite, d)):
-                raise ValueError(f"direction must be a finite nonzero 3-vector: {d}")
-            object.__setattr__(self, "direction", d)
+        if self.objective == "alpha_in_direction" and self.direction is None:
+            raise ValueError("alpha_in_direction needs a 3-vector direction")
+        if self.direction is not None:
+            d = _as_tuple(self.direction)
+            if (len(d) != 3 or not all(isinstance(x, numbers.Real) for x in d)
+                    or not any(d) or not all(map(math.isfinite, d))):
+                raise ValueError(f"direction must be a finite nonzero 3-vector: "
+                                 f"{self.direction!r}")
+            object.__setattr__(self, "direction", tuple(float(x) for x in d))
 
     def to_json(self) -> dict:
         out = {
@@ -149,12 +160,14 @@ class SearchConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchConfig":
-        kwargs = dict(data)
-        if "alphabet_sizes" in kwargs:
-            kwargs["alphabet_sizes"] = tuple(kwargs["alphabet_sizes"])
-        if kwargs.get("direction") is not None:
-            kwargs["direction"] = tuple(kwargs["direction"])
-        return cls(**kwargs)
+        if not isinstance(data, dict):
+            raise ValueError(f"malformed config document: expected a JSON object, "
+                             f"got {type(data).__name__}")
+        names = [f.name for f in fields(cls)]
+        unknown = [key for key in data if key not in names]
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; known keys are {names}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -358,9 +371,7 @@ def _initial_theta(rng: np.random.Generator, dim: int, restart: int,
 
 def _run_restart(args) -> tuple[float, np.ndarray, int, bool, list | None]:
     """One seeded restart; module-level so process pools can pickle it."""
-    cfg_json, labels, roles, restart, init, collect = args
-    cfg = SearchConfig.from_json(cfg_json)
-    frame = IngletonFrame(GroundSet(labels), *roles)
+    cfg, frame, restart, init, collect = args
     evaluator = DistributionObjective(frame, cfg.alphabet_sizes)
     collector: list | None = [] if collect else None
     objective = evaluator.make_objective(cfg.objective, cfg.direction, collector)
@@ -387,8 +398,7 @@ def _thread_count(threads: int | None) -> int:
 def _run_all_restarts(cfg: SearchConfig, frame: IngletonFrame,
                       init: np.ndarray | None, collect: bool,
                       threads: int | None) -> list[tuple]:
-    tasks = [(cfg.to_json(), frame.ground.labels, frame.roles, r, init, collect)
-             for r in range(cfg.restarts)]
+    tasks = [(cfg, frame, r, init, collect) for r in range(cfg.restarts)]
     workers = min(_thread_count(threads), cfg.restarts)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -455,8 +465,7 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
         raise ValueError("need at least one direction")
     cloud: list[CrossSectionPoint] = []
     for d_idx, direction in enumerate(directions):
-        d_cfg = replace(cfg, objective="alpha_in_direction",
-                        direction=tuple(float(x) for x in direction))
+        d_cfg = replace(cfg, objective="alpha_in_direction", direction=direction)
         tag = "dir{}({:.6g},{:.6g},{:.6g})".format(d_idx, *d_cfg.direction)
         outcomes = _run_all_restarts(d_cfg, frame, None, collect=True,
                                      threads=threads)

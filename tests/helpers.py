@@ -1,17 +1,28 @@
 """Shared generators and independent oracles for the test suite."""
 
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from entropy_toolkit import (
+    BasisCoefficients,
     GroundSet,
+    IngletonFrame,
     JointDistribution,
     SetFunction,
+    c_sym,
     delta,
+    delta_given,
+    delta_vec,
+    ingleton_base,
+    ingleton_value,
     matroid_rank,
     modular_from,
+    stv_vec,
 )
+from entropy_toolkit.core import _modular_values
+from entropy_toolkit.frame import _require_frame_ground
 
 
 def rand_polymatroid(rng, ground: GroundSet) -> SetFunction:
@@ -151,3 +162,150 @@ def nelder_mead_by_lists(fn: Callable[[np.ndarray], float], x0: np.ndarray,
 
     best = min(range(dim + 1), key=lambda idx: (vals[idx], idx))
     return pts[best], vals[best], evals, converged
+
+
+def basis_generators_by_hand(frame: IngletonFrame) -> tuple[SetFunction, ...]:
+    """The eleven generators, ordered to match :class:`BasisCoefficients`.
+
+    The matroid paired with each coefficient is the one the corresponding
+    functional picks out: c_ij pairs with the free rank-1 matroid, c_ij_k
+    with the rank-2 matroid whose loop is l, c_jl_k with the rank-1 matroid
+    with loops {i, k}, and so on.
+
+    Reference: the hand-written tuple that ``frame.basis_generators`` must
+    reproduce bit for bit.
+    """
+    g = frame.ground
+    i, j, k, l = frame.roles
+    return (
+        ingleton_base(frame),
+        matroid_rank(g, 1),
+        matroid_rank(g, 3),
+        matroid_rank(g, 1, (i,)),
+        matroid_rank(g, 1, (j,)),
+        matroid_rank(g, 2, (l,)),
+        matroid_rank(g, 2, (k,)),
+        matroid_rank(g, 1, (i, k)),
+        matroid_rank(g, 1, (j, k)),
+        matroid_rank(g, 1, (i, l)),
+        matroid_rank(g, 1, (j, l)),
+    )
+
+
+def basis_coefficients_by_deltas(h: SetFunction, frame: IngletonFrame) -> BasisCoefficients:
+    """Read the basis coordinates of h off the coordinate functionals.
+
+    The read-off is linear and total; it inverts :func:`reconstruct` exactly
+    on tight inputs (the generators form a basis of the tight subspace).
+
+    Reference: the delta_given read-off that ``frame.basis_coefficients``
+    must reproduce within rounding.
+    """
+    _require_frame_ground(h, frame)
+    i, j, k, l = frame.roles
+    return BasisCoefficients(
+        c_bar=-ingleton_value(h, frame),
+        c_ij=delta_given(h, i, j),
+        c_kl_ij=delta_given(h, k, l, (i, j)),
+        c_kl_i=delta_given(h, k, l, i),
+        c_kl_j=delta_given(h, k, l, j),
+        c_ij_k=delta_given(h, i, j, k),
+        c_ij_l=delta_given(h, i, j, l),
+        c_jl_k=delta_given(h, j, l, k),
+        c_il_k=delta_given(h, i, l, k),
+        c_jk_l=delta_given(h, j, k, l),
+        c_ik_l=delta_given(h, i, k, l),
+    )
+
+
+def a_map_by_deltas(h: SetFunction, frame: IngletonFrame) -> SetFunction:
+    """Add delta(ij|empty)(h) times (rank-1-with-loop-i minus rank-1).
+
+    Zeroes the mutual-information coordinate delta(ij|empty) while preserving
+    stv; commutes with :func:`b_map`.
+
+    Reference for ``frame.a_map``.
+    """
+    _require_frame_ground(h, frame)
+    c = delta_given(h, frame.i, frame.j)
+    shift = matroid_rank(frame.ground, 1, (frame.i,)) - matroid_rank(frame.ground, 1)
+    return h + c * shift
+
+
+def b_map_by_deltas(h: SetFunction, frame: IngletonFrame) -> SetFunction:
+    """Add delta(kl|ij)(h) times (rank-2-with-loop-k minus rank-3).
+
+    Zeroes the delta(kl|ij) coordinate while preserving stv; commutes with
+    :func:`a_map`.
+
+    Reference for ``frame.b_map``.
+    """
+    _require_frame_ground(h, frame)
+    c = delta_given(h, frame.k, frame.l, (frame.i, frame.j))
+    shift = matroid_rank(frame.ground, 2, (frame.k,)) - matroid_rank(frame.ground, 3)
+    return h + c * shift
+
+
+def tetra_vertices_by_hand(frame: IngletonFrame) -> tuple[SetFunction, SetFunction,
+                                                          SetFunction, SetFunction]:
+    """Vertices (alpha, beta, gamma, delta) of the cross-section tetrahedron.
+
+    alpha is a quarter of the extreme non-almost-entropic generator (score
+    -1/4); beta, gamma, delta are symmetrized matroid averages lying on the
+    Ingleton hyperplane.  All four have value 1 at N.
+
+    Reference: the matroid sums that ``frame.tetra_vertices`` must reproduce
+    bit for bit.
+    """
+    g = frame.ground
+    i, j, k, l = frame.roles
+    alpha = 0.25 * ingleton_base(frame)
+    beta = 0.5 * (matroid_rank(g, 1, (j,)) + matroid_rank(g, 1, (i,)))
+    gamma = 0.25 * (matroid_rank(g, 2, (l,)) + matroid_rank(g, 2, (k,)))
+    delta_v = 0.25 * (matroid_rank(g, 1, (i, k)) + matroid_rank(g, 1, (j, k))
+                      + matroid_rank(g, 1, (i, l)) + matroid_rank(g, 1, (j, l)))
+    return alpha, beta, gamma, delta_v
+
+
+def e_face_margins_by_deltas(h: SetFunction, frame: IngletonFrame) -> dict[str, float]:
+    """The five functionals cutting out the distinguished face: all zero on it.
+
+    delta(ij|k), delta(ij|l), delta(kl|i), delta(kl|j) and delta(kl|ij).
+
+    Reference for ``frame.e_face_margins``.
+    """
+    _require_frame_ground(h, frame)
+    i, j, k, l = frame.roles
+    return {
+        "ij|k": delta_given(h, i, j, k),
+        "ij|l": delta_given(h, i, j, l),
+        "kl|i": delta_given(h, k, l, i),
+        "kl|j": delta_given(h, k, l, j),
+        "kl|ij": delta_given(h, k, l, (i, j)),
+    }
+
+
+def section_weight_matrix_by_deltas(frame: IngletonFrame) -> np.ndarray:
+    """Reference: the tetrahedron weight rows written out as delta sums,
+    alpha = -4 stv, beta = delta(kl|i) + delta(kl|j), gamma = 2 delta(ij|k)
+    + 2 delta(ij|l), delta = delta(jl|k) + delta(il|k) + delta(jk|l)
+    + delta(ik|l)."""
+    i, j, k, l = frame.roles
+    d = partial(delta_vec, frame.ground)
+    return np.vstack([-4.0 * stv_vec(frame),
+                      d(k, l, i) + d(k, l, j),
+                      2.0 * d(i, j, k) + 2.0 * d(i, j, l),
+                      d(j, l, k) + d(i, l, k) + d(j, k, l) + d(i, k, l)])
+
+
+def pipeline_operator_by_deltas(frame: IngletonFrame) -> np.ndarray:
+    """Reference: the pipeline matrix built from the delta_given face maps,
+    column m the image of the unit vector at mask m."""
+    g = frame.ground
+    units = np.eye(g.size)
+    op = np.zeros((g.size, g.size))
+    for m in range(1, g.size):
+        tight = SetFunction(g, units[m] - _modular_values(units[m]))
+        op[:, m] = c_sym(a_map_by_deltas(b_map_by_deltas(tight, frame), frame),
+                         frame).values
+    return op

@@ -333,3 +333,53 @@ class TestNonFiniteInput:
         code, _, err = run(capsys, "entropy", str(dist))
         assert code == 2
         assert "not finite" in err
+
+
+class TestMalformedDocuments:
+    """Wrong outside input exits 2 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"seeds": 3}, "unknown config keys ['seeds']"),
+        ({"alphabet_sizes": 4}, "alphabet sizes"),
+        ([{"restarts": 1}], "malformed config document"),
+        ({"objective": "raw_score", "direction": [float("nan"), 0, 0]}, "finite"),
+    ])
+    def test_config_file(self, capsys, tmp_path, doc, message):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "res.json"
+        if isinstance(doc, dict):
+            doc = {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1, "budget_evals": 40,
+                   **doc}
+        cfg.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "minimize", "--config", str(cfg), "-o", str(out))
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("config", [0, 0, 0, None]),
+                                              ("prob", None)])
+    def test_distribution_atom(self, capsys, tmp_path, field, value):
+        doc = {"labels": ["i", "j", "k", "l"], "alphabet_sizes": [2, 2, 2, 2],
+               "atoms": [{"config": [0, 0, 0, 0], "prob": 0.5},
+                         {"config": [1, 1, 1, 1], "prob": 0.5}]}
+        doc["atoms"][0][field] = value
+        dist = tmp_path / "d.json"
+        dist.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "entropy", str(dist))
+        assert code == 2
+        assert "malformed distribution document" in err
+
+    def test_inequality_file_entry(self, capsys, tmp_path):
+        bank = tmp_path / "f.json"
+        bank.write_text("[1]")
+        code, _, err = run(capsys, "outer", "--dfz-max-s", "1", "--ineq-file", str(bank))
+        assert code == 2
+        assert "malformed inequality document" in err
+
+    def test_directions_file_entry(self, capsys, tmp_path):
+        dirs = tmp_path / "f.json"
+        dirs.write_text("[1]")
+        code, _, err = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "1",
+                           "--budget", "20", "--directions-file", str(dirs),
+                           "-o", str(tmp_path / "cloud.csv"))
+        assert code == 2
+        assert "malformed directions document" in err

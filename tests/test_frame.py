@@ -46,7 +46,23 @@ from entropy_toolkit import (
     violated_instances,
 )
 
-from helpers import rand_distribution, rand_modular, rand_polymatroid, rand_set_function
+from entropy_toolkit.frame import _coordinate_matrix, _generator_matrix
+from entropy_toolkit.search.engine import DistributionObjective
+
+from helpers import (
+    a_map_by_deltas,
+    b_map_by_deltas,
+    basis_coefficients_by_deltas,
+    basis_generators_by_hand,
+    e_face_margins_by_deltas,
+    pipeline_operator_by_deltas,
+    rand_distribution,
+    rand_modular,
+    rand_polymatroid,
+    rand_set_function,
+    section_weight_matrix_by_deltas,
+    tetra_vertices_by_hand,
+)
 
 
 def random_cone_member(rng, frame, scale=2.0):
@@ -421,3 +437,55 @@ class TestPipelineOperator:
         with pytest.warns(NonPolymatroidWarning, match="cross_section_point"):
             point, _ = cross_section_point(SetFunction(frame.ground, vals), frame)
         assert point.weight_sum == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCoordinateSystem:
+    """The coordinate and generator matrices against the hand-written basis."""
+
+    @pytest.mark.parametrize("frame", ALL_FRAMES, ids=lambda f: "".join(f.roles))
+    def test_coordinates_dual_to_generators(self, frame):
+        C, G = _coordinate_matrix(frame), _generator_matrix(frame)
+        assert C.shape == (11, 16) and G.shape == (16, 11)
+        assert np.array_equal(C @ G, np.eye(11))
+        assert not C.flags.writeable and not G.flags.writeable
+        assert _coordinate_matrix(IngletonFrame(frame.ground, *frame.roles)) is C
+
+    @pytest.mark.parametrize("frame", ALL_FRAMES, ids=lambda f: "".join(f.roles))
+    def test_derived_objects_equal_hand_written(self, frame):
+        for got, want in zip(basis_generators(frame), basis_generators_by_hand(frame),
+                             strict=True):
+            assert np.array_equal(got.values, want.values)
+        for got, want in zip(tetra_vertices(frame), tetra_vertices_by_hand(frame),
+                             strict=True):
+            assert np.array_equal(got.values, want.values)
+        assert np.array_equal(section_weight_matrix(frame),
+                              section_weight_matrix_by_deltas(frame))
+        assert np.array_equal(pipeline_operator(frame), pipeline_operator_by_deltas(frame))
+        assert np.array_equal(DistributionObjective(frame, (2, 2, 2, 2)).weight_mat,
+                              section_weight_matrix_by_deltas(frame)
+                              @ pipeline_operator_by_deltas(frame))
+
+    @pytest.mark.parametrize("frame", ALL_FRAMES, ids=lambda f: "".join(f.roles))
+    def test_vertices_read_as_unit_weights(self, frame):
+        weights = np.array([section_weights(v, frame) for v in tetra_vertices(frame)])
+        assert np.array_equal(weights, np.eye(4))
+
+    def test_read_offs_match_delta_oracles(self, rng):
+        for frame in ALL_FRAMES:
+            for _ in range(25):
+                h = rand_set_function(rng, frame.ground)
+                assert np.max(np.abs(basis_coefficients(h, frame).as_array()
+                                     - basis_coefficients_by_deltas(h, frame).as_array())
+                              ) <= 4e-15
+                got, want = e_face_margins(h, frame), e_face_margins_by_deltas(h, frame)
+                assert list(got) == list(want)
+                assert max(abs(got[key] - want[key]) for key in want) <= 4e-15
+                assert np.max(np.abs(a_map(h, frame).values
+                                     - a_map_by_deltas(h, frame).values)) <= 4e-15
+                assert np.max(np.abs(b_map(h, frame).values
+                                     - b_map_by_deltas(h, frame).values)) <= 4e-15
+
+    def test_as_array_in_field_order(self):
+        coeffs = BasisCoefficients(*range(11))
+        assert np.array_equal(coeffs.as_array(), np.arange(11.0))
+        assert BasisCoefficients.from_array(coeffs.as_array()) == coeffs

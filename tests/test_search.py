@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -569,3 +570,70 @@ class TestWorkerCap:
         monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
         optimize_distribution(self.CFG, frame, threads=100_000)
         assert FakePool.requested == []
+
+
+class TestSearchConfigWireFormat:
+    BASE = {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1, "budget_evals": 40}
+
+    @pytest.mark.parametrize("doc, match", [
+        ({"seeds": 3}, r"unknown config keys \['seeds'\]"),
+        ({"alphabet_sizes": 4}, "four integers"),
+        ({"alphabet_sizes": None}, "four integers"),
+        ({"objective": "raw_score", "direction": [math.nan, 0.0, 0.0]}, "finite"),
+        ({"objective": "pipeline_score", "direction": [1.0, 0.0]}, "3-vector"),
+        ({"direction": 5}, "3-vector"),
+        ({"direction": [None, 0.0, 1.0]}, "3-vector"),
+        ({"direction": ["1", 0.0, 1.0]}, "3-vector"),
+    ])
+    def test_rejected(self, doc, match):
+        with pytest.raises(ValueError, match=match):
+            SearchConfig.from_json({**self.BASE, **doc})
+
+    @pytest.mark.parametrize("doc", [[1, 2], "cfg", None])
+    def test_non_object_document_rejected(self, doc):
+        with pytest.raises(ValueError, match="malformed config document"):
+            SearchConfig.from_json(doc)
+
+    def test_direction_normalized_once(self):
+        cfg = SearchConfig.from_json({**self.BASE, "objective": "raw_score",
+                                      "direction": [1, 0, 2]})
+        assert cfg.direction == (1.0, 0.0, 2.0)
+        assert cfg.alphabet_sizes == (2, 2, 2, 2)
+        assert SearchConfig.from_json(cfg.to_json()) == cfg
+
+
+class TestRestartTasks:
+    CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=3, budget_evals=120,
+                       master_seed=5, objective="alpha_in_direction",
+                       direction=(0.2, 0.3, 0.5))
+
+    def test_config_and_frame_pickle(self):
+        frame = IngletonFrame(GroundSet("abcd"), "c", "a", "d", "b")
+        for obj in (self.CFG, frame):
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and hash(back) == hash(obj)
+
+    def test_pickled_tasks_give_serial_results(self, frame, monkeypatch):
+        """A pool that pickles every task and outcome, as a process pool does,
+        returns what the serial loop returns."""
+        class PicklingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(t)))))
+                        for t in items]
+
+        serial = engine._run_all_restarts(self.CFG, frame, None, True, threads=1)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", PicklingPool)
+        pooled = engine._run_all_restarts(self.CFG, frame, None, True, threads=2)
+        for (v1, p1, e1, c1, w1), (v2, p2, e2, c2, w2) in zip(serial, pooled, strict=True):
+            assert (v1, e1, c1, w1) == (v2, e2, c2, w2)
+            assert np.array_equal(p1, p2)
