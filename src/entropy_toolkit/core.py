@@ -5,7 +5,8 @@ of at most 8 elements.  Subsets are encoded as bitmasks: bit ``b`` is set
 iff ``labels[b]`` belongs to the subset.  Rank functions of polymatroids and
 entropy functions of random vectors are the intended inhabitants, but the
 algebraic operations below are total: only :func:`check_axioms` judges
-whether a function is a polymatroid.
+whether a function is a polymatroid.  The operations that walk the subset
+lattice are array expressions over mask tables built once per ground-set size.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent read access is safe.
@@ -14,6 +15,7 @@ function, so concurrent read access is safe.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -227,6 +229,22 @@ def delta_vec(ground: GroundSet, a: SubsetLike, b: SubsetLike,
     return vec
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
+def _violations(margins: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
+                tol: float) -> tuple[float, tuple[tuple[int, int], ...]]:
+    """The most negative margin (0.0 when none is negative) and the pairs of
+    the margins below -tol, most negative first, ties in table order."""
+    negative = margins[margins < 0.0]
+    worst = float(negative.min()) if negative.size else 0.0
+    bad = np.flatnonzero(margins < -tol)
+    bad = bad[np.argsort(margins[bad], kind="stable")]
+    return worst, tuple(zip(pairs[0][bad].tolist(), pairs[1][bad].tolist()))
+
+
 def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
     """Check monotonicity and submodularity through elemental inequalities.
 
@@ -235,45 +253,19 @@ def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
     delta(f, iK, jK) >= -tol with K disjoint from {i, j}.  For submodular
     inputs these imply the full pairwise conditions.
     """
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    g = f.ground
+    _check_tol(tol)
     v = f.values
-    n = g.n
-
-    mono: list[tuple[float, int, int]] = []
-    for b in range(n):
-        bit = 1 << b
-        for K in g.subsets():
-            if K & bit:
-                continue
-            margin = v[K | bit] - v[K]
-            if margin < 0.0:
-                mono.append((float(margin), K, K | bit))
-
-    sub: list[tuple[float, int, int]] = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            pair = (1 << a) | (1 << b)
-            for K in g.subsets():
-                if K & pair:
-                    continue
-                iK, jK = K | (1 << a), K | (1 << b)
-                margin = v[iK] + v[jK] - v[K | pair] - v[K]
-                if margin < 0.0:
-                    sub.append((float(margin), iK, jK))
-
-    mono.sort(key=lambda t: t[0])
-    sub.sort(key=lambda t: t[0])
-    worst_mono = mono[0][0] if mono else 0.0
-    worst_sub = sub[0][0] if sub else 0.0
+    lo, hi = _step_table(f.ground.n)
+    iK, jK, ijK, K = _square_table(f.ground.n)
+    worst_mono, mono = _violations(v[hi] - v[lo], (lo, hi), tol)
+    worst_sub, sub = _violations(v[iK] + v[jK] - v[ijK] - v[K], (iK, jK), tol)
     return AxiomReport(
         is_monotone=worst_mono >= -tol,
         is_submodular=worst_sub >= -tol,
         worst_monotone_violation=worst_mono,
         worst_submodular_violation=worst_sub,
-        monotone_witnesses=tuple((p, q) for m, p, q in mono if m < -tol),
-        submodular_witnesses=tuple((p, q) for m, p, q in sub if m < -tol),
+        monotone_witnesses=mono,
+        submodular_witnesses=sub,
         tol=tol,
     )
 
@@ -281,12 +273,11 @@ def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
 def matroid_rank(ground: GroundSet, m: int, loops: SubsetLike = 0) -> SetFunction:
     """Rank function of the uniform-up-to-loops matroid: min(m, |I - loops|)."""
     J = ground.mask(loops)
-    free = ground.n - bin(J).count("1")
-    if not 0 <= m <= free:
-        raise ValueError(f"rank {m} out of range 0..{free} for loop set "
+    free = 1.0 - _bit_matrix(ground.n)[J]
+    if not 0 <= m <= free.sum():
+        raise ValueError(f"rank {m} out of range 0..{free.sum():g} for loop set "
                          f"{ground.subset_key(J)!r}")
-    vals = [min(m, bin(I & ~J).count("1")) for I in ground.subsets()]
-    return SetFunction(ground, vals)
+    return SetFunction(ground, np.minimum(m, _bit_matrix(ground.n) @ free))
 
 
 def modular_from(ground: GroundSet,
@@ -310,6 +301,7 @@ def modular_from(ground: GroundSet,
 
 def is_modular(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
     """True iff f passes the axioms and f(N) equals the sum of singleton values."""
+    _check_tol(tol)
     total = sum(f.values[1 << b] for b in range(f.ground.n))
     if abs(f.rank - total) > tol:
         return False
@@ -318,9 +310,8 @@ def is_modular(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
 
 def is_tight(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
     """True iff f(N) = f(N - i) for every element i, within tol."""
-    full = f.ground.full_mask
-    return all(abs(f.values[full] - f.values[full ^ (1 << b)]) <= tol
-               for b in range(f.ground.n))
+    _check_tol(tol)
+    return bool(np.all(np.abs(_top_increments(f.values)) <= tol))
 
 
 def _warn_if_not_polymatroid(h: SetFunction, where: str) -> None:
@@ -330,12 +321,45 @@ def _warn_if_not_polymatroid(h: SetFunction, where: str) -> None:
                       NonPolymatroidWarning, stacklevel=3)
 
 
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 @lru_cache(maxsize=None)
 def _bit_matrix(n: int) -> np.ndarray:
     """Membership matrix: entry (I, b) is 1.0 iff bit b is set in mask I."""
     bits = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(float)
-    bits.flags.writeable = False
-    return bits
+    return _read_only(bits)[0]
+
+
+def _disjoint_pairs(n: int, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, K) for every mask K over n bits disjoint from masks[row], row-major."""
+    return np.nonzero((np.arange(1 << n) & masks[:, None]) == 0)
+
+
+@lru_cache(maxsize=MAX_GROUND_SIZE)
+def _step_table(n: int) -> tuple[np.ndarray, ...]:
+    """Single-element steps (K, K + b): grouped by bit b, K ascending."""
+    b, K = _disjoint_pairs(n, 1 << np.arange(n))
+    return _read_only(K, K | 1 << b)
+
+
+@lru_cache(maxsize=MAX_GROUND_SIZE)
+def _square_table(n: int) -> tuple[np.ndarray, ...]:
+    """Elemental squares (iK, jK, ijK, K): grouped by pair i < j, K ascending."""
+    bi, bj = 1 << np.array(np.triu_indices(n, 1))
+    pair, K = _disjoint_pairs(n, bi | bj)
+    iK, jK = K | bi[pair], K | bj[pair]
+    return _read_only(iK, jK, iK | jK, K)
+
+
+@lru_cache(maxsize=MAX_GROUND_SIZE)
+def _submask_table(n: int) -> tuple[np.ndarray, ...]:
+    """Submask pairs (I, J inside I), by I then J, and each I's first position."""
+    I, J = _disjoint_pairs(n, ~np.arange(1 << n))
+    return _read_only(I, J, np.flatnonzero(J == 0))
 
 
 def _spread_masks(n: int, targets) -> np.ndarray:
@@ -343,12 +367,17 @@ def _spread_masks(n: int, targets) -> np.ndarray:
     return (_bit_matrix(n) @ np.exp2(targets)).astype(np.int64)
 
 
-def _modular_values(values: np.ndarray) -> np.ndarray:
-    """Values of the modular part: the top increments h(N) - h(N - i) summed
-    over each subset.  Works columnwise on a stack of value vectors."""
+def _top_increments(values: np.ndarray) -> np.ndarray:
+    """The top increments h(N) - h(N - i).  Works columnwise on a stack of
+    value vectors."""
     n = values.shape[0].bit_length() - 1
     full = (1 << n) - 1
-    return _bit_matrix(n) @ (values[full] - values[full ^ (1 << np.arange(n))])
+    return values[full] - values[full ^ (1 << np.arange(n))]
+
+
+def _modular_values(values: np.ndarray) -> np.ndarray:
+    """Values of the modular part: the top increments summed over each subset."""
+    return _bit_matrix(values.shape[0].bit_length() - 1) @ _top_increments(values)
 
 
 def modular_part(h: SetFunction) -> SetFunction:
@@ -381,17 +410,8 @@ def convolution(f: SetFunction, g: SetFunction) -> SetFunction:
     modular.
     """
     f._require_same_ground(g)
-    fv, gv = f.values, g.values
-    out = np.empty(f.ground.size)
-    for I in f.ground.subsets():
-        best = fv[0] + gv[I]
-        J = I
-        while J:
-            cand = fv[J] + gv[I ^ J]
-            if cand < best:
-                best = cand
-            J = (J - 1) & I
-        out[I] = best
+    I, J, starts = _submask_table(f.ground.n)
+    out = np.minimum.reduceat(f.values[J] + g.values[I ^ J], starts)
     out[0] = 0.0
     return SetFunction(f.ground, out)
 
@@ -408,14 +428,10 @@ def convolve_modular_iterative(f: SetFunction, g: SetFunction,
     f._require_same_ground(g)
     if not is_modular(g, tol):
         raise ValueError("g must be modular for the iterative convolution")
+    lo, hi = (steps.reshape(f.ground.n, -1) for steps in _step_table(f.ground.n))
     h = np.array(f.values)
     for b in range(f.ground.n):
-        bit = 1 << b
-        gi = g.values[bit]
-        for I in f.ground.subsets():
-            if I & bit:
-                continue
-            h[I | bit] = min(h[I] + gi, h[I | bit])
+        h[hi[b]] = np.minimum(h[lo[b]] + g.values[1 << b], h[hi[b]])
     return SetFunction(f.ground, h)
 
 
@@ -445,12 +461,7 @@ def parallel_extension(f: SetFunction, L: SubsetLike, new_label: str) -> SetFunc
         raise ValueError(f"label {new_label!r} already present")
     mL = g.mask(L)
     ext = GroundSet(g.labels + (new_label,))
-    top = 1 << g.n
-    vals = np.zeros(ext.size)
-    vals[:top] = f.values
-    for J in g.subsets():
-        vals[top | J] = f.values[mL | J]
-    return SetFunction(ext, vals)
+    return SetFunction(ext, np.concatenate([f.values, f.values[mL | np.arange(g.size)]]))
 
 
 def _check_pe_value(f: SetFunction, mL: int, t: float) -> float:
@@ -468,18 +479,10 @@ def principal_extension(f: SetFunction, L: SubsetLike, t: float,
     valued t at the new element and at least f(i) elsewhere:
     h(new | I) = min(f(I) + t, f(L | I)).
     """
-    g = f.ground
-    if new_label in g.labels:
-        raise ValueError(f"label {new_label!r} already present")
-    mL = g.mask(L)
-    t = _check_pe_value(f, mL, t)
-    ext = GroundSet(g.labels + (new_label,))
-    top = 1 << g.n
-    vals = np.zeros(ext.size)
-    vals[:top] = f.values
-    for I in g.subsets():
-        vals[top | I] = min(f.values[I] + t, f.values[mL | I])
-    return SetFunction(ext, vals)
+    par = parallel_extension(f, L, new_label)
+    t = _check_pe_value(f, f.ground.mask(L), t)
+    top = np.minimum(f.values + t, par.values[f.ground.size:])
+    return par.with_values(np.concatenate([f.values, top]))
 
 
 def pe_contract(f: SetFunction, L: SubsetLike, t: float) -> SetFunction:
@@ -488,25 +491,19 @@ def pe_contract(f: SetFunction, L: SubsetLike, t: float) -> SetFunction:
     Returns I -> min(f(I), f(L | I) - t).  With L = N this is the truncation
     of f by t.
     """
-    g = f.ground
-    mL = g.mask(L)
+    mL = f.ground.mask(L)
     t = _check_pe_value(f, mL, t)
-    vals = np.minimum(f.values, np.array([f.values[mL | I] for I in g.subsets()]) - t)
+    vals = np.minimum(f.values, f.values[mL | np.arange(f.ground.size)] - t)
     vals[0] = 0.0
-    return SetFunction(g, vals)
+    return SetFunction(f.ground, vals)
 
 
 def closure_of(f: SetFunction, I: SubsetLike, tol: float = TOL_ANALYTIC) -> int:
     """Closure of I under f: all elements i with f(i | I) <= f(I) + tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    g = f.ground
-    mI = g.mask(I)
-    out = 0
-    for b in range(g.n):
-        if f.values[mI | (1 << b)] <= f.values[mI] + tol:
-            out |= 1 << b
-    return out
+    _check_tol(tol)
+    mI = f.ground.mask(I)
+    bits = 1 << np.arange(f.ground.n)
+    return int(bits[f.values[mI | bits] <= f.values[mI] + tol].sum())
 
 
 def relabel(f: SetFunction, perm: Mapping[str, str]) -> SetFunction:
@@ -553,6 +550,10 @@ def set_function_from_json(data: dict) -> SetFunction:
         raw = data["values"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed set-function document: {exc}") from exc
+    if not (all(isinstance(lab, str) for lab in ground.labels) and isinstance(raw, dict)
+            and all(isinstance(v, numbers.Real) for v in raw.values())):
+        raise ValueError("malformed set-function document: labels need strings, "
+                         "values an object of numbers")
     expected = _json_keys(ground)
     if set(raw) != set(expected):
         missing = sorted(set(expected) - set(raw))

@@ -48,6 +48,10 @@ from .core import (
 #: frames whose derived vectors and matrices stay cached (24 per ground set)
 FRAME_CACHE = 96
 
+#: projected normalizers at or below this are degenerate: no cross-section
+#: point, and a search scores the evaluation 0
+DEGENERATE_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class IngletonFrame:
@@ -388,8 +392,7 @@ def pipeline_operator(frame: IngletonFrame) -> np.ndarray:
 
 
 def cross_section_point(f: SetFunction, frame: IngletonFrame,
-                        source_tag: str = "",
-                        tol: float = 1e-12) -> tuple[CrossSectionPoint, SetFunction]:
+                        source_tag: str = "") -> tuple[CrossSectionPoint, SetFunction]:
     """Project f into the cross-section: tighten, b_map, a_map, symmetrize, normalize.
 
     Returns the weight quadruple and the normalized symmetrized function
@@ -402,7 +405,7 @@ def cross_section_point(f: SetFunction, frame: IngletonFrame,
     _warn_if_not_polymatroid(f, "cross_section_point")
     g = pipeline_operator(frame) @ f.values
     norm = float(g[-1])
-    if norm <= tol:
+    if norm <= DEGENERATE_TOL:
         raise ValueError(f"degenerate input: projected value at N is {norm}, "
                          "score vanishes and no cross-section point exists")
     h = SetFunction(frame.ground, g / norm)

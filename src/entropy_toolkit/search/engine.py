@@ -36,6 +36,7 @@ import numpy as np
 from ..core import _modular_values
 from ..entropy import JointDistribution, entropy_function, marginal_index, subset_entropies
 from ..frame import (
+    DEGENERATE_TOL,
     CrossSectionPoint,
     IngletonFrame,
     cross_section_point,
@@ -50,9 +51,6 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: weight of the off-ray penalty in the alpha_in_direction objective
 DIRECTION_PENALTY = 8.0
-
-#: normalizers at or below this are treated as degenerate (score 0)
-DEGENERATE_TOL = 1e-12
 
 #: largest alphabet product a search accepts: the Nelder-Mead simplex holds
 #: (atoms + 1) * atoms float64s per worker, 128 MiB at 8^4 = 4096 atoms
@@ -467,7 +465,7 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
     for d_idx, direction in enumerate(directions):
         d_cfg = replace(cfg, objective="alpha_in_direction", direction=direction)
         tag = "dir{}({:.6g},{:.6g},{:.6g})".format(d_idx, *d_cfg.direction)
-        outcomes = _run_all_restarts(d_cfg, frame, None, collect=True,
+        outcomes = _run_all_restarts(d_cfg, frame, None, collect=not optima_only,
                                      threads=threads)
         if optima_only:
             point = _best_restart(outcomes, d_cfg, frame, tag)[2]

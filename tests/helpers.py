@@ -6,6 +6,7 @@ from typing import Callable
 import numpy as np
 
 from entropy_toolkit import (
+    AxiomReport,
     BasisCoefficients,
     GroundSet,
     IngletonFrame,
@@ -21,7 +22,13 @@ from entropy_toolkit import (
     modular_from,
     stv_vec,
 )
-from entropy_toolkit.core import _modular_values
+from entropy_toolkit.core import (
+    TOL_ANALYTIC,
+    _bit_matrix,
+    _check_pe_value,
+    _modular_values,
+    is_modular,
+)
 from entropy_toolkit.frame import _require_frame_ground
 
 
@@ -98,6 +105,157 @@ def modular_by_bit_loop(ground: GroundSet, per_bit) -> np.ndarray:
     for I in ground.subsets():
         vals[I] = sum(per_bit[b] for b in range(ground.n) if I >> b & 1)
     return vals
+
+
+# --- per-subset loop references for core's mask-table operations -------------
+
+
+def check_axioms_by_loops(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
+    """Reference: the elemental checks walked subset by subset."""
+    if tol < 0:
+        raise ValueError("tolerance must be nonnegative")
+    g = f.ground
+    v = f.values
+    n = g.n
+
+    mono: list[tuple[float, int, int]] = []
+    for b in range(n):
+        bit = 1 << b
+        for K in g.subsets():
+            if K & bit:
+                continue
+            margin = v[K | bit] - v[K]
+            if margin < 0.0:
+                mono.append((float(margin), K, K | bit))
+
+    sub: list[tuple[float, int, int]] = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            pair = (1 << a) | (1 << b)
+            for K in g.subsets():
+                if K & pair:
+                    continue
+                iK, jK = K | (1 << a), K | (1 << b)
+                margin = v[iK] + v[jK] - v[K | pair] - v[K]
+                if margin < 0.0:
+                    sub.append((float(margin), iK, jK))
+
+    mono.sort(key=lambda t: t[0])
+    sub.sort(key=lambda t: t[0])
+    worst_mono = mono[0][0] if mono else 0.0
+    worst_sub = sub[0][0] if sub else 0.0
+    return AxiomReport(
+        is_monotone=worst_mono >= -tol,
+        is_submodular=worst_sub >= -tol,
+        worst_monotone_violation=worst_mono,
+        worst_submodular_violation=worst_sub,
+        monotone_witnesses=tuple((p, q) for m, p, q in mono if m < -tol),
+        submodular_witnesses=tuple((p, q) for m, p, q in sub if m < -tol),
+        tol=tol,
+    )
+
+
+def matroid_rank_by_loops(ground: GroundSet, m: int, loops=0) -> SetFunction:
+    """Reference: min(m, |I - loops|) counted subset by subset."""
+    J = ground.mask(loops)
+    free = ground.n - bin(J).count("1")
+    if not 0 <= m <= free:
+        raise ValueError(f"rank {m} out of range 0..{free} for loop set "
+                         f"{ground.subset_key(J)!r}")
+    vals = [min(m, bin(I & ~J).count("1")) for I in ground.subsets()]
+    return SetFunction(ground, vals)
+
+
+def convolution_by_loops(f: SetFunction, g: SetFunction) -> SetFunction:
+    """Reference: the submask walk J = I, (J - 1) & I, ... for every I."""
+    f._require_same_ground(g)
+    fv, gv = f.values, g.values
+    out = np.empty(f.ground.size)
+    for I in f.ground.subsets():
+        best = fv[0] + gv[I]
+        J = I
+        while J:
+            cand = fv[J] + gv[I ^ J]
+            if cand < best:
+                best = cand
+            J = (J - 1) & I
+        out[I] = best
+    out[0] = 0.0
+    return SetFunction(f.ground, out)
+
+
+def convolve_modular_iterative_by_loops(f: SetFunction, g: SetFunction,
+                                        tol: float = TOL_ANALYTIC) -> SetFunction:
+    """Reference: the single-element convolutions applied subset by subset."""
+    f._require_same_ground(g)
+    if not is_modular(g, tol):
+        raise ValueError("g must be modular for the iterative convolution")
+    h = np.array(f.values)
+    for b in range(f.ground.n):
+        bit = 1 << b
+        gi = g.values[bit]
+        for I in f.ground.subsets():
+            if I & bit:
+                continue
+            h[I | bit] = min(h[I] + gi, h[I | bit])
+    return SetFunction(f.ground, h)
+
+
+def parallel_extension_by_loops(f: SetFunction, L, new_label: str) -> SetFunction:
+    """Reference: the parallel extension filled subset by subset."""
+    g = f.ground
+    if new_label in g.labels:
+        raise ValueError(f"label {new_label!r} already present")
+    mL = g.mask(L)
+    ext = GroundSet(g.labels + (new_label,))
+    top = 1 << g.n
+    vals = np.zeros(ext.size)
+    vals[:top] = f.values
+    for J in g.subsets():
+        vals[top | J] = f.values[mL | J]
+    return SetFunction(ext, vals)
+
+
+def principal_extension_by_loops(f: SetFunction, L, t: float,
+                                 new_label: str = "0") -> SetFunction:
+    """Reference: the principal extension filled subset by subset."""
+    g = f.ground
+    if new_label in g.labels:
+        raise ValueError(f"label {new_label!r} already present")
+    mL = g.mask(L)
+    t = _check_pe_value(f, mL, t)
+    ext = GroundSet(g.labels + (new_label,))
+    top = 1 << g.n
+    vals = np.zeros(ext.size)
+    vals[:top] = f.values
+    for I in g.subsets():
+        vals[top | I] = min(f.values[I] + t, f.values[mL | I])
+    return SetFunction(ext, vals)
+
+
+def pe_contract_by_loops(f: SetFunction, L, t: float) -> SetFunction:
+    """Reference: the contracted principal extension, joins listed subset by
+    subset."""
+    g = f.ground
+    mL = g.mask(L)
+    t = _check_pe_value(f, mL, t)
+    vals = np.minimum(f.values, np.array([f.values[mL | I] for I in g.subsets()]) - t)
+    vals[0] = 0.0
+    return SetFunction(g, vals)
+
+
+def is_tight_by_loop(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
+    """Reference: every top increment checked element by element."""
+    full = f.ground.full_mask
+    return all(abs(f.values[full] - f.values[full ^ (1 << b)]) <= tol
+               for b in range(f.ground.n))
+
+
+def tight_part_by_product(h: SetFunction) -> SetFunction:
+    """Reference: h minus the bit-membership product with the top increments."""
+    n, full = h.ground.n, h.ground.full_mask
+    incr = h.values[full] - h.values[full ^ (1 << np.arange(n))]
+    return SetFunction(h.ground, h.values - _bit_matrix(n) @ incr)
 
 
 def nelder_mead_by_lists(fn: Callable[[np.ndarray], float], x0: np.ndarray,

@@ -76,6 +76,13 @@ class TestCheck:
         assert code == 1
         assert "polymatroid: no" in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_two(self, capsys, rbar_file, tol):
+        code, out, err = run(capsys, "check", rbar_file, "--tol", tol)
+        assert code == 2
+        assert "tolerance must be finite and nonnegative" in err
+        assert "polymatroid" not in out
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "/nonexistent/f.json")
         assert code == 2
@@ -367,6 +374,19 @@ class TestMalformedDocuments:
         code, _, err = run(capsys, "entropy", str(dist))
         assert code == 2
         assert "malformed distribution document" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"labels": ["i", "j"], "values": None},
+        {"labels": ["i", "j"], "values": {"": 0, "i": 1, "j": None, "ij": 1}},
+        {"labels": [1, 2], "values": {"": 0, "1": 1, "2": 1, "12": 2}},
+    ])
+    def test_set_function_document(self, capsys, tmp_path, doc):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "malformed set-function document" in err
+        assert out == ""
 
     def test_inequality_file_entry(self, capsys, tmp_path):
         bank = tmp_path / "f.json"

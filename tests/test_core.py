@@ -29,15 +29,25 @@ from entropy_toolkit import (
     set_function_to_json,
     tight_part,
 )
+from entropy_toolkit.core import _square_table, _step_table, _submask_table
 from entropy_toolkit.frame import ingleton_base
 
 from helpers import (
+    check_axioms_by_loops,
+    convolution_by_loops,
+    convolve_modular_iterative_by_loops,
+    is_tight_by_loop,
+    matroid_rank_by_loops,
     modular_by_bit_loop,
     full_monotone_ok,
     full_pairwise_submodular_ok,
+    parallel_extension_by_loops,
+    pe_contract_by_loops,
+    principal_extension_by_loops,
     rand_modular,
     rand_polymatroid,
     rand_set_function,
+    tight_part_by_product,
 )
 
 
@@ -152,6 +162,13 @@ class TestCheckAxioms:
                 assert report.is_submodular == full_pairwise_submodular_ok(f, 1e-9)
                 if report.is_polymatroid:
                     assert full_monotone_ok(f, 1e-9)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    @pytest.mark.parametrize("check", [check_axioms, is_tight, is_modular,
+                                       lambda f, tol: closure_of(f, "i", tol)])
+    def test_tolerance_must_be_finite_and_nonnegative(self, ground, check, tol):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            check(matroid_rank(ground, 2), tol)
 
 
 class TestMatroidRank:
@@ -577,3 +594,82 @@ class TestBitMatrixAgainstLoops:
             expected = f(c.ground.labels_of(J) + ("b", "e")) - f("be")
             assert c.values[J] == (expected if J else 0.0)
 
+
+
+def _lattice_families(rng, n: int) -> list[SetFunction]:
+    """A random polymatroid, a Gaussian vector, a polymatroid perturbed at
+    1e-8, and an integer-valued function whose margins tie often."""
+    g = GroundSet("abcdefgh"[:n])
+    poly = rand_polymatroid(rng, g)
+    out = [poly]
+    for vals in (rng.normal(size=g.size),
+                 poly.values + 1e-8 * rng.normal(size=g.size),
+                 rng.integers(-2, 3, g.size).astype(float)):
+        vals[0] = 0.0
+        out.append(SetFunction(g, vals))
+    return out
+
+
+def _same_bits(fast: SetFunction, slow: SetFunction) -> bool:
+    return (fast.ground == slow.ground
+            and fast.values.tobytes() == slow.values.tobytes())
+
+
+@pytest.mark.filterwarnings("ignore::entropy_toolkit.core.NonPolymatroidWarning")
+class TestMaskTablesAgainstLoops:
+    """The mask-table operations reproduce the per-subset loops bit for bit."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_check_axioms_and_tightness(self, rng, n):
+        for _ in range(3):
+            for f in _lattice_families(rng, n):
+                for tol in (0.0, 1e-9, 1e-7):
+                    fast, slow = check_axioms(f, tol), check_axioms_by_loops(f, tol)
+                    assert fast == slow
+                    assert repr(fast) == repr(slow)
+                    assert is_tight(f, tol) is is_tight_by_loop(f, tol)
+                assert _same_bits(tight_part(f), tight_part_by_product(f))
+
+    def test_integer_family_ties_witness_margins(self, rng):
+        """Witness order is put to the test only where margins tie."""
+        f = _lattice_families(rng, 8)[3]
+        report = check_axioms(f, 0.0)
+        mono = [f.values[q] - f.values[p] for p, q in report.monotone_witnesses]
+        sub = [delta(f, p, q) for p, q in report.submodular_witnesses]
+        for margins in (mono, sub):
+            assert len(margins) > 100 and len(set(margins)) < 10
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_convolutions(self, rng, n):
+        for _ in range(3):
+            for f in _lattice_families(rng, n):
+                mod = rand_modular(rng, f.ground)
+                assert _same_bits(convolution(f, mod), convolution_by_loops(f, mod))
+                assert _same_bits(convolution(f, f), convolution_by_loops(f, f))
+                assert _same_bits(convolve_modular_iterative(f, mod),
+                                  convolve_modular_iterative_by_loops(f, mod))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_extensions_and_matroids(self, rng, n):
+        for _ in range(3):
+            for f in _lattice_families(rng, n):
+                L = int(rng.choice(np.flatnonzero(f.values >= 0.0)))
+                t = float(rng.uniform(0.0, f.values[L]))
+                assert _same_bits(pe_contract(f, L, t), pe_contract_by_loops(f, L, t))
+                if n < 8:
+                    assert _same_bits(parallel_extension(f, L, "0"),
+                                      parallel_extension_by_loops(f, L, "0"))
+                    assert _same_bits(principal_extension(f, L, t),
+                                      principal_extension_by_loops(f, L, t))
+            g = f.ground
+            loops = int(rng.integers(0, g.size))
+            for m in range(g.n - bin(loops).count("1") + 1):
+                assert _same_bits(matroid_rank(g, m, loops),
+                                  matroid_rank_by_loops(g, m, loops))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_tables_are_read_only(self, n):
+        for table in (*_step_table(n), *_square_table(n), *_submask_table(n)):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0

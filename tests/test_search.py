@@ -304,6 +304,18 @@ class TestCloud:
         assert len(cloud) == 2
         assert all(pt.source_tag.startswith("dir") for pt in cloud)
 
+    def test_optima_only_builds_no_collector(self, frame, monkeypatch):
+        collectors = []
+        make_objective = DistributionObjective.make_objective
+
+        def spy(self, objective, direction=None, collector=None):
+            collectors.append(collector)
+            return make_objective(self, objective, direction, collector)
+
+        monkeypatch.setattr(DistributionObjective, "make_objective", spy)
+        generate_cloud([(0.0, 0.0, 1.0)], self.CFG, frame, optima_only=True, threads=1)
+        assert collectors == [None] * self.CFG.restarts
+
     def test_empty_directions_rejected(self, frame):
         with pytest.raises(ValueError):
             generate_cloud([], self.CFG, frame)
