@@ -38,6 +38,7 @@ import numpy as np
 from .core import (
     GroundSet,
     SetFunction,
+    _check_tol,
     _modular_values,
     _warn_if_not_polymatroid,
     delta_vec,
@@ -135,6 +136,7 @@ def violated_instances(h: SetFunction, tol: float = 1e-12) -> list[frozenset[str
 
     A polymatroid violates at most one of the six instances.
     """
+    _check_tol(tol)
     if h.ground.n != 4:
         raise ValueError("Ingleton instances need a 4-element ground set")
     out = []
@@ -415,7 +417,8 @@ def cross_section_point(f: SetFunction, frame: IngletonFrame,
 def point_from_weights(w: CrossSectionPoint, frame: IngletonFrame,
                        tol: float = 1e-6) -> SetFunction:
     """Convex combination of the tetrahedron vertices with the given weights."""
-    if abs(w.weight_sum - 1.0) > tol:
+    _check_tol(tol)
+    if not abs(w.weight_sum - 1.0) <= tol:  # also rejects non-finite weights
         raise ValueError(f"weights sum to {w.weight_sum!r}, expected 1")
     alpha, beta, gamma, delta_v = tetra_vertices(frame)
     vals = (w.alpha_w * alpha.values + w.beta_w * beta.values
@@ -439,4 +442,5 @@ def e_face_margins(h: SetFunction, frame: IngletonFrame) -> dict[str, float]:
 
 def in_e_face(h: SetFunction, frame: IngletonFrame, tol: float = 1e-9) -> bool:
     """True iff all five face functionals vanish on h within tol."""
+    _check_tol(tol)
     return all(abs(v) <= tol for v in e_face_margins(h, frame).values())

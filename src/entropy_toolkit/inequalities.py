@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SetFunction, delta_vec
+from .core import GroundSet, SetFunction, _check_tol, delta_vec
 from .frame import IngletonFrame, stv_vec
 
 BALANCE_TOL = 1e-12
@@ -59,6 +59,14 @@ class LinearInequality:
     def elements(self) -> frozenset:
         return frozenset().union(*self.coefficients)
 
+    def vector(self, ground: GroundSet) -> np.ndarray:
+        """The coefficients as a mask-indexed vector over ``ground``; raises
+        if some key mentions a label outside it."""
+        vec = np.zeros(ground.size)
+        vec[[ground.mask(tuple(key)) for key in self.coefficients]] = list(
+            self.coefficients.values())
+        return vec
+
 
 def evaluate(ineq: LinearInequality, h: SetFunction) -> float:
     """Scalar product of the coefficient vector with h.
@@ -66,15 +74,13 @@ def evaluate(ineq: LinearInequality, h: SetFunction) -> float:
     A value >= -tol signals consistency with the inequality.  Raises if some
     coefficient key mentions a label outside h's ground set.
     """
-    total = 0.0
-    for key, c in ineq.coefficients.items():
-        total += c * h.values[h.ground.mask(tuple(key))]
-    return float(total)
+    return float(ineq.vector(h.ground) @ h.values)
 
 
 def is_balanced(ineq: LinearInequality, tol: float = BALANCE_TOL) -> bool:
     """True iff for every element the coefficient sum over subsets containing
     it vanishes; balanced functionals annihilate modular functions."""
+    _check_tol(tol)
     for elem in ineq.elements():
         s = sum(c for key, c in ineq.coefficients.items() if elem in key)
         if abs(s) > tol:
@@ -204,15 +210,23 @@ class PointCheckReport:
 
 def check_point(weights, bank: Sequence[CrossSectionHalfspace],
                 tol: float = 1e-9) -> PointCheckReport:
-    """Evaluate every halfspace at the given weights; margin < -tol is violated."""
+    """Evaluate every halfspace at the given weights; margin < -tol is violated.
+
+    Scalar Python on purpose: callers check one point at a time, and a numpy
+    version of this call costs three to five times as much.
+    """
+    _check_tol(tol)
     w = tuple(weights.as_tuple() if hasattr(weights, "as_tuple") else weights)
     if len(w) != 4:
         raise ValueError(f"need a weight quadruple, got {w!r}")
-    if abs(sum(w) - 1.0) > 1e-6:
-        raise ValueError(f"weights sum to {sum(w)!r}, expected 1")
+    total = sum(w)
+    if not abs(total - 1.0) <= 1e-6:  # a non-finite weight makes the sum non-finite
+        raise ValueError(f"weights {w!r} sum to {total!r}, expected finite "
+                         "weights summing to 1")
+    aw, bw, gw, dw = w
     sat, vio = [], []
     for hs in bank:
-        m = hs.margin(w)
+        m = hs.a * aw + hs.b * bw + hs.c * gw + hs.d * dw  # hs.margin(w), inlined
         (sat if m >= -tol else vio).append((hs.name, m))
     return PointCheckReport(satisfied=tuple(sat), violated=tuple(vio), tol=tol)
 

@@ -3,9 +3,11 @@
 Section points are weight quadruples (alpha, beta, gamma, delta) summing to
 one; geometry happens in the affine chart (beta, gamma, delta), where the
 weight simplex becomes {x >= 0, sum(x) <= 1} and the alpha corner sits at the
-origin.  Hulls are delegated to Qhull via scipy; the halfspace-region vertex
-enumeration solves all 3x3 boundary systems directly, which is exact enough
-for banks of a few dozen constraints.
+origin.  Hulls are delegated to Qhull via scipy.  The halfspace-region vertex
+enumeration solves every nonsingular 3x3 boundary system in one batched
+``np.linalg.solve`` and tests all solutions against all constraints in one
+product, which is exact enough for banks of a few dozen constraints.  Point
+deduplication and hull containment are array expressions as well.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError
 
+from ..core import _check_tol
 from ..inequalities import CrossSectionHalfspace
 
 FEASIBILITY_TOL = 1e-9
@@ -61,18 +64,21 @@ def _as_weight_array(points: Sequence[Sequence[float]]) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError(f"need weight quadruples, got shape {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
+    if bad.size:
+        raise ValueError(f"point {bad[0]} has non-finite weights {tuple(arr[bad[0]])!r}")
     sums = arr.sum(axis=1)
-    bad = np.where(np.abs(sums - 1.0) > 1e-6)[0]
+    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
     if bad.size:
         raise ValueError(f"point {bad[0]} has weight sum {sums[bad[0]]!r}, expected 1")
     return arr
 
 
 def _dedupe(arr: np.ndarray, decimals: int = 12) -> np.ndarray:
-    seen = {}
-    for row in arr:
-        seen.setdefault(tuple(np.round(row, decimals)), row)
-    return np.array(list(seen.values()))
+    """The first row of each class of rows equal after rounding, in first-seen
+    order; -0.0 and 0.0 round to the same key."""
+    _, first = np.unique(np.round(arr, decimals), axis=0, return_index=True)
+    return arr[np.sort(first)]
 
 
 def _affine_dim(x: np.ndarray, tol: float = 1e-9) -> int:
@@ -96,20 +102,17 @@ def convex_hull_3d(points: Sequence[Sequence[float]]) -> Polytope3:
 
     if dim == 3 and len(arr) >= 4:
         hull = ConvexHull(x)
-        keep = sorted(hull.vertices)
-        renumber = {old: new for new, old in enumerate(keep)}
-        facets = tuple(tuple(renumber[v] for v in simplex)
-                       for simplex in hull.simplices.tolist())
-        verts = tuple(tuple(arr[v]) for v in keep)
-        return Polytope3(verts, facets, 3)
+        keep = np.sort(hull.vertices)
+        renumber = np.empty(len(arr), dtype=int)
+        renumber[keep] = np.arange(len(keep))
+        return Polytope3(arr[keep], renumber[hull.simplices], 3)
 
     if dim == 2:
         origin = x[0]
         basis, *_ = np.linalg.svd((x - origin).T)
         proj = (x - origin) @ basis[:, :2]
         hull = ConvexHull(proj)
-        keep = sorted(hull.vertices)
-        return Polytope3(tuple(tuple(arr[v]) for v in keep), (), 2)
+        return Polytope3(arr[np.sort(hull.vertices)], (), 2)
 
     if dim == 1:
         axis = x[np.argmax(np.linalg.norm(x - x[0], axis=1))] - x[0]
@@ -122,19 +125,25 @@ def convex_hull_3d(points: Sequence[Sequence[float]]) -> Polytope3:
 
 def hull_contains(poly: Polytope3, point: Sequence[float],
                   tol: float = FEASIBILITY_TOL) -> bool:
-    """Membership test against the facet planes of a full-dimensional hull."""
+    """Membership test against the facet planes of a full-dimensional hull:
+    outside when normal . (x - v_a) > tol * max(1, |normal|) for some facet,
+    with its unnormalized cross-product normal pointing away from the centroid.
+    """
+    _check_tol(tol)
     if not poly.is_full_dimensional:
         raise ValueError("containment test needs a full-dimensional polytope")
     x = np.asarray(point, dtype=float)[1:]
     verts = poly.affine_vertices()
-    centroid = verts.mean(axis=0)
-    for fa, fb, fc in poly.facets:
-        normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
-        if normal @ (centroid - verts[fa]) > 0:
-            normal = -normal
-        if normal @ (x - verts[fa]) > tol * max(1.0, float(np.linalg.norm(normal))):
-            return False
-    return True
+    a, b, c = verts[np.array(poly.facets).T]
+    normals = np.cross(b - a, c - a)
+    normals[_row_dots(normals, verts.mean(axis=0) - a) > 0] *= -1.0
+    bound = tol * np.maximum(1.0, np.sqrt(_row_dots(normals, normals)))
+    return not np.any(_row_dots(normals, x - a) > bound)
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u[i] @ v[i] for every row, rounded as the 1-D product rounds."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
 
 
 def hull_volume(poly: Polytope3) -> float:
@@ -167,25 +176,23 @@ def _affine_constraints(bank: Sequence[CrossSectionHalfspace]
 def outer_region(bank: Sequence[CrossSectionHalfspace]) -> Polytope3:
     """Vertices of {weights on the simplex satisfying every bank halfspace}.
 
-    Enumerates all 3x3 systems of constraint boundaries, keeps the feasible
-    solutions, and hulls them.  An empty bank returns the full simplex; an
-    infeasible bank returns the explicit empty polytope.
+    Solves the 3x3 systems of every triple of constraint boundaries with
+    |det| >= 1e-12 in one batch, keeps the feasible solutions, and hulls
+    them.  An empty bank returns the full simplex; an infeasible bank returns
+    the explicit empty polytope.
     """
     normals, offsets, _ = _affine_constraints(bank)
-    m = len(normals)
-    candidates = []
-    for tri in combinations(range(m), 3):
-        A = normals[list(tri)]
-        det = np.linalg.det(A)
-        if abs(det) < 1e-12:
-            continue
-        x = np.linalg.solve(A, -offsets[list(tri)])
-        if np.min(normals @ x + offsets) >= -FEASIBILITY_TOL:
-            candidates.append(x)
-    if not candidates:
+    triples = np.array(list(combinations(range(len(normals)), 3)))
+    triples = triples[np.abs(np.linalg.det(normals[triples])) >= 1e-12]
+    # b as a stack of columns: the same broadcasting on numpy 1.x and 2.x
+    x = np.linalg.solve(normals[triples], -offsets[triples][..., None])[..., 0]
+    # one (m, 3) @ (3,) product per solution: (K, 3) @ (3, m) rounds differently
+    margins = (normals @ x[..., None])[..., 0] + offsets
+    candidates = x[np.min(margins, axis=1) >= -FEASIBILITY_TOL]
+    if not len(candidates):
         return Polytope3((), (), -1)
 
-    arr = _dedupe(np.array(candidates))
+    arr = _dedupe(candidates)
     order = np.lexsort(arr.T[::-1])
     arr = arr[order]
     weights = np.column_stack([1.0 - arr.sum(axis=1), arr]) + 0.0  # kill -0.0
@@ -203,6 +210,7 @@ def active_constraints(weights: Sequence[float],
                        bank: Sequence[CrossSectionHalfspace],
                        tol: float = FEASIBILITY_TOL) -> list[str]:
     """Names of the simplex facets and bank halfspaces tight at a vertex."""
+    _check_tol(tol)
     normals, offsets, names = _affine_constraints(bank)
     x = np.asarray(weights, dtype=float)[1:]
     margins = normals @ x + offsets
@@ -216,6 +224,7 @@ def max_alpha_on_edge(poly: Polytope3, edge: str = "alpha-beta",
     ``edge`` picks which two weights may be nonzero, e.g. "alpha-beta" keeps
     vertices with gamma = delta = 0.
     """
+    _check_tol(tol)
     names = ("alpha", "beta", "gamma", "delta")
     try:
         a, b = edge.split("-")

@@ -1,9 +1,12 @@
 """Shared generators and independent oracles for the test suite."""
 
+import math
 from functools import partial
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
+from scipy.spatial import QhullError
 
 from entropy_toolkit import (
     AxiomReport,
@@ -30,6 +33,14 @@ from entropy_toolkit.core import (
     is_modular,
 )
 from entropy_toolkit.frame import _require_frame_ground
+from entropy_toolkit.inequalities import LinearInequality
+from entropy_toolkit.search.geometry import (
+    FEASIBILITY_TOL,
+    Polytope3,
+    _affine_constraints,
+    _affine_dim,
+    convex_hull_3d,
+)
 
 
 def rand_polymatroid(rng, ground: GroundSet) -> SetFunction:
@@ -467,3 +478,81 @@ def pipeline_operator_by_deltas(frame: IngletonFrame) -> np.ndarray:
         op[:, m] = c_sym(a_map_by_deltas(b_map_by_deltas(tight, frame), frame),
                          frame).values
     return op
+
+
+def evaluate_by_frozenset_loop(ineq: LinearInequality, h: SetFunction) -> float:
+    """Reference: the coefficient dict walked key by key."""
+    total = 0.0
+    for key, c in ineq.coefficients.items():
+        total += c * h.values[h.ground.mask(tuple(key))]
+    return float(total)
+
+
+def dedupe_by_dict(arr: np.ndarray, decimals: int = 12) -> np.ndarray:
+    """Reference: first-seen row per rounded-row key, through a dict."""
+    seen = {}
+    for row in arr:
+        seen.setdefault(tuple(np.round(row, decimals)), row)
+    return np.array(list(seen.values()))
+
+
+def outer_region_by_loop(bank) -> Polytope3:
+    """Reference: one np.linalg.solve per nonsingular boundary triple."""
+    normals, offsets, _ = _affine_constraints(bank)
+    m = len(normals)
+    candidates = []
+    for tri in combinations(range(m), 3):
+        A = normals[list(tri)]
+        det = np.linalg.det(A)
+        if abs(det) < 1e-12:
+            continue
+        x = np.linalg.solve(A, -offsets[list(tri)])
+        if np.min(normals @ x + offsets) >= -FEASIBILITY_TOL:
+            candidates.append(x)
+    if not candidates:
+        return Polytope3((), (), -1)
+
+    arr = dedupe_by_dict(np.array(candidates))
+    order = np.lexsort(arr.T[::-1])
+    arr = arr[order]
+    weights = np.column_stack([1.0 - arr.sum(axis=1), arr]) + 0.0  # kill -0.0
+
+    dim = _affine_dim(arr)
+    if dim == 3 and len(arr) >= 4:
+        try:
+            return convex_hull_3d(weights)
+        except QhullError:
+            pass
+    return Polytope3(tuple(tuple(w) for w in weights), (), dim)
+
+
+def hull_contains_by_facet_loop(poly: Polytope3, point,
+                                tol: float = FEASIBILITY_TOL) -> bool:
+    """Reference: one facet plane at a time."""
+    if not poly.is_full_dimensional:
+        raise ValueError("containment test needs a full-dimensional polytope")
+    x = np.asarray(point, dtype=float)[1:]
+    verts = poly.affine_vertices()
+    centroid = verts.mean(axis=0)
+    for fa, fb, fc in poly.facets:
+        normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
+        if normal @ (centroid - verts[fa]) > 0:
+            normal = -normal
+        if normal @ (x - verts[fa]) > tol * max(1.0, float(np.linalg.norm(normal))):
+            return False
+    return True
+
+
+def fixed_cloud(count: int = 240) -> list[tuple[float, float, float, float]]:
+    """Deterministic section points: a Weyl sequence normalized onto the
+    weight simplex, then every 17th point repeated exactly and every 23rd
+    repeated with beta and delta moved by 1e-14."""
+    gens = (math.sqrt(2.0), math.sqrt(3.0), math.sqrt(5.0), math.sqrt(7.0))
+    rows = []
+    for t in range(1, count + 1):
+        x = [(t * g) % 1.0 + 0.01 for g in gens]
+        s = sum(x)
+        rows.append(tuple(v / s for v in x))
+    rows += rows[::17]
+    rows += [(a, b + 1e-14, c, d - 1e-14) for a, b, c, d in rows[::23]]
+    return rows

@@ -2,6 +2,7 @@
 
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,10 @@ from entropy_toolkit import (
     save_set_function,
 )
 from entropy_toolkit.cli import main
+
+from helpers import fixed_cloud
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 
 def run(capsys, *argv):
@@ -300,6 +305,45 @@ class TestCloudHullOuter:
                            "--ineq-file", str(bank))
         assert code == 0
         assert "bank size      = 2" in out
+
+
+class TestGeometryGoldens:
+    """Outputs recorded with the loop-based outer region, dict deduplication
+    and facet-loop containment; they must stay byte-for-byte equal."""
+
+    def test_outer_dfz20_file(self, capsys, tmp_path):
+        out = tmp_path / "region.json"
+        code, _, _ = run(capsys, "outer", "--dfz-max-s", "20", "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == (GOLDENS / "outer20.json").read_bytes()
+
+    @pytest.mark.parametrize("s", ["6", "20"])
+    def test_outer_stdout(self, capsys, s):
+        code, out, _ = run(capsys, "outer", "--dfz-max-s", s)
+        assert code == 0
+        assert out == (GOLDENS / f"outer{s}_stdout.txt").read_text()
+
+    def test_hull_of_fixed_cloud(self, capsys, tmp_path):
+        cloud, obj = tmp_path / "cloud.csv", tmp_path / "hull.obj"
+        cloud.write_text("alpha,beta,gamma,delta,source\n" + "".join(
+            ",".join(map(repr, row)) + ",fixed\n" for row in fixed_cloud()))
+        code, out, _ = run(capsys, "hull", str(cloud), "-o", str(obj))
+        assert code == 0
+        assert out.splitlines()[:4] == ["input points   = 267", "hull vertices  = 41",
+                                        "hull facets    = 78", "hull dimension = 3"]
+        assert obj.read_bytes() == (GOLDENS / "hull.obj").read_bytes()
+
+    @pytest.mark.parametrize("row", ["nan,0.5,0.25,0.25", "inf,-inf,0.5,0.5"])
+    def test_hull_rejects_non_finite_row(self, capsys, tmp_path, row):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("alpha,beta,gamma,delta,source\n"
+                         "1.0,0.0,0.0,0.0,a\n0.0,1.0,0.0,0.0,b\n"
+                         "0.0,0.0,1.0,0.0,c\n0.0,0.0,0.0,1.0,d\n"
+                         f"{row},bad\n")
+        code, out, err = run(capsys, "hull", str(cloud), "-o", str(tmp_path / "h.obj"))
+        assert code == 2
+        assert "point 4 has non-finite weights" in err
+        assert not (tmp_path / "h.obj").exists()
 
 
 class TestExport:

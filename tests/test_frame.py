@@ -1,6 +1,7 @@
 """Ingleton functional, basis expansion, face maps and cross-section weights."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -144,6 +145,11 @@ class TestViolatedInstances:
 
     def test_base_violates_its_instance(self, frame):
         assert violated_instances(ingleton_base(frame)) == [frozenset("ij")]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_tolerance_validated(self, frame, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            violated_instances(ingleton_base(frame), tol=bad)
 
     def test_polymatroid_violates_at_most_one(self, frame, rng):
         seen_violation = False
@@ -344,6 +350,15 @@ class TestCrossSection:
         with pytest.raises(ValueError):
             point_from_weights(CrossSectionPoint(0.5, 0.5, 0.5, 0.5), frame)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_point_from_weights_validates_tolerance(self, frame, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            point_from_weights(CrossSectionPoint(5, 5, 5, 5), frame, tol=bad)
+
+    def test_point_from_weights_rejects_non_finite_weights(self, frame):
+        with pytest.raises(ValueError, match="weights sum to nan"):
+            point_from_weights(CrossSectionPoint(math.nan, 0.5, 0.25, 0.25), frame)
+
     def test_vertex_weights(self, frame):
         _, _, _, delta_v = tetra_vertices(frame)
         out = point_from_weights(CrossSectionPoint(0.0, 0.0, 0.0, 1.0), frame)
@@ -365,6 +380,11 @@ class TestCrossSection:
 class TestEFace:
     def test_base_lies_in_face(self, frame):
         assert in_e_face(ingleton_base(frame), frame)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_tolerance_validated(self, frame, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            in_e_face(ingleton_base(frame), frame, tol=bad)
 
     def test_margins_detect_generic_member(self, frame, rng):
         h = random_cone_member(rng, frame) + matroid_rank(frame.ground, 3)

@@ -1,13 +1,17 @@
 """Convex hulls of section points and halfspace outer regions."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
 from entropy_toolkit import CrossSectionHalfspace, dfz_halfspace, symmetrized_zy_halfspace
 from entropy_toolkit.search.geometry import (
     _affine_constraints,
+    _dedupe,
     active_constraints,
     convex_hull_3d,
     hull_contains,
@@ -15,6 +19,13 @@ from entropy_toolkit.search.geometry import (
     hull_volume,
     max_alpha_on_edge,
     outer_region,
+)
+
+from helpers import (
+    dedupe_by_dict,
+    fixed_cloud,
+    hull_contains_by_facet_loop,
+    outer_region_by_loop,
 )
 
 SIMPLEX = [(1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),
@@ -157,3 +168,115 @@ def _chebyshev_center(normals, offsets):
     if not res.success or res.x[3] < 1e-6:
         return None
     return res.x[:3]
+
+
+# --- array expressions against the loops they replaced ---------------------------
+
+COEFF = st.one_of(st.integers(-3, 3).map(float),
+                  st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def banks(draw):
+    """Random banks, with exact copies, positive and negative multiples
+    (parallel boundaries, hence singular triples) and an optional
+    infeasible halfspace."""
+    abcds = draw(st.lists(st.tuples(COEFF, COEFF, COEFF, COEFF).filter(any), max_size=5))
+    if abcds:
+        copies = draw(st.lists(st.tuples(st.integers(0, len(abcds) - 1),
+                                         st.sampled_from([1.0, 2.0, 0.5, -1.0])),
+                               max_size=3))
+        abcds += [tuple(k * x for x in abcds[i]) for i, k in copies]
+    if draw(st.booleans()):
+        abcds.append((-1.0, -1.0, -1.0, -1.0))
+    return [CrossSectionHalfspace(f"h{n}", *abcd) for n, abcd in enumerate(abcds)]
+
+
+ZEROISH = st.sampled_from([0.0, -0.0, 1e-13, -1e-13, 5e-13, -5e-13])
+
+
+@st.composite
+def clouds(draw):
+    """Rows with exact duplicates, near duplicates within 1e-13 and signed
+    zeros, in random order."""
+    value = st.one_of(ZEROISH, st.floats(-2.0, 2.0, allow_nan=False))
+    rows = draw(st.lists(st.tuples(value, value, value, value), min_size=1, max_size=20))
+    extra = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                    st.floats(-1e-13, 1e-13, allow_nan=False)),
+                          max_size=20))
+    for i, eps in extra:
+        rows.append(tuple(-x if x == 0.0 else x + eps for x in rows[i]))
+    return np.array(draw(st.permutations(rows)), dtype=float)
+
+
+class TestArrayGeometryMatchesLoops:
+    def test_default_banks(self):
+        for s in range(1, 21):
+            bank = [dfz_halfspace(t) for t in range(1, s + 1)]
+            assert outer_region(bank) == outer_region_by_loop(bank)
+
+    def test_empty_and_infeasible_banks(self):
+        assert outer_region([]) == outer_region_by_loop([])
+        nope = [CrossSectionHalfspace("nope", -1, -1, -1, -1)]
+        assert outer_region(nope) == outer_region_by_loop(nope) == outer_region(nope * 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(banks())
+    def test_outer_region(self, bank):
+        assert outer_region(bank) == outer_region_by_loop(bank)
+
+    @settings(max_examples=150, deadline=None)
+    @given(clouds())
+    def test_dedupe(self, arr):
+        assert _dedupe(arr).tobytes() == dedupe_by_dict(arr).tobytes()
+
+    def test_dedupe_keeps_first_signed_zero(self):
+        arr = np.array([[-0.0, 1.0], [0.0, 1.0], [1e-13, 1.0], [0.5, 0.5]])
+        assert _dedupe(arr).tobytes() == arr[[0, 3]].tobytes()
+
+    def test_fixed_cloud(self):
+        pts = np.array(fixed_cloud())
+        assert _dedupe(pts).tobytes() == dedupe_by_dict(pts).tobytes()
+        assert len(_dedupe(pts)) == 240
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1e-12, 1e-9]))
+    def test_hull_contains(self, seed, tol):
+        rng = np.random.default_rng(seed)
+        poly = convex_hull_3d(random_simplex_points(rng, int(rng.integers(4, 40))))
+        verts = poly.affine_vertices()
+        probes = list(rng.uniform(-0.2, 1.2, (40, 3)))
+        for fa, fb, fc in poly.facets:
+            u, v = rng.dirichlet(np.ones(3))[:2]
+            normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
+            probes.append(verts[fa] + u * (verts[fb] - verts[fa]) + v * (verts[fc] - verts[fa])
+                          + rng.uniform(-1e-12, 1e-12) * normal / np.linalg.norm(normal))
+        for x in probes:
+            point = (1.0 - x.sum(), *x)
+            assert hull_contains(poly, point, tol) == hull_contains_by_facet_loop(
+                poly, point, tol)
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_hull_contains_tolerance(self, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            hull_contains(convex_hull_3d(SIMPLEX), (4.0, -1.0, -1.0, -1.0), tol=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_active_constraints_tolerance(self, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            active_constraints((2 / 3, 1 / 3, 0.0, 0.0), [symmetrized_zy_halfspace()],
+                               tol=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_max_alpha_on_edge_tolerance(self, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            max_alpha_on_edge(outer_region([symmetrized_zy_halfspace()]), tol=bad)
+
+    @pytest.mark.parametrize("row", [(math.nan, 0.5, 0.25, 0.25),
+                                     (math.inf, -math.inf, 0.5, 0.5),
+                                     (math.inf, 0.0, 0.0, 0.0)])
+    def test_non_finite_weights(self, row):
+        with pytest.raises(ValueError, match="non-finite"):
+            convex_hull_3d(SIMPLEX + [row])

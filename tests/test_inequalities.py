@@ -1,7 +1,9 @@
 """Inequality bank: evaluation, balancedness, DFZ family, point checks."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from entropy_toolkit import (
@@ -16,11 +18,13 @@ from entropy_toolkit import (
     evaluate,
     exl_closed_form,
     EXL_REFERENCE,
+    GroundSet,
     halfspace_from_json,
     halfspace_to_json,
     inequality_from_json,
     inequality_to_json,
     ingleton_base,
+    is_balanced,
     load_inequality_file,
     matroid_rank,
     stv_functional,
@@ -29,7 +33,13 @@ from entropy_toolkit import (
     tetra_vertices,
 )
 
-from helpers import rand_distribution, rand_modular
+from helpers import (
+    evaluate_by_frozenset_loop,
+    rand_distribution,
+    rand_modular,
+    rand_polymatroid,
+    rand_set_function,
+)
 
 
 class TestEvaluate:
@@ -56,6 +66,33 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(bad, matroid_rank(frame.ground, 1))
 
+    def test_matches_frozenset_loop(self, frame, rng):
+        """Values agree with the key-by-key sum up to the rounding of a
+        different summation order: at most 2 (n - 1) u sum|terms| for n <= 15
+        terms and unit roundoff u, below 4e-15 sum|terms|."""
+        ground = frame.ground
+        builtins = ([symmetrized_zy(frame), stv_functional(frame)]
+                    + [dfz_linear(s, frame) for s in range(1, 21)])
+        for _ in range(40):
+            masks = rng.choice(np.arange(1, ground.size), int(rng.integers(1, 16)),
+                               replace=False)
+            coeffs = {ground.labels_of(int(m)): c
+                      for m, c in zip(masks, rng.uniform(-3.0, 3.0, len(masks)))}
+            h = (rand_polymatroid if rng.integers(2) else rand_set_function)(rng, ground)
+            for ineq in builtins + [LinearInequality("random", coeffs)]:
+                terms = [c * h.values[ground.mask(tuple(key))]
+                         for key, c in ineq.coefficients.items()]
+                assert abs(evaluate(ineq, h) - evaluate_by_frozenset_loop(ineq, h)) \
+                    <= 4e-15 * sum(map(abs, terms))
+
+    def test_vector_is_mask_indexed(self, frame):
+        vec = symmetrized_zy(frame).vector(frame.ground)
+        assert vec.shape == (16,) and vec[0] == 0.0
+        assert vec[frame.ground.mask("ik")] == symmetrized_zy(frame).coefficients[
+            frozenset("ik")]
+        with pytest.raises(ValueError):
+            symmetrized_zy(frame).vector(GroundSet("ijk"))
+
     def test_needs_nonzero_coefficient(self):
         with pytest.raises(ValueError):
             LinearInequality("empty", {})
@@ -64,6 +101,11 @@ class TestEvaluate:
 
 
 class TestBalanced:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_tolerance_validated(self, frame, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            is_balanced(LinearInequality("mono", {"i": 1.0}), tol=bad)
+
     def test_stv_is_balanced(self, frame, rng):
         ineq = stv_functional(frame)
         assert len(ineq.coefficients) == 10
@@ -157,6 +199,25 @@ class TestCheckPoint:
     def test_weight_sum_validated(self):
         with pytest.raises(ValueError):
             check_point((0.5, 0.5, 0.5, 0.5), [symmetrized_zy_halfspace()])
+
+    @pytest.mark.parametrize("weights", [(math.inf, -math.inf, 0.5, 0.5),
+                                         (math.nan, 0.5, 0.25, 0.25),
+                                         (math.inf, 0.0, 0.0, 0.0)])
+    def test_non_finite_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            check_point(weights, default_halfspace_bank(6))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_tolerance_validated(self, bad):
+        with pytest.raises(ValueError, match="tolerance"):
+            check_point((1.0, 0.0, 0.0, 0.0), [symmetrized_zy_halfspace()], tol=bad)
+
+    def test_margins_match_halfspace_margin(self, rng):
+        bank = default_halfspace_bank(20)
+        for w in rng.dirichlet(np.ones(4), 50):
+            report = check_point(w, bank, tol=1e-7)
+            margins = dict(report.satisfied + report.violated)
+            assert margins == {hs.name: hs.margin(w) for hs in bank}
 
 
 class TestPipelinePointsSatisfyBank:
