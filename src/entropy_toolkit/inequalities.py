@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, _check_tol, delta_vec
+from .core import SetFunction, _check_tol, delta_vec
 from .frame import IngletonFrame, stv_vec
 
 BALANCE_TOL = 1e-12
@@ -59,14 +59,6 @@ class LinearInequality:
     def elements(self) -> frozenset:
         return frozenset().union(*self.coefficients)
 
-    def vector(self, ground: GroundSet) -> np.ndarray:
-        """The coefficients as a mask-indexed vector over ``ground``; raises
-        if some key mentions a label outside it."""
-        vec = np.zeros(ground.size)
-        vec[[ground.mask(tuple(key)) for key in self.coefficients]] = list(
-            self.coefficients.values())
-        return vec
-
 
 def evaluate(ineq: LinearInequality, h: SetFunction) -> float:
     """Scalar product of the coefficient vector with h.
@@ -74,7 +66,8 @@ def evaluate(ineq: LinearInequality, h: SetFunction) -> float:
     A value >= -tol signals consistency with the inequality.  Raises if some
     coefficient key mentions a label outside h's ground set.
     """
-    return float(ineq.vector(h.ground) @ h.values)
+    masks = [h.ground.mask(tuple(key)) for key in ineq.coefficients]
+    return float(np.fromiter(ineq.coefficients.values(), float) @ h.values[masks])
 
 
 def is_balanced(ineq: LinearInequality, tol: float = BALANCE_TOL) -> bool:
@@ -223,10 +216,9 @@ def check_point(weights, bank: Sequence[CrossSectionHalfspace],
     if not abs(total - 1.0) <= 1e-6:  # a non-finite weight makes the sum non-finite
         raise ValueError(f"weights {w!r} sum to {total!r}, expected finite "
                          "weights summing to 1")
-    aw, bw, gw, dw = w
     sat, vio = [], []
     for hs in bank:
-        m = hs.a * aw + hs.b * bw + hs.c * gw + hs.d * dw  # hs.margin(w), inlined
+        m = hs.margin(w)
         (sat if m >= -tol else vio).append((hs.name, m))
     return PointCheckReport(satisfied=tuple(sat), violated=tuple(vio), tol=tol)
 

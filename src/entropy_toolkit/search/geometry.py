@@ -7,7 +7,7 @@ origin.  Hulls are delegated to Qhull via scipy.  The halfspace-region vertex
 enumeration solves every nonsingular 3x3 boundary system in one batched
 ``np.linalg.solve`` and tests all solutions against all constraints in one
 product, which is exact enough for banks of a few dozen constraints.  Point
-deduplication and hull containment are array expressions as well.
+deduplication is one ``np.unique`` over the rounded rows.
 """
 
 from __future__ import annotations
@@ -125,25 +125,20 @@ def convex_hull_3d(points: Sequence[Sequence[float]]) -> Polytope3:
 
 def hull_contains(poly: Polytope3, point: Sequence[float],
                   tol: float = FEASIBILITY_TOL) -> bool:
-    """Membership test against the facet planes of a full-dimensional hull:
-    outside when normal . (x - v_a) > tol * max(1, |normal|) for some facet,
-    with its unnormalized cross-product normal pointing away from the centroid.
-    """
+    """Membership test against the facet planes of a full-dimensional hull."""
     _check_tol(tol)
     if not poly.is_full_dimensional:
         raise ValueError("containment test needs a full-dimensional polytope")
     x = np.asarray(point, dtype=float)[1:]
     verts = poly.affine_vertices()
-    a, b, c = verts[np.array(poly.facets).T]
-    normals = np.cross(b - a, c - a)
-    normals[_row_dots(normals, verts.mean(axis=0) - a) > 0] *= -1.0
-    bound = tol * np.maximum(1.0, np.sqrt(_row_dots(normals, normals)))
-    return not np.any(_row_dots(normals, x - a) > bound)
-
-
-def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """u[i] @ v[i] for every row, rounded as the 1-D product rounds."""
-    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+    centroid = verts.mean(axis=0)
+    for fa, fb, fc in poly.facets:
+        normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
+        if normal @ (centroid - verts[fa]) > 0:
+            normal = -normal
+        if normal @ (x - verts[fa]) > tol * max(1.0, float(np.linalg.norm(normal))):
+            return False
+    return True
 
 
 def hull_volume(poly: Polytope3) -> float:

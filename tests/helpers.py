@@ -526,23 +526,6 @@ def outer_region_by_loop(bank) -> Polytope3:
     return Polytope3(tuple(tuple(w) for w in weights), (), dim)
 
 
-def hull_contains_by_facet_loop(poly: Polytope3, point,
-                                tol: float = FEASIBILITY_TOL) -> bool:
-    """Reference: one facet plane at a time."""
-    if not poly.is_full_dimensional:
-        raise ValueError("containment test needs a full-dimensional polytope")
-    x = np.asarray(point, dtype=float)[1:]
-    verts = poly.affine_vertices()
-    centroid = verts.mean(axis=0)
-    for fa, fb, fc in poly.facets:
-        normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
-        if normal @ (centroid - verts[fa]) > 0:
-            normal = -normal
-        if normal @ (x - verts[fa]) > tol * max(1.0, float(np.linalg.norm(normal))):
-            return False
-    return True
-
-
 def fixed_cloud(count: int = 240) -> list[tuple[float, float, float, float]]:
     """Deterministic section points: a Weyl sequence normalized onto the
     weight simplex, then every 17th point repeated exactly and every 23rd

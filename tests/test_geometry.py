@@ -24,7 +24,6 @@ from entropy_toolkit.search.geometry import (
 from helpers import (
     dedupe_by_dict,
     fixed_cloud,
-    hull_contains_by_facet_loop,
     outer_region_by_loop,
 )
 
@@ -238,23 +237,6 @@ class TestArrayGeometryMatchesLoops:
         pts = np.array(fixed_cloud())
         assert _dedupe(pts).tobytes() == dedupe_by_dict(pts).tobytes()
         assert len(_dedupe(pts)) == 240
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.0, 1e-12, 1e-9]))
-    def test_hull_contains(self, seed, tol):
-        rng = np.random.default_rng(seed)
-        poly = convex_hull_3d(random_simplex_points(rng, int(rng.integers(4, 40))))
-        verts = poly.affine_vertices()
-        probes = list(rng.uniform(-0.2, 1.2, (40, 3)))
-        for fa, fb, fc in poly.facets:
-            u, v = rng.dirichlet(np.ones(3))[:2]
-            normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
-            probes.append(verts[fa] + u * (verts[fb] - verts[fa]) + v * (verts[fc] - verts[fa])
-                          + rng.uniform(-1e-12, 1e-12) * normal / np.linalg.norm(normal))
-        for x in probes:
-            point = (1.0 - x.sum(), *x)
-            assert hull_contains(poly, point, tol) == hull_contains_by_facet_loop(
-                poly, point, tol)
 
 
 class TestRejectedInputs:

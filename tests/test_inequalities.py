@@ -18,7 +18,6 @@ from entropy_toolkit import (
     evaluate,
     exl_closed_form,
     EXL_REFERENCE,
-    GroundSet,
     halfspace_from_json,
     halfspace_to_json,
     inequality_from_json,
@@ -84,14 +83,6 @@ class TestEvaluate:
                          for key, c in ineq.coefficients.items()]
                 assert abs(evaluate(ineq, h) - evaluate_by_frozenset_loop(ineq, h)) \
                     <= 4e-15 * sum(map(abs, terms))
-
-    def test_vector_is_mask_indexed(self, frame):
-        vec = symmetrized_zy(frame).vector(frame.ground)
-        assert vec.shape == (16,) and vec[0] == 0.0
-        assert vec[frame.ground.mask("ik")] == symmetrized_zy(frame).coefficients[
-            frozenset("ik")]
-        with pytest.raises(ValueError):
-            symmetrized_zy(frame).vector(GroundSet("ijk"))
 
     def test_needs_nonzero_coefficient(self):
         with pytest.raises(ValueError):
@@ -211,13 +202,6 @@ class TestCheckPoint:
     def test_tolerance_validated(self, bad):
         with pytest.raises(ValueError, match="tolerance"):
             check_point((1.0, 0.0, 0.0, 0.0), [symmetrized_zy_halfspace()], tol=bad)
-
-    def test_margins_match_halfspace_margin(self, rng):
-        bank = default_halfspace_bank(20)
-        for w in rng.dirichlet(np.ones(4), 50):
-            report = check_point(w, bank, tol=1e-7)
-            margins = dict(report.satisfied + report.violated)
-            assert margins == {hs.name: hs.margin(w) for hs in bank}
 
 
 class TestPipelinePointsSatisfyBank:
