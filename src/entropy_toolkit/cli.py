@@ -45,6 +45,7 @@ def _print_set_function(f: core.SetFunction, bits: bool = False) -> None:
 def cmd_check(args) -> int:
     f = core.load_set_function(args.file)
     report = core.check_axioms(f, tol=args.tol)
+    print(f"tolerance:  {_fmt(args.tol)}")
     print(f"monotone:   {report.is_monotone}   "
           f"(worst violation {_fmt(report.worst_monotone_violation)})")
     print(f"submodular: {report.is_submodular}   "
@@ -103,7 +104,9 @@ def cmd_score(args) -> int:
     f = core.load_set_function(args.file)
     fr = _load_frame(f.ground, args.frame)
     print(f"frame (i,j,k,l) = {fr.roles}")
-    print(f"h(N) = {_fmt(f.rank)}, tight = {core.is_tight(f)}")
+    print(f"h(N) = {_fmt(f.rank)}, tight = {core.is_tight(f, core.TOL_ANALYTIC)}")
+    print(f"tolerance   = {_fmt(core.TOL_ANALYTIC)} (tight), "
+          f"{_fmt(frame_mod.DEGENERATE_TOL)} (degenerate)")
     _score_block(f, fr)
     return 0
 

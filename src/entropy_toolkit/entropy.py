@@ -26,12 +26,13 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from typing import Mapping
 
 import numpy as np
 
-from .core import GroundSet, SetFunction
+from .core import GroundSet, SetFunction, _read_only
 
 LN2 = math.log(2.0)
 
@@ -143,14 +144,37 @@ def marginal_index(configs: np.ndarray, sizes,
     return flat_idx, np.searchsorted(cells, offsets), len(cells)
 
 
+@lru_cache(maxsize=4)
+def _atom_table(n_atoms: int, n_subsets: int) -> np.ndarray:
+    """Atom behind every entry of a :func:`marginal_index` over n_subsets
+    subsets: 0..n_atoms-1, once per subset.
+
+    A search reuses one table for all its evaluations.  A table has as many
+    entries as the index it serves, which :func:`entropy_function` keeps
+    within max(INDEX_CHUNK, MAX_CELLS), so the cache holds at most four such.
+    """
+    # a broadcast assignment builds the table faster than np.tile, so a miss
+    # costs about what np.tile(p, n_subsets) did
+    table = np.empty((n_subsets, n_atoms), dtype=np.intp)
+    table[:] = np.arange(n_atoms)
+    return _read_only(table.reshape(-1))[0]
+
+
 def subset_entropies(p: np.ndarray, flat_idx: np.ndarray, starts: np.ndarray,
                      n_cells: int) -> np.ndarray:
     """Entropies (nats) of the marginals of a :func:`marginal_index`, one per
-    subset, from the atom probabilities ``p`` in ``configs`` row order."""
-    masses = np.bincount(flat_idx, weights=np.tile(p, len(starts)), minlength=n_cells)
+    subset, from the atom probabilities ``p`` in ``configs`` row order.
+
+    One bincount accumulates every marginal mass, weighted by ``p`` gathered
+    through a cached atom table; masses in (KAPPA_FLOOR, 1) contribute
+    -m ln m, and one ``reduceat`` sums them subset by subset.
+    """
+    masses = np.bincount(flat_idx, weights=p[_atom_table(len(p), len(starts))],
+                         minlength=n_cells)
     contrib = np.zeros_like(masses)
     live = (masses > KAPPA_FLOOR) & (masses < 1.0)
-    contrib[live] = -masses[live] * np.log(masses[live])
+    m = masses[live]
+    contrib[live] = -m * np.log(m)
     return np.add.reduceat(contrib, starts)
 
 

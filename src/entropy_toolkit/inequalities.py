@@ -20,6 +20,7 @@ coefficients.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Sequence
@@ -92,6 +93,9 @@ class CrossSectionHalfspace:
     d: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, self.abcd)):
+            raise ValueError(f"halfspace {self.name!r} has non-finite coefficients "
+                             f"{self.abcd}")
         if self.a == self.b == self.c == self.d == 0.0:
             raise ValueError(f"halfspace {self.name!r} has all-zero coefficients")
 

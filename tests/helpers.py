@@ -32,8 +32,10 @@ from entropy_toolkit.core import (
     _modular_values,
     is_modular,
 )
+from entropy_toolkit.entropy import INDEX_CHUNK, KAPPA_FLOOR, marginal_index
 from entropy_toolkit.frame import _require_frame_ground
 from entropy_toolkit.inequalities import LinearInequality
+from entropy_toolkit.search.engine import DIRECTION_PENALTY, DistributionObjective
 from entropy_toolkit.search.geometry import (
     FEASIBILITY_TOL,
     Polytope3,
@@ -331,6 +333,129 @@ def nelder_mead_by_lists(fn: Callable[[np.ndarray], float], x0: np.ndarray,
 
     best = min(range(dim + 1), key=lambda idx: (vals[idx], idx))
     return pts[best], vals[best], evals, converged
+
+
+def softmax_by_np_max(theta: np.ndarray) -> np.ndarray:
+    """Reference: normalized exponentials through ``np.max`` and a fresh
+    quotient array."""
+    e = np.exp(theta - np.max(theta))
+    return e / e.sum()
+
+
+def subset_entropies_by_tile(p: np.ndarray, flat_idx: np.ndarray, starts: np.ndarray,
+                             n_cells: int) -> np.ndarray:
+    """Reference: bincount weights from ``np.tile`` and the live masses
+    indexed twice."""
+    masses = np.bincount(flat_idx, weights=np.tile(p, len(starts)), minlength=n_cells)
+    contrib = np.zeros_like(masses)
+    live = (masses > KAPPA_FLOOR) & (masses < 1.0)
+    contrib[live] = -masses[live] * np.log(masses[live])
+    return np.add.reduceat(contrib, starts)
+
+
+def entropy_function_by_tile(d: JointDistribution) -> SetFunction:
+    """Reference: ``entropy_function`` over :func:`subset_entropies_by_tile`."""
+    live = [(cfg, p) for cfg, p in d.atoms.items() if p > 0.0]
+    configs = np.array([cfg for cfg, _ in live], dtype=np.int64)
+    probs = np.array([p for _, p in live])
+    vals = np.zeros(d.ground.size)
+    step = max(1, INDEX_CHUNK // len(probs))
+    for lo in range(1, d.ground.size, step):
+        masks = np.arange(lo, min(lo + step, d.ground.size))
+        vals[masks] = subset_entropies_by_tile(
+            probs, *marginal_index(configs, d.alphabet_sizes, masks))
+    return SetFunction(d.ground, vals)
+
+
+def entropy_vector_by_tile(evaluator: DistributionObjective, p: np.ndarray) -> np.ndarray:
+    """Reference: ``DistributionObjective.entropy_vector`` over
+    :func:`subset_entropies_by_tile`."""
+    h = np.zeros(16)
+    h[1:] = subset_entropies_by_tile(p, evaluator._flat_idx, evaluator._offsets,
+                                     evaluator._n_cells)
+    return h
+
+
+def alpha_objective_by_norm(evaluator: DistributionObjective, direction,
+                            collector: list | None = None) -> Callable[[np.ndarray], float]:
+    """Reference: the alpha-in-direction objective with ``np.linalg.norm``
+    distances and a collector that converts weights one float at a time."""
+    def emit(w: np.ndarray | None) -> None:
+        if w is not None and abs(float(w.sum()) - 1.0) <= 1e-9:
+            collector.append(tuple(float(x) for x in w))
+
+    d = np.asarray(direction, dtype=float)
+    d = d / np.linalg.norm(d)
+
+    def fn(p: np.ndarray) -> float:
+        h = entropy_vector_by_tile(evaluator, p)
+        w = evaluator.weights_from_entropy(h)
+        if w is None:
+            return 0.0
+        if collector is not None:
+            emit(w)
+        x = w[1:]
+        along = float(x @ d)
+        perp = float(np.linalg.norm(x - along * d)) if along > 0 \
+            else float(np.linalg.norm(x))
+        return -w[0] + DIRECTION_PENALTY * perp
+    return fn
+
+
+def nelder_mead_by_mean(fn: Callable[[np.ndarray], float], x0: np.ndarray,
+                        budget: int, diam_tol: float = 1e-10,
+                        initial_step: float = 0.5) -> tuple[np.ndarray, float, int, bool]:
+    """Reference: the array-based search with an ``np.mean`` centroid and
+    ``np.max`` diameter tests."""
+    def evaluate(x: np.ndarray) -> float:
+        value = fn(x)
+        if not math.isfinite(value):
+            raise ValueError(f"objective returned a non-finite value: {value!r}")
+        return value
+
+    dim = len(x0)
+    simplex = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
+    simplex[np.arange(1, dim + 1), np.arange(dim)] += initial_step
+    vals = np.array([evaluate(row.copy()) for row in simplex], dtype=float)
+    rank = np.arange(dim + 1)
+    evals = dim + 1
+    converged = False
+
+    while evals < budget:
+        rank = rank[np.argsort(vals[rank], kind="stable")]
+        best, second, worst = rank[0], rank[-2], rank[-1]
+        if (np.max(np.abs(simplex[worst] - simplex[best])) < diam_tol
+                and np.max(np.abs(simplex - simplex[best])) < diam_tol):
+            converged = True
+            break
+        centroid = np.mean(simplex[rank[:-1]], axis=0)
+        reflected = centroid + (centroid - simplex[worst])
+        f_r = evaluate(reflected)
+        evals += 1
+        if f_r < vals[best]:
+            expanded = centroid + 2.0 * (centroid - simplex[worst])
+            f_e = evaluate(expanded)
+            evals += 1
+            if f_e < f_r:
+                simplex[worst], vals[worst] = expanded, f_e
+            else:
+                simplex[worst], vals[worst] = reflected, f_r
+        elif f_r < vals[second]:
+            simplex[worst], vals[worst] = reflected, f_r
+        else:
+            contracted = centroid + 0.5 * (simplex[worst] - centroid)
+            f_c = evaluate(contracted)
+            evals += 1
+            if f_c < vals[worst]:
+                simplex[worst], vals[worst] = contracted, f_c
+            else:
+                simplex = simplex[best] + 0.5 * (simplex - simplex[best])
+                for row in rank[1:]:
+                    vals[row] = evaluate(simplex[row].copy())
+                evals += dim
+
+    best = rank[np.argmin(vals[rank])]
+    return simplex[best].copy(), float(vals[best]), evals, converged
 
 
 def basis_generators_by_hand(frame: IngletonFrame) -> tuple[SetFunction, ...]:

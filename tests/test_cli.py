@@ -61,6 +61,12 @@ class TestCheck:
         assert code == 0
         assert "tight:      True" in out
 
+    @pytest.mark.parametrize("argv, shown", [((), "1e-09"), (("--tol", "1e-7"), "1e-07")])
+    def test_reports_tolerance(self, capsys, rbar_file, argv, shown):
+        code, out, _ = run(capsys, "check", rbar_file, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == f"tolerance:  {shown}"
+
     def test_corrupted_empty_value(self, capsys, tmp_path, r3_file):
         doc = json.load(open(r3_file))
         doc["values"][""] = 1.0
@@ -146,6 +152,11 @@ class TestScoreAndEntropy:
         code, out, _ = run(capsys, "score", rbar_file)
         assert code == 0
         assert grab(rf"I\(f\)\s+= {NUM}", out) == pytest.approx(-0.25)
+
+    def test_score_reports_tolerance(self, capsys, rbar_file):
+        code, out, _ = run(capsys, "score", rbar_file)
+        assert code == 0
+        assert "tolerance   = 1e-09 (tight), 1e-12 (degenerate)" in out.splitlines()
 
     def test_frame_override_changes_instance(self, capsys, rbar_file):
         code, out, _ = run(capsys, "score", rbar_file, "--frame", "k,l,i,j")
@@ -346,6 +357,27 @@ class TestGeometryGoldens:
         assert not (tmp_path / "h.obj").exists()
 
 
+class TestSearchCommandGoldens:
+    """Result and cloud files recorded with the np.tile entropies, np.mean
+    centroid and np.linalg.norm alpha objective; they must stay byte-for-byte
+    equal."""
+
+    def test_minimize_file(self, capsys, tmp_path):
+        out = tmp_path / "res.json"
+        code, _, _ = run(capsys, "minimize", "--alphabet", "2,2,2,2", "--restarts", "3",
+                         "--budget", "300", "--seed", "11", "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == (GOLDENS / "minimize11.json").read_bytes()
+
+    def test_cloud_file(self, capsys, tmp_path):
+        out = tmp_path / "cloud.csv"
+        code, _, _ = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "2",
+                         "--budget", "80", "--seed", "5", "--directions", "2",
+                         "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == (GOLDENS / "cloud5.csv").read_bytes()
+
+
 class TestExport:
     def test_all_targets(self, capsys, tmp_path):
         for what, name in [("rbar", "rbar.json"), ("generators", "gens.json"),
@@ -438,6 +470,15 @@ class TestMalformedDocuments:
         code, _, err = run(capsys, "outer", "--dfz-max-s", "1", "--ineq-file", str(bank))
         assert code == 2
         assert "malformed inequality document" in err
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_halfspace_entry(self, capsys, tmp_path, value):
+        bank = tmp_path / "bank.json"
+        bank.write_text(f'[{{"name": "bad", "abcd": [{value}, 1, 0, 1]}}]')
+        code, out, err = run(capsys, "outer", "--dfz-max-s", "1", "--ineq-file", str(bank))
+        assert code == 2
+        assert "non-finite coefficients" in err
+        assert out == ""
 
     def test_directions_file_entry(self, capsys, tmp_path):
         dirs = tmp_path / "f.json"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entropy_toolkit import (
     EXL_COLUMNS,
@@ -30,7 +31,7 @@ from entropy_toolkit import entropy as entropy_mod
 from entropy_toolkit.core import TOL_ENTROPIC
 from entropy_toolkit.search.engine import DistributionObjective
 
-from helpers import entropy_by_dict_marginals, rand_distribution
+from helpers import entropy_by_dict_marginals, entropy_function_by_tile, rand_distribution
 
 LN2 = math.log(2.0)
 
@@ -89,6 +90,35 @@ class TestEntropyFunction:
             for _ in range(10):
                 f = entropy_function(rand_distribution(rng, ground, sizes))
                 assert check_axioms(f, tol=TOL_ENTROPIC).is_polymatroid
+
+
+@st.composite
+def sparse_distributions(draw):
+    """Distributions on the search alphabets with most cells empty, a few
+    atoms near KAPPA_FLOOR, or a single atom of mass 1."""
+    sizes = draw(st.sampled_from([(2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (3, 2, 4, 2)]))
+    n = math.prod(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dense = rng.dirichlet(np.ones(n)) * (rng.random(n) < draw(st.floats(0.0, 1.0)))
+    tiny = draw(st.lists(st.integers(0, n - 1), max_size=3))
+    dense[tiny] = entropy_mod.KAPPA_FLOOR * rng.uniform(0.5, 2.0, len(tiny))
+    if dense.sum() == 0.0:
+        dense[int(rng.integers(n))] = 1.0
+    return JointDistribution.from_dense(GroundSet("ijkl"), sizes, dense / dense.sum())
+
+
+class TestEntropyFunctionMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_distributions())
+    def test_sparse_distributions(self, d):
+        assert entropy_function(d).values.tobytes() == \
+            entropy_function_by_tile(d).values.tobytes()
+
+    def test_point_mass_and_exl(self):
+        for d in (four_atom_distribution(0.5), exl_distribution(EXL_REFERENCE),
+                  JointDistribution(GroundSet("ijkl"), (2, 2, 2, 2), {(0, 1, 1, 0): 1.0})):
+            assert entropy_function(d).values.tobytes() == \
+                entropy_function_by_tile(d).values.tobytes()
 
 
 class TestFourAtomFamily:

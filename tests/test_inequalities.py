@@ -254,6 +254,16 @@ class TestWireFormats:
         with pytest.raises(ValueError):
             CrossSectionHalfspace("null", 0.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_non_finite_halfspace_rejected(self, bad, slot):
+        abcd = [-0.5, 1.0, 0.0, 1.0]
+        abcd[slot] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            CrossSectionHalfspace("bad", *abcd)
+        with pytest.raises(ValueError, match="malformed halfspace document.*non-finite"):
+            halfspace_from_json(json.loads(json.dumps({"name": "bad", "abcd": abcd})))
+
 
 def _keyed(ineq):
     return {"".join(sorted(k)): v for k, v in ineq.coefficients.items()}

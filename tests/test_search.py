@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entropy_toolkit import (
     EXL_REFERENCE,
@@ -29,6 +30,7 @@ from entropy_toolkit import (
     vertex_seed_distributions,
 )
 from entropy_toolkit import GroundSet, delta_vec
+from entropy_toolkit.entropy import KAPPA_FLOOR, _atom_table
 from entropy_toolkit.frame import a_map, b_map
 from entropy_toolkit.search import engine
 from entropy_toolkit.search.engine import (
@@ -36,9 +38,17 @@ from entropy_toolkit.search.engine import (
     DistributionObjective,
     nelder_mead,
     restart_seed,
+    softmax,
 )
 
-from helpers import nelder_mead_by_lists, rand_distribution
+from helpers import (
+    alpha_objective_by_norm,
+    entropy_vector_by_tile,
+    nelder_mead_by_lists,
+    nelder_mead_by_mean,
+    rand_distribution,
+    softmax_by_np_max,
+)
 from search_goldens import BEST_3242, BEST_4444
 
 
@@ -488,6 +498,87 @@ class TestSearchGoldens:
         assert result.best_value.hex() == value
         assert result.eval_count == evals
         assert [float(x).hex() for x in result.best_distribution.as_dense()] == dense
+
+
+KERNEL_ALPHABETS = [(2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (3, 2, 4, 2)]
+KERNEL_FRAME = IngletonFrame.default(GroundSet("ijkl"))
+
+
+@st.composite
+def peaked_thetas(draw):
+    """Softmax parameters on one alphabet: at scale 800 all but a few atoms
+    underflow to 0 and marginals reach mass exactly 1.0; some atoms are put
+    near KAPPA_FLOOR times the largest mass."""
+    sizes = draw(st.sampled_from(KERNEL_ALPHABETS))
+    n = math.prod(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = draw(st.sampled_from([1.0, 40.0, 800.0])) * rng.normal(size=n)
+    top, peak = theta.max(), int(theta.argmax())
+    for i, eps in draw(st.lists(st.tuples(st.integers(0, n - 1), st.floats(-1.0, 1.0)),
+                                max_size=4)):
+        if i != peak:
+            theta[i] = top + math.log(KAPPA_FLOOR) + eps
+    return sizes, theta
+
+
+class TestKernelMatchesReference:
+    """softmax, the entropy vector, the alpha objective and Nelder-Mead
+    reproduce their numpy-wrapper references in tests/helpers.py bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(peaked_thetas())
+    def test_softmax_and_entropy_vector(self, case):
+        sizes, theta = case
+        p = softmax(theta)
+        assert p.tobytes() == softmax_by_np_max(theta).tobytes()
+        ev = DistributionObjective(KERNEL_FRAME, sizes)
+        assert ev.entropy_vector(p).tobytes() == entropy_vector_by_tile(ev, p).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(peaked_thetas(), st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+    def test_alpha_objective_both_branches(self, case, direction):
+        sizes, theta = case
+        if math.hypot(*direction) < 1e-3:
+            direction = (0.0, 0.0, 1.0)
+        ev = DistributionObjective(KERNEL_FRAME, sizes)
+        p = softmax(theta)
+        # d and -d put a nonzero component of the point along the ray on
+        # opposite sides, so each example runs both branches
+        for d in (direction, tuple(-x for x in direction)):
+            got, want = [], []
+            value = ev.make_objective("alpha_in_direction", d, got)(p)
+            ref = alpha_objective_by_norm(ev, d, want)(p)
+            assert float(value).hex() == float(ref).hex()
+            assert got == want
+
+    def test_atom_table_is_read_only(self):
+        table = _atom_table(16, 15)
+        assert table.tobytes() == np.tile(np.arange(16), 15).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+    @pytest.mark.parametrize("sizes", KERNEL_ALPHABETS)
+    @pytest.mark.parametrize("objective", ["pipeline_score", "alpha_in_direction"])
+    def test_search_matches_reference(self, frame, sizes, objective):
+        ev = DistributionObjective(frame, sizes)
+        theta0 = np.random.default_rng(sum(sizes)).normal(size=ev.n_atoms)
+        budget = ev.n_atoms + 300
+        direction = (0.3, -0.2, 0.9)
+        got, want = [], []
+        if objective == "alpha_in_direction":
+            new_obj = ev.make_objective(objective, direction, got)
+            ref_obj = alpha_objective_by_norm(ev, direction, want)
+        else:
+            new_obj = ev.make_objective(objective)
+
+            def ref_obj(p):
+                return ev.score_from_entropy(entropy_vector_by_tile(ev, p), objective)
+        new = nelder_mead(lambda th: new_obj(softmax(th)), theta0, budget)
+        ref = nelder_mead_by_mean(lambda th: ref_obj(softmax_by_np_max(th)), theta0, budget)
+        assert new[0].tobytes() == ref[0].tobytes()
+        assert new[1].hex() == ref[1].hex()
+        assert new[2:] == ref[2:]
+        assert got == want
 
 
 class TestSearchConfigCounts:
