@@ -1,10 +1,20 @@
 """Entropy functions of finite random vectors and two closed-form families.
 
+A :class:`JointDistribution` is two read-only arrays in insertion order: an
+int64 (k, n) array of configurations and a float64 (k,) array of their
+probabilities.  Construction validates both with array expressions
+(arity, integer symbols, range, duplicates through their mixed-radix cell
+index, finiteness, the -1e-12 clamp and a left-to-right sum);
+:meth:`JointDistribution.from_dense` pairs a dense vector with a cached
+configuration grid per alphabet, and the file readers and writers go
+straight between rows and the arrays.  The ``atoms`` mapping is a read-only
+view built only when asked for.
+
 The generic path goes distribution -> marginals -> Shannon entropies (nats):
 :func:`marginal_index` numbers the cells of every marginal at once, and
 :func:`subset_entropies` turns atom probabilities into all marginal entropies
 with one bincount.  The search engine evaluates entropies through the same
-two functions.
+two functions, over the same configuration grid.
 
 On top of that sit the two hand-analyzed families used throughout the Ingleton
 score experiments:
@@ -26,8 +36,10 @@ import json
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import chain
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -55,48 +67,147 @@ def kappa(u: float) -> float:
     return -u * math.log(u)
 
 
-@dataclass(frozen=True)
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _checked_sizes(ground: GroundSet, alphabet_sizes) -> tuple[int, ...]:
+    """Alphabet sizes as Python ints: one positive integer per variable
+    (numpy integers accepted, bools and floats rejected) and at most
+    MAX_CELLS cells in all."""
+    sizes = tuple(alphabet_sizes)
+    if len(sizes) != ground.n or not all(_is_integer(s) and s >= 1 for s in sizes):
+        raise ValueError(f"need {ground.n} positive integer alphabet sizes, "
+                         f"got {alphabet_sizes!r}")
+    sizes = tuple(int(s) for s in sizes)
+    n_cells = math.prod(sizes)
+    if n_cells > MAX_CELLS:
+        raise ValueError(f"product alphabet has {n_cells} cells, exceeding "
+                         f"the {MAX_CELLS} guard")
+    return sizes
+
+
+def _config_array(rows: list, n: int) -> np.ndarray:
+    """Configuration rows as a (k, n) int64 array.
+
+    Every row must have n entries, and every entry must be an integer
+    (numpy integers accepted, bools and floats rejected).
+    """
+    try:
+        arities = set(map(len, rows))
+        types = set(map(type, chain.from_iterable(rows)))
+    except TypeError:
+        raise ValueError("configurations must be sequences of integers") from None
+    if arities - {n}:
+        bad = next(row for row in rows if len(row) != n)
+        raise ValueError(f"configuration {tuple(bad)} has wrong arity")
+    if not all(issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in types):
+        raise ValueError(f"configuration entries must be integers, got "
+                         f"{sorted(t.__name__ for t in types)}")
+    try:
+        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    except OverflowError:
+        raise ValueError("configuration entry outside every alphabet") from None
+
+
+def _checked_configs(configs: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
+    """``configs`` after checking that every row lies inside the alphabet
+    and that no row repeats."""
+    outside = ((configs < 0) | (configs >= sizes)).any(axis=1)
+    if outside.any():
+        cfg = tuple(configs[outside.argmax()].tolist())
+        raise ValueError(f"configuration {cfg} outside alphabet {sizes}")
+    first = np.unique(np.ravel_multi_index(configs.T, sizes), return_index=True)[1]
+    if len(first) < len(configs):
+        repeated = np.ones(len(configs), dtype=bool)
+        repeated[first] = False
+        raise ValueError(f"duplicate configuration "
+                         f"{tuple(configs[repeated.argmax()].tolist())}")
+    return configs
+
+
+@lru_cache(maxsize=4)
+def _config_grid(sizes: tuple[int, ...]) -> np.ndarray:
+    """Every configuration of the product alphabet, one row per cell in the
+    C order of :meth:`JointDistribution.as_dense`; read-only and shared.
+
+    The cache keeps at most four grids of n int64 entries per cell, and
+    MAX_CELLS bounds the cells.
+    """
+    grid = np.indices(sizes, dtype=np.int64).reshape(len(sizes), -1).T
+    return _read_only(np.ascontiguousarray(grid))[0]
+
+
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Probability mass function over a finite product alphabet.
 
-    ``atoms`` maps configuration tuples (one symbol index per variable, in
-    ground-label order) to probabilities.  Probabilities are nonnegative and
-    sum to one within 1e-12.  Treat instances as immutable.
+    Stored as two read-only arrays in insertion order: ``configs``, one row
+    of symbol indices per atom (int64, shape (k, n), columns in ground-label
+    order), and ``probs``, the atoms' probabilities (float64, shape (k,)).
+    Configurations are distinct and inside the alphabet; probabilities are
+    finite, at least -1e-12 (clamped to 0, keeping -0.0) and sum to one
+    within 1e-12, added in row order.  ``atoms`` is the same data as a
+    read-only mapping, and equality compares that mapping, so it ignores the
+    row order.
     """
 
     ground: GroundSet
     alphabet_sizes: tuple[int, ...]
-    atoms: dict[tuple[int, ...], float]
+    configs: np.ndarray
+    probs: np.ndarray
 
     def __init__(self, ground: GroundSet, alphabet_sizes, atoms: Mapping):
-        sizes = tuple(int(s) for s in alphabet_sizes)
-        if len(sizes) != ground.n or any(s < 1 for s in sizes):
-            raise ValueError(f"need {ground.n} positive alphabet sizes, got {sizes}")
-        n_cells = math.prod(sizes)
-        if n_cells > MAX_CELLS:
-            raise ValueError(f"product alphabet has {n_cells} cells, exceeding "
-                             f"the {MAX_CELLS} guard")
-        clean: dict[tuple[int, ...], float] = {}
-        total = 0.0
-        for cfg, p in atoms.items():
-            cfg = tuple(int(x) for x in cfg)
-            if len(cfg) != ground.n:
-                raise ValueError(f"configuration {cfg} has wrong arity")
-            if any(not 0 <= x < s for x, s in zip(cfg, sizes)):
-                raise ValueError(f"configuration {cfg} outside alphabet {sizes}")
-            p = float(p)
-            if not math.isfinite(p) or p < -1e-12:
-                raise ValueError(f"probability {p} at {cfg} is negative or not finite")
-            p = max(p, 0.0)
-            if cfg in clean:
-                raise ValueError(f"duplicate configuration {cfg}")
-            clean[cfg] = p
-            total += p
+        sizes = _checked_sizes(ground, alphabet_sizes)
+        configs = _checked_configs(_config_array(list(atoms), ground.n), sizes)
+        self._assign(ground, sizes, configs, np.array(list(atoms.values()), dtype=float))
+
+    @classmethod
+    def _from_arrays(cls, ground: GroundSet, alphabet_sizes, configs: np.ndarray,
+                     probs: np.ndarray) -> "JointDistribution":
+        """Validated distribution from a (k, n) int64 configuration array and
+        its k probabilities, without a mapping in between."""
+        sizes = _checked_sizes(ground, alphabet_sizes)
+        d = cls.__new__(cls)
+        d._assign(ground, sizes, _checked_configs(configs, sizes), probs)
+        return d
+
+    def _assign(self, ground: GroundSet, sizes: tuple[int, ...], configs: np.ndarray,
+                probs: np.ndarray) -> None:
+        """Check the probabilities of checked configurations and store both."""
+        if probs.shape != (len(configs),):
+            raise ValueError("need one probability (a number) per configuration")
+        bad = ~np.isfinite(probs) | (probs < -1e-12)
+        if bad.any():
+            at = bad.argmax()
+            raise ValueError(f"probability {float(probs[at])} at "
+                             f"{tuple(configs[at].tolist())} is negative or not finite")
+        # np.where, unlike np.maximum, keeps -0.0 as max(-0.0, 0.0) does
+        probs = np.where(probs < 0.0, 0.0, probs)
+        # accumulate adds left to right, as a running total would
+        total = float(np.add.accumulate(probs)[-1]) if len(probs) else 0.0
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "alphabet_sizes", sizes)
-        object.__setattr__(self, "atoms", clean)
+        object.__setattr__(self, "configs", _read_only(configs)[0])
+        object.__setattr__(self, "probs", _read_only(probs)[0])
+
+    @cached_property
+    def atoms(self) -> Mapping[tuple[int, ...], float]:
+        """Read-only {configuration tuple: probability} view in row order."""
+        return MappingProxyType(dict(zip(map(tuple, self.configs.tolist()),
+                                         self.probs.tolist())))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.ground, self.alphabet_sizes, self.atoms)
+                == (other.ground, other.alphabet_sizes, other.atoms))
+
+    def __reduce__(self):
+        return (self._from_arrays,
+                (self.ground, self.alphabet_sizes, self.configs, self.probs))
 
     @property
     def n_cells(self) -> int:
@@ -105,20 +216,17 @@ class JointDistribution:
     def as_dense(self) -> np.ndarray:
         """Flat probability vector over all cells, C-order over the alphabet grid."""
         vec = np.zeros(self.n_cells)
-        for cfg, p in self.atoms.items():
-            idx = 0
-            for x, s in zip(cfg, self.alphabet_sizes):
-                idx = idx * s + x
-            vec[idx] = p
+        vec[np.ravel_multi_index(self.configs.T, self.alphabet_sizes)] = self.probs
         return vec
 
     @classmethod
     def from_dense(cls, ground: GroundSet, alphabet_sizes, vec) -> "JointDistribution":
-        sizes = tuple(int(s) for s in alphabet_sizes)
-        vec = np.asarray(vec, dtype=float).reshape(sizes)
-        atoms = {tuple(int(i) for i in idx): float(p)
-                 for idx, p in np.ndenumerate(vec)}
-        return cls(ground, sizes, atoms)
+        """Distribution with one atom per cell of the grid, zero cells included."""
+        sizes = _checked_sizes(ground, alphabet_sizes)
+        d = cls.__new__(cls)
+        d._assign(ground, sizes, _config_grid(sizes),
+                  np.asarray(vec, dtype=float).reshape(math.prod(sizes)))
+        return d
 
 
 def marginal_index(configs: np.ndarray, sizes,
@@ -180,9 +288,8 @@ def subset_entropies(p: np.ndarray, flat_idx: np.ndarray, starts: np.ndarray,
 
 def entropy_function(d: JointDistribution) -> SetFunction:
     """Entropy function of a joint distribution: I -> H(marginal on I), in nats."""
-    live = [(cfg, p) for cfg, p in d.atoms.items() if p > 0.0]
-    configs = np.array([cfg for cfg, _ in live], dtype=np.int64)
-    probs = np.array([p for _, p in live])
+    live = d.probs > 0.0
+    configs, probs = d.configs[live], d.probs[live]
     vals = np.zeros(d.ground.size)
     step = max(1, INDEX_CHUNK // len(probs))
     for lo in range(1, d.ground.size, step):
@@ -345,10 +452,16 @@ def load_exl_table() -> tuple[tuple[str, tuple[str, ...]], ...]:
 # JSON mirror: {"labels": [...], "alphabet_sizes": [...],
 #               "atoms": [{"config": [...], "prob": ...}, ...]}
 
+def _sorted_rows(d: JointDistribution) -> tuple[list, list]:
+    """Configurations (lists of ints) and probabilities (floats), sorted by
+    configuration."""
+    order = np.lexsort(d.configs.T[::-1])
+    return d.configs[order].tolist(), d.probs[order].tolist()
+
+
 def distribution_to_csv(d: JointDistribution) -> str:
     lines = [",".join([f"x_{lab}" for lab in d.ground.labels] + ["prob"])]
-    for cfg in sorted(d.atoms):
-        lines.append(",".join([str(x) for x in cfg] + [repr(d.atoms[cfg])]))
+    lines += [",".join([*map(str, cfg), repr(p)]) for cfg, p in zip(*_sorted_rows(d))]
     return "\n".join(lines) + "\n"
 
 
@@ -356,27 +469,27 @@ def distribution_from_csv(text: str, alphabet_sizes=None) -> JointDistribution:
     rows = list(csv.reader(line for line in text.splitlines() if line.strip()))
     if not rows:
         raise ValueError("empty distribution CSV")
-    header = rows[0]
+    header, body = rows[0], rows[1:]
     if header[-1] != "prob" or not all(h.startswith("x_") for h in header[:-1]):
         raise ValueError(f"bad distribution header: {header}")
     ground = GroundSet(h[2:] for h in header[:-1])
-    atoms = {}
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise ValueError(f"bad row {row}")
-        cfg = tuple(int(x) for x in row[:-1])
-        atoms[cfg] = float(row[-1])
+    bad = next((row for row in body if len(row) != len(header)), None)
+    if bad is not None:
+        raise ValueError(f"bad row {bad}")
+    configs = _config_array([[int(x) for x in row[:-1]] for row in body], ground.n)
+    probs = np.array([float(row[-1]) for row in body])
     if alphabet_sizes is None:
-        alphabet_sizes = tuple(max(cfg[b] for cfg in atoms) + 1 for b in range(ground.n))
-    return JointDistribution(ground, alphabet_sizes, atoms)
+        if not body:
+            raise ValueError("distribution CSV has no atoms")
+        alphabet_sizes = tuple((configs.max(axis=0) + 1).tolist())
+    return JointDistribution._from_arrays(ground, alphabet_sizes, configs, probs)
 
 
 def distribution_to_json(d: JointDistribution) -> dict:
     return {
         "labels": list(d.ground.labels),
         "alphabet_sizes": list(d.alphabet_sizes),
-        "atoms": [{"config": list(cfg), "prob": float(p)}
-                  for cfg, p in sorted(d.atoms.items())],
+        "atoms": [{"config": cfg, "prob": p} for cfg, p in zip(*_sorted_rows(d))],
     }
 
 
@@ -384,15 +497,17 @@ def distribution_from_json(data: dict) -> JointDistribution:
     try:
         ground = GroundSet(data["labels"])
         sizes = data["alphabet_sizes"]
-        atoms = {tuple(a["config"]): a["prob"] for a in data["atoms"]}
-        symbols = [*sizes, *(x for cfg in atoms for x in cfg)]
+        configs = [a["config"] for a in data["atoms"]]
+        probs = [a["prob"] for a in data["atoms"]]
+        symbols = [*sizes, *chain.from_iterable(configs)]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distribution document: {exc}") from exc
-    if not (all(isinstance(x, numbers.Integral) for x in symbols)
-            and all(isinstance(p, numbers.Real) for p in atoms.values())):
+    if not (all(map(_is_integer, symbols))
+            and all(isinstance(p, numbers.Real) for p in probs)):
         raise ValueError("malformed distribution document: alphabet sizes and "
                          "configurations need integers, probabilities numbers")
-    return JointDistribution(ground, sizes, atoms)
+    return JointDistribution._from_arrays(ground, sizes, _config_array(configs, ground.n),
+                                          np.array(probs, dtype=float))
 
 
 def save_distribution(d: JointDistribution, path) -> None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
@@ -34,7 +35,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..core import _modular_values
-from ..entropy import JointDistribution, entropy_function, marginal_index, subset_entropies
+from ..entropy import (
+    JointDistribution,
+    _config_grid,
+    _is_integer,
+    entropy_function,
+    marginal_index,
+    subset_entropies,
+)
 from ..frame import (
     DEGENERATE_TOL,
     CrossSectionPoint,
@@ -55,10 +63,6 @@ DIRECTION_PENALTY = 8.0
 #: largest alphabet product a search accepts: the Nelder-Mead simplex holds
 #: (atoms + 1) * atoms float64s per worker, 128 MiB at 8^4 = 4096 atoms
 MAX_ATOMS = 4096
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _as_tuple(x) -> tuple:
@@ -142,7 +146,14 @@ class SearchConfig:
                     or not any(d) or not all(map(math.isfinite, d))):
                 raise ValueError(f"direction must be a finite nonzero 3-vector: "
                                  f"{self.direction!r}")
-            object.__setattr__(self, "direction", tuple(float(x) for x in d))
+            d = tuple(float(x) for x in d)
+            # make_objective divides by the norm, sqrt(d . d): a d . d that
+            # underflows (to 0 or a subnormal) or overflows loses the ray
+            dd = sum(x * x for x in d)
+            if not (sys.float_info.min <= dd and math.isfinite(dd)):
+                raise ValueError(f"direction must be a finite nonzero 3-vector whose "
+                                 f"squared norm is a normal double: {self.direction!r}")
+            object.__setattr__(self, "direction", d)
 
     def to_json(self) -> dict:
         out = {
@@ -202,8 +213,8 @@ class DistributionObjective:
         self.frame = frame
         self.sizes = sizes
         self.n_atoms = math.prod(sizes)
-        configs = np.indices(sizes).reshape(len(sizes), -1).T
-        self._flat_idx, self._offsets, self._n_cells = marginal_index(configs, sizes)
+        self._flat_idx, self._offsets, self._n_cells = marginal_index(_config_grid(sizes),
+                                                                      sizes)
 
         eye = np.eye(frame.ground.size)
         pipeline = pipeline_operator(frame)

@@ -174,15 +174,21 @@ def outer_region(bank: Sequence[CrossSectionHalfspace]) -> Polytope3:
     Solves the 3x3 systems of every triple of constraint boundaries with
     |det| >= 1e-12 in one batch, keeps the feasible solutions, and hulls
     them.  An empty bank returns the full simplex; an infeasible bank returns
-    the explicit empty polytope.
+    the explicit empty polytope.  Coefficients so large that a solved vertex
+    or a margin overflows raise ValueError.
     """
     normals, offsets, _ = _affine_constraints(bank)
     triples = np.array(list(combinations(range(len(normals)), 3)))
-    triples = triples[np.abs(np.linalg.det(normals[triples])) >= 1e-12]
-    # b as a stack of columns: the same broadcasting on numpy 1.x and 2.x
-    x = np.linalg.solve(normals[triples], -offsets[triples][..., None])[..., 0]
-    # one (m, 3) @ (3,) product per solution: (K, 3) @ (3, m) rounds differently
-    margins = (normals @ x[..., None])[..., 0] + offsets
+    # huge coefficients overflow below; the finiteness test reports that
+    with np.errstate(over="ignore", invalid="ignore"):
+        triples = triples[np.abs(np.linalg.det(normals[triples])) >= 1e-12]
+        # b as a stack of columns: the same broadcasting on numpy 1.x and 2.x
+        x = np.linalg.solve(normals[triples], -offsets[triples][..., None])[..., 0]
+        # one (m, 3) @ (3,) product per solution: (K, 3) @ (3, m) rounds differently
+        margins = (normals @ x[..., None])[..., 0] + offsets
+    if not (np.isfinite(x).all() and np.isfinite(margins).all()):
+        raise ValueError("outer region vertices or margins are not finite: the "
+                         "halfspace coefficients overflow, rescale them")
     candidates = x[np.min(margins, axis=1) >= -FEASIBILITY_TOL]
     if not len(candidates):
         return Polytope3((), (), -1)

@@ -1,9 +1,12 @@
 """Shared generators and independent oracles for the test suite."""
 
+import csv
 import math
+import numbers
+from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy.spatial import QhullError
@@ -32,7 +35,13 @@ from entropy_toolkit.core import (
     _modular_values,
     is_modular,
 )
-from entropy_toolkit.entropy import INDEX_CHUNK, KAPPA_FLOOR, marginal_index
+from entropy_toolkit.entropy import (
+    INDEX_CHUNK,
+    KAPPA_FLOOR,
+    MAX_CELLS,
+    marginal_index,
+    subset_entropies,
+)
 from entropy_toolkit.frame import _require_frame_ground
 from entropy_toolkit.inequalities import LinearInequality
 from entropy_toolkit.search.engine import DIRECTION_PENALTY, DistributionObjective
@@ -664,3 +673,138 @@ def fixed_cloud(count: int = 240) -> list[tuple[float, float, float, float]]:
     rows += rows[::17]
     rows += [(a, b + 1e-14, c, d - 1e-14) for a, b, c, d in rows[::23]]
     return rows
+
+
+# --- dict-backed distributions: the array class's reference ----------------------
+
+@dataclass(frozen=True)
+class JointDistributionByDict:
+    """Reference: the dict-backed distribution, validated and densified one
+    atom at a time in Python.
+
+    Probability mass function over a finite product alphabet.
+
+    ``atoms`` maps configuration tuples (one symbol index per variable, in
+    ground-label order) to probabilities.  Probabilities are nonnegative and
+    sum to one within 1e-12.  Treat instances as immutable.
+    """
+
+    ground: GroundSet
+    alphabet_sizes: tuple[int, ...]
+    atoms: dict[tuple[int, ...], float]
+
+    def __init__(self, ground: GroundSet, alphabet_sizes, atoms: Mapping):
+        sizes = tuple(int(s) for s in alphabet_sizes)
+        if len(sizes) != ground.n or any(s < 1 for s in sizes):
+            raise ValueError(f"need {ground.n} positive alphabet sizes, got {sizes}")
+        n_cells = math.prod(sizes)
+        if n_cells > MAX_CELLS:
+            raise ValueError(f"product alphabet has {n_cells} cells, exceeding "
+                             f"the {MAX_CELLS} guard")
+        clean: dict[tuple[int, ...], float] = {}
+        total = 0.0
+        for cfg, p in atoms.items():
+            cfg = tuple(int(x) for x in cfg)
+            if len(cfg) != ground.n:
+                raise ValueError(f"configuration {cfg} has wrong arity")
+            if any(not 0 <= x < s for x, s in zip(cfg, sizes)):
+                raise ValueError(f"configuration {cfg} outside alphabet {sizes}")
+            p = float(p)
+            if not math.isfinite(p) or p < -1e-12:
+                raise ValueError(f"probability {p} at {cfg} is negative or not finite")
+            p = max(p, 0.0)
+            if cfg in clean:
+                raise ValueError(f"duplicate configuration {cfg}")
+            clean[cfg] = p
+            total += p
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "alphabet_sizes", sizes)
+        object.__setattr__(self, "atoms", clean)
+
+    @property
+    def n_cells(self) -> int:
+        return math.prod(self.alphabet_sizes)
+
+    def as_dense(self) -> np.ndarray:
+        """Flat probability vector over all cells, C-order over the alphabet grid."""
+        vec = np.zeros(self.n_cells)
+        for cfg, p in self.atoms.items():
+            idx = 0
+            for x, s in zip(cfg, self.alphabet_sizes):
+                idx = idx * s + x
+            vec[idx] = p
+        return vec
+
+    @classmethod
+    def from_dense(cls, ground: GroundSet, alphabet_sizes, vec) -> "JointDistributionByDict":
+        sizes = tuple(int(s) for s in alphabet_sizes)
+        vec = np.asarray(vec, dtype=float).reshape(sizes)
+        atoms = {tuple(int(i) for i in idx): float(p)
+                 for idx, p in np.ndenumerate(vec)}
+        return cls(ground, sizes, atoms)
+
+
+def entropy_function_by_dict(d: JointDistributionByDict) -> SetFunction:
+    """Reference: ``entropy_function`` gathering the live atoms from the dict."""
+    live = [(cfg, p) for cfg, p in d.atoms.items() if p > 0.0]
+    configs = np.array([cfg for cfg, _ in live], dtype=np.int64)
+    probs = np.array([p for _, p in live])
+    vals = np.zeros(d.ground.size)
+    step = max(1, INDEX_CHUNK // len(probs))
+    for lo in range(1, d.ground.size, step):
+        masks = np.arange(lo, min(lo + step, d.ground.size))
+        vals[masks] = subset_entropies(
+            probs, *marginal_index(configs, d.alphabet_sizes, masks))
+    return SetFunction(d.ground, vals)
+
+
+def distribution_to_csv_by_dict(d: JointDistributionByDict) -> str:
+    lines = [",".join([f"x_{lab}" for lab in d.ground.labels] + ["prob"])]
+    for cfg in sorted(d.atoms):
+        lines.append(",".join([str(x) for x in cfg] + [repr(d.atoms[cfg])]))
+    return "\n".join(lines) + "\n"
+
+
+def distribution_from_csv_by_dict(text: str, alphabet_sizes=None) -> JointDistributionByDict:
+    rows = list(csv.reader(line for line in text.splitlines() if line.strip()))
+    if not rows:
+        raise ValueError("empty distribution CSV")
+    header = rows[0]
+    if header[-1] != "prob" or not all(h.startswith("x_") for h in header[:-1]):
+        raise ValueError(f"bad distribution header: {header}")
+    ground = GroundSet(h[2:] for h in header[:-1])
+    atoms = {}
+    for row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"bad row {row}")
+        cfg = tuple(int(x) for x in row[:-1])
+        atoms[cfg] = float(row[-1])
+    if alphabet_sizes is None:
+        alphabet_sizes = tuple(max(cfg[b] for cfg in atoms) + 1 for b in range(ground.n))
+    return JointDistributionByDict(ground, alphabet_sizes, atoms)
+
+
+def distribution_to_json_by_dict(d: JointDistributionByDict) -> dict:
+    return {
+        "labels": list(d.ground.labels),
+        "alphabet_sizes": list(d.alphabet_sizes),
+        "atoms": [{"config": list(cfg), "prob": float(p)}
+                  for cfg, p in sorted(d.atoms.items())],
+    }
+
+
+def distribution_from_json_by_dict(data: dict) -> JointDistributionByDict:
+    try:
+        ground = GroundSet(data["labels"])
+        sizes = data["alphabet_sizes"]
+        atoms = {tuple(a["config"]): a["prob"] for a in data["atoms"]}
+        symbols = [*sizes, *(x for cfg in atoms for x in cfg)]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed distribution document: {exc}") from exc
+    if not (all(isinstance(x, numbers.Integral) for x in symbols)
+            and all(isinstance(p, numbers.Real) for p in atoms.values())):
+        raise ValueError("malformed distribution document: alphabet sizes and "
+                         "configurations need integers, probabilities numbers")
+    return JointDistributionByDict(ground, sizes, atoms)

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -488,3 +489,88 @@ class TestMalformedDocuments:
                            "-o", str(tmp_path / "cloud.csv"))
         assert code == 2
         assert "malformed directions document" in err
+
+
+class TestDistributionGoldens:
+    """Distribution files and the entropy file of a distribution, recorded
+    before distributions were array-backed and compared byte for byte."""
+
+    def test_export_fouratom_dist_csv(self, capsys, tmp_path):
+        out = tmp_path / "d.csv"
+        code, _, _ = run(capsys, "export", "--what", "fouratom-dist", "--p", "0.35",
+                         "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == (GOLDENS / "fouratom_dist.csv").read_bytes()
+
+    def test_export_exl_dist_json(self, capsys, tmp_path):
+        out = tmp_path / "d.json"
+        code, _, _ = run(capsys, "export", "--what", "exl-dist", "--default", "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == (GOLDENS / "exl_dist.json").read_bytes()
+
+    def test_entropy_of_3242_csv(self, capsys, tmp_path):
+        out = tmp_path / "h.json"
+        code, _, _ = run(capsys, "entropy", str(GOLDENS / "dist3242.csv"), "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == (GOLDENS / "entropy3242.json").read_bytes()
+
+
+class TestRejectedDistributionFiles:
+    def test_duplicate_csv_rows_exit_two(self, capsys, tmp_path):
+        """A repeated configuration is rejected, not merged into one atom."""
+        dist = tmp_path / "dup.csv"
+        dist.write_text("x_i,x_j,x_k,x_l,prob\n0,0,0,0,0.5\n0,0,0,0,0.5\n1,1,1,1,0.5\n")
+        code, out, err = run(capsys, "entropy", str(dist))
+        assert code == 2
+        assert "duplicate configuration (0, 0, 0, 0)" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("field, value", [("config", [0, 0, 0, True]),
+                                              ("alphabet_sizes", [2, 2, True, 2])])
+    def test_bool_symbols_exit_two(self, capsys, tmp_path, field, value):
+        doc = {"labels": ["i", "j", "k", "l"], "alphabet_sizes": [2, 2, 2, 2],
+               "atoms": [{"config": [0, 0, 0, 0], "prob": 0.5},
+                         {"config": [1, 1, 1, 1], "prob": 0.5}]}
+        if field == "config":
+            doc["atoms"][0]["config"] = value
+        else:
+            doc[field] = value
+        dist = tmp_path / "d.json"
+        dist.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "entropy", str(dist))
+        assert code == 2
+        assert "malformed distribution document" in err
+
+
+class TestOverflowingInput:
+    @pytest.mark.parametrize("direction", [[1e-200, 0, 0], [1e200, 0, 0]])
+    def test_config_direction_exits_two(self, capsys, tmp_path, direction):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "res.json"
+        cfg.write_text(json.dumps({"alphabet_sizes": [2, 2, 2, 2], "restarts": 1,
+                                   "budget_evals": 40, "objective": "raw_score",
+                                   "direction": direction}))
+        code, _, err = run(capsys, "minimize", "--config", str(cfg), "-o", str(out))
+        assert code == 2
+        assert "squared norm is a normal double" in err
+        assert not out.exists()
+
+    def test_directions_file_exits_two(self, capsys, tmp_path):
+        dirs, out = tmp_path / "dirs.json", tmp_path / "cloud.csv"
+        dirs.write_text("[[1, 0, 0], [1e-200, 0, 0]]")
+        code, _, err = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "1",
+                           "--budget", "20", "--directions-file", str(dirs),
+                           "-o", str(out))
+        assert code == 2
+        assert "squared norm is a normal double" in err
+        assert not out.exists()
+
+    def test_outer_huge_coefficients_exit_two(self, capsys, tmp_path):
+        bank = tmp_path / "bank.json"
+        bank.write_text('[{"name": "huge", "abcd": [1e308, -1e308, 1e308, 1e308]}]')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "outer", "--dfz-max-s", "1",
+                                 "--ineq-file", str(bank))
+        assert code == 2
+        assert "not finite" in err
+        assert "region vertices" not in out

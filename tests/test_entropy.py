@@ -1,6 +1,8 @@
 """Entropy functions, the four-atom family and the forty-configuration family."""
 
+import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -31,7 +33,17 @@ from entropy_toolkit import entropy as entropy_mod
 from entropy_toolkit.core import TOL_ENTROPIC
 from entropy_toolkit.search.engine import DistributionObjective
 
-from helpers import entropy_by_dict_marginals, entropy_function_by_tile, rand_distribution
+from helpers import (
+    JointDistributionByDict,
+    distribution_from_csv_by_dict,
+    distribution_from_json_by_dict,
+    distribution_to_csv_by_dict,
+    distribution_to_json_by_dict,
+    entropy_by_dict_marginals,
+    entropy_function_by_dict,
+    entropy_function_by_tile,
+    rand_distribution,
+)
 
 LN2 = math.log(2.0)
 
@@ -288,3 +300,255 @@ class TestMarginalIndex:
         d = JointDistribution(ground, (2, 2, 2, 2),
                               {(0, 0, 0, 0): 0.5, (1, 1, 1, 1): 0.5, (0, 1, 0, 1): 0.0})
         assert np.allclose(entropy_function(d).values[1:], LN2, atol=1e-15)
+
+
+# --- array-backed distributions against the dict-backed reference ------------
+
+ALPHABETS = st.one_of(st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+                      st.just((3, 2, 4, 2)))
+
+#: probabilities that sit on the edges of the constructor's checks
+EDGE_PROBS = [0.0, -0.0, -1e-13, -1e-12, -1.0000000000000002e-12, -2e-12, 5e-13,
+              math.nan, math.inf]
+
+
+def _close_sum(draw, probs: list) -> None:
+    """Set the last probability so that the running total of the clamped
+    probabilities lands a few ulps around 1 or 1 +- 1e-12."""
+    target = draw(st.sampled_from([None, 1.0, 1.0 + 1e-12, 1.0 - 1e-12]))
+    if target is None or len(probs) < 2:
+        return
+    total = 0.0
+    for p in probs[:-1]:
+        total += max(p, 0.0)
+    last = target - total
+    for _ in range(draw(st.integers(0, 3))):
+        last = math.nextafter(last, draw(st.sampled_from([math.inf, -math.inf])))
+    probs[-1] = last
+
+
+@st.composite
+def atom_lists(draw):
+    """(ground, alphabet sizes, [(configuration, probability), ...]) in
+    insertion order, with signed and tiny negative zeros, sums on the 1e-12
+    edge, and now and then a configuration of the wrong arity, one outside
+    the alphabet or a repeated one."""
+    sizes = draw(ALPHABETS)
+    n, cells = len(sizes), math.prod(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, min(cells, 40)))
+    configs = [tuple(int(x) for x in np.unravel_index(c, sizes))
+               for c in rng.permutation(cells)[:k]]
+    probs = rng.dirichlet(np.ones(k)).tolist()
+    for i in draw(st.lists(st.integers(0, k - 1), max_size=3)):
+        probs[i] = draw(st.sampled_from(EDGE_PROBS))
+    _close_sum(draw, probs)
+    fault = draw(st.sampled_from([None, None, None, "arity", "range", "repeat"]))
+    i = draw(st.integers(0, k - 1))
+    if fault == "arity":
+        configs[i] = configs[i] + (0,) if draw(st.booleans()) else configs[i][:-1]
+    elif fault == "range":
+        b = draw(st.integers(0, n - 1))
+        bad = draw(st.sampled_from([sizes[b], -1, sizes[b] + 7]))
+        configs[i] = configs[i][:b] + (bad,) + configs[i][b + 1:]
+    elif fault == "repeat":
+        configs[i] = configs[draw(st.integers(0, k - 1))]
+    return GroundSet("ijkl"[:n]), sizes, list(zip(configs, probs))
+
+
+@st.composite
+def dense_vectors(draw):
+    """(ground, sizes, dense vector) with zeros, signed zeros, tiny negative
+    entries and sums on the 1e-12 edge."""
+    sizes = draw(ALPHABETS)
+    cells = math.prod(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    vec = rng.dirichlet(np.ones(cells)) * (rng.random(cells) < draw(st.floats(0.2, 1.0)))
+    if vec.sum() == 0.0:
+        vec[0] = 1.0
+    vec = (vec / vec.sum()).tolist()
+    for i in draw(st.lists(st.integers(0, cells - 1), max_size=3)):
+        vec[i] = draw(st.sampled_from(EDGE_PROBS))
+    _close_sum(draw, vec)
+    return GroundSet("ijkl"[:len(sizes)]), sizes, vec
+
+
+def _build(make):
+    try:
+        return make()
+    except ValueError:
+        return None
+
+
+def _items(d) -> list:
+    """Atoms in order, probabilities by their bits (signed zeros included)."""
+    return [(cfg, float(p).hex()) for cfg, p in d.atoms.items()]
+
+
+def assert_same_distribution(new: JointDistribution, old: JointDistributionByDict):
+    assert new.alphabet_sizes == old.alphabet_sizes
+    assert _items(new) == _items(old)
+    assert new.as_dense().tobytes() == old.as_dense().tobytes()
+    assert entropy_function(new).values.tobytes() == \
+        entropy_function_by_dict(old).values.tobytes()
+    text = distribution_to_csv(new)
+    assert text == distribution_to_csv_by_dict(old)
+    doc = json.dumps(distribution_to_json(new))
+    assert doc == json.dumps(distribution_to_json_by_dict(old))
+    for sizes in (None, new.alphabet_sizes):
+        assert_same_outcome(lambda: distribution_from_csv(text, sizes),
+                            lambda: distribution_from_csv_by_dict(text, sizes))
+    assert_same_outcome(lambda: distribution_from_json(json.loads(doc)),
+                        lambda: distribution_from_json_by_dict(json.loads(doc)))
+
+
+def assert_same_outcome(make_new, make_old):
+    new, old = _build(make_new), _build(make_old)
+    assert (new is None) == (old is None)
+    if new is not None:
+        assert _items(new) == _items(old)
+        assert new.alphabet_sizes == old.alphabet_sizes
+
+
+class TestArrayDistributionMatchesDicts:
+    """Decisions and every derived output are the dict-backed reference's,
+    bit for bit; only repeated configurations in files are new rejections."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(atom_lists())
+    def test_mapping_constructor(self, case):
+        ground, sizes, pairs = case
+        atoms = dict(pairs)
+        new = _build(lambda: JointDistribution(ground, sizes, atoms))
+        old = _build(lambda: JointDistributionByDict(ground, sizes, atoms))
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert_same_distribution(new, old)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dense_vectors())
+    def test_from_dense(self, case):
+        ground, sizes, vec = case
+        new = _build(lambda: JointDistribution.from_dense(ground, sizes, vec))
+        old = _build(lambda: JointDistributionByDict.from_dense(ground, sizes, vec))
+        assert (new is None) == (old is None)
+        if new is not None:
+            assert_same_distribution(new, old)
+
+    @settings(max_examples=150, deadline=None)
+    @given(atom_lists())
+    def test_readers(self, case):
+        """The same rows as a CSV file and as a JSON document: a repeated
+        configuration is rejected, everything else decided as before."""
+        ground, sizes, pairs = case
+        if any(len(cfg) != ground.n for cfg, _ in pairs):
+            return
+        header = ",".join([f"x_{lab}" for lab in ground.labels] + ["prob"])
+        text = "\n".join([header] + [",".join([*map(str, cfg), repr(p)])
+                                     for cfg, p in pairs]) + "\n"
+        doc = {"labels": list(ground.labels), "alphabet_sizes": list(sizes),
+               "atoms": [{"config": list(cfg), "prob": p} for cfg, p in pairs]}
+        readers = [(lambda: distribution_from_csv(text, sizes),
+                    lambda: distribution_from_csv_by_dict(text, sizes)),
+                   (lambda: distribution_from_json(doc),
+                    lambda: distribution_from_json_by_dict(doc))]
+        repeated = len({cfg for cfg, _ in pairs}) < len(pairs)
+        for make_new, make_old in readers:
+            if repeated:
+                with pytest.raises(ValueError, match="duplicate configuration"):
+                    make_new()
+            else:
+                assert_same_outcome(make_new, make_old)
+
+    def test_signed_zero_and_clamp(self, ground):
+        atoms = {(0, 0, 0, 0): -0.0, (1, 1, 1, 1): 1.0, (0, 1, 0, 1): -1e-13}
+        d = JointDistribution(ground, (2, 2, 2, 2), atoms)
+        assert _items(d) == _items(JointDistributionByDict(ground, (2, 2, 2, 2), atoms))
+        assert math.copysign(1.0, d.probs[0]) == -1.0
+        assert d.probs[2] == 0.0 and math.copysign(1.0, d.probs[2]) == 1.0
+
+    def test_sum_is_a_running_total(self, ground):
+        """Sixteen probabilities whose running total is 1.000000000001 (over
+        the 1e-12 tolerance) while a pairwise sum gives 1.0000000000009996."""
+        probs = [float.fromhex(h) for h in (
+            "0x1.3e8f972484d87p-5", "0x1.d08866f1b9848p-5", "0x1.50ebc3617ecc3p-3",
+            "0x1.5d867c3ece2a5p-12", "0x1.0f13d2eb5a9ffp-7", "0x1.7db3ed61b9964p-5",
+            "0x1.2740d47c625dfp-4", "0x1.4251565073153p-5", "0x1.be5aa80b70c7dp-5",
+            "0x1.56fdff1add3adp-4", "0x1.a4abb98469779p-6", "0x1.d83c36d69ad97p-4",
+            "0x1.076eb0ca80207p-8", "0x1.6a9e93d98ce60p-5", "0x1.2d345e84b24d2p-3",
+            "0x1.945798a7b414dp-4")]
+        assert abs(float(np.sum(probs)) - 1.0) <= 1e-12
+        atoms = dict(zip(np.ndindex(2, 2, 2, 2), probs))
+        with pytest.raises(ValueError, match="sum to 1.000000000001,"):
+            JointDistributionByDict(ground, (2, 2, 2, 2), atoms)
+        with pytest.raises(ValueError, match="sum to 1.000000000001,"):
+            JointDistribution(ground, (2, 2, 2, 2), atoms)
+        with pytest.raises(ValueError, match="sum to 1.000000000001,"):
+            JointDistribution.from_dense(ground, (2, 2, 2, 2), probs)
+
+    def test_arrays_are_read_only(self, ground):
+        d = four_atom_distribution(0.3)
+        for arr in (d.configs, d.probs):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(TypeError):
+            d.atoms[(0, 0, 0, 0)] = 1.0
+        assert d.configs.dtype == np.int64 and d.configs.shape == (4, 4)
+
+    def test_equality_ignores_order(self, ground):
+        a = JointDistribution(ground, (2, 2, 2, 2), {(0, 0, 0, 0): 0.5, (1, 1, 1, 1): 0.5})
+        b = JointDistribution(ground, (2, 2, 2, 2), {(1, 1, 1, 1): 0.5, (0, 0, 0, 0): 0.5})
+        assert a == b and a.configs.tobytes() != b.configs.tobytes()
+        assert a != JointDistribution(ground, (2, 2, 2, 3), dict(a.atoms))
+        assert pickle.loads(pickle.dumps(b)) == a
+
+    def test_from_dense_reuses_one_grid(self, ground):
+        a = JointDistribution.from_dense(ground, (3, 2, 4, 2), np.full(48, 1 / 48))
+        b = JointDistribution.from_dense(ground, (3, 2, 4, 2), np.full(48, 1 / 48))
+        assert a.configs is b.configs
+
+
+class TestRejectedDistributions:
+    """Inputs the dict-backed class accepted by truncating or merging."""
+
+    def test_repeated_csv_rows(self):
+        text = "x_i,x_j,x_k,x_l,prob\n0,0,0,0,0.5\n0,0,0,0,0.5\n1,1,1,1,0.5\n"
+        with pytest.raises(ValueError, match=r"duplicate configuration \(0, 0, 0, 0\)"):
+            distribution_from_csv(text)
+
+    def test_repeated_json_atoms(self):
+        doc = {"labels": ["i", "j"], "alphabet_sizes": [2, 2],
+               "atoms": [{"config": [0, 1], "prob": 0.5}, {"config": [0, 1], "prob": 0.5},
+                         {"config": [1, 1], "prob": 0.5}]}
+        with pytest.raises(ValueError, match=r"duplicate configuration \(0, 1\)"):
+            distribution_from_json(doc)
+
+    @pytest.mark.parametrize("sizes", [(2.7, 2, 2, 2), (2.0, 2, 2, 2), (True, 2, 2, 2),
+                                       ("2", 2, 2, 2), (np.float64(2), 2, 2, 2)])
+    def test_non_integral_alphabet_sizes(self, ground, sizes):
+        with pytest.raises(ValueError, match="positive integer alphabet sizes"):
+            JointDistribution(ground, sizes, {(0, 0, 0, 0): 1.0})
+        with pytest.raises(ValueError, match="positive integer alphabet sizes"):
+            JointDistribution.from_dense(ground, sizes, np.full(16, 1 / 16))
+
+    @pytest.mark.parametrize("cfg", [(0.9, 0, 0, 0), (0.0, 0, 0, 0), (True, 0, 0, 0),
+                                     (np.float64(1), 0, 0, 0), ("1", 0, 0, 0)])
+    def test_non_integral_configurations(self, ground, cfg):
+        with pytest.raises(ValueError, match="must be integers"):
+            JointDistribution(ground, (2, 2, 2, 2), {cfg: 1.0})
+
+    def test_issue_example(self, ground):
+        """Once accepted as alphabet (2, 2, 2, 2) with atom (0, 0, 0, 0)."""
+        with pytest.raises(ValueError):
+            JointDistribution(ground, (2.7, 2, 2, 2), {(0.9, 0, 0, 0): 1.0})
+
+    def test_numpy_integers_accepted(self, ground):
+        d = JointDistribution(ground, np.array([2, 2, 2, 2]),
+                              {tuple(np.int64(x) for x in (1, 0, 1, 0)): 1.0})
+        assert d.alphabet_sizes == (2, 2, 2, 2)
+        assert all(type(s) is int for s in d.alphabet_sizes)
+        assert d == JointDistribution(ground, (2, 2, 2, 2), {(1, 0, 1, 0): 1.0})
+
+    def test_huge_configuration_entry(self, ground):
+        with pytest.raises(ValueError, match="outside"):
+            JointDistribution(ground, (2, 2, 2, 2), {(2**70, 0, 0, 0): 1.0})

@@ -1,6 +1,7 @@
 """Convex hulls of section points and halfspace outer regions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +263,22 @@ class TestRejectedInputs:
     def test_non_finite_weights(self, row):
         with pytest.raises(ValueError, match="non-finite"):
             convex_hull_3d(SIMPLEX + [row])
+
+    @pytest.mark.parametrize("abcd", [(1e308, -1e308, 1e308, 1e308),
+                                      (-1e308, 1e308, 1e308, 1e308),
+                                      (0.0, 1e308, 1e308, 1e308)])
+    def test_overflowing_coefficients(self, abcd):
+        """Finite coefficients whose chart normals (the first two) or margins
+        (the third) overflow are an error, not a silently smaller region."""
+        bank = [dfz_halfspace(1), CrossSectionHalfspace("huge", *abcd)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not finite"):
+                outer_region(bank)
+
+    def test_large_but_finite_coefficients_kept(self):
+        """Scaling a halfspace by 1e300 gives the same region up to rounding."""
+        scaled = outer_region([CrossSectionHalfspace("scaled", 1e300, -1e300, 1e300, 1e300)])
+        plain = outer_region([CrossSectionHalfspace("plain", 1.0, -1.0, 1.0, 1.0)])
+        assert len(scaled.vertices) == len(plain.vertices) == 6
+        assert np.allclose(scaled.vertices, plain.vertices, rtol=0.0, atol=1e-15)

@@ -740,3 +740,36 @@ class TestRestartTasks:
         for (v1, p1, e1, c1, w1), (v2, p2, e2, c2, w2) in zip(serial, pooled, strict=True):
             assert (v1, e1, c1, w1) == (v2, e2, c2, w2)
             assert np.array_equal(p1, p2)
+
+
+class TestDirectionNormRange:
+    """make_objective divides a direction by sqrt(d . d): a squared norm that
+    underflows or overflows would lose the ray, so such directions are
+    rejected up front."""
+
+    @pytest.mark.parametrize("direction", [
+        (1e-200, 0.0, 0.0),      # d . d underflows to 0
+        (1e-160, 0.0, 0.0),      # d . d is subnormal
+        (1e200, 0.0, 0.0),       # d . d overflows
+        (1e154, 1e154, 1e154),   # each square is finite, the sum is not
+    ])
+    def test_rejected(self, direction):
+        with pytest.raises(ValueError, match="squared norm is a normal double"):
+            SearchConfig(objective="alpha_in_direction", direction=direction)
+        with pytest.raises(ValueError, match="squared norm is a normal double"):
+            SearchConfig.from_json({"objective": "raw_score", "direction": list(direction)})
+
+    @pytest.mark.parametrize("direction", [(1e-150, 0.0, 0.0), (1e150, 0.0, 0.0),
+                                           (0.0, -3e-154, 0.0)])
+    def test_extreme_but_normal_accepted(self, direction):
+        cfg = SearchConfig(objective="alpha_in_direction", direction=direction)
+        assert cfg.direction == direction
+
+    def test_scaled_direction_gives_the_same_objective(self, frame, rng):
+        """A direction accepted at an extreme scale evaluates like the unit one."""
+        ev = DistributionObjective(frame, (2, 2, 2, 2))
+        p = rng.dirichlet(np.ones(16))
+        unit = ev.make_objective("alpha_in_direction", (1.0, 0.0, 0.0))(p)
+        for scale in (1e-150, 1e150):
+            cfg = SearchConfig(objective="alpha_in_direction", direction=(scale, 0.0, 0.0))
+            assert ev.make_objective(cfg.objective, cfg.direction)(p) == unit
