@@ -476,6 +476,10 @@ def distribution_from_csv(text: str, alphabet_sizes=None) -> JointDistribution:
     bad = next((row for row in body if len(row) != len(header)), None)
     if bad is not None:
         raise ValueError(f"bad row {bad}")
+    # int() and float() read "1_0" as 10 and "0_5" as 0.5
+    bad = next((row for row in body if any("_" in field for field in row)), None)
+    if bad is not None:
+        raise ValueError(f"bad row {bad}: underscore in a number")
     configs = _config_array([[int(x) for x in row[:-1]] for row in body], ground.n)
     probs = np.array([float(row[-1]) for row in body])
     if alphabet_sizes is None:
@@ -503,7 +507,8 @@ def distribution_from_json(data: dict) -> JointDistribution:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distribution document: {exc}") from exc
     if not (all(map(_is_integer, symbols))
-            and all(isinstance(p, numbers.Real) for p in probs)):
+            and all(isinstance(p, numbers.Real) and not isinstance(p, bool)
+                    for p in probs)):
         raise ValueError("malformed distribution document: alphabet sizes and "
                          "configurations need integers, probabilities numbers")
     return JointDistribution._from_arrays(ground, sizes, _config_array(configs, ground.n),

@@ -60,8 +60,11 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 #: weight of the off-ray penalty in the alpha_in_direction objective
 DIRECTION_PENALTY = 8.0
 
-#: largest alphabet product a search accepts: the Nelder-Mead simplex holds
-#: (atoms + 1) * atoms float64s per worker, 128 MiB at 8^4 = 4096 atoms
+#: largest alphabet product a search accepts.  A worker's Nelder-Mead buffer
+#: holds the simplex plus headroom, (atoms + 1) + (atoms // 4 + 1) rows of
+#: atoms float64s (160 MiB at 8^4 = 4096 atoms), and a shrink re-sort or a
+#: diameter test near convergence adds one (atoms + 1) x atoms temporary
+#: (128 MiB): 288 MiB per worker at 8^4
 MAX_ATOMS = 4096
 
 
@@ -124,10 +127,10 @@ class SearchConfig:
             raise ValueError("at least one variable needs an alphabet of size >= 2")
         atoms = math.prod(sizes)
         if atoms > MAX_ATOMS:
-            simplex_mib = (atoms + 1) * atoms * 8 / 2**20
             raise ValueError(
                 f"alphabet {sizes} has {atoms} atoms, above MAX_ATOMS = {MAX_ATOMS}: "
-                f"its Nelder-Mead simplex would take {simplex_mib:,.0f} MiB per worker")
+                f"its Nelder-Mead simplex would take {_simplex_mib(atoms):,.0f} MiB "
+                f"per worker (buffer with headroom plus one simplex-sized temporary)")
         for name in ("restarts", "budget_evals"):
             count = getattr(self, name)
             if isinstance(count, bool) or not isinstance(count, int) or count < 1:
@@ -298,6 +301,33 @@ def softmax(theta: np.ndarray) -> np.ndarray:
     return e
 
 
+def _headroom(dim: int) -> int:
+    """Spare rows above the Nelder-Mead window.  A quarter of the dimension
+    keeps the buffer at 1.25 simplices, so with the one temporary a shrink
+    needs a search peaks at 2.25 simplex-sized arrays (dim spare rows would
+    make it 3), and a recentre, one copy of the window, comes at most once
+    per dim // 4 + 1 upward moves."""
+    return dim // 4 + 1
+
+
+def _simplex_mib(dim: int) -> float:
+    """Peak memory of one Nelder-Mead search at dimension dim, in MiB: the
+    buffer (simplex plus headroom) and one simplex-sized temporary."""
+    rows = (dim + 1 + _headroom(dim)) + (dim + 1)
+    return rows * dim * 8 / 2**20
+
+
+def _move_rows(flat: np.ndarray, vals: np.ndarray, width: int,
+               dst: int, src: int, count: int) -> None:
+    """Copy rows src..src+count-1 of a C-contiguous buffer, given as its 1-D
+    view with rows of ``width``, and their values to rows dst..dst+count-1.
+    On the 1-D view an overlapping copy is one memmove; on the 2-D buffer
+    numpy would first copy the source."""
+    if count:
+        flat[dst * width:(dst + count) * width] = flat[src * width:(src + count) * width]
+        vals[dst:dst + count] = vals[src:src + count]
+
+
 def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
                 budget: int, diam_tol: float = 1e-10,
                 initial_step: float = 0.5) -> tuple[np.ndarray, float, int, bool]:
@@ -308,13 +338,23 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     (an in-flight iteration may finish, so the count can exceed the budget by
     at most dim + 1).  Returns (best_x, best_value, evals, converged).
 
-    The simplex is one ``(dim + 1, dim)`` array whose rows never move; the
-    permutation ``rank`` lists them from best to worst.  Each iteration
-    re-ranks with a stable argsort of the values, so ties keep their previous
-    rank (initially x0 first, then x0 + initial_step * e_b in order of b).  A
-    replacement overwrites the worst row in place, and ``fn`` always gets a
-    fresh array, never a view of the simplex.  A non-finite objective value
-    raises ValueError, because it has no place in that order.
+    The vertices and their values are stored in rank order, best first: a
+    window of ``dim + 1`` rows in a buffer with ``dim // 4 + 1`` spare rows
+    above it.  The centroid sums the first dim rows of the window, a
+    contiguous view, row by row in rank order.  A new vertex with value f
+    replaces the worst at ``vals[:-1].searchsorted(f, side="right")``, after
+    the vertices of equal value, which is where a stable sort of the values
+    puts it; ties thus keep their rank (initially x0 first, then
+    x0 + initial_step * e_b in order of b).  The shorter side of that slot
+    moves by one row: the better rows up into the spare rows, or the worse
+    rows down over the worst.  When no spare row is left, the window is
+    first copied back to the bottom of the buffer (recentred).  A shrink
+    updates the window in place, evaluates rows 1..dim in rank order and
+    re-sorts once with a stable argsort.  A worker thus holds the buffer and,
+    during a shrink re-sort or a diameter test near convergence, one
+    simplex-sized temporary.  ``fn`` always gets a fresh array, never a view
+    of the buffer.  A non-finite objective value raises ValueError, because
+    it has no place in that order.
     """
     def evaluate(x: np.ndarray) -> float:
         value = fn(x)
@@ -322,53 +362,76 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
             raise ValueError(f"objective returned a non-finite value: {value!r}")
         return value
 
+    def sort_window() -> None:
+        order = np.argsort(vals, kind="stable")
+        window[:] = window[order]
+        vals[:] = vals[order]
+
     dim = len(x0)
-    simplex = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
-    simplex[np.arange(1, dim + 1), np.arange(dim)] += initial_step
-    vals = np.array([evaluate(row.copy()) for row in simplex], dtype=float)
-    rank = np.arange(dim + 1)
+    headroom = _headroom(dim)
+    rows = np.empty((headroom + dim + 1, dim))
+    row_vals = np.empty(headroom + dim + 1)
+    flat = rows.reshape(-1)
+    top = headroom
+    window, vals = rows[top:], row_vals[top:]
+    window[:] = np.asarray(x0, dtype=float)
+    window[np.arange(1, dim + 1), np.arange(dim)] += initial_step
+    vals[:] = [evaluate(row.copy()) for row in window]
+    sort_window()
     evals = dim + 1
     converged = False
 
     while evals < budget:
-        rank = rank[np.argsort(vals[rank], kind="stable")]
-        best, second, worst = rank[0], rank[-2], rank[-1]
+        worst = window[-1]
         # The diameter is a max, so the worst vertex alone rules out
         # convergence whenever it is at least diam_tol from the best.
-        if (np.abs(simplex[worst] - simplex[best]).max() < diam_tol
-                and np.abs(simplex - simplex[best]).max() < diam_tol):
-            converged = True
-            break
-        # np.mean without its Python wrapper; summing the rows in rank order
-        # keeps the centroid bit-identical.
-        centroid = np.add.reduce(simplex[rank[:-1]], axis=0) / dim
-        reflected = centroid + (centroid - simplex[worst])
+        if np.abs(worst - window[0]).max() < diam_tol:
+            spread = window - window[0]
+            if np.abs(spread, out=spread).max() < diam_tol:
+                converged = True
+                break
+        # np.mean without its Python wrapper, over the rows in rank order
+        centroid = np.add.reduce(window[:-1], axis=0) / dim
+        reflected = centroid + (centroid - worst)
         f_r = evaluate(reflected)
         evals += 1
-        if f_r < vals[best]:
-            expanded = centroid + 2.0 * (centroid - simplex[worst])
+        if f_r < vals[0]:
+            expanded = centroid + 2.0 * (centroid - worst)
             f_e = evaluate(expanded)
             evals += 1
-            if f_e < f_r:
-                simplex[worst], vals[worst] = expanded, f_e
-            else:
-                simplex[worst], vals[worst] = reflected, f_r
-        elif f_r < vals[second]:
-            simplex[worst], vals[worst] = reflected, f_r
+            new, f_new = (expanded, f_e) if f_e < f_r else (reflected, f_r)
+        elif f_r < vals[-2]:
+            new, f_new = reflected, f_r
         else:
-            contracted = centroid + 0.5 * (simplex[worst] - centroid)
+            contracted = centroid + 0.5 * (worst - centroid)
             f_c = evaluate(contracted)
             evals += 1
-            if f_c < vals[worst]:
-                simplex[worst], vals[worst] = contracted, f_c
+            if f_c < vals[-1]:
+                new, f_new = contracted, f_c
             else:
-                simplex = simplex[best] + 0.5 * (simplex - simplex[best])
-                for row in rank[1:]:
-                    vals[row] = evaluate(simplex[row].copy())
+                # best + 0.5 * (row - best), computed in place
+                best = window[0].copy()
+                window -= best
+                window *= 0.5
+                window += best
+                vals[1:] = [evaluate(row.copy()) for row in window[1:]]
                 evals += dim
+                sort_window()
+                continue
+        # the slot after the vertices of equal value; the shorter side moves
+        j = int(vals[:-1].searchsorted(f_new, side="right"))
+        if j < dim - j:
+            if top == 0:  # no spare row left: recentre
+                _move_rows(flat, row_vals, dim, headroom, 0, dim + 1)
+                top = headroom
+            _move_rows(flat, row_vals, dim, top - 1, top, j)
+            top -= 1
+            window, vals = rows[top:top + dim + 1], row_vals[top:top + dim + 1]
+        else:
+            _move_rows(flat, row_vals, dim, top + j + 1, top + j, dim - j)
+        window[j], vals[j] = new, f_new
 
-    best = rank[np.argmin(vals[rank])]
-    return simplex[best].copy(), float(vals[best]), evals, converged
+    return window[0].copy(), float(vals[0]), evals, converged
 
 
 def restart_seed(master_seed: int, restart: int) -> int:

@@ -467,6 +467,83 @@ def nelder_mead_by_mean(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     return simplex[best].copy(), float(vals[best]), evals, converged
 
 
+def nelder_mead_by_rank(fn: Callable[[np.ndarray], float], x0: np.ndarray,
+                        budget: int, diam_tol: float = 1e-10,
+                        initial_step: float = 0.5) -> tuple[np.ndarray, float, int, bool]:
+    """Nelder-Mead descent with the standard coefficient set.
+
+    Reflection 1, expansion 2, contraction 0.5, shrink 0.5.  Stops when the
+    simplex diameter drops below diam_tol or the evaluation budget is spent
+    (an in-flight iteration may finish, so the count can exceed the budget by
+    at most dim + 1).  Returns (best_x, best_value, evals, converged).
+
+    Reference: the array-based search whose rows never move, ranked by a
+    permutation re-sorted every iteration and averaged through a gathered
+    copy of the simplex.
+
+    The simplex is one ``(dim + 1, dim)`` array whose rows never move; the
+    permutation ``rank`` lists them from best to worst.  Each iteration
+    re-ranks with a stable argsort of the values, so ties keep their previous
+    rank (initially x0 first, then x0 + initial_step * e_b in order of b).  A
+    replacement overwrites the worst row in place, and ``fn`` always gets a
+    fresh array, never a view of the simplex.  A non-finite objective value
+    raises ValueError, because it has no place in that order.
+    """
+    def evaluate(x: np.ndarray) -> float:
+        value = fn(x)
+        if not math.isfinite(value):
+            raise ValueError(f"objective returned a non-finite value: {value!r}")
+        return value
+
+    dim = len(x0)
+    simplex = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
+    simplex[np.arange(1, dim + 1), np.arange(dim)] += initial_step
+    vals = np.array([evaluate(row.copy()) for row in simplex], dtype=float)
+    rank = np.arange(dim + 1)
+    evals = dim + 1
+    converged = False
+
+    while evals < budget:
+        rank = rank[np.argsort(vals[rank], kind="stable")]
+        best, second, worst = rank[0], rank[-2], rank[-1]
+        # The diameter is a max, so the worst vertex alone rules out
+        # convergence whenever it is at least diam_tol from the best.
+        if (np.abs(simplex[worst] - simplex[best]).max() < diam_tol
+                and np.abs(simplex - simplex[best]).max() < diam_tol):
+            converged = True
+            break
+        # np.mean without its Python wrapper; summing the rows in rank order
+        # keeps the centroid bit-identical.
+        centroid = np.add.reduce(simplex[rank[:-1]], axis=0) / dim
+        reflected = centroid + (centroid - simplex[worst])
+        f_r = evaluate(reflected)
+        evals += 1
+        if f_r < vals[best]:
+            expanded = centroid + 2.0 * (centroid - simplex[worst])
+            f_e = evaluate(expanded)
+            evals += 1
+            if f_e < f_r:
+                simplex[worst], vals[worst] = expanded, f_e
+            else:
+                simplex[worst], vals[worst] = reflected, f_r
+        elif f_r < vals[second]:
+            simplex[worst], vals[worst] = reflected, f_r
+        else:
+            contracted = centroid + 0.5 * (simplex[worst] - centroid)
+            f_c = evaluate(contracted)
+            evals += 1
+            if f_c < vals[worst]:
+                simplex[worst], vals[worst] = contracted, f_c
+            else:
+                simplex = simplex[best] + 0.5 * (simplex - simplex[best])
+                for row in rank[1:]:
+                    vals[row] = evaluate(simplex[row].copy())
+                evals += dim
+
+    best = rank[np.argmin(vals[rank])]
+    return simplex[best].copy(), float(vals[best]), evals, converged
+
+
 def basis_generators_by_hand(frame: IngletonFrame) -> tuple[SetFunction, ...]:
     """The eleven generators, ordered to match :class:`BasisCoefficients`.
 

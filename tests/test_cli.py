@@ -542,6 +542,33 @@ class TestRejectedDistributionFiles:
         assert "malformed distribution document" in err
 
 
+    def test_bool_probability_exits_two(self, capsys, tmp_path):
+        """JSON true is not the probability 1.0."""
+        dist = tmp_path / "d.json"
+        dist.write_text(json.dumps({"labels": ["i", "j"], "alphabet_sizes": [1, 1],
+                                    "atoms": [{"config": [0, 0], "prob": True}]}))
+        code, out, err = run(capsys, "entropy", str(dist))
+        assert code == 2
+        assert "malformed distribution document" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("row", ["1_0,0,1.0", "0,0,0_5\n1,0,0.5"])
+    def test_underscore_in_csv_number_exits_two(self, capsys, tmp_path, row):
+        """int() and float() accept digit-group underscores; the reader does not."""
+        dist = tmp_path / "d.csv"
+        dist.write_text(f"x_i,x_j,prob\n{row}\n")
+        code, out, err = run(capsys, "entropy", str(dist))
+        assert code == 2
+        assert "underscore" in err
+        assert out == ""
+
+    def test_csv_fields_may_have_surrounding_spaces(self, capsys, tmp_path):
+        dist = tmp_path / "d.csv"
+        dist.write_text("x_i,x_j,prob\n 0 , 1 , 0.5 \n1,0, 0.5\n")
+        code, _, _ = run(capsys, "entropy", str(dist))
+        assert code == 0
+
+
 class TestOverflowingInput:
     @pytest.mark.parametrize("direction", [[1e-200, 0, 0], [1e200, 0, 0]])
     def test_config_direction_exits_two(self, capsys, tmp_path, direction):

@@ -1,8 +1,10 @@
 """Scalar minimization, distribution search, determinism and clouds."""
 
+import hashlib
 import itertools
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -46,6 +48,7 @@ from helpers import (
     entropy_vector_by_tile,
     nelder_mead_by_lists,
     nelder_mead_by_mean,
+    nelder_mead_by_rank,
     rand_distribution,
     softmax_by_np_max,
 )
@@ -219,6 +222,90 @@ class TestNelderMeadReference:
                     regimes.add("shrink")
         assert {"converged", "budget"} <= regimes
         assert "shrink" in regimes or name == "quadratic"
+
+
+def digested(fn):
+    """fn plus the arguments it was called with and a digest of each taken
+    at the call; at dim 256 digests keep the record small."""
+    passed, digests = [], []
+
+    def wrapped(v):
+        passed.append(v)
+        digests.append(hashlib.sha256(v.tobytes()).digest())
+        return fn(v)
+    return wrapped, passed, digests
+
+
+class TestNelderMeadRankOrder:
+    """The rank-ordered buffer reproduces the rank-permutation search bit for
+    bit at dims where rows move both ways, the headroom runs out, and a
+    shrink re-sorts more tied values than a small-array sort would reorder."""
+
+    BUDGETS = {40: (41, 440, 6000), 256: (257, 1500, 9000)}
+
+    @pytest.mark.parametrize("dim", sorted(BUDGETS))
+    def test_matches_rank_reference(self, dim, monkeypatch):
+        moves = []
+        move_rows = engine._move_rows
+
+        def spy(*args):
+            moves.append(args[-3:])  # (dst, src, count)
+            move_rows(*args)
+        monkeypatch.setattr(engine, "_move_rows", spy)
+
+        regimes = set()
+        x0 = np.random.default_rng(dim).normal(size=dim)
+        for name, fn in sorted(TIE_HEAVY.items()):
+            for budget in self.BUDGETS[dim]:
+                ref_fn, _, ref_calls = digested(fn)
+                ref = nelder_mead_by_rank(ref_fn, x0, budget)
+                new_fn, passed, new_calls = digested(fn)
+                moves.clear()
+                x, value, evals, converged = nelder_mead(new_fn, x0, budget)
+
+                assert x.tobytes() == ref[0].tobytes(), (name, budget)
+                assert type(value) is float
+                assert value.hex() == float(ref[1]).hex()
+                assert (evals, converged) == (ref[2], ref[3])
+                assert new_calls == ref_calls
+                # no argument was a view that the search overwrote later
+                assert all(hashlib.sha256(p.tobytes()).digest() == c
+                           for p, c in zip(passed, new_calls))
+                assert x.base is None
+                assert not any(np.shares_memory(x, p) for p in passed)
+
+                regimes.add("converged" if converged else "budget")
+                recentres = [m for m in moves if m[2] == dim + 1]
+                inserts = len(moves) - len(recentres)
+                if recentres:
+                    regimes.add("recentre")
+                if any(dst < src for dst, src, count in moves if 0 < count <= dim):
+                    regimes.add("up")
+                if any(dst > src for dst, src, count in moves if 0 < count <= dim):
+                    regimes.add("down")
+                # an iteration without a shrink inserts one vertex after 1 or 2 evaluations
+                if evals - (dim + 1) > 2 * inserts:
+                    regimes.add("shrink")
+        assert regimes == {"converged", "budget", "recentre", "up", "down", "shrink"}
+
+    def test_peak_memory_as_stated(self):
+        """A search holds its buffer and at most one simplex-sized temporary
+        (a shrink re-sort, a diameter test near convergence), the memory the
+        MAX_ATOMS statement counts."""
+        dim = 400
+        simplex_bytes = (dim + 1) * dim * 8
+        tracemalloc.start()
+        try:
+            # every iteration of a constant objective shrinks
+            assert nelder_mead(lambda v: 0.0, np.zeros(dim), budget=3 * dim)[2] > 2 * dim
+            # diam_tol above the initial diameter: converged at the first test
+            assert nelder_mead(lambda v: float(v.sum()), np.zeros(dim), budget=3 * dim,
+                               diam_tol=1.0)[3]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # numpy's ufunc buffers add a few 64 KiB blocks of their own
+        assert 2 * simplex_bytes < peak <= engine._simplex_mib(dim) * 2**20 + 2**18
 
 
 class TestOptimizeDistribution:
