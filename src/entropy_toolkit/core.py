@@ -229,6 +229,11 @@ def delta_vec(ground: GroundSet, a: SubsetLike, b: SubsetLike,
     return vec
 
 
+def _is_real(x) -> bool:
+    """A real number other than a bool: JSON true and false are not numbers."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _check_tol(tol: float) -> None:
     if not 0.0 <= tol < np.inf:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
@@ -551,9 +556,9 @@ def set_function_from_json(data: dict) -> SetFunction:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed set-function document: {exc}") from exc
     if not (all(isinstance(lab, str) for lab in ground.labels) and isinstance(raw, dict)
-            and all(isinstance(v, numbers.Real) for v in raw.values())):
+            and all(map(_is_real, raw.values()))):
         raise ValueError("malformed set-function document: labels need strings, "
-                         "values an object of numbers")
+                         "values an object of numbers (true and false are not numbers)")
     expected = _json_keys(ground)
     if set(raw) != set(expected):
         missing = sorted(set(expected) - set(raw))

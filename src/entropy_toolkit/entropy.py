@@ -44,7 +44,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, _read_only
+from .core import GroundSet, SetFunction, _is_real, _read_only
 
 LN2 = math.log(2.0)
 
@@ -507,8 +507,7 @@ def distribution_from_json(data: dict) -> JointDistribution:
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed distribution document: {exc}") from exc
     if not (all(map(_is_integer, symbols))
-            and all(isinstance(p, numbers.Real) and not isinstance(p, bool)
-                    for p in probs)):
+            and all(map(_is_real, probs))):
         raise ValueError("malformed distribution document: alphabet sizes and "
                          "configurations need integers, probabilities numbers")
     return JointDistribution._from_arrays(ground, sizes, _config_array(configs, ground.n),

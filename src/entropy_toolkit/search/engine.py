@@ -25,7 +25,6 @@ Degenerate inputs whose normalizer vanishes score 0 by convention.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -34,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import _modular_values
+from ..core import _is_real, _modular_values
 from ..entropy import (
     JointDistribution,
     _config_grid,
@@ -145,7 +144,7 @@ class SearchConfig:
             raise ValueError("alpha_in_direction needs a 3-vector direction")
         if self.direction is not None:
             d = _as_tuple(self.direction)
-            if (len(d) != 3 or not all(isinstance(x, numbers.Real) for x in d)
+            if (len(d) != 3 or not all(map(_is_real, d))
                     or not any(d) or not all(map(math.isfinite, d))):
                 raise ValueError(f"direction must be a finite nonzero 3-vector: "
                                  f"{self.direction!r}")

@@ -8,6 +8,11 @@ enumeration solves every nonsingular 3x3 boundary system in one batched
 ``np.linalg.solve`` and tests all solutions against all constraints in one
 product, which is exact enough for banks of a few dozen constraints.  Point
 deduplication is one ``np.unique`` over the rounded rows.
+
+``scipy.spatial`` is imported inside ``convex_hull_3d``, ``hull_volume`` and
+``outer_region``, on the first hull: it is most of the cost of importing the
+package, and everything but hulls (entropy functions, scores, the searches)
+runs without it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from itertools import combinations
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from ..core import _check_tol
 from ..inequalities import CrossSectionHalfspace
@@ -96,6 +100,8 @@ def convex_hull_3d(points: Sequence[Sequence[float]]) -> Polytope3:
     through ``dim`` < 3 and carries the lower-dimensional extreme points with
     no facets.
     """
+    from scipy.spatial import ConvexHull
+
     arr = _dedupe(_as_weight_array(points))
     x = arr[:, 1:]
     dim = _affine_dim(x)
@@ -145,6 +151,8 @@ def hull_volume(poly: Polytope3) -> float:
     """Euclidean volume in the affine chart; 0 for degenerate hulls."""
     if not poly.is_full_dimensional:
         return 0.0
+    from scipy.spatial import ConvexHull
+
     return float(ConvexHull(poly.affine_vertices()).volume)
 
 
@@ -200,6 +208,8 @@ def outer_region(bank: Sequence[CrossSectionHalfspace]) -> Polytope3:
 
     dim = _affine_dim(arr)
     if dim == 3 and len(arr) >= 4:
+        from scipy.spatial import QhullError
+
         try:
             return convex_hull_3d(weights)
         except QhullError:

@@ -601,3 +601,27 @@ class TestOverflowingInput:
         assert code == 2
         assert "not finite" in err
         assert "region vertices" not in out
+
+
+class TestBooleanNumbers:
+    """JSON true and false are not numbers in set-function or config files."""
+
+    def test_boolean_set_function_value_exits_two(self, capsys, tmp_path, r3_file):
+        doc = json.load(open(r3_file))
+        doc["values"]["i"] = True
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "check", str(path))
+        assert code == 2
+        assert "malformed set-function document" in err
+        assert out == ""
+
+    def test_boolean_config_direction_exits_two(self, capsys, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "res.json"
+        cfg.write_text(json.dumps({"alphabet_sizes": [2, 2, 2, 2], "restarts": 1,
+                                   "budget_evals": 40, "objective": "raw_score",
+                                   "direction": [True, False, False]}))
+        code, _, err = run(capsys, "minimize", "--config", str(cfg), "-o", str(out))
+        assert code == 2
+        assert "3-vector" in err
+        assert not out.exists()

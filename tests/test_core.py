@@ -673,3 +673,13 @@ class TestMaskTablesAgainstLoops:
             assert not table.flags.writeable
             with pytest.raises(ValueError):
                 table[...] = 0
+
+
+class TestJsonBooleans:
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_value_rejected(self, frame, value):
+        """JSON true and false are not the numbers 1 and 0."""
+        doc = set_function_to_json(ingleton_base(frame))
+        doc["values"]["i"] = value
+        with pytest.raises(ValueError, match="malformed set-function document"):
+            set_function_from_json(doc)

@@ -5,11 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 from scipy.spatial import HalfspaceIntersection
 
-from entropy_toolkit import CrossSectionHalfspace, dfz_halfspace, symmetrized_zy_halfspace
+from entropy_toolkit import (
+    CrossSectionHalfspace,
+    default_halfspace_bank,
+    dfz_halfspace,
+    symmetrized_zy_halfspace,
+)
 from entropy_toolkit.search.geometry import (
     _affine_constraints,
     _dedupe,
@@ -282,3 +288,22 @@ class TestRejectedInputs:
         plain = outer_region([CrossSectionHalfspace("plain", 1.0, -1.0, 1.0, 1.0)])
         assert len(scaled.vertices) == len(plain.vertices) == 6
         assert np.allclose(scaled.vertices, plain.vertices, rtol=0.0, atol=1e-15)
+
+
+class TestOuterRegionQhullFallback:
+    """When Qhull rejects the full-dimensional candidate set, outer_region
+    returns the sorted feasible vertices without facets."""
+
+    def test_qhull_error_keeps_sorted_vertices(self, monkeypatch):
+        bank = default_halfspace_bank(6)
+        hulled = outer_region(bank)
+
+        def refuse(*args, **kwargs):
+            raise scipy.spatial.QhullError("refused")
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse)
+        region = outer_region(bank)
+        assert region.facets == ()
+        assert region.dim == 3
+        assert region.vertices == hulled.vertices
+        assert list(region.vertices) == sorted(region.vertices, key=lambda v: v[1:])

@@ -860,3 +860,13 @@ class TestDirectionNormRange:
         for scale in (1e-150, 1e150):
             cfg = SearchConfig(objective="alpha_in_direction", direction=(scale, 0.0, 0.0))
             assert ev.make_objective(cfg.objective, cfg.direction)(p) == unit
+
+
+class TestSearchConfigBooleanDirection:
+    @pytest.mark.parametrize("direction", [[True, False, False], [1.0, 0.0, True]])
+    def test_rejected(self, direction):
+        """JSON true is not the number 1, as in alphabet_sizes."""
+        with pytest.raises(ValueError, match="3-vector"):
+            SearchConfig(objective="alpha_in_direction", direction=tuple(direction))
+        with pytest.raises(ValueError, match="3-vector"):
+            SearchConfig.from_json({"objective": "raw_score", "direction": direction})
