@@ -132,14 +132,17 @@ def cmd_fouratom(args) -> int:
     return 0
 
 
-def cmd_exl(args) -> int:
+def _exl_params(args) -> entropy.ExLParams:
     if args.default:
-        params = entropy.EXL_REFERENCE
-    else:
-        missing = [n for n in "pqrst" if getattr(args, n) is None]
-        if missing:
-            raise ValueError(f"--default or all of --p..--t required; missing {missing}")
-        params = entropy.ExLParams(args.p, args.q, args.r, args.s, args.t)
+        return entropy.EXL_REFERENCE
+    missing = [n for n in "pqrst" if getattr(args, n) is None]
+    if missing:
+        raise ValueError(f"need --default or all of --p..--t; missing {missing}")
+    return entropy.ExLParams(args.p, args.q, args.r, args.s, args.t)
+
+
+def cmd_exl(args) -> int:
+    params = _exl_params(args)
     ground = core.GroundSet("ijkl")
     fr = _load_frame(ground, args.frame)
 
@@ -159,7 +162,8 @@ def _config_from_args(args) -> engine.SearchConfig:
             return engine.SearchConfig.from_json(json.load(fh))
     kwargs = {}
     if args.alphabet:
-        kwargs["alphabet_sizes"] = tuple(int(s) for s in args.alphabet.split(","))
+        sizes = args.alphabet.split(",")
+        kwargs["alphabet_sizes"] = tuple(core._csv_numbers(sizes, [int] * len(sizes)))
     if args.restarts is not None:
         kwargs["restarts"] = args.restarts
     if args.budget is not None:
@@ -203,9 +207,7 @@ def cmd_minimize(args) -> int:
         print("best weights   = ({}, {}, {}, {})".format(
             *(map(_fmt, result.best_point.as_tuple()))))
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(_result_json(result, cfg), fh, indent=1)
-            fh.write("\n")
+        core._write_json(_result_json(result, cfg), args.output)
         print(f"wrote {args.output}")
     return 0
 
@@ -223,7 +225,7 @@ def _read_cloud_csv(path) -> list[tuple[float, float, float, float]]:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:4] != ["alpha", "beta", "gamma", "delta"]:
         raise ValueError(f"{path}: expected header alpha,beta,gamma,delta,source")
-    return [tuple(float(x) for x in row[:4]) for row in rows[1:] if row]
+    return [tuple(core._csv_numbers(row, [float] * 4, width=5)) for row in rows[1:] if row]
 
 
 def cmd_cloud(args) -> int:
@@ -288,9 +290,7 @@ def cmd_outer(args) -> int:
             "facets": [list(fc) for fc in poly.facets],
             "active_constraints": actives,
         }
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        core._write_json(doc, args.output)
         print(f"wrote {args.output}")
     return 0
 
@@ -302,17 +302,13 @@ def cmd_export(args) -> int:
     if what == "rbar":
         core.save_set_function(frame_mod.ingleton_base(fr), args.output)
     elif what == "generators":
-        doc = [core.set_function_to_json(g) for g in frame_mod.basis_generators(fr)]
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        core._write_json([core.set_function_to_json(g)
+                          for g in frame_mod.basis_generators(fr)], args.output)
     elif what == "vertices":
         doc = {name: core.set_function_to_json(v)
                for name, v in zip(("alpha", "beta", "gamma", "delta"),
                                   frame_mod.tetra_vertices(fr))}
-        with open(args.output, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+        core._write_json(doc, args.output)
     elif what == "exl-table":
         with open(args.output, "w") as fh:
             fh.write("column,config\n")
@@ -324,15 +320,7 @@ def cmd_export(args) -> int:
             raise ValueError("fouratom-dist needs --p")
         entropy.save_distribution(entropy.four_atom_distribution(args.p), args.output)
     elif what == "exl-dist":
-        if args.default:
-            params = entropy.EXL_REFERENCE
-        else:
-            missing = [n for n in "pqrst" if getattr(args, n) is None]
-            if missing:
-                raise ValueError(f"exl-dist needs --default or all of --p..--t; "
-                                 f"missing {missing}")
-            params = entropy.ExLParams(args.p, args.q, args.r, args.s, args.t)
-        entropy.save_distribution(entropy.exl_distribution(params), args.output)
+        entropy.save_distribution(entropy.exl_distribution(_exl_params(args)), args.output)
     else:
         raise ValueError(f"unknown export target {what!r}")
     print(f"wrote {args.output}")
@@ -433,7 +421,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -230,8 +230,37 @@ def delta_vec(ground: GroundSet, a: SubsetLike, b: SubsetLike,
 
 
 def _is_real(x) -> bool:
-    """A real number other than a bool: JSON true and false are not numbers."""
+    """A number in a JSON file: a real, not a bool; constructors check finiteness."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integer(x) -> bool:
+    """An integer other than a bool; numpy integers count."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _csv_numbers(row: Sequence[str], kinds: Sequence[type],
+                 width: int | None = None) -> list:
+    """The rule for numbers in a CSV row of ``width`` fields (default one per
+    kind): field b is read by ``kinds[b]`` (int or float), later fields are
+    left unread.  Surrounding spaces are allowed; a ``_`` is not, because
+    int() and float() read it as a digit separator ("1_0" is 10)."""
+    width = len(kinds) if width is None else width
+    try:
+        if len(row) != width:
+            raise ValueError(f"need {width} fields")
+        if any("_" in field for field in row[:len(kinds)]):
+            raise ValueError("underscore in a number")
+        return [kind(field) for kind, field in zip(kinds, row)]
+    except ValueError as exc:
+        raise ValueError(f"bad row {row}: {exc}") from None
+
+
+def _write_json(doc, path) -> None:
+    """Write doc as every toolkit JSON file is laid out: indent 1, final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
 
 
 def _check_tol(tol: float) -> None:
@@ -566,13 +595,11 @@ def set_function_from_json(data: dict) -> SetFunction:
         raise ValueError(f"subset keys incomplete: missing {missing}, extra {extra}")
     if raw[""] != 0:
         raise ValueError(f'values[""] must be 0, got {raw[""]!r}')
-    return SetFunction(ground, [float(raw[k]) for k in expected])
+    return SetFunction(ground, [raw[k] for k in expected])
 
 
 def save_set_function(f: SetFunction, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(set_function_to_json(f), fh, indent=1)
-        fh.write("\n")
+    _write_json(set_function_to_json(f), path)
 
 
 def load_set_function(path) -> SetFunction:

@@ -44,7 +44,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, _is_real, _read_only
+from .core import (GroundSet, SetFunction, _csv_numbers, _is_integer, _is_real,
+                   _read_only, _write_json)
 
 LN2 = math.log(2.0)
 
@@ -65,10 +66,6 @@ def kappa(u: float) -> float:
     if u <= KAPPA_FLOOR or u >= 1.0:
         return 0.0
     return -u * math.log(u)
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def _checked_sizes(ground: GroundSet, alphabet_sizes) -> tuple[int, ...]:
@@ -473,15 +470,9 @@ def distribution_from_csv(text: str, alphabet_sizes=None) -> JointDistribution:
     if header[-1] != "prob" or not all(h.startswith("x_") for h in header[:-1]):
         raise ValueError(f"bad distribution header: {header}")
     ground = GroundSet(h[2:] for h in header[:-1])
-    bad = next((row for row in body if len(row) != len(header)), None)
-    if bad is not None:
-        raise ValueError(f"bad row {bad}")
-    # int() and float() read "1_0" as 10 and "0_5" as 0.5
-    bad = next((row for row in body if any("_" in field for field in row)), None)
-    if bad is not None:
-        raise ValueError(f"bad row {bad}: underscore in a number")
-    configs = _config_array([[int(x) for x in row[:-1]] for row in body], ground.n)
-    probs = np.array([float(row[-1]) for row in body])
+    atoms = [_csv_numbers(row, [int] * ground.n + [float]) for row in body]
+    configs = _config_array([atom[:-1] for atom in atoms], ground.n)
+    probs = np.array([atom[-1] for atom in atoms])
     if alphabet_sizes is None:
         if not body:
             raise ValueError("distribution CSV has no atoms")
@@ -501,28 +492,22 @@ def distribution_from_json(data: dict) -> JointDistribution:
     try:
         ground = GroundSet(data["labels"])
         sizes = data["alphabet_sizes"]
-        configs = [a["config"] for a in data["atoms"]]
+        configs = _config_array([a["config"] for a in data["atoms"]], ground.n)
         probs = [a["prob"] for a in data["atoms"]]
-        symbols = [*sizes, *chain.from_iterable(configs)]
-    except (KeyError, TypeError) as exc:
+        if not (all(map(_is_integer, sizes)) and all(map(_is_real, probs))):
+            raise ValueError("alphabet sizes need integers, probabilities numbers")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed distribution document: {exc}") from exc
-    if not (all(map(_is_integer, symbols))
-            and all(map(_is_real, probs))):
-        raise ValueError("malformed distribution document: alphabet sizes and "
-                         "configurations need integers, probabilities numbers")
-    return JointDistribution._from_arrays(ground, sizes, _config_array(configs, ground.n),
+    return JointDistribution._from_arrays(ground, sizes, configs,
                                           np.array(probs, dtype=float))
 
 
 def save_distribution(d: JointDistribution, path) -> None:
-    path = str(path)
-    if path.endswith(".csv"):
+    if str(path).endswith(".csv"):
         with open(path, "w") as fh:
             fh.write(distribution_to_csv(d))
     else:
-        with open(path, "w") as fh:
-            json.dump(distribution_to_json(d), fh, indent=1)
-            fh.write("\n")
+        _write_json(distribution_to_json(d), path)
 
 
 def load_distribution(path) -> JointDistribution:

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SetFunction, _check_tol, delta_vec
+from .core import SetFunction, _check_tol, _is_real, delta_vec
 from .frame import IngletonFrame, stv_vec
 
 BALANCE_TOL = 1e-12
@@ -52,6 +52,9 @@ class LinearInequality:
             if c != 0.0:
                 clean[fs] = clean.get(fs, 0.0) + c
         clean = {k: v for k, v in clean.items() if v != 0.0}
+        if not all(map(math.isfinite, clean.values())):
+            raise ValueError(f"inequality {name!r} has non-finite coefficients "
+                             f"{list(clean.values())}")
         if not clean:
             raise ValueError(f"inequality {name!r} has no nonzero coefficient")
         object.__setattr__(self, "name", name)
@@ -245,11 +248,13 @@ def inequality_to_json(ineq: LinearInequality) -> dict:
 
 def inequality_from_json(data: dict) -> LinearInequality:
     try:
-        name = data["name"]
-        coeffs = {frozenset(key): float(v) for key, v in data["coefficients"].items()}
-    except (KeyError, TypeError) as exc:
+        name, coeffs = data["name"], data["coefficients"]
+        if not (isinstance(name, str) and isinstance(coeffs, dict)
+                and all(map(_is_real, coeffs.values()))):
+            raise ValueError("name needs a string, coefficients an object of numbers")
+        return LinearInequality(name, {frozenset(key): c for key, c in coeffs.items()})
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed inequality document: {exc}") from exc
-    return LinearInequality(name, coeffs)
 
 
 def halfspace_to_json(hs: CrossSectionHalfspace) -> dict:
@@ -258,8 +263,10 @@ def halfspace_to_json(hs: CrossSectionHalfspace) -> dict:
 
 def halfspace_from_json(data: dict) -> CrossSectionHalfspace:
     try:
-        a, b, c, d = (float(x) for x in data["abcd"])
-        return CrossSectionHalfspace(data["name"], a, b, c, d)
+        name, abcd = data["name"], tuple(data["abcd"])
+        if not (isinstance(name, str) and len(abcd) == 4 and all(map(_is_real, abcd))):
+            raise ValueError("name needs a string, abcd four numbers")
+        return CrossSectionHalfspace(name, *map(float, abcd))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed halfspace document: {exc}") from exc
 

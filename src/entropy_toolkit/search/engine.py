@@ -33,11 +33,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..core import _is_real, _modular_values
+from ..core import _is_integer, _is_real, _modular_values
 from ..entropy import (
     JointDistribution,
     _config_grid,
-    _is_integer,
     entropy_function,
     marginal_index,
     subset_entropies,
@@ -130,14 +129,12 @@ class SearchConfig:
                 f"alphabet {sizes} has {atoms} atoms, above MAX_ATOMS = {MAX_ATOMS}: "
                 f"its Nelder-Mead simplex would take {_simplex_mib(atoms):,.0f} MiB "
                 f"per worker (buffer with headroom plus one simplex-sized temporary)")
-        for name in ("restarts", "budget_evals"):
+        for name, least in (("restarts", 1), ("budget_evals", 1), ("master_seed", 0)):
             count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-                raise ValueError(f"{name} must be a positive integer: {count!r}")
-        if not _is_integer(self.master_seed) or self.master_seed < 0:
-            raise ValueError(f"master_seed must be a non-negative integer: "
-                             f"{self.master_seed!r}")
-        object.__setattr__(self, "master_seed", int(self.master_seed))
+            if not _is_integer(count) or count < least:
+                kind = "positive" if least else "non-negative"
+                raise ValueError(f"{name} must be a {kind} integer: {count!r}")
+            object.__setattr__(self, name, int(count))
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective {self.objective!r} not one of {OBJECTIVES}")
         if self.objective == "alpha_in_direction" and self.direction is None:

@@ -1,0 +1,290 @@
+"""What a number is in a file: one rule for every reader.
+
+A JSON number is a real that is not a bool; a CSV number field may carry
+surrounding spaces but no ``_`` digit separator.  Every reader follows the
+rule, so strings, booleans and ``1_0`` are rejected with exit code 2 instead
+of being read as numbers, and written files read back unchanged.
+"""
+
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from entropy_toolkit import (
+    CrossSectionHalfspace,
+    CrossSectionPoint,
+    GroundSet,
+    LinearInequality,
+    SearchConfig,
+    SetFunction,
+    halfspace_from_json,
+    halfspace_to_json,
+    inequality_from_json,
+    inequality_to_json,
+    load_set_function,
+    save_set_function,
+    set_function_from_json,
+    set_function_to_json,
+)
+from entropy_toolkit.cli import _read_cloud_csv, _write_cloud_csv, main
+
+FOUND_BANK = [{"name": "x", "abcd": ["1", True, 0, "1e0"]}]
+
+finite = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-1000, 1000)
+#: values that a careless reader takes for numbers
+not_numbers = (st.booleans()
+               | st.sampled_from(["1", "0", "1e0", "-2.5", " 3 ", "nan", "1_0", "0_5"])
+               | st.from_regex(r"\A[1-9](_[0-9]{3})+\Z")
+               | st.none())
+json_values = finite | not_numbers
+
+
+def is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# --- JSON readers ------------------------------------------------------------------
+
+class TestSetFunctionJson:
+    GROUND = GroundSet("ijk")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=7, max_size=7))
+    def test_round_trip(self, tmp_path_factory, values):
+        f = SetFunction(self.GROUND, [0.0] + values)
+        back = set_function_from_json(json.loads(json.dumps(set_function_to_json(f))))
+        assert back.values.tobytes() == f.values.tobytes()
+        path = tmp_path_factory.mktemp("sf") / "f.json"
+        save_set_function(f, path)
+        first = path.read_bytes()
+        save_set_function(load_set_function(path), path)
+        assert path.read_bytes() == first
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(json_values, min_size=7, max_size=7))
+    def test_only_numbers_accepted(self, values):
+        keys = [self.GROUND.subset_key(m) for m in range(1, 8)]
+        doc = {"labels": list("ijk"), "values": {"": 0, **dict(zip(keys, values))}}
+        if all(map(is_number, values)):
+            assert set_function_from_json(doc).values.tolist() == [0.0, *map(float, values)]
+        else:
+            with pytest.raises(ValueError, match="malformed set-function document"):
+                set_function_from_json(doc)
+
+
+class TestInequalityJson:
+    KEYS = ["i", "j", "ik", "jl", "ijkl"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(json_values, min_size=5, max_size=5))
+    def test_only_numbers_accepted(self, values):
+        doc = {"name": "x", "coefficients": dict(zip(self.KEYS, values))}
+        if all(map(is_number, values)) and any(values):
+            ineq = inequality_from_json(doc)
+            assert ineq.coefficients == {frozenset(k): float(v)
+                                         for k, v in zip(self.KEYS, values) if v}
+        else:
+            with pytest.raises(ValueError, match="malformed inequality document") as exc:
+                inequality_from_json(doc)
+            assert str(exc.value).count("malformed inequality document") == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False).filter(bool),
+                    min_size=5, max_size=5))
+    def test_round_trip(self, values):
+        ineq = LinearInequality("x", dict(zip(self.KEYS, values)))
+        assert inequality_from_json(json.loads(json.dumps(inequality_to_json(ineq)))) == ineq
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coefficient_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite coefficients"):
+            LinearInequality("x", {"i": bad, "j": 1.0})
+        doc = json.loads(json.dumps({"name": "x", "coefficients": {"i": bad, "j": 1}}))
+        with pytest.raises(ValueError, match="malformed inequality document.*non-finite"):
+            inequality_from_json(doc)
+
+    def test_overflowing_sum_rejected(self):
+        with pytest.raises(ValueError, match="non-finite coefficients"):
+            LinearInequality("x", {"ik": 1e308, "ki": 1e308})
+
+    @pytest.mark.parametrize("name", [None, 7, ["x"]])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(ValueError, match="malformed inequality document"):
+            inequality_from_json({"name": name, "coefficients": {"i": 1}})
+        with pytest.raises(ValueError, match="malformed halfspace document"):
+            halfspace_from_json({"name": name, "abcd": [1, 0, 0, 0]})
+
+
+class TestHalfspaceJson:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(json_values, min_size=4, max_size=4))
+    def test_only_numbers_accepted(self, abcd):
+        doc = {"name": "h", "abcd": abcd}
+        if all(map(is_number, abcd)) and any(abcd):
+            assert halfspace_from_json(doc).abcd == tuple(map(float, abcd))
+        else:
+            with pytest.raises(ValueError, match="malformed halfspace document") as exc:
+                halfspace_from_json(doc)
+            assert str(exc.value).count("malformed halfspace document") == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=4, max_size=4)
+           .filter(any))
+    def test_round_trip(self, abcd):
+        hs = CrossSectionHalfspace("h", *abcd)
+        assert halfspace_from_json(json.loads(json.dumps(halfspace_to_json(hs)))) == hs
+
+    @pytest.mark.parametrize("abcd", ["1234", [1, 0, 0], [1, 0, 0, 0, 0], 5])
+    def test_abcd_must_be_four_numbers(self, abcd):
+        with pytest.raises(ValueError, match="malformed halfspace document"):
+            halfspace_from_json({"name": "h", "abcd": abcd})
+
+
+class TestSearchConfigJson:
+    sizes = st.integers(1, 4) | not_numbers | st.sampled_from([2.0, 2.5])
+    directions = st.integers(-3, 3) | st.floats(0.25, 4.0) | not_numbers
+    counts = st.integers(1, 50) | not_numbers | st.sampled_from([3.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(sizes, min_size=4, max_size=4), st.lists(directions, min_size=3,
+                                                             max_size=3),
+           counts, counts)
+    def test_only_numbers_accepted(self, alphabet, direction, restarts, seed):
+        doc = {"alphabet_sizes": alphabet, "direction": direction, "restarts": restarts,
+               "master_seed": seed, "objective": "alpha_in_direction"}
+        integral = [*alphabet, restarts, seed]
+        valid = (all(isinstance(x, int) and not isinstance(x, bool) for x in integral)
+                 and max(alphabet) >= 2
+                 and all(map(is_number, direction)) and any(direction))
+        if valid:
+            cfg = SearchConfig.from_json(doc)
+            assert cfg.alphabet_sizes == tuple(alphabet)
+            assert cfg.direction == tuple(map(float, direction))
+            assert SearchConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
+        else:
+            with pytest.raises(ValueError):
+                SearchConfig.from_json(doc)
+
+
+# --- CSV readers -------------------------------------------------------------------
+
+class TestCloudCsv:
+    good_fields = (st.floats(-10, 10, allow_nan=False).map(repr)
+                   | st.integers(-5, 5).map(str)
+                   | st.sampled_from([" 0.5", "1.0 ", " -2 ", "1e-3"]))
+    bad_fields = st.sampled_from(["1_0", "0_5", "1_000.0", "true", "", "x", "1,0"])
+
+    @staticmethod
+    def write(path, rows):
+        path.write_text("alpha,beta,gamma,delta,source\n"
+                        + "".join(",".join(row) + ",tag\n" for row in rows))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.lists(good_fields | bad_fields, min_size=4, max_size=4),
+                    min_size=1, max_size=4))
+    def test_only_numbers_accepted(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("cloud") / "c.csv"
+        self.write(path, rows)
+        try:
+            want = [tuple(float(x) for x in row) for row in rows
+                    if not any("_" in x or "," in x for x in row)]
+        except ValueError:
+            want = None
+        if want is not None and len(want) == len(rows):
+            assert _read_cloud_csv(path) == want
+        else:
+            with pytest.raises(ValueError, match="bad row"):
+                _read_cloud_csv(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                             min_size=4, max_size=4), min_size=1, max_size=5))
+    def test_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("cloud") / "c.csv"
+        _write_cloud_csv([CrossSectionPoint(*row, source_tag="dir0(1,0,0)/r0_x")
+                          for row in rows], path)
+        assert _read_cloud_csv(path) == [tuple(row) for row in rows]
+
+
+# --- the command line ----------------------------------------------------------------
+
+class TestCommandLine:
+    """Each input here exited 0 and read a non-number as a number, or ended in
+    a traceback, before every reader shared the rule."""
+
+    @pytest.mark.parametrize("bank", [
+        FOUND_BANK,
+        [{"name": "h", "abcd": "1234"}],
+        [{"name": None, "abcd": [1, 0, 0, 0]}],
+        [{"name": "x", "coefficients": {"i": "1", "j": True}}],
+    ])
+    def test_outer_ineq_file(self, capsys, tmp_path, bank):
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(bank))
+        code, out, err = run(capsys, "outer", "--dfz-max-s", "1", "--ineq-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and err.count("malformed") == 1
+
+    @pytest.mark.parametrize("row, message", [("1_0,0,0,-9,d", "underscore"),
+                                              ("0.5,0.5", "need 5 fields"),
+                                              ("0.5,0.5,0,0", "need 5 fields"),
+                                              ("true,0,0,1,d", "bad row")])
+    def test_hull_cloud_row(self, capsys, tmp_path, row, message):
+        cloud = tmp_path / "cloud.csv"
+        cloud.write_text("alpha,beta,gamma,delta,source\n"
+                         "1.0,0.0,0.0,0.0,a\n0.0,1.0,0.0,0.0,b\n"
+                         f"0.0,0.0,1.0,0.0,c\n{row}\n")
+        code, out, err = run(capsys, "hull", str(cloud), "-o", str(tmp_path / "h.obj"))
+        assert code == 2
+        assert out == ""
+        assert f"bad row ['{row.split(',')[0]}'" in err and message in err
+        assert "inhomogeneous" not in err
+        assert not (tmp_path / "h.obj").exists()
+
+    @pytest.mark.parametrize("alphabet", ["1_0,1,1,1", "2,2,2,2_0", "2,2,2,true"])
+    def test_minimize_alphabet(self, capsys, tmp_path, alphabet):
+        out = tmp_path / "res.json"
+        code, stdout, err = run(capsys, "minimize", "--alphabet", alphabet, "--restarts",
+                                "1", "--budget", "10", "-o", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert "bad row" in err
+        assert not out.exists()
+
+    def test_csv_alphabet_spaces_allowed(self, capsys):
+        code, _, _ = run(capsys, "minimize", "--alphabet", "2, 2 ,2,2", "--restarts",
+                         "1", "--budget", "10")
+        assert code == 0
+
+    @pytest.mark.parametrize("command, doc", [
+        ("check", {"labels": ["i"], "values": {"": 0, "i": 10 ** 400}}),
+        ("outer", [{"name": "big", "abcd": [10 ** 400, 1, 0, 1]}]),
+        ("entropy", {"labels": ["i"], "alphabet_sizes": [1],
+                     "atoms": [{"config": [0], "prob": 10 ** 400}]}),
+    ])
+    def test_integer_too_large_for_a_double(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = ["--ineq-file", str(path)] if command == "outer" else [str(path)]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["exl"],
+                                      ["export", "--what", "exl-dist", "-o", "d.json"]])
+    def test_exl_params_missing(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *argv, "--p", "0.125")
+        assert code == 2
+        assert "missing ['q', 'r', 's', 't']" in err
+        assert not (tmp_path / "d.json").exists()
