@@ -2,18 +2,19 @@
 
 Subcommands: check, entropy, score, fouratom, exl, minimize, cloud, hull,
 outer, export.  Exit codes: 0 success, 1 a requested check failed (e.g. the
-input of ``check`` is not a polymatroid), 2 usage or input errors.  All
-numeric console output uses 10 significant digits; files carry full doubles.
-Searches are deterministic given their seeds; ENTROPY_TOOLKIT_THREADS caps
-parallel restarts.
+input of ``check`` is not a polymatroid), 2 usage or input errors; an input
+error is one ``error: <file>: <message>`` line.  Flags given with --config
+override the file.  All numeric console output uses 10 significant digits;
+files carry full doubles.  Searches are deterministic given their seeds;
+ENTROPY_TOOLKIT_THREADS caps parallel restarts.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -27,10 +28,12 @@ def _fmt(x: float) -> str:
     return FMT.format(float(x))
 
 
-def _load_frame(ground: core.GroundSet, spec: str | None) -> frame_mod.IngletonFrame:
-    if spec is None:
+def _frame(args, ground: core.GroundSet | None = None) -> frame_mod.IngletonFrame:
+    """The --frame roles on ground (default: labels i, j, k, l), else its default frame."""
+    ground = ground or core.GroundSet("ijkl")
+    if getattr(args, "frame", None) is None:
         return frame_mod.IngletonFrame.default(ground)
-    return frame_mod.IngletonFrame.from_spec(ground, spec)
+    return frame_mod.IngletonFrame.from_spec(ground, args.frame)
 
 
 def _print_set_function(f: core.SetFunction, bits: bool = False) -> None:
@@ -65,23 +68,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_entropy(args) -> int:
-    dist = entropy.load_distribution(args.file)
-    f = entropy_function_checked(dist)
+    f = entropy.entropy_function(entropy.load_distribution(args.file))
+    if not core.check_axioms(f, tol=core.TOL_ENTROPIC).is_polymatroid:
+        raise ValueError("computed entropy function fails the polymatroid axioms; "
+                         "the input distribution is corrupt")
     if args.output:
         core.save_set_function(f, args.output)
         print(f"wrote {args.output}")
     _print_set_function(f, bits=args.bits)
     print(("entropies in bits" if args.bits else "entropies in nats"))
     return 0
-
-
-def entropy_function_checked(dist: entropy.JointDistribution) -> core.SetFunction:
-    f = entropy.entropy_function(dist)
-    report = core.check_axioms(f, tol=core.TOL_ENTROPIC)
-    if not report.is_polymatroid:
-        raise ValueError("computed entropy function fails the polymatroid axioms; "
-                         "the input distribution is corrupt")
-    return f
 
 
 def _score_block(f: core.SetFunction, fr: frame_mod.IngletonFrame) -> None:
@@ -102,7 +98,7 @@ def _score_block(f: core.SetFunction, fr: frame_mod.IngletonFrame) -> None:
 
 def cmd_score(args) -> int:
     f = core.load_set_function(args.file)
-    fr = _load_frame(f.ground, args.frame)
+    fr = _frame(args, f.ground)
     print(f"frame (i,j,k,l) = {fr.roles}")
     print(f"h(N) = {_fmt(f.rank)}, tight = {core.is_tight(f, core.TOL_ANALYTIC)}")
     print(f"tolerance   = {_fmt(core.TOL_ANALYTIC)} (tight), "
@@ -112,7 +108,7 @@ def cmd_score(args) -> int:
 
 
 def cmd_fouratom(args) -> int:
-    fr = frame_mod.IngletonFrame.default(core.GroundSet("ijkl"))
+    fr = _frame(args)
     if args.minimize:
         p_star, score = engine.minimize_scalar(
             entropy.four_atom_score, 0.0, 0.5, tol=1e-7)
@@ -143,11 +139,9 @@ def _exl_params(args) -> entropy.ExLParams:
 
 def cmd_exl(args) -> int:
     params = _exl_params(args)
-    ground = core.GroundSet("ijkl")
-    fr = _load_frame(ground, args.frame)
-
-    f = entropy.exl_closed_form(params, ground)
-    table_entropy = entropy.entropy_function(entropy.exl_distribution(params, ground))
+    fr = _frame(args)
+    f = entropy.exl_closed_form(params, fr.ground)
+    table_entropy = entropy.entropy_function(entropy.exl_distribution(params, fr.ground))
     dev = float(np.max(np.abs(f.values - table_entropy.values)))
     print("params (p,q,r,s,t) = ({}, {}, {}, {}, {})".format(
         *(map(_fmt, params.as_tuple()))))
@@ -157,22 +151,16 @@ def cmd_exl(args) -> int:
 
 
 def _config_from_args(args) -> engine.SearchConfig:
-    if args.config:
-        with open(args.config) as fh:
-            return engine.SearchConfig.from_json(json.load(fh))
-    kwargs = {}
-    if args.alphabet:
+    """The --config document (or {}) with every flag that was given written over it."""
+    flags = {f.name: getattr(args, f.name) for f in fields(engine.SearchConfig)
+             if getattr(args, f.name, None) is not None}
+    if args.alphabet is not None:
         sizes = args.alphabet.split(",")
-        kwargs["alphabet_sizes"] = tuple(core._csv_numbers(sizes, [int] * len(sizes)))
-    if args.restarts is not None:
-        kwargs["restarts"] = args.restarts
-    if args.budget is not None:
-        kwargs["budget_evals"] = args.budget
-    if args.seed is not None:
-        kwargs["master_seed"] = args.seed
-    if getattr(args, "objective", None) is not None:
-        kwargs["objective"] = args.objective
-    return engine.SearchConfig(**kwargs)
+        flags["alphabet_sizes"] = core._csv_numbers(sizes, [int] * len(sizes))
+
+    def overlay(doc) -> engine.SearchConfig:
+        return engine.SearchConfig.from_json({**doc, **flags} if isinstance(doc, dict) else doc)
+    return core._read_file(args.config, overlay) if args.config else overlay({})
 
 
 def _result_json(result: engine.SearchResult, cfg: engine.SearchConfig) -> dict:
@@ -194,8 +182,7 @@ def _result_json(result: engine.SearchResult, cfg: engine.SearchConfig) -> dict:
 
 def cmd_minimize(args) -> int:
     cfg = _config_from_args(args)
-    ground = core.GroundSet("ijkl")
-    fr = _load_frame(ground, args.frame)
+    fr = _frame(args)
     init = entropy.load_distribution(args.init_dist) if args.init_dist else None
     result = engine.optimize_distribution(cfg, fr, init=init)
     print(f"objective      = {cfg.objective}")
@@ -220,25 +207,28 @@ def _write_cloud_csv(points, path) -> None:
             writer.writerow([repr(w) for w in pt.as_tuple()] + [pt.source_tag])
 
 
-def _read_cloud_csv(path) -> list[tuple[float, float, float, float]]:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def _cloud_points(rows: list) -> list[tuple[float, float, float, float]]:
     if not rows or rows[0][:4] != ["alpha", "beta", "gamma", "delta"]:
-        raise ValueError(f"{path}: expected header alpha,beta,gamma,delta,source")
+        raise ValueError("expected header alpha,beta,gamma,delta,source")
     return [tuple(core._csv_numbers(row, [float] * 4, width=5)) for row in rows[1:] if row]
+
+
+def _read_cloud_csv(path) -> list[tuple[float, float, float, float]]:
+    return core._read_file(path, _cloud_points, parse=lambda fh: list(csv.reader(fh)))
+
+
+def _directions(doc) -> list[tuple[float, float, float]]:
+    """A directions document, each entry checked as a SearchConfig direction."""
+    if not (isinstance(doc, list) and all(isinstance(d, list) for d in doc)):
+        raise ValueError("malformed directions document: expected a JSON list of 3-vectors")
+    return [engine.SearchConfig(direction=d).direction for d in doc]
 
 
 def cmd_cloud(args) -> int:
     cfg = _config_from_args(args)
-    ground = core.GroundSet("ijkl")
-    fr = _load_frame(ground, args.frame)
+    fr = _frame(args)
     if args.directions_file:
-        with open(args.directions_file) as fh:
-            directions = json.load(fh)
-        if not (isinstance(directions, list)
-                and all(isinstance(d, list) for d in directions)):
-            raise ValueError(f"malformed directions document {args.directions_file}: "
-                             "expected a JSON list of 3-vectors")
+        directions = core._read_file(args.directions_file, _directions)
     else:
         directions = engine.sphere_directions(args.directions, seed=cfg.master_seed)
     points = engine.generate_cloud(directions, cfg, fr, optima_only=args.optima_only)
@@ -296,8 +286,7 @@ def cmd_outer(args) -> int:
 
 
 def cmd_export(args) -> int:
-    ground = core.GroundSet("ijkl")
-    fr = _load_frame(ground, args.frame)
+    fr = _frame(args)
     what = args.what
     if what == "rbar":
         core.save_set_function(frame_mod.ingleton_base(fr), args.output)
@@ -321,8 +310,6 @@ def cmd_export(args) -> int:
         entropy.save_distribution(entropy.four_atom_distribution(args.p), args.output)
     elif what == "exl-dist":
         entropy.save_distribution(entropy.exl_distribution(_exl_params(args)), args.output)
-    else:
-        raise ValueError(f"unknown export target {what!r}")
     print(f"wrote {args.output}")
     return 0
 
@@ -358,20 +345,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--minimize", action="store_true")
     p.set_defaults(fn=cmd_fouratom)
 
+    def add_exl_args(p):
+        p.add_argument("--default", action="store_true",
+                       help="use the reference parameter point")
+        for name in "pqrst":
+            p.add_argument(f"--{name}", type=float)
+        p.add_argument("--frame")
+
     p = sub.add_parser("exl", help="forty-configuration family scores")
-    p.add_argument("--default", action="store_true",
-                   help="use the reference parameter point")
-    for name in "pqrst":
-        p.add_argument(f"--{name}", type=float)
-    p.add_argument("--frame")
+    add_exl_args(p)
     p.set_defaults(fn=cmd_exl)
 
     def add_search_args(p):
         p.add_argument("--config", help="SearchConfig JSON file")
         p.add_argument("--alphabet", help="comma list, e.g. 4,4,4,4")
         p.add_argument("--restarts", type=int)
-        p.add_argument("--budget", type=int, help="objective evaluations per restart")
-        p.add_argument("--seed", type=int)
+        p.add_argument("--budget", type=int, dest="budget_evals", metavar="BUDGET",
+                       help="objective evaluations per restart")
+        p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
         p.add_argument("--frame")
 
     p = sub.add_parser("minimize", help="minimize an Ingleton objective over distributions")
@@ -407,10 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--what", required=True,
                    choices=["rbar", "generators", "vertices", "exl-table",
                             "fouratom-dist", "exl-dist"])
-    p.add_argument("--default", action="store_true")
-    for name in "pqrst":
-        p.add_argument(f"--{name}", type=float)
-    p.add_argument("--frame")
+    add_exl_args(p)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(fn=cmd_export)
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -49,10 +50,10 @@ class GroundSet:
         if not 1 <= len(self.labels) <= MAX_GROUND_SIZE:
             raise ValueError(f"ground set must have 1..{MAX_GROUND_SIZE} elements, "
                              f"got {len(self.labels)}")
+        if not all(isinstance(lab, str) and lab for lab in self.labels):
+            raise ValueError(f"labels must be nonempty strings, got {list(self.labels)}")
         if len(set(self.labels)) != len(self.labels):
             raise ValueError(f"labels must be pairwise distinct: {self.labels}")
-        if any(not lab for lab in self.labels):
-            raise ValueError("labels must be nonempty strings")
 
     @property
     def n(self) -> int:
@@ -230,8 +231,10 @@ def delta_vec(ground: GroundSet, a: SubsetLike, b: SubsetLike,
 
 
 def _is_real(x) -> bool:
-    """A number in a JSON file: a real, not a bool; constructors check finiteness."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """A number in a JSON file: a real, not a bool, and no integer beyond the
+    largest finite double; constructors check finiteness."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and not (isinstance(x, int) and abs(x) > sys.float_info.max))
 
 
 def _is_integer(x) -> bool:
@@ -254,6 +257,17 @@ def _csv_numbers(row: Sequence[str], kinds: Sequence[type],
         return [kind(field) for kind, field in zip(kinds, row)]
     except ValueError as exc:
         raise ValueError(f"bad row {row}: {exc}") from None
+
+
+def _read_file(path, build: Callable, parse: Callable = json.load):
+    """The one way an input file is read: ``build(parse(fh))`` on the open
+    file.  A ValueError or OverflowError from either step is re-raised as a
+    ValueError that starts with the path, so every input error names its file."""
+    try:
+        with open(path, newline="") as fh:
+            return build(parse(fh))
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _write_json(doc, path) -> None:
@@ -582,12 +596,11 @@ def set_function_from_json(data: dict) -> SetFunction:
     try:
         ground = GroundSet(data["labels"])
         raw = data["values"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed set-function document: {exc}") from exc
-    if not (all(isinstance(lab, str) for lab in ground.labels) and isinstance(raw, dict)
-            and all(map(_is_real, raw.values()))):
-        raise ValueError("malformed set-function document: labels need strings, "
-                         "values an object of numbers (true and false are not numbers)")
+    if not (isinstance(raw, dict) and all(map(_is_real, raw.values()))):
+        raise ValueError("malformed set-function document: values need an object of "
+                         "numbers (true and false are not numbers)")
     expected = _json_keys(ground)
     if set(raw) != set(expected):
         missing = sorted(set(expected) - set(raw))
@@ -603,5 +616,4 @@ def save_set_function(f: SetFunction, path) -> None:
 
 
 def load_set_function(path) -> SetFunction:
-    with open(path) as fh:
-        return set_function_from_json(json.load(fh))
+    return _read_file(path, set_function_from_json)

@@ -32,9 +32,7 @@ computation must reproduce; tests rely on this mutual check.
 from __future__ import annotations
 
 import csv
-import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -45,7 +43,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (GroundSet, SetFunction, _csv_numbers, _is_integer, _is_real,
-                   _read_only, _write_json)
+                   _read_file, _read_only, _write_json)
 
 LN2 = math.log(2.0)
 
@@ -92,15 +90,16 @@ def _config_array(rows: list, n: int) -> np.ndarray:
     """
     try:
         arities = set(map(len, rows))
-        types = set(map(type, chain.from_iterable(rows)))
+        entries = list(chain.from_iterable(rows))
     except TypeError:
         raise ValueError("configurations must be sequences of integers") from None
     if arities - {n}:
         bad = next(row for row in rows if len(row) != n)
         raise ValueError(f"configuration {tuple(bad)} has wrong arity")
-    if not all(issubclass(t, numbers.Integral) and not issubclass(t, bool) for t in types):
+    one_per_type = dict(zip(map(type, entries), entries)).values()
+    if not all(map(_is_integer, one_per_type)):
         raise ValueError(f"configuration entries must be integers, got "
-                         f"{sorted(t.__name__ for t in types)}")
+                         f"{sorted(type(x).__name__ for x in one_per_type)}")
     try:
         return np.array(rows, dtype=np.int64).reshape(len(rows), n)
     except OverflowError:
@@ -511,8 +510,6 @@ def save_distribution(d: JointDistribution, path) -> None:
 
 
 def load_distribution(path) -> JointDistribution:
-    path = str(path)
-    with open(path) as fh:
-        if path.endswith(".csv"):
-            return distribution_from_csv(fh.read())
-        return distribution_from_json(json.load(fh))
+    if str(path).endswith(".csv"):
+        return _read_file(path, distribution_from_csv, parse=lambda fh: fh.read())
+    return _read_file(path, distribution_from_json)

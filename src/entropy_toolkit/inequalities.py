@@ -19,7 +19,6 @@ coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -27,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SetFunction, _check_tol, _is_real, delta_vec
+from .core import SetFunction, _check_tol, _is_integer, _is_real, _read_file, delta_vec
 from .frame import IngletonFrame, stv_vec
 
 BALANCE_TOL = 1e-12
@@ -161,7 +160,7 @@ def dfz_linear(s: int, frame: IngletonFrame) -> LinearInequality:
 
 
 def _check_dfz_s(s: int) -> None:
-    if not isinstance(s, int) or not 1 <= s <= 20:
+    if not _is_integer(s) or not 1 <= s <= 20:
         raise ValueError(f"DFZ parameter s must be an integer in 1..20, got {s!r}")
 
 
@@ -273,12 +272,14 @@ def halfspace_from_json(data: dict) -> CrossSectionHalfspace:
 
 def load_inequality_file(path) -> list[LinearInequality | CrossSectionHalfspace]:
     """Load a JSON file holding inequalities and/or halfspaces (object or list)."""
-    with open(path) as fh:
-        data = json.load(fh)
+    return _read_file(path, _bank_from_json)
+
+
+def _bank_from_json(data) -> list[LinearInequality | CrossSectionHalfspace]:
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list) or not all(isinstance(item, dict) for item in data):
-        raise ValueError(f"malformed inequality document {path}: expected an object "
+        raise ValueError("malformed inequality document: expected an object "
                          "or a list of objects")
     out: list[LinearInequality | CrossSectionHalfspace] = []
     for item in data:

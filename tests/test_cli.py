@@ -220,6 +220,16 @@ class TestMinimizeCommand:
         assert code == 0
         assert "objective      = raw_score" in out
 
+    def test_flags_override_config_file(self, capsys, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "res.json"
+        cfg.write_text(json.dumps({"alphabet_sizes": [2, 2, 2, 2], "restarts": 1,
+                                   "budget_evals": 40, "master_seed": 3}))
+        code, _, _ = run(capsys, "minimize", "--config", str(cfg), "--seed", "99",
+                         "--restarts", "2", "-o", str(out))
+        assert code == 0
+        doc = json.loads(out.read_text())["config"]
+        assert (doc["master_seed"], doc["restarts"], doc["budget_evals"]) == (99, 2, 40)
+
     @pytest.mark.parametrize("fields, message", [
         ({"alphabet_sizes": [2.7, 2, 2, 2]}, "alphabet sizes"),
         ({"master_seed": 2.5}, "master_seed"),
@@ -489,6 +499,27 @@ class TestMalformedDocuments:
                            "-o", str(tmp_path / "cloud.csv"))
         assert code == 2
         assert "malformed directions document" in err
+
+
+class TestErrorsNameTheFile:
+    """An input error is one error line that starts with the file it came from."""
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("check", "not json\n", "Expecting value"),
+        ("outer", '[{"name": "x", "abcd": [1, 0, 0]}]', "malformed halfspace document"),
+        ("entropy", json.dumps({"labels": [1, 2], "alphabet_sizes": [1, 1],
+                                "atoms": [{"config": [0, 0], "prob": 1.0}]}),
+         "malformed distribution document"),
+    ])
+    def test_one_error_line(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = ["--ineq-file", str(path)] if command == "outer" else [str(path)]
+        code, out, err = run(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ") and message in err
 
 
 class TestDistributionGoldens:

@@ -70,6 +70,11 @@ class TestGroundSet:
         with pytest.raises(ValueError):
             GroundSet(["i", ""])
 
+    @pytest.mark.parametrize("labels", [[1, 2], ["i", 2], ["i", ["j"]]])
+    def test_labels_are_strings(self, labels):
+        with pytest.raises(ValueError, match="labels must be nonempty strings"):
+            GroundSet(labels)
+
     def test_mask_errors(self, ground):
         with pytest.raises(ValueError):
             ground.mask(16)

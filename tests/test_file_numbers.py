@@ -37,12 +37,14 @@ finite = st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-1000, 1000)
 not_numbers = (st.booleans()
                | st.sampled_from(["1", "0", "1e0", "-2.5", " 3 ", "nan", "1_0", "0_5"])
                | st.from_regex(r"\A[1-9](_[0-9]{3})+\Z")
-               | st.none())
+               | st.none()
+               | st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024))
 json_values = finite | not_numbers
 
 
 def is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """A real, not a bool, that converts to a double."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) < 2 ** 1024
 
 
 def run(capsys, *argv):
@@ -162,7 +164,8 @@ class TestSearchConfigJson:
                "master_seed": seed, "objective": "alpha_in_direction"}
         integral = [*alphabet, restarts, seed]
         valid = (all(isinstance(x, int) and not isinstance(x, bool) for x in integral)
-                 and max(alphabet) >= 2
+                 and all(1 <= s <= 11 for s in alphabet) and max(alphabet) >= 2
+                 and restarts >= 1 and seed >= 0
                  and all(map(is_number, direction)) and any(direction))
         if valid:
             cfg = SearchConfig.from_json(doc)
@@ -270,15 +273,25 @@ class TestCommandLine:
         ("outer", [{"name": "big", "abcd": [10 ** 400, 1, 0, 1]}]),
         ("entropy", {"labels": ["i"], "alphabet_sizes": [1],
                      "atoms": [{"config": [0], "prob": 10 ** 400}]}),
+        ("minimize", {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1, "budget_evals": 10,
+                      "objective": "raw_score", "direction": [-10 ** 400, 0, 0]}),
     ])
     def test_integer_too_large_for_a_double(self, capsys, tmp_path, command, doc):
+        """Exits 2 with the reader's message and the file name, not only
+        "int too large to convert to float"."""
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
-        argv = ["--ineq-file", str(path)] if command == "outer" else [str(path)]
+        argv = {"outer": ["--ineq-file", str(path)],
+                "minimize": ["--config", str(path)]}.get(command, [str(path)])
+        message = {"check": "malformed set-function document",
+                   "outer": "malformed halfspace document",
+                   "entropy": "malformed distribution document",
+                   "minimize": "direction must be a finite nonzero 3-vector"}[command]
         code, out, err = run(capsys, command, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ") and message in err
 
     @pytest.mark.parametrize("argv", [["exl"],
                                       ["export", "--what", "exl-dist", "-o", "d.json"]])

@@ -141,6 +141,14 @@ class TestDfzFamily:
         with pytest.raises(ValueError):
             dfz_linear(0, None)
 
+    def test_s_follows_the_integer_rule(self):
+        """True is not the integer 1, and a numpy integer is an integer."""
+        with pytest.raises(ValueError, match="got True"):
+            dfz_halfspace(True)
+        with pytest.raises(ValueError, match="got True"):
+            default_halfspace_bank(True)
+        assert dfz_halfspace(np.int64(2)) == dfz_halfspace(2)
+
     def test_linear_s1_is_zhang_yeung_shape(self, frame):
         # stv + delta(kl|i) + delta(ik|l) + delta(il|k) with the j-bracket
         # coefficient vanishing at s = 1
