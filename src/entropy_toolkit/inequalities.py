@@ -282,11 +282,12 @@ def _bank_from_json(data) -> list[LinearInequality | CrossSectionHalfspace]:
         raise ValueError("malformed inequality document: expected an object "
                          "or a list of objects")
     out: list[LinearInequality | CrossSectionHalfspace] = []
-    for item in data:
+    for index, item in enumerate(data):
         if "abcd" in item:
             out.append(halfspace_from_json(item))
         elif "coefficients" in item:
             out.append(inequality_from_json(item))
         else:
-            raise ValueError(f"entry is neither inequality nor halfspace: {item}")
+            raise ValueError(f"entry {index} has neither \"coefficients\" nor \"abcd\"; "
+                             f"its keys are {sorted(item)}")
     return out

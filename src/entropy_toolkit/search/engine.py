@@ -65,6 +65,10 @@ DIRECTION_PENALTY = 8.0
 #: (128 MiB): 288 MiB per worker at 8^4
 MAX_ATOMS = 4096
 
+#: largest total of the restarts' best distributions, which the merge holds
+#: together (restarts x atoms float64s): 524,288 restarts at 2^4, 2,048 at 8^4
+MAX_OUTCOME_MIB = 64
+
 
 def _as_tuple(x) -> tuple:
     """x as a tuple, or () when it is not iterable."""
@@ -135,6 +139,12 @@ class SearchConfig:
                 kind = "positive" if least else "non-negative"
                 raise ValueError(f"{name} must be a {kind} integer: {count!r}")
             object.__setattr__(self, name, int(count))
+        most = MAX_OUTCOME_MIB * 2**20 // (8 * atoms)
+        if self.restarts > most:
+            raise ValueError(
+                f"restarts must be at most {most:,} at {atoms} atoms: the merge holds "
+                f"every restart's best distribution ({8 * atoms:,} B each), which "
+                f"MAX_OUTCOME_MIB = {MAX_OUTCOME_MIB} MiB bounds")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective {self.objective!r} not one of {OBJECTIVES}")
         if self.objective == "alpha_in_direction" and self.direction is None:
@@ -226,7 +236,7 @@ class DistributionObjective:
     def entropy_vector(self, p: np.ndarray) -> np.ndarray:
         """Entropy (nats) of every nonempty marginal, as a 16-vector over masks."""
         h = np.zeros(16)
-        h[1:] = subset_entropies(p, self._flat_idx, self._offsets, self._n_cells)
+        subset_entropies(p, self._flat_idx, self._offsets, self._n_cells, out=h[1:])
         return h
 
     def score_from_entropy(self, h: np.ndarray, objective: str) -> float:
@@ -346,11 +356,14 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     rows down over the worst.  When no spare row is left, the window is
     first copied back to the bottom of the buffer (recentred).  A shrink
     updates the window in place, evaluates rows 1..dim in rank order and
-    re-sorts once with a stable argsort.  A worker thus holds the buffer and,
-    during a shrink re-sort or a diameter test near convergence, one
-    simplex-sized temporary.  ``fn`` always gets a fresh array, never a view
-    of the buffer.  A non-finite objective value raises ValueError, because
-    it has no place in that order.
+    re-sorts once with a stable argsort.  The diameter test runs only when
+    the worst vertex is within diam_tol of the best, first in coordinate 0
+    (one scalar comparison, which rules out convergence in most iterations),
+    then in every coordinate.  A worker thus holds the buffer and, during a
+    shrink re-sort or a diameter test near convergence, one simplex-sized
+    temporary.  ``fn`` always gets a fresh array, never a view of the
+    buffer.  A non-finite objective value raises ValueError, because it has
+    no place in that order.
     """
     def evaluate(x: np.ndarray) -> float:
         value = fn(x)
@@ -380,8 +393,10 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     while evals < budget:
         worst = window[-1]
         # The diameter is a max, so the worst vertex alone rules out
-        # convergence whenever it is at least diam_tol from the best.
-        if np.abs(worst - window[0]).max() < diam_tol:
+        # convergence whenever it is at least diam_tol from the best, and so
+        # does its first coordinate alone, at the price of one scalar test.
+        if (abs(worst[0] - window[0, 0]) < diam_tol
+                and np.abs(worst - window[0]).max() < diam_tol):
             spread = window - window[0]
             if np.abs(spread, out=spread).max() < diam_tol:
                 converged = True

@@ -15,6 +15,7 @@ from entropy_toolkit import (
     save_set_function,
 )
 from entropy_toolkit.cli import main
+from entropy_toolkit.search import engine
 
 from helpers import fixed_cloud
 
@@ -260,6 +261,32 @@ class TestMinimizeCommand:
                            "-o", str(tmp_path / "res.json"))
         assert code == 2
         assert "MiB" in err
+
+    @pytest.mark.parametrize("command", ["minimize", "cloud"])
+    def test_restarts_above_memory_guard_exit_2(self, capsys, tmp_path, monkeypatch,
+                                                command):
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command, "--alphabet", "2,2,2,2",
+                                "--restarts", "524289", "-o", str(out))
+        assert code == 2
+        assert not stdout and not out.exists()
+        assert "restarts must be at most 524,288" in err
+        assert "MAX_OUTCOME_MIB = 64 MiB" in err
+
+    def test_restarts_above_memory_guard_in_config_file(self, capsys, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "res.json"
+        cfg.write_text(json.dumps({"restarts": 10**400, "budget_evals": 10**400}))
+        code, _, err = run(capsys, "minimize", "--config", str(cfg), "-o", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert "restarts must be at most 32,768 at 256 atoms" in err
+
+
+def _no_search(*args, **kwargs):
+    pytest.fail("a search started on a configuration the guard should reject")
 
 
 class TestCloudHullOuter:
@@ -520,6 +547,18 @@ class TestErrorsNameTheFile:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {path}: ") and message in err
+
+    def test_distribution_as_bank(self, capsys, tmp_path):
+        # the entry is named by index and keys, not quoted whole (about 2 KB)
+        path = tmp_path / "exl.json"
+        assert run(capsys, "export", "--what", "exl-dist", "--default",
+                   "-o", str(path))[0] == 0
+        code, out, err = run(capsys, "outer", "--ineq-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and len(err.rstrip("\n")) < 200
+        assert err.startswith(f"error: {path}: entry 0 ")
+        assert "['alphabet_sizes', 'atoms', 'labels']" in err
 
 
 class TestDistributionGoldens:

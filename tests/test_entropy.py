@@ -132,6 +132,43 @@ class TestEntropyFunctionMatchesReference:
             assert entropy_function(d).values.tobytes() == \
                 entropy_function_by_tile(d).values.tobytes()
 
+    @pytest.mark.parametrize("sizes", [(2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4),
+                                       (3, 2, 4, 2)])
+    def test_out_argument(self, sizes):
+        index = entropy_mod.marginal_index(entropy_mod._config_grid(sizes), sizes)
+        rng = np.random.default_rng(sum(sizes))
+        n = math.prod(sizes)
+        for dense in (rng.dirichlet(np.ones(n)),
+                      rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.2)):
+            p = dense / dense.sum()
+            h = np.full(16, np.nan)
+            v = h[1:]
+            assert entropy_mod.subset_entropies(p, *index, out=v) is v
+            assert v.tobytes() == entropy_mod.subset_entropies(p, *index).tobytes()
+            assert np.isnan(h[0])
+
+    @pytest.mark.parametrize("sizes", [(4, 4, 4, 4), (3, 2, 4, 2)])
+    def test_chunked_sparse_distributions(self, monkeypatch, sizes):
+        n = math.prod(sizes)
+        rng = np.random.default_rng(n)
+        calls = []
+        marginal_index = entropy_mod.marginal_index
+
+        def counted_index(*args):
+            calls.append(args)
+            return marginal_index(*args)
+        monkeypatch.setattr(entropy_mod, "marginal_index", counted_index)
+        for density in (0.05, 0.3):
+            dense = rng.dirichlet(np.ones(n)) * (rng.random(n) < density)
+            dense[int(rng.integers(n))] += 0.1
+            d = JointDistribution.from_dense(GroundSet("ijkl"), sizes, dense / dense.sum())
+            want = entropy_function_by_tile(d).values.tobytes()
+            # four masks per chunk: chunks 1-4, 5-8, 9-12 and 13-15
+            monkeypatch.setattr(entropy_mod, "INDEX_CHUNK", 4 * int(np.count_nonzero(dense)))
+            calls.clear()
+            assert entropy_function(d).values.tobytes() == want
+            assert len(calls) == 4
+
 
 class TestFourAtomFamily:
     def test_param_validation(self):

@@ -32,7 +32,7 @@ from entropy_toolkit import (
     vertex_seed_distributions,
 )
 from entropy_toolkit import GroundSet, delta_vec
-from entropy_toolkit.entropy import KAPPA_FLOOR, _atom_table
+from entropy_toolkit.entropy import KAPPA_FLOOR
 from entropy_toolkit.frame import a_map, b_map
 from entropy_toolkit.search import engine
 from entropy_toolkit.search.engine import (
@@ -306,6 +306,53 @@ class TestNelderMeadRankOrder:
             tracemalloc.stop()
         # numpy's ufunc buffers add a few 64 KiB blocks of their own
         assert 2 * simplex_bytes < peak <= engine._simplex_mib(dim) * 2**20 + 2**18
+
+
+def weighted_bowl(w0: float):
+    """Separable quadratic with weight w0 on coordinate 0 and 1 on the rest:
+    a large w0 collapses the simplex first in coordinate 0, a small one last."""
+    def fn(v: np.ndarray) -> float:
+        return float(w0 * v[0] ** 2 + np.sum((v[1:] - 0.25) ** 2))
+    return fn
+
+
+class TestDiameterPreCheck:
+    """The one-coordinate test in front of the diameter test changes no
+    result: it only skips the vector test when coordinate 0 alone rules out
+    convergence, and it passes (the search then continuing) when the simplex
+    has collapsed in coordinate 0 but not in every coordinate."""
+
+    CASES = {2: (nelder_mead_by_lists, 3000), 16: (nelder_mead_by_rank, 20000),
+             256: (nelder_mead_by_rank, 3000)}
+
+    @pytest.mark.parametrize("dim", sorted(CASES))
+    def test_matches_reference(self, dim, monkeypatch):
+        reference, budget = self.CASES[dim]
+        outcomes = []
+
+        def spy_abs(x):
+            # the pre-check is the only abs call inside nelder_mead
+            outcomes.append(abs(x) < 1e-10)
+            return abs(x)
+        monkeypatch.setattr(engine, "abs", spy_abs, raising=False)
+
+        x0 = np.random.default_rng(dim).normal(size=dim)
+        regimes = set()
+        for w0 in (1e6, 1e-6):
+            ref = reference(weighted_bowl(w0), x0, budget)
+            outcomes.clear()
+            x, value, evals, converged = nelder_mead(weighted_bowl(w0), x0, budget)
+            assert x.tobytes() == ref[0].tobytes(), w0
+            assert value.hex() == float(ref[1]).hex()
+            assert (evals, converged) == (ref[2], ref[3])
+            regimes.add("converged" if converged else "budget")
+            if not all(outcomes):
+                regimes.add("ruled out by coordinate 0")
+            # a passing pre-check that did not end the search
+            if sum(outcomes) > converged:
+                regimes.add("passed, search went on")
+        assert {"ruled out by coordinate 0", "passed, search went on"} <= regimes
+        assert regimes >= ({"budget"} if dim == 256 else {"converged"})
 
 
 class TestOptimizeDistribution:
@@ -638,12 +685,6 @@ class TestKernelMatchesReference:
             assert float(value).hex() == float(ref).hex()
             assert got == want
 
-    def test_atom_table_is_read_only(self):
-        table = _atom_table(16, 15)
-        assert table.tobytes() == np.tile(np.arange(16), 15).tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            table[0] = 1
-
     @pytest.mark.parametrize("sizes", KERNEL_ALPHABETS)
     @pytest.mark.parametrize("objective", ["pipeline_score", "alpha_in_direction"])
     def test_search_matches_reference(self, frame, sizes, objective):
@@ -713,6 +754,19 @@ class TestSearchConfigInputs:
             SearchConfig(alphabet_sizes=(9, 9, 9, 9))
         with pytest.raises(ValueError, match="MAX_ATOMS"):
             SearchConfig.from_json({"alphabet_sizes": [11, 11, 11, 11]})
+
+    def test_restarts_memory_guard(self):
+        # the restarts' best distributions take at most 64 MiB together
+        assert engine.MAX_OUTCOME_MIB == 64
+        SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=524_288)
+        SearchConfig(alphabet_sizes=(8, 8, 8, 8), restarts=2_048)
+        for sizes, restarts in [((2, 2, 2, 2), 524_289), ((8, 8, 8, 8), 2_049)]:
+            with pytest.raises(ValueError, match="MAX_OUTCOME_MIB = 64 MiB"):
+                SearchConfig(alphabet_sizes=sizes, restarts=restarts)
+
+    def test_huge_restarts_in_config_document(self):
+        with pytest.raises(ValueError, match=r"restarts must be at most 32,768 .* MiB"):
+            SearchConfig.from_json({"restarts": 10**400, "budget_evals": 10**400})
 
 
 class FakePool:
