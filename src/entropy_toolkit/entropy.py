@@ -254,15 +254,14 @@ def subset_entropies(p: np.ndarray, flat_idx: np.ndarray, starts: np.ndarray,
     subset, from the atom probabilities ``p`` in ``configs`` row order.
 
     One bincount accumulates every marginal mass, weighted by ``p`` tiled
-    once per subset by a broadcast assignment into a fresh array (faster
-    than ``np.tile``, and than a gather through a cached index table from
-    4^4 up); masses in (KAPPA_FLOOR, 1) contribute -m ln m, and one
-    ``reduceat`` sums them subset by subset, into ``out`` when given (which
-    is then returned).
+    once per subset by ``repeat`` of its one-row view (faster than
+    ``np.tile``, than a broadcast assignment into a fresh array, and than a
+    gather through a cached index table from 4^4 up); masses in
+    (KAPPA_FLOOR, 1) contribute -m ln m, and one ``reduceat`` sums them
+    subset by subset, into ``out`` when given (which is then returned).
     """
-    weights = np.empty((len(starts), len(p)))
-    weights[:] = p
-    masses = np.bincount(flat_idx, weights=weights.reshape(-1), minlength=n_cells)
+    weights = p.reshape(1, -1).repeat(len(starts), 0).ravel()
+    masses = np.bincount(flat_idx, weights=weights, minlength=n_cells)
     contrib = np.zeros(n_cells)
     live = (masses > KAPPA_FLOOR) & (masses < 1.0)
     m = masses[live]

@@ -7,7 +7,10 @@ contraction 0.5, shrink 0.5) from a seeded start; restarts are independent
 and merged deterministically, so a fixed master seed gives bit-identical
 results regardless of the worker count.  ENTROPY_TOOLKIT_THREADS (or the
 ``threads`` argument) caps parallel restarts; the worker count never exceeds
-the restarts or ``os.cpu_count()``.
+the restarts or ``os.cpu_count()``.  The restarts are split into one
+contiguous chunk per worker, sent as one task each, and a chunk runs its
+restarts through one evaluator; a cloud sends the searches of all its
+directions through one such call, so it starts at most one process pool.
 
 Objectives:
 
@@ -27,6 +30,7 @@ from __future__ import annotations
 import math
 import os
 import sys
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Sequence
@@ -68,6 +72,16 @@ MAX_ATOMS = 4096
 #: largest total of the restarts' best distributions, which the merge holds
 #: together (restarts x atoms float64s): 524,288 restarts at 2^4, 2,048 at 8^4
 MAX_OUTCOME_MIB = 64
+
+#: largest memory a cloud's emitted points may take: directions x restarts x
+#: (budget + atoms + 1) points, the most evaluations a restart can make, at
+#: CLOUD_POINT_BYTES each
+MAX_CLOUD_MIB = 1024
+
+#: bound on the peak bytes per emitted cloud point: tracemalloc measures
+#: 250-300 B (the point, its four floats and the tuple they came in) on 2^4
+#: clouds of several thousand points, serial or pickled back from a pool
+CLOUD_POINT_BYTES = 400
 
 
 def _as_tuple(x) -> tuple:
@@ -271,7 +285,7 @@ class DistributionObjective:
         invariant at 1e-9 are skipped.
         """
         def emit(w: np.ndarray | None) -> None:
-            if w is not None and abs(float(w.sum()) - 1.0) <= 1e-9:
+            if w is not None and abs(float(np.add.reduce(w)) - 1.0) <= 1e-9:
                 collector.append(tuple(w.tolist()))
 
         if objective == "alpha_in_direction":
@@ -301,9 +315,12 @@ class DistributionObjective:
 
 
 def softmax(theta: np.ndarray) -> np.ndarray:
-    """Normalized exponentials: the unconstrained simplex parametrization."""
-    e = np.exp(theta - theta.max())
-    e /= e.sum()
+    """Normalized exponentials: the unconstrained simplex parametrization.
+
+    The reductions are the ufuncs that ``.max()`` and ``.sum()`` call behind
+    numpy's Python-level ``_methods`` wrappers."""
+    e = np.exp(theta - np.maximum.reduce(theta))
+    e /= np.add.reduce(e)
     return e
 
 
@@ -323,15 +340,13 @@ def _simplex_mib(dim: int) -> float:
     return rows * dim * 8 / 2**20
 
 
-def _move_rows(flat: np.ndarray, vals: np.ndarray, width: int,
-               dst: int, src: int, count: int) -> None:
+def _move_rows(flat: np.ndarray, width: int, dst: int, src: int, count: int) -> None:
     """Copy rows src..src+count-1 of a C-contiguous buffer, given as its 1-D
-    view with rows of ``width``, and their values to rows dst..dst+count-1.
-    On the 1-D view an overlapping copy is one memmove; on the 2-D buffer
-    numpy would first copy the source."""
+    view with rows of ``width``, to rows dst..dst+count-1.  On the 1-D view
+    an overlapping copy is one memmove; on the 2-D buffer numpy would first
+    copy the source."""
     if count:
         flat[dst * width:(dst + count) * width] = flat[src * width:(src + count) * width]
-        vals[dst:dst + count] = vals[src:src + count]
 
 
 def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
@@ -344,21 +359,24 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     (an in-flight iteration may finish, so the count can exceed the budget by
     at most dim + 1).  Returns (best_x, best_value, evals, converged).
 
-    The vertices and their values are stored in rank order, best first: a
-    window of ``dim + 1`` rows in a buffer with ``dim // 4 + 1`` spare rows
-    above it.  The centroid sums the first dim rows of the window, a
-    contiguous view, row by row in rank order.  A new vertex with value f
-    replaces the worst at ``vals[:-1].searchsorted(f, side="right")``, after
+    The vertices are stored in rank order, best first: a window of
+    ``dim + 1`` rows in a buffer with ``dim // 4 + 1`` spare rows above it.
+    Their values, as Python floats, are a list in the same order, so the
+    comparisons and the bookkeeping of an iteration are Python operations,
+    not numpy calls on scalars.  The centroid sums the first dim rows of the
+    window, a contiguous view, row by row in rank order.  A new vertex with
+    value f replaces the worst at ``bisect_right(vals, f, 0, dim)``, after
     the vertices of equal value, which is where a stable sort of the values
     puts it; ties thus keep their rank (initially x0 first, then
-    x0 + initial_step * e_b in order of b).  The shorter side of that slot
-    moves by one row: the better rows up into the spare rows, or the worse
-    rows down over the worst.  When no spare row is left, the window is
-    first copied back to the bottom of the buffer (recentred).  A shrink
-    updates the window in place, evaluates rows 1..dim in rank order and
-    re-sorts once with a stable argsort.  The diameter test runs only when
-    the worst vertex is within diam_tol of the best, first in coordinate 0
-    (one scalar comparison, which rules out convergence in most iterations),
+    x0 + initial_step * e_b in order of b).  The list drops the worst value
+    and inserts f there; of the rows, the shorter side of the slot moves by
+    one: the better rows up into the spare rows, or the worse rows down
+    over the worst.  When no spare row is left, the window is first copied
+    back to the bottom of the buffer (recentred).  A shrink updates the
+    window in place, evaluates rows 1..dim in rank order and re-sorts once
+    by a stable sort of the values.  The diameter test runs only when the
+    worst vertex is within diam_tol of the best, first in coordinate 0 (one
+    scalar comparison, which rules out convergence in most iterations),
     then in every coordinate.  A worker thus holds the buffer and, during a
     shrink re-sort or a diameter test near convergence, one simplex-sized
     temporary.  ``fn`` always gets a fresh array, never a view of the
@@ -366,26 +384,25 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     no place in that order.
     """
     def evaluate(x: np.ndarray) -> float:
-        value = fn(x)
+        value = float(fn(x))
         if not math.isfinite(value):
             raise ValueError(f"objective returned a non-finite value: {value!r}")
         return value
 
     def sort_window() -> None:
-        order = np.argsort(vals, kind="stable")
-        window[:] = window[order]
-        vals[:] = vals[order]
+        # both sorts are stable, so the rows follow the values' permutation
+        window[:] = window[sorted(range(dim + 1), key=vals.__getitem__)]
+        vals.sort()
 
     dim = len(x0)
     headroom = _headroom(dim)
     rows = np.empty((headroom + dim + 1, dim))
-    row_vals = np.empty(headroom + dim + 1)
     flat = rows.reshape(-1)
     top = headroom
-    window, vals = rows[top:], row_vals[top:]
+    window = rows[top:]
     window[:] = np.asarray(x0, dtype=float)
     window[np.arange(1, dim + 1), np.arange(dim)] += initial_step
-    vals[:] = [evaluate(row.copy()) for row in window]
+    vals = [evaluate(row.copy()) for row in window]
     sort_window()
     evals = dim + 1
     converged = False
@@ -430,19 +447,21 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
                 sort_window()
                 continue
         # the slot after the vertices of equal value; the shorter side moves
-        j = int(vals[:-1].searchsorted(f_new, side="right"))
+        j = bisect_right(vals, f_new, 0, dim)
+        del vals[-1]
+        vals.insert(j, f_new)
         if j < dim - j:
             if top == 0:  # no spare row left: recentre
-                _move_rows(flat, row_vals, dim, headroom, 0, dim + 1)
+                _move_rows(flat, dim, headroom, 0, dim + 1)
                 top = headroom
-            _move_rows(flat, row_vals, dim, top - 1, top, j)
+            _move_rows(flat, dim, top - 1, top, j)
             top -= 1
-            window, vals = rows[top:top + dim + 1], row_vals[top:top + dim + 1]
+            window = rows[top:top + dim + 1]
         else:
-            _move_rows(flat, row_vals, dim, top + j + 1, top + j, dim - j)
-        window[j], vals[j] = new, f_new
+            _move_rows(flat, dim, top + j + 1, top + j, dim - j)
+        window[j] = new
 
-    return window[0].copy(), float(vals[0]), evals, converged
+    return window[0].copy(), vals[0], evals, converged
 
 
 def restart_seed(master_seed: int, restart: int) -> int:
@@ -460,19 +479,26 @@ def _initial_theta(rng: np.random.Generator, dim: int, restart: int,
     return theta
 
 
-def _run_restart(args) -> tuple[float, np.ndarray, int, bool, list | None]:
-    """One seeded restart; module-level so process pools can pickle it."""
-    cfg, frame, restart, init, collect = args
-    evaluator = DistributionObjective(frame, cfg.alphabet_sizes)
-    collector: list | None = [] if collect else None
-    objective = evaluator.make_objective(cfg.objective, cfg.direction, collector)
+def _run_restarts(chunk) -> list[tuple]:
+    """A contiguous run of seeded restarts, all on one alphabet, through one
+    evaluator; module-level so process pools can pickle it.
 
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, restart)))
-    theta0 = _initial_theta(rng, evaluator.n_atoms, restart,
-                            None if init is None else np.asarray(init))
-    best_theta, best_val, evals, converged = nelder_mead(
-        lambda th: objective(softmax(th)), theta0, cfg.budget_evals)
-    return best_val, softmax(best_theta), evals, converged, collector
+    ``chunk`` is (frame, jobs, init, collect) with jobs a list of
+    (config, restart) pairs.  Each outcome is (best value, best
+    distribution, evaluations, converged, collected weights or None).
+    """
+    frame, jobs, init, collect = chunk
+    evaluator = DistributionObjective(frame, jobs[0][0].alphabet_sizes)
+    outcomes = []
+    for cfg, restart in jobs:
+        collector: list | None = [] if collect else None
+        objective = evaluator.make_objective(cfg.objective, cfg.direction, collector)
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, restart)))
+        theta0 = _initial_theta(rng, evaluator.n_atoms, restart, init)
+        best_theta, best_val, evals, converged = nelder_mead(
+            lambda th: objective(softmax(th)), theta0, cfg.budget_evals)
+        outcomes.append((best_val, softmax(best_theta), evals, converged, collector))
+    return outcomes
 
 
 def _thread_count(threads: int | None) -> int:
@@ -486,15 +512,27 @@ def _thread_count(threads: int | None) -> int:
     return max(1, min(int(threads), os.cpu_count() or 1))
 
 
-def _run_all_restarts(cfg: SearchConfig, frame: IngletonFrame,
+def _run_all_restarts(cfg: SearchConfig | Sequence[SearchConfig], frame: IngletonFrame,
                       init: np.ndarray | None, collect: bool,
                       threads: int | None) -> list[tuple]:
-    tasks = [(cfg, frame, r, init, collect) for r in range(cfg.restarts)]
-    workers = min(_thread_count(threads), cfg.restarts)
+    """The outcomes of every restart of ``cfg``, or of several configs on one
+    alphabet back to back, in that order.
+
+    The restarts are split into one contiguous chunk per worker, as even as
+    the count allows, and each chunk is one task; one worker runs them all
+    in-process as one chunk.
+    """
+    cfgs = [cfg] if isinstance(cfg, SearchConfig) else list(cfg)
+    jobs = [(c, r) for c in cfgs for r in range(c.restarts)]
+    workers = min(_thread_count(threads), len(jobs))
+    cuts = [len(jobs) * k // workers for k in range(workers + 1)]
+    chunks = [(frame, jobs[lo:hi], init, collect) for lo, hi in zip(cuts, cuts[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_restart, tasks))
-    return [_run_restart(t) for t in tasks]
+            parts = list(pool.map(_run_restarts, chunks))
+    else:
+        parts = [_run_restarts(c) for c in chunks]
+    return [outcome for part in parts for outcome in part]
 
 
 def _best_restart(outcomes: list[tuple], cfg: SearchConfig, frame: IngletonFrame,
@@ -543,6 +581,25 @@ def optimize_distribution(cfg: SearchConfig, frame: IngletonFrame,
     )
 
 
+def _check_cloud_size(n_directions: int, cfg: SearchConfig, optima_only: bool) -> None:
+    """Reject a cloud whose merged outcomes or emitted points could exceed
+    their memory bounds, before any search starts."""
+    atoms = math.prod(cfg.alphabet_sizes)
+    searches = n_directions * cfg.restarts
+    if searches * 8 * atoms > MAX_OUTCOME_MIB * 2**20:
+        raise ValueError(
+            f"{n_directions:,} directions x {cfg.restarts:,} restarts are too many at "
+            f"{atoms} atoms: the merge holds every search's best distribution "
+            f"({8 * atoms:,} B each), which MAX_OUTCOME_MIB = {MAX_OUTCOME_MIB} MiB bounds")
+    points = searches * (cfg.budget_evals + atoms + 1)
+    if not optima_only and points * CLOUD_POINT_BYTES > MAX_CLOUD_MIB * 2**20:
+        raise ValueError(
+            f"a cloud of {n_directions:,} directions x {cfg.restarts:,} restarts x up to "
+            f"{cfg.budget_evals + atoms + 1:,} evaluations could hold {points:,} points "
+            f"({CLOUD_POINT_BYTES} B each), above MAX_CLOUD_MIB = {MAX_CLOUD_MIB} MiB: "
+            f"lower the budget, the restarts or the directions, or keep optima only")
+
+
 def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
                    frame: IngletonFrame, optima_only: bool = False,
                    threads: int | None = None) -> list[CrossSectionPoint]:
@@ -551,23 +608,32 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
     By default every evaluated point's weights are emitted (skipping
     near-degenerate evaluations), so the cloud density mirrors the search
     effort; ``optima_only`` keeps only the best point of each direction.
+    Every (direction, restart) search goes to one restart driver call, so a
+    cloud starts at most one process pool.  A cloud that could exceed
+    ``MAX_CLOUD_MIB`` of points, or ``MAX_OUTCOME_MIB`` of merged best
+    distributions, is rejected before any search starts.
     """
     if not directions:
         raise ValueError("need at least one direction")
+    _check_cloud_size(len(directions), cfg, optima_only)
+    d_cfgs = [replace(cfg, objective="alpha_in_direction", direction=d) for d in directions]
+    outcomes = _run_all_restarts(d_cfgs, frame, None, collect=not optima_only,
+                                 threads=threads)
     cloud: list[CrossSectionPoint] = []
-    for d_idx, direction in enumerate(directions):
-        d_cfg = replace(cfg, objective="alpha_in_direction", direction=direction)
+    for d_idx, d_cfg in enumerate(d_cfgs):
         tag = "dir{}({:.6g},{:.6g},{:.6g})".format(d_idx, *d_cfg.direction)
-        outcomes = _run_all_restarts(d_cfg, frame, None, collect=not optima_only,
-                                     threads=threads)
+        own = outcomes[d_idx * cfg.restarts:(d_idx + 1) * cfg.restarts]
         if optima_only:
-            point = _best_restart(outcomes, d_cfg, frame, tag)[2]
+            point = _best_restart(own, d_cfg, frame, tag)[2]
             if point is not None:
                 cloud.append(point)
         else:
-            for r, outcome in enumerate(outcomes):
-                for w in outcome[4]:
-                    cloud.append(CrossSectionPoint(*w, source_tag=f"{tag}/r{r}"))
+            for r, outcome in enumerate(own):
+                # one tag string per restart, whose weight tuples are freed
+                # once its points exist
+                source = f"{tag}/r{r}"
+                cloud.extend(CrossSectionPoint(*w, source_tag=source) for w in outcome[4])
+                outcome[4].clear()
     return cloud
 
 

@@ -284,6 +284,18 @@ class TestMinimizeCommand:
         assert not out.exists()
         assert "restarts must be at most 32,768 at 256 atoms" in err
 
+    def test_cloud_above_point_bound_exits_2(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        out = tmp_path / "cloud.csv"
+        # 8 directions x 1 restart x (335,528 + 17) points x 400 B > 1024 MiB
+        code, stdout, err = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "1",
+                                "--budget", "335528", "-o", str(out))
+        assert code == 2
+        assert not stdout and not out.exists()
+        assert len(err.splitlines()) == 1
+        assert "could hold 2,684,360 points" in err
+        assert "MAX_CLOUD_MIB = 1024 MiB" in err
+
 
 def _no_search(*args, **kwargs):
     pytest.fail("a search started on a configuration the guard should reject")

@@ -883,6 +883,161 @@ class TestRestartTasks:
             assert np.array_equal(p1, p2)
 
 
+class PicklingPool(FakePool):
+    """A FakePool that pickles every task and outcome, as a process pool
+    does, and records the restart indices of each task it is given."""
+
+    tasks: list = []
+
+    def map(self, fn, items):
+        items = list(items)
+        PicklingPool.tasks.append([[r for _, r in jobs] for _, jobs, _, _ in items])
+        return [pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(t)))))
+                for t in items]
+
+
+class TestChunkDriver:
+    """The restarts go out as one contiguous chunk per worker, each chunk
+    builds one evaluator, and the outcomes come back in restart order, equal
+    to the serial ones."""
+
+    CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=5, budget_evals=90,
+                       master_seed=17, objective="alpha_in_direction",
+                       direction=(0.1, -0.4, 0.9))
+
+    @pytest.fixture
+    def setups(self, monkeypatch):
+        """Counts DistributionObjective constructions; pools get three CPUs."""
+        calls = []
+        init = DistributionObjective.__init__
+
+        def counted(self, *args):
+            calls.append(args)
+            init(self, *args)
+        monkeypatch.setattr(DistributionObjective, "__init__", counted)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", PicklingPool)
+        FakePool.requested, PicklingPool.tasks = [], []
+        return calls
+
+    @pytest.mark.parametrize("restarts, threads, chunks", [
+        (5, 2, [[0, 1], [2, 3, 4]]),
+        (5, 3, [[0], [1, 2], [3, 4]]),
+        (2, 3, [[0], [1]]),
+    ])
+    def test_chunks_give_serial_outcomes(self, frame, setups, restarts, threads, chunks):
+        cfg = replace(self.CFG, restarts=restarts)
+        serial = engine._run_all_restarts(cfg, frame, None, True, threads=1)
+        assert len(setups) == 1 and FakePool.requested == []
+        setups.clear()
+        pooled = engine._run_all_restarts(cfg, frame, None, True, threads=threads)
+        workers = len(chunks)
+        assert FakePool.requested == [workers]
+        assert PicklingPool.tasks == [chunks]
+        assert len(setups) == workers
+        for (v1, p1, e1, c1, w1), (v2, p2, e2, c2, w2) in zip(serial, pooled, strict=True):
+            assert (v1.hex(), e1, c1, w1) == (v2.hex(), e2, c2, w2)
+            assert p1.tobytes() == p2.tobytes()
+
+    def test_cloud_starts_one_pool(self, frame, setups):
+        directions = sphere_directions(3, seed=5)
+        cfg = replace(self.CFG, restarts=2)
+        serial = generate_cloud(directions, cfg, frame, threads=1)
+        assert len(setups) == 1
+        setups.clear()
+        pooled = generate_cloud(directions, cfg, frame, threads=2)
+        # six (direction, restart) searches in two chunks, one pool
+        assert FakePool.requested == [2]
+        assert PicklingPool.tasks == [[[0, 1, 0], [1, 0, 1]]]
+        assert len(setups) == 2
+        assert pooled == serial
+
+    def test_real_pool_cloud_equals_serial(self, frame, monkeypatch):
+        """A fork pool of two workers, whatever the CPU count of the host."""
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        directions = sphere_directions(3, seed=8)
+        cfg = replace(self.CFG, restarts=2)
+        serial = generate_cloud(directions, cfg, frame, threads=1)
+        pooled = generate_cloud(directions, cfg, frame, threads=2)
+        assert len(serial) > 300
+        assert [(p.as_tuple(), p.source_tag) for p in pooled] == \
+            [(p.as_tuple(), p.source_tag) for p in serial]
+
+
+class TestCloudMemoryBound:
+    """A cloud whose points or merged outcomes could exceed their bounds is
+    rejected before any search starts."""
+
+    CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=1, budget_evals=40)
+
+    def test_point_bound_at_the_boundary(self):
+        # 8 directions x 1 restart x (budget + 17) points x 400 B <= 1024 MiB
+        assert (engine.MAX_CLOUD_MIB, engine.CLOUD_POINT_BYTES) == (1024, 400)
+        most = 2**30 // (8 * 400) - 17
+        engine._check_cloud_size(8, replace(self.CFG, budget_evals=most), False)
+        with pytest.raises(ValueError, match="MAX_CLOUD_MIB = 1024 MiB"):
+            engine._check_cloud_size(8, replace(self.CFG, budget_evals=most + 1), False)
+        # optima only keeps one point per direction
+        engine._check_cloud_size(8, replace(self.CFG, budget_evals=10**400), True)
+
+    def test_outcome_bound_counts_every_direction(self):
+        cfg = replace(self.CFG, restarts=262_144)
+        engine._check_cloud_size(2, cfg, True)
+        with pytest.raises(ValueError, match="MAX_OUTCOME_MIB = 64 MiB"):
+            engine._check_cloud_size(3, cfg, True)
+
+    def test_generate_cloud_checks_first(self, frame, monkeypatch):
+        def no_search(*args, **kwargs):
+            pytest.fail("a search started on a cloud the bound should reject")
+        monkeypatch.setattr(engine, "_run_all_restarts", no_search)
+        with pytest.raises(ValueError, match="could hold 4,000,000,136 points"):
+            generate_cloud([(0.0, 0.0, 1.0)] * 8, replace(self.CFG, budget_evals=5 * 10**8),
+                           frame)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_bytes_per_point_as_stated(self, frame, monkeypatch, pooled):
+        """The peak memory of a cloud, over its points, stays within
+        CLOUD_POINT_BYTES, serially and with outcomes pickled back."""
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", PicklingPool)
+        threads = 2 if pooled else 1
+        directions = sphere_directions(3, seed=1)
+        cfg = replace(self.CFG, restarts=2, budget_evals=2000)
+        # fill the caches the search shares outside the traced window
+        generate_cloud(directions[:1], replace(cfg, restarts=1, budget_evals=40), frame,
+                       threads=threads)
+        tracemalloc.start()
+        try:
+            cloud = generate_cloud(directions, cfg, frame, threads=threads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cloud) > 6000
+        assert peak / len(cloud) <= engine.CLOUD_POINT_BYTES
+
+
+class TestNumpyScalarObjective:
+    """An objective that returns np.float64, as alpha_in_direction does,
+    gives a Python float and the reference search bit for bit."""
+
+    BUDGETS = {16: (300, 3000), 256: (1500,)}
+
+    @pytest.mark.parametrize("dim", sorted(BUDGETS))
+    def test_matches_rank_reference(self, dim):
+        x0 = np.random.default_rng(dim + 1).normal(size=dim)
+        for name, fn in sorted(TIE_HEAVY.items()):
+            def scalar(v, fn=fn):
+                return np.float64(fn(v))
+            assert type(scalar(x0)) is np.float64
+            for budget in self.BUDGETS[dim]:
+                ref = nelder_mead_by_rank(scalar, x0, budget)
+                x, value, evals, converged = nelder_mead(scalar, x0, budget)
+                assert type(value) is float
+                assert value.hex() == float(ref[1]).hex(), (name, budget)
+                assert x.tobytes() == ref[0].tobytes()
+                assert (evals, converged) == (ref[2], ref[3])
+
+
 class TestDirectionNormRange:
     """make_objective divides a direction by sqrt(d . d): a squared norm that
     underflows or overflows would lose the ray, so such directions are
