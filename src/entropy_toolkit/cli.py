@@ -36,6 +36,14 @@ def _frame(args, ground: core.GroundSet | None = None) -> frame_mod.IngletonFram
     return frame_mod.IngletonFrame.from_spec(ground, args.frame)
 
 
+def _number(kind: type):
+    """argparse type: a numeric flag read by ``core._csv_numbers`` ("1_0" is rejected)."""
+    def read(text: str):
+        return core._csv_numbers([text], [kind])[0]
+    read.__name__ = kind.__name__  # argparse names it: "invalid int value"
+    return read
+
+
 def _print_set_function(f: core.SetFunction, bits: bool = False) -> None:
     unit = entropy.LN2 if bits else 1.0
     for mask in f.ground.subsets():
@@ -230,6 +238,7 @@ def cmd_cloud(args) -> int:
     if args.directions_file:
         directions = core._read_file(args.directions_file, _directions)
     else:
+        engine._check_cloud_size(args.directions, cfg, args.optima_only)
         directions = engine.sphere_directions(args.directions, seed=cfg.master_seed)
     points = engine.generate_cloud(directions, cfg, fr, optima_only=args.optima_only)
     if args.include_vertices:
@@ -325,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="polymatroid axiom check of a set-function file")
     p.add_argument("file")
-    p.add_argument("--tol", type=float, default=core.TOL_ANALYTIC)
+    p.add_argument("--tol", type=_number(float), default=core.TOL_ANALYTIC)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("entropy", help="entropy function of a distribution file")
@@ -341,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_score)
 
     p = sub.add_parser("fouratom", help="four-atom family score")
-    p.add_argument("--p", type=float)
+    p.add_argument("--p", type=_number(float))
     p.add_argument("--minimize", action="store_true")
     p.set_defaults(fn=cmd_fouratom)
 
@@ -349,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--default", action="store_true",
                        help="use the reference parameter point")
         for name in "pqrst":
-            p.add_argument(f"--{name}", type=float)
+            p.add_argument(f"--{name}", type=_number(float))
         p.add_argument("--frame")
 
     p = sub.add_parser("exl", help="forty-configuration family scores")
@@ -359,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_search_args(p):
         p.add_argument("--config", help="SearchConfig JSON file")
         p.add_argument("--alphabet", help="comma list, e.g. 4,4,4,4")
-        p.add_argument("--restarts", type=int)
-        p.add_argument("--budget", type=int, dest="budget_evals", metavar="BUDGET",
+        p.add_argument("--restarts", type=_number(int))
+        p.add_argument("--budget", type=_number(int), dest="budget_evals", metavar="BUDGET",
                        help="objective evaluations per restart")
-        p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED")
+        p.add_argument("--seed", type=_number(int), dest="master_seed", metavar="SEED")
         p.add_argument("--frame")
 
     p = sub.add_parser("minimize", help="minimize an Ingleton objective over distributions")
@@ -375,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cloud", help="generate a cross-section point cloud")
     add_search_args(p)
-    p.add_argument("--directions", type=int, default=8)
+    p.add_argument("--directions", type=_number(int), default=8)
     p.add_argument("--directions-file", help="JSON list of 3-vectors")
     p.add_argument("--optima-only", action="store_true")
     p.add_argument("--include-vertices", action="store_true",
@@ -389,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_hull)
 
     p = sub.add_parser("outer", help="outer approximation from halfspace banks")
-    p.add_argument("--dfz-max-s", type=int, default=6)
+    p.add_argument("--dfz-max-s", type=_number(int), default=6)
     p.add_argument("--ineq-file")
     p.add_argument("-o", "--output", help="write the region as JSON")
     p.set_defaults(fn=cmd_outer)

@@ -261,13 +261,14 @@ def _csv_numbers(row: Sequence[str], kinds: Sequence[type],
 
 def _read_file(path, build: Callable, parse: Callable = json.load):
     """The one way an input file is read: ``build(parse(fh))`` on the open
-    file.  A ValueError or OverflowError from either step is re-raised as a
+    file.  A ValueError or OverflowError from either step, or an OSError
+    (a missing file, a directory; its strerror only), is re-raised as a
     ValueError that starts with the path, so every input error names its file."""
     try:
         with open(path, newline="") as fh:
             return build(parse(fh))
-    except (ValueError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _write_json(doc, path) -> None:

@@ -301,6 +301,14 @@ def _four_atom_p(params) -> float:
     return FourAtomParams(float(params)).p
 
 
+def _family_ground(ground: GroundSet | None, family: str) -> GroundSet:
+    """``ground`` (default labels i, j, k, l) after checking it has four elements."""
+    ground = ground or GroundSet("ijkl")
+    if ground.n != 4:
+        raise ValueError(f"{family} family needs a 4-element ground set")
+    return ground
+
+
 def four_atom_distribution(params, ground: GroundSet | None = None) -> JointDistribution:
     """Two exchangeable fair bits at positions 0,1 with their min and max.
 
@@ -308,16 +316,10 @@ def four_atom_distribution(params, ground: GroundSet | None = None) -> JointDist
     (0,1,0,1) and (1,0,0,1) carry 1/2 - p each.
     """
     p = _four_atom_p(params)
-    ground = ground or GroundSet("ijkl")
-    if ground.n != 4:
-        raise ValueError("four-atom family needs a 4-element ground set")
-    atoms = {
-        (0, 0, 0, 0): p,
-        (0, 1, 0, 1): 0.5 - p,
-        (1, 0, 0, 1): 0.5 - p,
-        (1, 1, 1, 1): p,
-    }
-    return JointDistribution(ground, (2, 2, 2, 2), atoms)
+    return JointDistribution._from_arrays(
+        _family_ground(ground, "four-atom"), (2, 2, 2, 2),
+        np.array([[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]], dtype=np.int64),
+        np.array([p, 0.5 - p, 0.5 - p, p], dtype=float))
 
 
 def four_atom_score(params) -> float:
@@ -374,15 +376,10 @@ EXL_REFERENCE = ExLParams(p=0.09524, q=0.02494, r=0.00160, s=0.00161, t=0.00161)
 
 def exl_distribution(params: ExLParams, ground: GroundSet | None = None) -> JointDistribution:
     """Distribution over {0,1,2,3}^4 supported on the forty tabled configurations."""
-    ground = ground or GroundSet("ijkl")
-    if ground.n != 4:
-        raise ValueError("exl family needs a 4-element ground set")
-    weights = dict(zip("pqrst", params.as_tuple()))
-    atoms: dict[tuple[int, ...], float] = {}
-    for cname, cfgs in EXL_COLUMNS:
-        for cfg in cfgs:
-            atoms[tuple(int(c) for c in cfg)] = weights[cname]
-    return JointDistribution(ground, (4, 4, 4, 4), atoms)
+    return JointDistribution._from_arrays(
+        _family_ground(ground, "exl"), (4, 4, 4, 4),
+        np.array([[*map(int, cfg)] for _, cfgs in EXL_COLUMNS for cfg in cfgs], dtype=np.int64),
+        np.repeat(np.array(params.as_tuple(), dtype=float), 8))
 
 
 def exl_closed_form(params: ExLParams, ground: GroundSet | None = None) -> SetFunction:
@@ -392,9 +389,7 @@ def exl_closed_form(params: ExLParams, ground: GroundSet | None = None) -> SetFu
     remaining coordinates are short kappa sums in the column weights.  Agrees
     with entropy_function(exl_distribution(params)) to full precision.
     """
-    ground = ground or GroundSet("ijkl")
-    if ground.n != 4:
-        raise ValueError("exl family needs a 4-element ground set")
+    ground = _family_ground(ground, "exl")
     p, q, r, s, t = params.as_tuple()
     k = kappa
     vals = np.zeros(16)
@@ -418,15 +413,10 @@ def exl_closed_form(params: ExLParams, ground: GroundSet | None = None) -> SetFu
 def load_exl_table() -> tuple[tuple[str, tuple[str, ...]], ...]:
     """Read the packaged CSV copy of the forty-configuration table."""
     cols: dict[str, list[str]] = {}
-    order: list[str] = []
     text = resources.files("entropy_toolkit").joinpath("data/exl40.csv").read_text()
     for row in csv.DictReader(text.splitlines()):
-        name = row["column"]
-        if name not in cols:
-            cols[name] = []
-            order.append(name)
-        cols[name].append(row["config"])
-    return tuple((name, tuple(cols[name])) for name in order)
+        cols.setdefault(row["column"], []).append(row["config"])
+    return tuple((name, tuple(cfgs)) for name, cfgs in cols.items())
 
 
 # --- distribution wire formats ----------------------------------------------

@@ -84,6 +84,17 @@ MAX_CLOUD_MIB = 1024
 CLOUD_POINT_BYTES = 400
 
 
+def _check_outcome_size(searches: int, atoms: int, what: str) -> None:
+    """Reject more searches than MAX_OUTCOME_MIB allows at ``atoms`` atoms:
+    the merge holds every search's best distribution together."""
+    most = MAX_OUTCOME_MIB * 2**20 // (8 * atoms)
+    if searches > most:
+        raise ValueError(
+            f"{what} must be at most {most:,} at {atoms} atoms: the merge holds every "
+            f"search's best distribution ({8 * atoms:,} B each), which "
+            f"MAX_OUTCOME_MIB = {MAX_OUTCOME_MIB} MiB bounds")
+
+
 def _as_tuple(x) -> tuple:
     """x as a tuple, or () when it is not iterable."""
     try:
@@ -153,12 +164,7 @@ class SearchConfig:
                 kind = "positive" if least else "non-negative"
                 raise ValueError(f"{name} must be a {kind} integer: {count!r}")
             object.__setattr__(self, name, int(count))
-        most = MAX_OUTCOME_MIB * 2**20 // (8 * atoms)
-        if self.restarts > most:
-            raise ValueError(
-                f"restarts must be at most {most:,} at {atoms} atoms: the merge holds "
-                f"every restart's best distribution ({8 * atoms:,} B each), which "
-                f"MAX_OUTCOME_MIB = {MAX_OUTCOME_MIB} MiB bounds")
+        _check_outcome_size(self.restarts, atoms, "restarts")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective {self.objective!r} not one of {OBJECTIVES}")
         if self.objective == "alpha_in_direction" and self.direction is None:
@@ -586,11 +592,8 @@ def _check_cloud_size(n_directions: int, cfg: SearchConfig, optima_only: bool) -
     their memory bounds, before any search starts."""
     atoms = math.prod(cfg.alphabet_sizes)
     searches = n_directions * cfg.restarts
-    if searches * 8 * atoms > MAX_OUTCOME_MIB * 2**20:
-        raise ValueError(
-            f"{n_directions:,} directions x {cfg.restarts:,} restarts are too many at "
-            f"{atoms} atoms: the merge holds every search's best distribution "
-            f"({8 * atoms:,} B each), which MAX_OUTCOME_MIB = {MAX_OUTCOME_MIB} MiB bounds")
+    _check_outcome_size(searches, atoms, f"directions x restarts "
+                                         f"({n_directions:,} x {cfg.restarts:,})")
     points = searches * (cfg.budget_evals + atoms + 1)
     if not optima_only and points * CLOUD_POINT_BYTES > MAX_CLOUD_MIB * 2**20:
         raise ValueError(
@@ -654,33 +657,19 @@ def sphere_directions(count: int, seed: int = 0) -> list[tuple[float, float, flo
 def vertex_seed_distributions(frame: IngletonFrame) -> dict[str, JointDistribution]:
     """Product-of-fair-bits distributions whose section points are the
     tetrahedron corners beta, gamma, delta (the corners are entropic up to
-    scaling, realized by uniform linear matroids)."""
-    ground = frame.ground
-    i, j, k, l = frame.roles
+    scaling, realized by uniform linear matroids).
 
-    def build(sizes_by_role, configs_by_role):
-        sizes = [0] * 4
-        for role, lab in zip("ijkl", (i, j, k, l)):
-            sizes[ground.bit(lab)] = sizes_by_role[role]
-        atoms = {}
-        for cfg_roles, prob in configs_by_role:
-            cfg = [0] * 4
-            for role, lab in zip("ijkl", (i, j, k, l)):
-                cfg[ground.bit(lab)] = cfg_roles[role]
-            atoms[tuple(cfg)] = prob
-        return JointDistribution(ground, sizes, atoms)
-
-    beta_atoms = [({"i": y, "j": x, "k": 2 * x + y, "l": 2 * x + y}, 0.25)
-                  for x in range(2) for y in range(2)]
-    gamma_atoms = [({"i": 2 * x + u, "j": 2 * y + v, "k": u ^ v, "l": x ^ y}, 1 / 16)
-                   for x in range(2) for y in range(2)
-                   for u in range(2) for v in range(2)]
-    delta_atoms = [({"i": 2 * y + w, "j": 2 * x + z, "k": 2 * z + w, "l": 2 * x + y},
-                    1 / 16)
-                   for x in range(2) for y in range(2)
-                   for z in range(2) for w in range(2)]
-    return {
-        "beta": build({"i": 2, "j": 2, "k": 4, "l": 4}, beta_atoms),
-        "gamma": build({"i": 4, "j": 4, "k": 2, "l": 2}, gamma_atoms),
-        "delta": build({"i": 4, "j": 4, "k": 4, "l": 4}, delta_atoms),
+    Each corner's atoms, one per value of its fair bits (first bit outermost),
+    are rows in role order (i, j, k, l), permuted once into ground order."""
+    u, v = np.indices((2, 2), dtype=np.int64).reshape(2, -1)
+    x, y, z, w = np.indices((2, 2, 2, 2), dtype=np.int64).reshape(4, -1)
+    corners = {
+        "beta": ((2, 2, 4, 4), (v, u, 2 * u + v, 2 * u + v)),
+        "gamma": ((4, 4, 2, 2), (2 * x + z, 2 * y + w, z ^ w, x ^ y)),
+        "delta": ((4, 4, 4, 4), (2 * y + w, 2 * x + z, 2 * z + w, 2 * x + y)),
     }
+    cols = [frame.roles.index(lab) for lab in frame.ground.labels]
+    return {name: JointDistribution._from_arrays(
+                frame.ground, [sizes[c] for c in cols], np.stack(rows, axis=1)[:, cols],
+                np.full(rows[0].size, 1.0 / rows[0].size))
+            for name, (sizes, rows) in corners.items()}

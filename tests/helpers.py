@@ -22,6 +22,7 @@ from entropy_toolkit import (
     delta,
     delta_given,
     delta_vec,
+    entropy_function,
     ingleton_base,
     ingleton_value,
     matroid_rank,
@@ -36,9 +37,12 @@ from entropy_toolkit.core import (
     is_modular,
 )
 from entropy_toolkit.entropy import (
+    EXL_COLUMNS,
     INDEX_CHUNK,
     KAPPA_FLOOR,
     MAX_CELLS,
+    ExLParams,
+    _four_atom_p,
     marginal_index,
     subset_entropies,
 )
@@ -885,3 +889,80 @@ def distribution_from_json_by_dict(data: dict) -> JointDistributionByDict:
         raise ValueError("malformed distribution document: alphabet sizes and "
                          "configurations need integers, probabilities numbers")
     return JointDistributionByDict(ground, sizes, atoms)
+
+
+# --- built-in distributions assembled atom by atom: the array builders' reference
+
+def four_atom_distribution_by_dict(params, ground: GroundSet | None = None) -> JointDistribution:
+    """Reference: the four-atom family as a {configuration: probability} dict
+    through the Mapping constructor."""
+    p = _four_atom_p(params)
+    ground = ground or GroundSet("ijkl")
+    if ground.n != 4:
+        raise ValueError("four-atom family needs a 4-element ground set")
+    atoms = {
+        (0, 0, 0, 0): p,
+        (0, 1, 0, 1): 0.5 - p,
+        (1, 0, 0, 1): 0.5 - p,
+        (1, 1, 1, 1): p,
+    }
+    return JointDistribution(ground, (2, 2, 2, 2), atoms)
+
+
+def exl_distribution_by_dict(params: ExLParams,
+                             ground: GroundSet | None = None) -> JointDistribution:
+    """Reference: the forty-configuration family, one dict entry per tabled
+    configuration, through the Mapping constructor."""
+    ground = ground or GroundSet("ijkl")
+    if ground.n != 4:
+        raise ValueError("exl family needs a 4-element ground set")
+    weights = dict(zip("pqrst", params.as_tuple()))
+    atoms: dict[tuple[int, ...], float] = {}
+    for cname, cfgs in EXL_COLUMNS:
+        for cfg in cfgs:
+            atoms[tuple(int(c) for c in cfg)] = weights[cname]
+    return JointDistribution(ground, (4, 4, 4, 4), atoms)
+
+
+def vertex_seed_distributions_by_dict(frame: IngletonFrame) -> dict[str, JointDistribution]:
+    """Reference: the corner distributions, each atom's roles placed on the
+    ground bits one at a time."""
+    ground = frame.ground
+    i, j, k, l = frame.roles
+
+    def build(sizes_by_role, configs_by_role):
+        sizes = [0] * 4
+        for role, lab in zip("ijkl", (i, j, k, l)):
+            sizes[ground.bit(lab)] = sizes_by_role[role]
+        atoms = {}
+        for cfg_roles, prob in configs_by_role:
+            cfg = [0] * 4
+            for role, lab in zip("ijkl", (i, j, k, l)):
+                cfg[ground.bit(lab)] = cfg_roles[role]
+            atoms[tuple(cfg)] = prob
+        return JointDistribution(ground, sizes, atoms)
+
+    beta_atoms = [({"i": y, "j": x, "k": 2 * x + y, "l": 2 * x + y}, 0.25)
+                  for x in range(2) for y in range(2)]
+    gamma_atoms = [({"i": 2 * x + u, "j": 2 * y + v, "k": u ^ v, "l": x ^ y}, 1 / 16)
+                   for x in range(2) for y in range(2)
+                   for u in range(2) for v in range(2)]
+    delta_atoms = [({"i": 2 * y + w, "j": 2 * x + z, "k": 2 * z + w, "l": 2 * x + y},
+                    1 / 16)
+                   for x in range(2) for y in range(2)
+                   for z in range(2) for w in range(2)]
+    return {
+        "beta": build({"i": 2, "j": 2, "k": 4, "l": 4}, beta_atoms),
+        "gamma": build({"i": 4, "j": 4, "k": 2, "l": 2}, gamma_atoms),
+        "delta": build({"i": 4, "j": 4, "k": 4, "l": 4}, delta_atoms),
+    }
+
+
+def assert_same_rows(d: JointDistribution, ref: JointDistribution) -> None:
+    """d has ref's ground, alphabet sizes and int64 configuration rows in the
+    same order, and the same probability and entropy bytes."""
+    assert (d.ground, d.alphabet_sizes) == (ref.ground, ref.alphabet_sizes)
+    assert d.configs.dtype == ref.configs.dtype == np.int64
+    assert np.array_equal(d.configs, ref.configs)
+    assert d.probs.tobytes() == ref.probs.tobytes()
+    assert entropy_function(d).values.tobytes() == entropy_function(ref).values.tobytes()

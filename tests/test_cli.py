@@ -296,6 +296,19 @@ class TestMinimizeCommand:
         assert "could hold 2,684,360 points" in err
         assert "MAX_CLOUD_MIB = 1024 MiB" in err
 
+    def test_cloud_size_checked_before_directions(self, capsys, tmp_path, monkeypatch):
+        def spy(*args, **kwargs):
+            pytest.fail("directions were built for a cloud the bound rejects")
+        monkeypatch.setattr(engine, "sphere_directions", spy)
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        out = tmp_path / "cloud.csv"
+        code, stdout, err = run(capsys, "cloud", "--directions", "20000", "-o", str(out))
+        assert code == 2
+        assert not stdout and not out.exists()
+        assert len(err.splitlines()) == 1
+        assert "directions x restarts (20,000 x 64) must be at most 32,768 at 256 atoms" in err
+        assert "MAX_OUTCOME_MIB = 64 MiB" in err
+
 
 def _no_search(*args, **kwargs):
     pytest.fail("a search started on a configuration the guard should reject")
@@ -560,6 +573,15 @@ class TestErrorsNameTheFile:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {path}: ") and message in err
 
+    @pytest.mark.parametrize("command", ["check", "entropy", "hull"])
+    def test_missing_file_and_directory(self, capsys, tmp_path, command):
+        for path, message in [(tmp_path / "missing.json", "No such file or directory"),
+                              (tmp_path, "Is a directory")]:
+            code, out, err = run(capsys, command, str(path))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: {path}: {message}\n"
+
     def test_distribution_as_bank(self, capsys, tmp_path):
         # the entry is named by index and keys, not quoted whole (about 2 KB)
         path = tmp_path / "exl.json"
@@ -649,6 +671,37 @@ class TestRejectedDistributionFiles:
         dist.write_text("x_i,x_j,prob\n 0 , 1 , 0.5 \n1,0, 0.5\n")
         code, _, _ = run(capsys, "entropy", str(dist))
         assert code == 0
+
+
+class TestNumericFlags:
+    """A numeric flag is read by the number rule of CSV fields: int() and
+    float() accept digit-group underscores ("1_0" is 10), the flags do not."""
+
+    @pytest.mark.parametrize("argv, kind", [
+        (["minimize", "--restarts", "1_0"], "int"),
+        (["minimize", "--budget", "5_0"], "int"),
+        (["minimize", "--seed", "1_0"], "int"),
+        (["cloud", "-o", "cloud.csv", "--directions", "1_0"], "int"),
+        (["outer", "--dfz-max-s", "0_6"], "int"),
+        (["check", "r3.json", "--tol", "1_0"], "float"),
+        (["fouratom", "--p", "0.3_5"], "float"),
+        *((["exl", "--p", "0.1", "--q", "0.01", "--r", "0.005", "--s", "0.005",
+            "--t", "0.005", f"--{name}", "0.00_5"], "float") for name in "pqrst"),
+    ])
+    def test_underscore_exits_two(self, capsys, tmp_path, monkeypatch, argv, kind):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument {argv[-2]}: invalid {kind} value: '{argv[-1]}'" in captured.err
+
+    def test_plain_numbers_still_read(self, capsys):
+        code, out, _ = run(capsys, "fouratom", "--p", " 0.25 ")
+        assert code == 0
+        assert "closed form at p=0.25:" in out
 
 
 class TestOverflowingInput:

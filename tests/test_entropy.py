@@ -35,6 +35,7 @@ from entropy_toolkit.search.engine import DistributionObjective
 
 from helpers import (
     JointDistributionByDict,
+    assert_same_rows,
     distribution_from_csv_by_dict,
     distribution_from_json_by_dict,
     distribution_to_csv_by_dict,
@@ -42,6 +43,8 @@ from helpers import (
     entropy_by_dict_marginals,
     entropy_function_by_dict,
     entropy_function_by_tile,
+    exl_distribution_by_dict,
+    four_atom_distribution_by_dict,
     rand_distribution,
 )
 
@@ -266,6 +269,35 @@ class TestExlFamily:
 
     def test_packaged_table_matches_source(self):
         assert load_exl_table() == EXL_COLUMNS
+
+
+class TestFamiliesMatchDictBuilders:
+    """The array-built families equal their atom-by-atom dict builders row
+    for row and byte for byte."""
+
+    @pytest.mark.parametrize("ground", [None, GroundSet("abcd")])
+    def test_four_atom_grid(self, ground):
+        for p in [*np.linspace(0.0, 0.5, 21), 0.350457, FourAtomParams(0.2)]:
+            assert_same_rows(four_atom_distribution(p, ground),
+                             four_atom_distribution_by_dict(p, ground))
+
+    @pytest.mark.parametrize("ground", [None, GroundSet("abcd"), GroundSet("lkji")])
+    def test_exl_random_parameters(self, rng, ground):
+        for w in [*(rng.dirichlet(np.ones(5)) / 8.0 for _ in range(10)),
+                  EXL_REFERENCE.as_tuple(), (0.125, 0.0, 0.0, 0.0, 0.0)]:
+            params = ExLParams(*w)
+            assert_same_rows(exl_distribution(params, ground),
+                             exl_distribution_by_dict(params, ground))
+
+    @pytest.mark.parametrize("labels", ["ijk", "ijklm"])
+    @pytest.mark.parametrize("build, family", [
+        (lambda g: four_atom_distribution(0.25, g), "four-atom"),
+        (lambda g: exl_distribution(EXL_REFERENCE, g), "exl"),
+        (lambda g: exl_closed_form(EXL_REFERENCE, g), "exl"),
+    ])
+    def test_ground_of_four_elements_only(self, build, family, labels):
+        with pytest.raises(ValueError, match=f"^{family} family needs a 4-element ground set"):
+            build(GroundSet(labels))
 
 
 class TestDistributionFormats:

@@ -45,12 +45,14 @@ from entropy_toolkit.search.engine import (
 
 from helpers import (
     alpha_objective_by_norm,
+    assert_same_rows,
     entropy_vector_by_tile,
     nelder_mead_by_lists,
     nelder_mead_by_mean,
     nelder_mead_by_rank,
     rand_distribution,
     softmax_by_np_max,
+    vertex_seed_distributions_by_dict,
 )
 from search_goldens import BEST_3242, BEST_4444
 
@@ -472,6 +474,17 @@ class TestCloud:
         for name, dist in seeds.items():
             point, _ = cross_section_point(entropy_function(dist), frame)
             assert point.as_tuple() == pytest.approx(corners[name], abs=1e-12)
+
+    @pytest.mark.parametrize("labels", ["ijkl", "abcd"])
+    def test_vertex_seeds_match_dict_builder(self, labels):
+        ground = GroundSet(labels)
+        for roles in itertools.permutations(labels):
+            frame = IngletonFrame(ground, *roles)
+            seeds = vertex_seed_distributions(frame)
+            ref = vertex_seed_distributions_by_dict(frame)
+            assert list(seeds) == list(ref) == ["beta", "gamma", "delta"]
+            for name in ref:
+                assert_same_rows(seeds[name], ref[name])
 
     def test_hull_of_cloud_contains_known_points(self, frame):
         ref_point, _ = cross_section_point(exl_closed_form(EXL_REFERENCE), frame)
