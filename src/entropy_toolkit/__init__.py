@@ -111,6 +111,7 @@ from .inequalities import (
     symmetrized_zy_halfspace,
 )
 from .search import (
+    Cloud,
     Polytope3,
     SearchConfig,
     SearchResult,

@@ -4,7 +4,9 @@ Subcommands: check, entropy, score, fouratom, exl, minimize, cloud, hull,
 outer, export.  Exit codes: 0 success, 1 a requested check failed (e.g. the
 input of ``check`` is not a polymatroid), 2 usage or input errors; an input
 error is one ``error: <file>: <message>`` line.  Flags given with --config
-override the file.  All numeric console output uses 10 significant digits;
+override the file.  A command with ``-o`` checks that it can write the file
+before any work, and an unwritable one is one ``error: <file>: <message>``
+line too.  All numeric console output uses 10 significant digits;
 files carry full doubles.  Searches are deterministic given their seeds;
 ENTROPY_TOOLKIT_THREADS caps parallel restarts.
 """
@@ -15,6 +17,7 @@ import argparse
 import csv
 import sys
 from dataclasses import fields
+from itertools import chain
 
 import numpy as np
 
@@ -208,11 +211,11 @@ def cmd_minimize(args) -> int:
 
 
 def _write_cloud_csv(points, path) -> None:
-    with open(path, "w", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(["alpha", "beta", "gamma", "delta", "source"])
-        for pt in points:
-            writer.writerow([repr(w) for w in pt.as_tuple()] + [pt.source_tag])
+        writer.writerows([*map(repr, pt.as_tuple()), pt.source_tag] for pt in points)
+    core._write_file(path, write, newline="")
 
 
 def _cloud_points(rows: list) -> list[tuple[float, float, float, float]]:
@@ -240,14 +243,14 @@ def cmd_cloud(args) -> int:
     else:
         engine._check_cloud_size(args.directions, cfg, args.optima_only)
         directions = engine.sphere_directions(args.directions, seed=cfg.master_seed)
-    points = engine.generate_cloud(directions, cfg, fr, optima_only=args.optima_only)
+    cloud = engine.generate_cloud(directions, cfg, fr, optima_only=args.optima_only)
+    vertices = []
     if args.include_vertices:
-        for name, dist in engine.vertex_seed_distributions(fr).items():
-            point, _ = frame_mod.cross_section_point(
-                entropy.entropy_function(dist), fr, source_tag=f"vertex-{name}")
-            points.append(point)
-    _write_cloud_csv(points, args.output)
-    print(f"cloud points   = {len(points)}")
+        vertices = [frame_mod.cross_section_point(entropy.entropy_function(dist), fr,
+                                                  source_tag=f"vertex-{name}")[0]
+                    for name, dist in engine.vertex_seed_distributions(fr).items()]
+    _write_cloud_csv(chain(cloud, vertices), args.output)
+    print(f"cloud points   = {len(cloud) + len(vertices)}")
     print(f"wrote {args.output}")
     return 0
 
@@ -260,8 +263,7 @@ def cmd_hull(args) -> int:
     print(f"hull facets    = {len(poly.facets)}")
     print(f"hull dimension = {poly.dim}")
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(geometry.hull_to_obj(poly))
+        core._write_file(args.output, lambda fh: fh.write(geometry.hull_to_obj(poly)))
         print(f"wrote {args.output}")
     return 0
 
@@ -308,11 +310,8 @@ def cmd_export(args) -> int:
                                   frame_mod.tetra_vertices(fr))}
         core._write_json(doc, args.output)
     elif what == "exl-table":
-        with open(args.output, "w") as fh:
-            fh.write("column,config\n")
-            for name, cfgs in entropy.EXL_COLUMNS:
-                for cfg in cfgs:
-                    fh.write(f"{name},{cfg}\n")
+        rows = [f"{name},{cfg}\n" for name, cfgs in entropy.EXL_COLUMNS for cfg in cfgs]
+        core._write_file(args.output, lambda fh: fh.write("column,config\n" + "".join(rows)))
     elif what == "fouratom-dist":
         if args.p is None:
             raise ValueError("fouratom-dist needs --p")
@@ -417,6 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "output", None) is not None:
+            core._check_writable(args.output)
         return args.fn(args)
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

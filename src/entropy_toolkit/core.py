@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -271,11 +272,39 @@ def _read_file(path, build: Callable, parse: Callable = json.load):
         raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def _write_file(path, write: Callable, newline: str | None = None) -> None:
+    """The one way an output file is written: ``write(fh)`` on the file opened
+    for writing.  An OSError (a missing directory, a directory; its strerror
+    only) is re-raised as a ValueError that starts with the path, as
+    :func:`_read_file` does for inputs."""
+    try:
+        with open(path, "w", newline=newline) as fh:
+            write(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path) -> None:
+    """Fail as :func:`_write_file` would on a path that cannot be opened for
+    writing, before any work is done.  The path is opened for appending, so
+    an existing file keeps its contents, and a file the check creates is
+    removed again."""
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+    if not existed:
+        os.remove(path)
+
+
 def _write_json(doc, path) -> None:
     """Write doc as every toolkit JSON file is laid out: indent 1, final newline."""
-    with open(path, "w") as fh:
+    def write(fh):
         json.dump(doc, fh, indent=1)
         fh.write("\n")
+    _write_file(path, write)
 
 
 def _check_tol(tol: float) -> None:

@@ -43,7 +43,7 @@ from typing import Mapping
 import numpy as np
 
 from .core import (GroundSet, SetFunction, _csv_numbers, _is_integer, _is_real,
-                   _read_file, _read_only, _write_json)
+                   _read_file, _read_only, _write_file, _write_json)
 
 LN2 = math.log(2.0)
 
@@ -480,8 +480,7 @@ def distribution_from_json(data: dict) -> JointDistribution:
 
 def save_distribution(d: JointDistribution, path) -> None:
     if str(path).endswith(".csv"):
-        with open(path, "w") as fh:
-            fh.write(distribution_to_csv(d))
+        _write_file(path, lambda fh: fh.write(distribution_to_csv(d)))
     else:
         _write_json(distribution_to_json(d), path)
 

@@ -196,15 +196,26 @@ def default_halfspace_bank(max_s: int = 6) -> list[CrossSectionHalfspace]:
 
 @dataclass(frozen=True)
 class PointCheckReport:
-    """Margins of one weight quadruple against a halfspace bank."""
+    """Margins of one weight quadruple against a halfspace bank: the bank's
+    names and the margins, in bank order.  A margin below -tol is violated;
+    the (name, margin) pairs of each side are built when read."""
 
-    satisfied: tuple[tuple[str, float], ...]
-    violated: tuple[tuple[str, float], ...]
+    names: tuple[str, ...]
+    margins: tuple[float, ...]
     tol: float
 
     @property
+    def satisfied(self) -> tuple[tuple[str, float], ...]:
+        return tuple((n, m) for n, m in zip(self.names, self.margins) if m >= -self.tol)
+
+    @property
+    def violated(self) -> tuple[tuple[str, float], ...]:
+        return tuple((n, m) for n, m in zip(self.names, self.margins)
+                     if not m >= -self.tol)
+
+    @property
     def all_satisfied(self) -> bool:
-        return not self.violated
+        return all(m >= -self.tol for m in self.margins)
 
 
 def check_point(weights, bank: Sequence[CrossSectionHalfspace],
@@ -212,7 +223,8 @@ def check_point(weights, bank: Sequence[CrossSectionHalfspace],
     """Evaluate every halfspace at the given weights; margin < -tol is violated.
 
     Scalar Python on purpose: callers check one point at a time, and a numpy
-    version of this call costs three to five times as much.
+    version of this call costs three to five times as much.  Each margin is
+    :meth:`CrossSectionHalfspace.margin`'s expression, inlined.
     """
     _check_tol(tol)
     w = tuple(weights.as_tuple() if hasattr(weights, "as_tuple") else weights)
@@ -222,11 +234,11 @@ def check_point(weights, bank: Sequence[CrossSectionHalfspace],
     if not abs(total - 1.0) <= 1e-6:  # a non-finite weight makes the sum non-finite
         raise ValueError(f"weights {w!r} sum to {total!r}, expected finite "
                          "weights summing to 1")
-    sat, vio = [], []
-    for hs in bank:
-        m = hs.margin(w)
-        (sat if m >= -tol else vio).append((hs.name, m))
-    return PointCheckReport(satisfied=tuple(sat), violated=tuple(vio), tol=tol)
+    aw, bw, gw, dw = w
+    return PointCheckReport(
+        names=tuple([hs.name for hs in bank]),
+        margins=tuple([hs.a * aw + hs.b * bw + hs.c * gw + hs.d * dw for hs in bank]),
+        tol=tol)
 
 
 # --- wire formats ----------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Distribution search, point clouds and the cross-section geometry."""
 
 from .engine import (
+    Cloud,
     DistributionObjective,
     SearchConfig,
     SearchResult,
@@ -25,6 +26,7 @@ from .geometry import (
 )
 
 __all__ = [
+    "Cloud",
     "DistributionObjective",
     "SearchConfig",
     "SearchResult",

@@ -12,6 +12,16 @@ contiguous chunk per worker, sent as one task each, and a chunk runs its
 restarts through one evaluator; a cloud sends the searches of all its
 directions through one such call, so it starts at most one process pool.
 
+A cloud is a :class:`Cloud`: one read-only (n, 4) float64 array of section
+weights plus its source tags as (tag, count) runs, about 32 B per point
+(``CLOUD_POINT_BYTES`` = 80 B bounds the peak, 64.6 B measured).  Each
+restart's collector writes its evaluations' weights into one buffer of
+budget + atoms + 1 rows, so no per-point object exists until a point is
+read.  The default ``cloud`` (8 directions x 64 restarts at 4^4, budget
+20,000) holds at most 10,371,584 points, 791 MiB at that bound, within
+``MAX_CLOUD_MIB``; at about 11,500 evaluations per second it runs about
+15 minutes on one worker.
+
 Objectives:
 
 * ``raw_score``      - Ingleton score of the entropy function itself;
@@ -28,12 +38,15 @@ Degenerate inputs whose normalizer vanishes score 0 by convention.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 from bisect import bisect_right
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Callable, Sequence
+from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -78,10 +91,12 @@ MAX_OUTCOME_MIB = 64
 #: CLOUD_POINT_BYTES each
 MAX_CLOUD_MIB = 1024
 
-#: bound on the peak bytes per emitted cloud point: tracemalloc measures
-#: 250-300 B (the point, its four floats and the tuple they came in) on 2^4
-#: clouds of several thousand points, serial or pickled back from a pool
-CLOUD_POINT_BYTES = 400
+#: bound on the peak bytes per emitted cloud point.  A point is one float64
+#: row of four weights (32 B); a restart's rows come back as one bytes buffer,
+#: and the cloud's array joins them, so both copies coexist once.  tracemalloc
+#: measures 64.4-64.9 B per point on 2^4 clouds of 8,743 and 12,001 points,
+#: serial or pickled back from a pool
+CLOUD_POINT_BYTES = 80
 
 
 def _check_outcome_size(searches: int, atoms: int, what: str) -> None:
@@ -283,17 +298,12 @@ class DistributionObjective:
 
     def make_objective(self, objective: str,
                        direction: tuple[float, float, float] | None = None,
-                       collector: list | None = None) -> Callable[[np.ndarray], float]:
+                       collector: _Collector | None = None) -> Callable[[np.ndarray], float]:
         """Bind an objective kind to a callable on dense probability vectors.
 
-        With a collector, every evaluation appends its weight quadruple;
-        near-degenerate evaluations whose weights fail the sum-to-one
-        invariant at 1e-9 are skipped.
+        With a collector, every evaluation with weights appends them; the
+        collector drops the near-degenerate ones.
         """
-        def emit(w: np.ndarray | None) -> None:
-            if w is not None and abs(float(np.add.reduce(w)) - 1.0) <= 1e-9:
-                collector.append(tuple(w.tolist()))
-
         if objective == "alpha_in_direction":
             d = np.asarray(direction, dtype=float)
             d = d / np.linalg.norm(d)
@@ -304,7 +314,7 @@ class DistributionObjective:
                 if w is None:
                     return 0.0
                 if collector is not None:
-                    emit(w)
+                    collector.append(w)
                 x = w[1:]
                 along = float(x @ d)
                 # the distance to the ray; np.linalg.norm computes the same
@@ -315,9 +325,36 @@ class DistributionObjective:
             def fn(p: np.ndarray) -> float:
                 h = self.entropy_vector(p)
                 if collector is not None:
-                    emit(self.weights_from_entropy(h))
+                    w = self.weights_from_entropy(h)
+                    if w is not None:
+                        collector.append(w)
                 return self.score_from_entropy(h, objective)
         return fn
+
+
+class _Collector:
+    """The weight quadruples one restart's evaluations emit, as rows of one
+    float64 buffer.  A restart makes at most budget + atoms + 1 evaluations,
+    the buffer's row count."""
+
+    __slots__ = ("rows", "count")
+
+    def __init__(self, capacity: int):
+        self.rows = np.empty((capacity, 4))
+        self.count = 0
+
+    def append(self, w: np.ndarray) -> None:
+        self.rows[self.count] = w
+        self.count += 1
+
+    def kept(self) -> bytes:
+        """The bytes of the rows that sum to 1 within 1e-9, in order: the
+        rows of near-degenerate evaluations fail that invariant.  A row sum
+        along axis 1 adds the four weights in the order ``np.add.reduce``
+        adds one row."""
+        rows = self.rows[:self.count]
+        keep = np.abs(np.add.reduce(rows, axis=1) - 1.0) <= 1e-9
+        return (rows if keep.all() else rows[keep]).tobytes()
 
 
 def softmax(theta: np.ndarray) -> np.ndarray:
@@ -491,19 +528,22 @@ def _run_restarts(chunk) -> list[tuple]:
 
     ``chunk`` is (frame, jobs, init, collect) with jobs a list of
     (config, restart) pairs.  Each outcome is (best value, best
-    distribution, evaluations, converged, collected weights or None).
+    distribution, evaluations, converged, collected weights or None); the
+    weights are the bytes of an (n, 4) float64 array, which compare bit for
+    bit and pickle as one buffer.
     """
     frame, jobs, init, collect = chunk
     evaluator = DistributionObjective(frame, jobs[0][0].alphabet_sizes)
     outcomes = []
     for cfg, restart in jobs:
-        collector: list | None = [] if collect else None
+        collector = _Collector(cfg.budget_evals + evaluator.n_atoms + 1) if collect else None
         objective = evaluator.make_objective(cfg.objective, cfg.direction, collector)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, restart)))
         theta0 = _initial_theta(rng, evaluator.n_atoms, restart, init)
         best_theta, best_val, evals, converged = nelder_mead(
             lambda th: objective(softmax(th)), theta0, cfg.budget_evals)
-        outcomes.append((best_val, softmax(best_theta), evals, converged, collector))
+        outcomes.append((best_val, softmax(best_theta), evals, converged,
+                         collector.kept() if collect else None))
     return outcomes
 
 
@@ -603,18 +643,80 @@ def _check_cloud_size(n_directions: int, cfg: SearchConfig, optima_only: bool) -
             f"lower the budget, the restarts or the directions, or keep optima only")
 
 
+class Cloud(Sequence):
+    """The section points of a cloud, read-only: one (n, 4) float64 array of
+    weights and the source tags as (tag, count) runs, in point order.
+
+    A Cloud is a Sequence of :class:`~entropy_toolkit.frame.CrossSectionPoint`:
+    each point is built from the row's Python floats (``tolist()``) when it is
+    read, and a slice is a list of points.  Two clouds are equal when their
+    weights and runs are.  Writeable weights are copied; a read-only array is
+    kept as given.  Runs of count 0 (a restart that kept no row) are dropped.
+    """
+
+    __slots__ = ("weights", "runs", "_ends")
+
+    def __init__(self, weights, runs: Sequence[tuple[str, int]]):
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.ndim != 2 or weights.shape[1] != 4:
+            raise ValueError(f"need an (n, 4) weights array, got shape {weights.shape}")
+        if weights.flags.writeable:
+            weights = weights.copy()
+            weights.flags.writeable = False
+        runs = tuple(runs)
+        bad = [count for _, count in runs if not (_is_integer(count) and count >= 0)]
+        if bad:
+            raise ValueError(f"run counts must be non-negative integers: {bad[0]!r}")
+        runs = tuple((tag, int(count)) for tag, count in runs if count)
+        ends = list(accumulate(count for _, count in runs))
+        total = ends[-1] if ends else 0
+        if total != len(weights):
+            raise ValueError(f"the runs count {total} points, the weights {len(weights)}")
+        self.weights = weights
+        self.runs = runs
+        self._ends = ends
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("cloud index out of range")
+        tag = self.runs[bisect_right(self._ends, i)][0]
+        return CrossSectionPoint(*self.weights[i].tolist(), source_tag=tag)
+
+    def __iter__(self):
+        lo = 0
+        for (tag, _), hi in zip(self.runs, self._ends):
+            for row in self.weights[lo:hi].tolist():
+                yield CrossSectionPoint(*row, source_tag=tag)
+            lo = hi
+
+    def __eq__(self, other):
+        if not isinstance(other, Cloud):
+            return NotImplemented
+        return self.runs == other.runs and np.array_equal(self.weights, other.weights)
+
+
 def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
                    frame: IngletonFrame, optima_only: bool = False,
-                   threads: int | None = None) -> list[CrossSectionPoint]:
+                   threads: int | None = None) -> Cloud:
     """One alpha-maximization per direction; emit the visited section points.
 
     By default every evaluated point's weights are emitted (skipping
     near-degenerate evaluations), so the cloud density mirrors the search
     effort; ``optima_only`` keeps only the best point of each direction.
     Every (direction, restart) search goes to one restart driver call, so a
-    cloud starts at most one process pool.  A cloud that could exceed
-    ``MAX_CLOUD_MIB`` of points, or ``MAX_OUTCOME_MIB`` of merged best
-    distributions, is rejected before any search starts.
+    cloud starts at most one process pool.  Each restart's weights come back
+    as one buffer, tagged ``dir<d>(<direction>)/r<restart>``, and the
+    :class:`Cloud` joins them in direction and restart order.  A cloud that
+    could exceed ``MAX_CLOUD_MIB`` of points, or ``MAX_OUTCOME_MIB`` of merged
+    best distributions, is rejected before any search starts.
     """
     if not directions:
         raise ValueError("need at least one direction")
@@ -622,22 +724,19 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
     d_cfgs = [replace(cfg, objective="alpha_in_direction", direction=d) for d in directions]
     outcomes = _run_all_restarts(d_cfgs, frame, None, collect=not optima_only,
                                  threads=threads)
-    cloud: list[CrossSectionPoint] = []
+    runs: list[tuple[str, bytes]] = []
     for d_idx, d_cfg in enumerate(d_cfgs):
         tag = "dir{}({:.6g},{:.6g},{:.6g})".format(d_idx, *d_cfg.direction)
         own = outcomes[d_idx * cfg.restarts:(d_idx + 1) * cfg.restarts]
         if optima_only:
             point = _best_restart(own, d_cfg, frame, tag)[2]
             if point is not None:
-                cloud.append(point)
+                runs.append((point.source_tag, np.array(point.as_tuple()).tobytes()))
         else:
-            for r, outcome in enumerate(own):
-                # one tag string per restart, whose weight tuples are freed
-                # once its points exist
-                source = f"{tag}/r{r}"
-                cloud.extend(CrossSectionPoint(*w, source_tag=source) for w in outcome[4])
-                outcome[4].clear()
-    return cloud
+            runs.extend((f"{tag}/r{r}", outcome[4]) for r, outcome in enumerate(own))
+    # a bytes buffer gives a read-only array without a copy
+    weights = np.frombuffer(b"".join(rows for _, rows in runs), dtype=np.float64)
+    return Cloud(weights.reshape(-1, 4), [(tag, len(rows) // 32) for tag, rows in runs])
 
 
 def sphere_directions(count: int, seed: int = 0) -> list[tuple[float, float, float]]:

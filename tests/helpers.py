@@ -46,9 +46,15 @@ from entropy_toolkit.entropy import (
     marginal_index,
     subset_entropies,
 )
-from entropy_toolkit.frame import _require_frame_ground
+from entropy_toolkit.frame import CrossSectionPoint, _require_frame_ground
 from entropy_toolkit.inequalities import LinearInequality
-from entropy_toolkit.search.engine import DIRECTION_PENALTY, DistributionObjective
+from entropy_toolkit.search.engine import (
+    DIRECTION_PENALTY,
+    DistributionObjective,
+    SearchConfig,
+    nelder_mead,
+    softmax,
+)
 from entropy_toolkit.search.geometry import (
     FEASIBILITY_TOL,
     Polytope3,
@@ -739,6 +745,50 @@ def outer_region_by_loop(bank) -> Polytope3:
         except QhullError:
             pass
     return Polytope3(tuple(tuple(w) for w in weights), (), dim)
+
+
+@dataclass(frozen=True)
+class PointCheckReportByPairs:
+    """Reference: a point check that keeps one (name, margin) pair per
+    halfspace, split into the satisfied and the violated ones."""
+
+    satisfied: tuple
+    violated: tuple
+    tol: float
+
+    @property
+    def all_satisfied(self) -> bool:
+        return not self.violated
+
+
+def check_point_by_pairs(weights, bank, tol: float = 1e-9) -> PointCheckReportByPairs:
+    """Reference for ``check_point``: every margin through
+    ``CrossSectionHalfspace.margin``, appended as a pair to its side."""
+    w = tuple(weights.as_tuple() if hasattr(weights, "as_tuple") else weights)
+    sat, vio = [], []
+    for hs in bank:
+        m = hs.margin(w)
+        (sat if m >= -tol else vio).append((hs.name, m))
+    return PointCheckReportByPairs(satisfied=tuple(sat), violated=tuple(vio), tol=tol)
+
+
+def cloud_by_lists(directions, cfg, frame: IngletonFrame) -> list[CrossSectionPoint]:
+    """Reference for ``generate_cloud``: one list of points, each built from a
+    tuple of weights that a list collector took per evaluation, restart by
+    restart in direction order, through the reference alpha objective."""
+    evaluator = DistributionObjective(frame, cfg.alphabet_sizes)
+    points = []
+    for d_idx, direction in enumerate(directions):
+        d = SearchConfig(direction=direction).direction
+        tag = "dir{}({:.6g},{:.6g},{:.6g})".format(d_idx, *d)
+        for r in range(cfg.restarts):
+            collector: list = []
+            objective = alpha_objective_by_norm(evaluator, d, collector)
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, r)))
+            theta0 = rng.normal(0.0, 1.0, evaluator.n_atoms)
+            nelder_mead(lambda th: objective(softmax(th)), theta0, cfg.budget_evals)
+            points += [CrossSectionPoint(*w, source_tag=f"{tag}/r{r}") for w in collector]
+    return points
 
 
 def fixed_cloud(count: int = 240) -> list[tuple[float, float, float, float]]:

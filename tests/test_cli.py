@@ -10,10 +10,16 @@ import pytest
 from entropy_toolkit import (
     GroundSet,
     IngletonFrame,
+    cross_section_point,
+    entropy_function,
+    four_atom_distribution,
     ingleton_base,
     matroid_rank,
+    save_distribution,
     save_set_function,
+    vertex_seed_distributions,
 )
+from entropy_toolkit import core
 from entropy_toolkit.cli import main
 from entropy_toolkit.search import engine
 
@@ -70,7 +76,7 @@ class TestCheck:
         assert out.splitlines()[0] == f"tolerance:  {shown}"
 
     def test_corrupted_empty_value(self, capsys, tmp_path, r3_file):
-        doc = json.load(open(r3_file))
+        doc = json.loads(Path(r3_file).read_text())
         doc["values"][""] = 1.0
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -287,13 +293,13 @@ class TestMinimizeCommand:
     def test_cloud_above_point_bound_exits_2(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
         out = tmp_path / "cloud.csv"
-        # 8 directions x 1 restart x (335,528 + 17) points x 400 B > 1024 MiB
+        # 8 directions x 1 restart x (1,677,705 + 17) points x 80 B > 1024 MiB
         code, stdout, err = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "1",
-                                "--budget", "335528", "-o", str(out))
+                                "--budget", "1677705", "-o", str(out))
         assert code == 2
         assert not stdout and not out.exists()
         assert len(err.splitlines()) == 1
-        assert "could hold 2,684,360 points" in err
+        assert "could hold 13,421,776 points" in err
         assert "MAX_CLOUD_MIB = 1024 MiB" in err
 
     def test_cloud_size_checked_before_directions(self, capsys, tmp_path, monkeypatch):
@@ -439,6 +445,22 @@ class TestSearchCommandGoldens:
                          "-o", str(out))
         assert code == 0
         assert out.read_bytes() == (GOLDENS / "cloud5.csv").read_bytes()
+
+    def test_cloud_file_with_vertices(self, capsys, tmp_path):
+        """The corner points follow the cloud's rows, in csv's row format."""
+        out = tmp_path / "cloud.csv"
+        code, stdout, _ = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "2",
+                              "--budget", "80", "--seed", "5", "--directions", "2",
+                              "--include-vertices", "-o", str(out))
+        assert code == 0
+        frame = IngletonFrame.default(GroundSet("ijkl"))
+        corners = "".join(
+            ",".join(map(repr, cross_section_point(entropy_function(d), frame)[0].as_tuple()))
+            + f",vertex-{name}\r\n" for name, d in vertex_seed_distributions(frame).items())
+        golden = (GOLDENS / "cloud5.csv").read_bytes()
+        assert out.read_bytes() == golden + corners.encode()
+        points = len(golden.splitlines()) - 1 + 3
+        assert stdout.splitlines()[0] == f"cloud points   = {points}"
 
 
 class TestExport:
@@ -595,6 +617,62 @@ class TestErrorsNameTheFile:
         assert "['alphabet_sizes', 'atoms', 'labels']" in err
 
 
+class TestUnwritableOutput:
+    """A command with -o checks that it can write there before any work: an
+    unwritable target exits 2 with nothing on stdout and one error line that
+    names the file, and no search runs."""
+
+    COMMANDS = {
+        "entropy": ["entropy", "{dist}"],
+        "minimize": ["minimize", "--alphabet", "2,2,2,2", "--restarts", "2", "--budget", "100"],
+        "cloud": ["cloud", "--alphabet", "2,2,2,2", "--restarts", "1", "--budget", "60",
+                  "--directions", "2"],
+        "hull": ["hull", "{cloud}"],
+        "outer": ["outer", "--dfz-max-s", "6"],
+        "export-json": ["export", "--what", "rbar"],
+        "export-text": ["export", "--what", "exl-table"],
+        "export-csv": ["export", "--what", "fouratom-dist", "--p", "0.3"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("target, message", [("missing/out.txt", "No such file or directory"),
+                                                 ("", "Is a directory")])
+    def test_fails_before_the_work(self, capsys, tmp_path, monkeypatch, command, target,
+                                   message):
+        dist, cloud = tmp_path / "dist.csv", tmp_path / "cloud.csv"
+        assert run(capsys, "export", "--what", "fouratom-dist", "--p", "0.3",
+                   "-o", str(dist))[0] == 0
+        cloud.write_text("alpha,beta,gamma,delta,source\n" + "".join(
+            ",".join(map(repr, row)) + ",fixed\n" for row in fixed_cloud(12)))
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        path = tmp_path / target
+        argv = [a.format(dist=dist, cloud=cloud) for a in self.COMMANDS[command]]
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run(capsys, *argv, "-o", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {path}: {message}\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_check_leaves_files_as_found(self, capsys, tmp_path):
+        kept = tmp_path / "kept.json"
+        kept.write_text("old")
+        core._check_writable(kept)
+        assert kept.read_text() == "old"
+        core._check_writable(tmp_path / "new.json")
+        assert list(tmp_path.iterdir()) == [kept]
+
+    def test_library_writers_name_the_file(self, tmp_path):
+        path = tmp_path / "missing" / "f.json"
+        for write in (lambda: save_set_function(matroid_rank(GroundSet("ijkl"), 2), path),
+                      lambda: save_distribution(four_atom_distribution(0.3), path),
+                      lambda: save_distribution(four_atom_distribution(0.3),
+                                                path.with_suffix(".csv"))):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path.parent))}/f"
+                                                 r"\.(json|csv): No such file or directory$"):
+                write()
+
+
 class TestDistributionGoldens:
     """Distribution files and the entropy file of a distribution, recorded
     before distributions were array-backed and compared byte for byte."""
@@ -742,7 +820,7 @@ class TestBooleanNumbers:
     """JSON true and false are not numbers in set-function or config files."""
 
     def test_boolean_set_function_value_exits_two(self, capsys, tmp_path, r3_file):
-        doc = json.load(open(r3_file))
+        doc = json.loads(Path(r3_file).read_text())
         doc["values"]["i"] = True
         path = tmp_path / "f.json"
         path.write_text(json.dumps(doc))

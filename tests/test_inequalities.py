@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entropy_toolkit import (
     CrossSectionHalfspace,
@@ -33,6 +34,7 @@ from entropy_toolkit import (
 )
 
 from helpers import (
+    check_point_by_pairs,
     evaluate_by_frozenset_loop,
     rand_distribution,
     rand_modular,
@@ -210,6 +212,48 @@ class TestCheckPoint:
     def test_tolerance_validated(self, bad):
         with pytest.raises(ValueError, match="tolerance"):
             check_point((1.0, 0.0, 0.0, 0.0), [symmetrized_zy_halfspace()], tol=bad)
+
+
+@st.composite
+def section_quadruples(draw):
+    """Weights summing to 1 up to rounding; alpha is negative when the other
+    three sum above 1."""
+    beta, gamma, delta = (draw(st.floats(-3.0, 3.0)) for _ in range(3))
+    return (1.0 - (beta + gamma + delta), beta, gamma, delta)
+
+
+@st.composite
+def halfspace_banks(draw):
+    """The DFZ bank up to a random s, random finite halfspaces, or both."""
+    bank = default_halfspace_bank(draw(st.integers(1, 20))) if draw(st.booleans()) else []
+    coefficients = st.tuples(*[st.floats(-1e3, 1e3)] * 4).filter(any)
+    for k in range(draw(st.integers(0 if bank else 1, 8))):
+        bank.append(CrossSectionHalfspace(f"h{k}", *draw(coefficients)))
+    return bank
+
+
+class TestCheckPointMatchesPairs:
+    """The report's pairs, built when read, equal those of the reference that
+    keeps one (name, margin) pair per halfspace, margins bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(section_quadruples(), halfspace_banks(),
+           st.one_of(st.just(1e-9), st.floats(0.0, 50.0)))
+    def test_same_pairs(self, weights, bank, tol):
+        got = check_point(weights, bank, tol=tol)
+        ref = check_point_by_pairs(weights, bank, tol=tol)
+
+        def hexed(pairs):
+            return [(name, float.hex(m)) for name, m in pairs]
+        assert hexed(got.satisfied) == hexed(ref.satisfied)
+        assert hexed(got.violated) == hexed(ref.violated)
+        assert (got.all_satisfied, got.tol) == (ref.all_satisfied, ref.tol)
+
+    def test_report_holds_names_and_margins(self):
+        bank = default_halfspace_bank(3)
+        report = check_point((1.0, 0.0, 0.0, 0.0), bank)
+        assert report.names == ("dfz-s1", "dfz-s2", "dfz-s3")
+        assert report.margins == tuple(hs.a for hs in bank)
 
 
 class TestPipelinePointsSatisfyBank:

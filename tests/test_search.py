@@ -46,6 +46,7 @@ from entropy_toolkit.search.engine import (
 from helpers import (
     alpha_objective_by_norm,
     assert_same_rows,
+    cloud_by_lists,
     entropy_vector_by_tile,
     nelder_mead_by_lists,
     nelder_mead_by_mean,
@@ -490,7 +491,7 @@ class TestCloud:
         ref_point, _ = cross_section_point(exl_closed_form(EXL_REFERENCE), frame)
         fa_point, _ = cross_section_point(
             entropy_function(four_atom_distribution(0.350457)), frame)
-        cloud = generate_cloud(sphere_directions(3, seed=1), self.CFG, frame)
+        cloud = list(generate_cloud(sphere_directions(3, seed=1), self.CFG, frame))
         seeds = vertex_seed_distributions(frame)
         for dist in seeds.values():
             cloud.append(cross_section_point(entropy_function(dist), frame)[0])
@@ -692,11 +693,11 @@ class TestKernelMatchesReference:
         # d and -d put a nonzero component of the point along the ray on
         # opposite sides, so each example runs both branches
         for d in (direction, tuple(-x for x in direction)):
-            got, want = [], []
+            got, want = engine._Collector(1), []
             value = ev.make_objective("alpha_in_direction", d, got)(p)
             ref = alpha_objective_by_norm(ev, d, want)(p)
             assert float(value).hex() == float(ref).hex()
-            assert got == want
+            assert got.kept() == np.array(want, dtype=float).reshape(-1, 4).tobytes()
 
     @pytest.mark.parametrize("sizes", KERNEL_ALPHABETS)
     @pytest.mark.parametrize("objective", ["pipeline_score", "alpha_in_direction"])
@@ -705,7 +706,7 @@ class TestKernelMatchesReference:
         theta0 = np.random.default_rng(sum(sizes)).normal(size=ev.n_atoms)
         budget = ev.n_atoms + 300
         direction = (0.3, -0.2, 0.9)
-        got, want = [], []
+        got, want = engine._Collector(budget + ev.n_atoms + 1), []
         if objective == "alpha_in_direction":
             new_obj = ev.make_objective(objective, direction, got)
             ref_obj = alpha_objective_by_norm(ev, direction, want)
@@ -719,7 +720,7 @@ class TestKernelMatchesReference:
         assert new[0].tobytes() == ref[0].tobytes()
         assert new[1].hex() == ref[1].hex()
         assert new[2:] == ref[2:]
-        assert got == want
+        assert got.kept() == np.array(want, dtype=float).reshape(-1, 4).tobytes()
 
 
 class TestSearchConfigCounts:
@@ -977,6 +978,95 @@ class TestChunkDriver:
             [(p.as_tuple(), p.source_tag) for p in serial]
 
 
+def hexed_points(points):
+    return [(tuple(map(float.hex, p.as_tuple())), p.source_tag) for p in points]
+
+
+class TestCloudContract:
+    """A Cloud holds what the list of points built from per-evaluation weight
+    tuples held, in the same order, and reads like that list."""
+
+    CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=2, budget_evals=150,
+                       master_seed=21)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_equals_list_path(self, frame, monkeypatch, threads):
+        """Serially and with a real fork pool of two workers."""
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        directions = sphere_directions(3, seed=4)
+        cloud = generate_cloud(directions, self.CFG, frame, threads=threads)
+        assert isinstance(cloud, engine.Cloud)
+        ref = cloud_by_lists(directions, self.CFG, frame)
+        assert len(cloud) == len(ref) > 600
+        assert hexed_points(cloud) == hexed_points(ref)
+        assert [tag for tag, _ in cloud.runs] == list(dict.fromkeys(p.source_tag for p in ref))
+
+    def test_indexing_and_slicing(self, frame):
+        directions = sphere_directions(2, seed=6)
+        cloud = generate_cloud(directions, self.CFG, frame)
+        ref = cloud_by_lists(directions, self.CFG, frame)
+        n = len(ref)
+        for i in (0, 1, n // 2, n - 1, -1, -n, np.int64(3)):
+            assert hexed_points([cloud[i]]) == hexed_points([ref[i]])
+        for cut in (slice(3), slice(None, None, 17), slice(5, -5, 3), slice(None, None, -1),
+                    slice(10, 2), slice(-3, None), slice(n - 2, n + 5)):
+            assert hexed_points(cloud[cut]) == hexed_points(ref[cut])
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                cloud[i]
+        with pytest.raises(TypeError):
+            cloud[1.0]
+        assert hexed_points(reversed(cloud)) == hexed_points(ref[::-1])
+        assert cloud.index(ref[7]) == ref.index(ref[7])
+
+    def test_read_only(self, frame):
+        cloud = generate_cloud([(0.0, 0.0, 1.0)], self.CFG, frame)
+        assert not cloud.weights.flags.writeable
+        with pytest.raises(ValueError):
+            cloud.weights[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            cloud[0] = cloud[1]
+        assert not hasattr(cloud, "append")
+
+    def test_constructor(self):
+        rows = np.arange(20.0).reshape(5, 4)
+        cloud = engine.Cloud(rows, [("a", 2), ("b", 0), ("a", 1), ("c", 2), ("d", 0)])
+        rows[0, 0] = -1.0  # a writeable input is copied
+        assert cloud.weights[0, 0] == 0.0
+        assert cloud.runs == (("a", 2), ("a", 1), ("c", 2))
+        assert [p.source_tag for p in cloud] == ["a", "a", "a", "c", "c"]
+        with pytest.raises(TypeError):
+            hash(cloud)
+        assert cloud[3].as_tuple() == (12.0, 13.0, 14.0, 15.0)
+        assert cloud == engine.Cloud(np.arange(20.0).reshape(5, 4), cloud.runs)
+        assert cloud != engine.Cloud(np.arange(20.0).reshape(5, 4), [("a", 3), ("c", 2)])
+        assert cloud != list(cloud)
+        assert len(engine.Cloud(np.empty((0, 4)), [])) == 0
+        with pytest.raises(ValueError, match="runs count 4 points, the weights 5"):
+            engine.Cloud(rows, [("a", 4)])
+        with pytest.raises(ValueError, match="shape"):
+            engine.Cloud(np.zeros((4, 3)), [("a", 4)])
+        for count in (-1, 2.5, True):
+            with pytest.raises(ValueError, match="non-negative integers"):
+                engine.Cloud(rows, [("a", count), ("b", 6)])
+
+    def test_batched_sum_test_keeps_the_per_row_rows(self):
+        """The collector's row sums add each row's weights as the per-row
+        ``np.add.reduce`` does, so the 1e-9 test keeps the same rows."""
+        rng = np.random.default_rng(3)
+        rows = rng.normal(size=(20_000, 4)) * rng.uniform(0.0, 8.0, size=(20_000, 1))
+        rows[:, 3] = 1.0 - rows[:, :3].sum(axis=1)
+        rows[::2, 0] += rng.uniform(-2e-9, 2e-9, size=10_000)
+        assert np.add.reduce(rows, axis=1).tobytes() == \
+            np.array([np.add.reduce(row) for row in rows]).tobytes()
+        collector = engine._Collector(len(rows) + 3)
+        for row in rows:
+            collector.append(row)
+        kept = [row for row in rows if abs(float(np.add.reduce(row)) - 1.0) <= 1e-9]
+        assert 0 < len(kept) < len(rows)
+        assert collector.kept() == np.array(kept).tobytes()
+
+
 class TestCloudMemoryBound:
     """A cloud whose points or merged outcomes could exceed their bounds is
     rejected before any search starts."""
@@ -984,14 +1074,20 @@ class TestCloudMemoryBound:
     CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=1, budget_evals=40)
 
     def test_point_bound_at_the_boundary(self):
-        # 8 directions x 1 restart x (budget + 17) points x 400 B <= 1024 MiB
-        assert (engine.MAX_CLOUD_MIB, engine.CLOUD_POINT_BYTES) == (1024, 400)
-        most = 2**30 // (8 * 400) - 17
+        # 8 directions x 1 restart x (budget + 17) points x 80 B <= 1024 MiB
+        assert (engine.MAX_CLOUD_MIB, engine.CLOUD_POINT_BYTES) == (1024, 80)
+        most = 2**30 // (8 * 80) - 17
         engine._check_cloud_size(8, replace(self.CFG, budget_evals=most), False)
         with pytest.raises(ValueError, match="MAX_CLOUD_MIB = 1024 MiB"):
             engine._check_cloud_size(8, replace(self.CFG, budget_evals=most + 1), False)
         # optima only keeps one point per direction
         engine._check_cloud_size(8, replace(self.CFG, budget_evals=10**400), True)
+
+    def test_default_cloud_passes(self):
+        """The cloud command's defaults: 8 directions of SearchConfig()."""
+        cfg = SearchConfig()
+        assert 8 * cfg.restarts * (cfg.budget_evals + 256 + 1) == 10_371_584
+        engine._check_cloud_size(8, cfg, False)
 
     def test_outcome_bound_counts_every_direction(self):
         cfg = replace(self.CFG, restarts=262_144)
