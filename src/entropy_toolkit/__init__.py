@@ -106,6 +106,7 @@ from .inequalities import (
     inequality_to_json,
     is_balanced,
     load_inequality_file,
+    section_halfspace,
     stv_functional,
     symmetrized_zy,
     symmetrized_zy_halfspace,

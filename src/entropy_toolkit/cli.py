@@ -218,14 +218,16 @@ def _write_cloud_csv(points, path) -> None:
     core._write_file(path, write, newline="")
 
 
-def _cloud_points(rows: list) -> list[tuple[float, float, float, float]]:
-    if not rows or rows[0][:4] != ["alpha", "beta", "gamma", "delta"]:
+def _cloud_array(rows) -> np.ndarray:
+    """The weights of csv.reader rows of a cloud CSV, streamed into one (n, 4) array."""
+    if next(rows, [])[:4] != ["alpha", "beta", "gamma", "delta"]:
         raise ValueError("expected header alpha,beta,gamma,delta,source")
-    return [tuple(core._csv_numbers(row, [float] * 4, width=5)) for row in rows[1:] if row]
+    numbers = (core._csv_numbers(row, [float] * 4, width=5) for row in rows if row)
+    return np.fromiter(chain.from_iterable(numbers), float).reshape(-1, 4)
 
 
-def _read_cloud_csv(path) -> list[tuple[float, float, float, float]]:
-    return core._read_file(path, _cloud_points, parse=lambda fh: list(csv.reader(fh)))
+def _read_cloud_csv(path) -> np.ndarray:
+    return core._read_file(path, _cloud_array, parse=csv.reader)
 
 
 def _directions(doc) -> list[tuple[float, float, float]]:
@@ -271,12 +273,8 @@ def cmd_hull(args) -> int:
 def cmd_outer(args) -> int:
     bank = ineq_mod.default_halfspace_bank(args.dfz_max_s) if args.dfz_max_s else []
     if args.ineq_file:
-        for item in ineq_mod.load_inequality_file(args.ineq_file):
-            if isinstance(item, ineq_mod.CrossSectionHalfspace):
-                bank.append(item)
-            else:
-                print(f"note: skipping {item.name!r}: only section halfspaces "
-                      "bound the region", file=sys.stderr)
+        bank += core._read_file(args.ineq_file, lambda doc: ineq_mod._bank_from_json(
+            doc, ineq_mod.SECTION_FRAME))
     poly = geometry.outer_region(bank)
     print(f"bank size      = {len(bank)}")
     print(f"region vertices = {len(poly.vertices)} (dim {poly.dim})")

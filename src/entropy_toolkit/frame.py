@@ -312,6 +312,7 @@ def c_sym(h: SetFunction, frame: IngletonFrame) -> SetFunction:
     return SetFunction(h.ground, acc / 4.0)
 
 
+@lru_cache(maxsize=FRAME_CACHE)
 def tetra_vertices(frame: IngletonFrame) -> tuple[SetFunction, SetFunction,
                                                   SetFunction, SetFunction]:
     """Vertices (alpha, beta, gamma, delta) of the cross-section tetrahedron.

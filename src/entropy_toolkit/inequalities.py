@@ -4,32 +4,31 @@ Sign convention: every stored inequality means "evaluates to >= 0 on entropic
 points", so positive margins read as satisfied-by-margin-m.  Sources using
 the polar-cone convention (<= 0) must be negated on load.
 
-Two shapes coexist:
-
-* :class:`LinearInequality`, a coefficient vector over nonempty subsets,
-  evaluated against a :class:`~entropy_toolkit.core.SetFunction`;
-* :class:`CrossSectionHalfspace`, the same constraint folded into the
-  tetrahedron weights (alpha, beta, gamma, delta) of the symmetrized
-  cross-section.
-
-Built-ins cover the symmetrized Zhang-Yeung inequality and the one-parameter
-DFZ family; anything else comes from user-supplied files, never from invented
-coefficients.
+A :class:`LinearInequality` is a coefficient vector over nonempty subsets; a
+:class:`CrossSectionHalfspace` is its section image on the tetrahedron
+weights (alpha, beta, gamma, delta), the inequality's values at the four
+vertices (:func:`section_halfspace`).  Built-ins cover the symmetrized
+Zhang-Yeung inequality and the DFZ family, from one formula; anything else
+comes from user-supplied files, never from invented coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SetFunction, _check_tol, _is_integer, _is_real, _read_file, delta_vec
-from .frame import IngletonFrame, stv_vec
+from .core import GroundSet, SetFunction, _check_tol, _is_integer, _is_real, _read_file, delta_vec
+from .frame import FRAME_CACHE, IngletonFrame, stv_vec, tetra_vertices
 
 BALANCE_TOL = 1e-12
+
+#: the frame of the built-in halfspaces and of coefficient entries that
+#: ``outer`` reads: roles i, j, k, l on the labels i, j, k, l
+SECTION_FRAME = IngletonFrame.default(GroundSet("ijkl"))
 
 
 @dataclass(frozen=True)
@@ -129,17 +128,9 @@ def stv_functional(frame: IngletonFrame) -> LinearInequality:
 
 
 def symmetrized_zy(frame: IngletonFrame) -> LinearInequality:
-    """Symmetrized Zhang-Yeung inequality, valid >= 0 on entropic points.
-
-    2 stv + [delta(ik|l) + delta(il|k) + delta(kl|i)]
-          + [delta(jk|l) + delta(jl|k) + delta(kl|j)].
-    In section weights it reads beta + delta >= alpha / 2.
-    """
-    i, j, k, l = frame.roles
-    d = partial(delta_vec, frame.ground)
-    vec = (2.0 * stv_vec(frame) + d(i, k, l) + d(i, l, k) + d(k, l, i)
-           + d(j, k, l) + d(j, l, k) + d(k, l, j))
-    return _from_vec("symmetrized-zhang-yeung", frame, vec)
+    """Symmetrized Zhang-Yeung inequality, DFZ member 1 plus its i<->j swap,
+    valid >= 0 on entropic points; beta + delta >= alpha / 2 in section weights."""
+    return _dfz(1, "symmetrized-zhang-yeung", frame, frame.swapped_ij())
 
 
 def dfz_linear(s: int, frame: IngletonFrame) -> LinearInequality:
@@ -150,13 +141,27 @@ def dfz_linear(s: int, frame: IngletonFrame) -> LinearInequality:
     s = 1 is the Zhang-Yeung inequality.
     """
     _check_dfz_s(s)
-    i, j, k, l = frame.roles
-    d = partial(delta_vec, frame.ground)
+    return _dfz(s, f"dfz-linear-s{s}", frame)
+
+
+@lru_cache(maxsize=FRAME_CACHE)
+def _dfz_terms(*frames: IngletonFrame) -> tuple[np.ndarray, ...]:
+    """The vectors a DFZ member combines, each summed over the frames: stv,
+    delta(kl|i), delta(ik|l) + delta(il|k) and delta(jk|l) + delta(jl|k)."""
+    terms = []
+    for fr in frames:
+        i, j, k, l = fr.roles
+        d = partial(delta_vec, fr.ground)
+        terms.append((stv_vec(fr), d(k, l, i), d(i, k, l) + d(i, l, k), d(j, k, l) + d(j, l, k)))
+    return tuple(sum(vecs) for vecs in zip(*terms))
+
+
+def _dfz(s: int, name: str, *frames: IngletonFrame) -> LinearInequality:
+    """The formula of :func:`dfz_linear`, summed over the frames."""
+    stv, kl_i, ik_il, jk_jl = _dfz_terms(*frames)
     half = 2 ** (s - 1)
-    vec = ((2 ** s - 1) * stv_vec(frame) + d(k, l, i)
-           + s * half * (d(i, k, l) + d(i, l, k))
-           + ((s - 2) * half + 1) * (d(j, k, l) + d(j, l, k)))
-    return _from_vec(f"dfz-linear-s{s}", frame, vec)
+    vec = (2 ** s - 1) * stv + kl_i + s * half * ik_il + ((s - 2) * half + 1) * jk_jl
+    return _from_vec(name, frames[0], vec)
 
 
 def _check_dfz_s(s: int) -> None:
@@ -164,26 +169,24 @@ def _check_dfz_s(s: int) -> None:
         raise ValueError(f"DFZ parameter s must be an integer in 1..20, got {s!r}")
 
 
-def dfz_halfspace(s: int) -> CrossSectionHalfspace:
-    """Member s of the DFZ family on section weights.
+def section_halfspace(ineq: LinearInequality, frame: IngletonFrame) -> CrossSectionHalfspace:
+    """The inequality's values at the four tetrahedron vertices, as a halfspace
+    on section weights (a section point is their convex combination with its
+    weights).  Raises on a label outside the frame, or if all four values are 0."""
+    return CrossSectionHalfspace(ineq.name, *(evaluate(ineq, v) for v in tetra_vertices(frame)))
 
-    beta + ((s-1) 2^s + 1) delta >= (2^s - 1)/2 * alpha.  At s = 1 this is
-    exactly the symmetrized Zhang-Yeung halfspace.
-    """
+
+def dfz_halfspace(s: int) -> CrossSectionHalfspace:
+    """DFZ member s plus its i<->j swap on section weights, which reads
+    beta + ((s-1) 2^s + 1) delta >= (2^s - 1)/2 * alpha (s = 1: symmetrized ZY)."""
     _check_dfz_s(s)
-    return CrossSectionHalfspace(
-        name=f"dfz-s{s}",
-        a=-(2 ** s - 1) / 2.0,
-        b=1.0,
-        c=0.0,
-        d=float((s - 1) * 2 ** s + 1),
-    )
+    ineq = _dfz(s, f"dfz-s{s}", SECTION_FRAME, SECTION_FRAME.swapped_ij())
+    return section_halfspace(ineq, SECTION_FRAME)
 
 
 def symmetrized_zy_halfspace() -> CrossSectionHalfspace:
     """Symmetrized Zhang-Yeung constraint beta + delta >= alpha / 2."""
-    hs = dfz_halfspace(1)
-    return CrossSectionHalfspace("symmetrized-zhang-yeung", hs.a, hs.b, hs.c, hs.d)
+    return section_halfspace(symmetrized_zy(SECTION_FRAME), SECTION_FRAME)
 
 
 def default_halfspace_bank(max_s: int = 6) -> list[CrossSectionHalfspace]:
@@ -287,7 +290,8 @@ def load_inequality_file(path) -> list[LinearInequality | CrossSectionHalfspace]
     return _read_file(path, _bank_from_json)
 
 
-def _bank_from_json(data) -> list[LinearInequality | CrossSectionHalfspace]:
+def _bank_from_json(data, frame=None) -> list[LinearInequality | CrossSectionHalfspace]:
+    """The entries of a document, coefficient ones as section halfspaces if given a frame."""
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list) or not all(isinstance(item, dict) for item in data):
@@ -298,7 +302,8 @@ def _bank_from_json(data) -> list[LinearInequality | CrossSectionHalfspace]:
         if "abcd" in item:
             out.append(halfspace_from_json(item))
         elif "coefficients" in item:
-            out.append(inequality_from_json(item))
+            ineq = inequality_from_json(item)
+            out.append(ineq if frame is None else section_halfspace(ineq, frame))
         else:
             raise ValueError(f"entry {index} has neither \"coefficients\" nor \"abcd\"; "
                              f"its keys are {sorted(item)}")

@@ -66,7 +66,7 @@ class Polytope3:
 
 def _as_weight_array(points: Sequence[Sequence[float]]) -> np.ndarray:
     arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 4:
+    if arr.ndim != 2 or arr.shape[1] != 4 or not arr.size:
         raise ValueError(f"need weight quadruples, got shape {arr.shape}")
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:

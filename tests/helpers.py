@@ -47,7 +47,7 @@ from entropy_toolkit.entropy import (
     subset_entropies,
 )
 from entropy_toolkit.frame import CrossSectionPoint, _require_frame_ground
-from entropy_toolkit.inequalities import LinearInequality
+from entropy_toolkit.inequalities import CrossSectionHalfspace, LinearInequality, dfz_linear
 from entropy_toolkit.search.engine import (
     DIRECTION_PENALTY,
     DistributionObjective,
@@ -707,6 +707,21 @@ def evaluate_by_frozenset_loop(ineq: LinearInequality, h: SetFunction) -> float:
     for key, c in ineq.coefficients.items():
         total += c * h.values[h.ground.mask(tuple(key))]
     return float(total)
+
+
+def dfz_halfspace_closed_form(s: int) -> CrossSectionHalfspace:
+    """Reference: the hand-written section form of DFZ member s plus its i<->j
+    swap, beta + ((s-1) 2^s + 1) delta >= (2^s - 1)/2 * alpha, which
+    ``dfz_halfspace`` must reproduce bit for bit."""
+    return CrossSectionHalfspace(f"dfz-s{s}", -(2 ** s - 1) / 2.0, 1.0, 0.0,
+                                 float((s - 1) * 2 ** s + 1))
+
+
+def dfz_member_plus_swap(s: int, frame: IngletonFrame) -> LinearInequality:
+    """DFZ member s plus its i<->j swap, summed key by key and named dfz-s<s>."""
+    a = dfz_linear(s, frame).coefficients
+    b = dfz_linear(s, frame.swapped_ij()).coefficients
+    return LinearInequality(f"dfz-s{s}", {k: a.get(k, 0.0) + b.get(k, 0.0) for k in {**a, **b}})
 
 
 def dedupe_by_dict(arr: np.ndarray, decimals: int = 12) -> np.ndarray:

@@ -14,6 +14,7 @@ from entropy_toolkit import (
     entropy_function,
     four_atom_distribution,
     ingleton_base,
+    inequality_to_json,
     matroid_rank,
     save_distribution,
     save_set_function,
@@ -23,7 +24,7 @@ from entropy_toolkit import core
 from entropy_toolkit.cli import main
 from entropy_toolkit.search import engine
 
-from helpers import fixed_cloud
+from helpers import dfz_member_plus_swap, fixed_cloud
 
 GOLDENS = Path(__file__).parent / "goldens"
 
@@ -367,6 +368,13 @@ class TestCloudHullOuter:
         assert "hull vertices  = 4" in out
         assert "hull facets    = 4" in out
 
+    def test_hull_of_header_only_cloud_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("alpha,beta,gamma,delta,source\n")
+        code, out, err = run(capsys, "hull", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: need weight quadruples, got shape (0, 4)\n"
+
     def test_outer_s1_vertices(self, capsys, tmp_path):
         out_file = tmp_path / "region.json"
         code, out, _ = run(capsys, "outer", "--dfz-max-s", "1",
@@ -385,6 +393,42 @@ class TestCloudHullOuter:
                            "--ineq-file", str(bank))
         assert code == 0
         assert "bank size      = 2" in out
+
+
+class TestOuterCoefficientEntries:
+    """A coefficient entry of --ineq-file bounds the region as its section
+    halfspace on labels i, j, k, l; one that cannot is an input error."""
+
+    FIXTURE = GOLDENS / "dfz7_10_linear.json"
+
+    def test_fixture_is_dfz_members_plus_swaps(self):
+        frame = IngletonFrame.default(GroundSet("ijkl"))
+        want = [inequality_to_json(dfz_member_plus_swap(s, frame)) for s in range(7, 11)]
+        assert json.loads(self.FIXTURE.read_text()) == want
+
+    def test_linear_members_extend_the_bank(self, capsys, tmp_path):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        code, out_a, _ = run(capsys, "outer", "--dfz-max-s", "6",
+                             "--ineq-file", str(self.FIXTURE), "-o", str(a))
+        assert code == 0
+        code, out_b, _ = run(capsys, "outer", "--dfz-max-s", "10", "-o", str(b))
+        assert code == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert out_a.replace(str(a), "") == out_b.replace(str(b), "")
+        assert out_a.splitlines()[-1] == f"wrote {a}"
+
+    @pytest.mark.parametrize("coefficients, message", [
+        ({"x": 1, "i": -1}, "unknown label 'x'"),
+        ({"i": 1, "j": 1, "ij": -1}, "'entry' has all-zero coefficients"),
+    ])
+    def test_unusable_entry_exits_two(self, capsys, tmp_path, coefficients, message):
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps([{"name": "entry", "coefficients": coefficients}]))
+        code, out, err = run(capsys, "outer", "--ineq-file", str(path))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ") and message in err
 
 
 class TestGeometryGoldens:

@@ -8,7 +8,9 @@ of being read as numbers, and written files read back unchanged.
 
 import json
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -202,7 +204,7 @@ class TestCloudCsv:
         except ValueError:
             want = None
         if want is not None and len(want) == len(rows):
-            assert _read_cloud_csv(path) == want
+            assert list(map(tuple, _read_cloud_csv(path).tolist())) == want
         else:
             with pytest.raises(ValueError, match="bad row"):
                 _read_cloud_csv(path)
@@ -214,7 +216,24 @@ class TestCloudCsv:
         path = tmp_path_factory.mktemp("cloud") / "c.csv"
         _write_cloud_csv([CrossSectionPoint(*row, source_tag="dir0(1,0,0)/r0_x")
                           for row in rows], path)
-        assert _read_cloud_csv(path) == [tuple(row) for row in rows]
+        assert list(map(tuple, _read_cloud_csv(path).tolist())) == [tuple(row) for row in rows]
+
+    def test_rows_stream_into_one_array(self, tmp_path):
+        """The reader holds no row beyond the one it parses: its peak is the
+        (n, 4) float64 array (32 B a row) and that array's last growth."""
+        rows = 50_000
+        weights = np.random.default_rng(3).dirichlet(np.ones(4), rows)
+        path = tmp_path / "c.csv"
+        _write_cloud_csv([CrossSectionPoint(*w, source_tag="dir0(1,0,0)/r0_x")
+                          for w in weights.tolist()], path)
+        tracemalloc.start()
+        try:
+            got = _read_cloud_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (rows, 4) and np.array_equal(got, weights)
+        assert peak <= 64 * rows
 
 
 # --- the command line ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Inequality bank: evaluation, balancedness, DFZ family, point checks."""
 
+import itertools
 import json
 import math
 
@@ -9,6 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from entropy_toolkit import (
     CrossSectionHalfspace,
+    CrossSectionPoint,
+    GroundSet,
+    IngletonFrame,
     LinearInequality,
     check_point,
     cross_section_point,
@@ -27,6 +31,8 @@ from entropy_toolkit import (
     is_balanced,
     load_inequality_file,
     matroid_rank,
+    point_from_weights,
+    section_halfspace,
     stv_functional,
     symmetrized_zy,
     symmetrized_zy_halfspace,
@@ -35,6 +41,8 @@ from entropy_toolkit import (
 
 from helpers import (
     check_point_by_pairs,
+    dfz_halfspace_closed_form,
+    dfz_member_plus_swap,
     evaluate_by_frozenset_loop,
     rand_distribution,
     rand_modular,
@@ -254,6 +262,57 @@ class TestCheckPointMatchesPairs:
         report = check_point((1.0, 0.0, 0.0, 0.0), bank)
         assert report.names == ("dfz-s1", "dfz-s2", "dfz-s3")
         assert report.margins == tuple(hs.a for hs in bank)
+
+
+FRAMES = ["".join(p) for p in itertools.permutations("ijkl")]
+
+
+def _frame_of(roles: str) -> IngletonFrame:
+    return IngletonFrame.from_spec(GroundSet("ijkl"), ",".join(roles))
+
+
+class TestSectionHalfspace:
+    """A halfspace is the section image of a linear inequality: its values
+    at the four tetrahedron vertices."""
+
+    @pytest.mark.parametrize("roles", FRAMES)
+    def test_dfz_images_are_the_closed_form(self, roles):
+        fr = _frame_of(roles)
+        for s in range(1, 21):
+            want = dfz_halfspace_closed_form(s)
+            for got in (section_halfspace(dfz_member_plus_swap(s, fr), fr), dfz_halfspace(s)):
+                assert got.name == want.name
+                assert list(map(float.hex, got.abcd)) == list(map(float.hex, want.abcd))
+            half = section_halfspace(dfz_linear(s, fr), fr)
+            assert tuple(2 * x for x in half.abcd) == want.abcd
+        assert symmetrized_zy(fr).coefficients == dfz_member_plus_swap(1, fr).coefficients
+
+    @settings(max_examples=200, deadline=None)
+    @given(section_quadruples(),
+           st.dictionaries(st.integers(1, 15), st.floats(-1e3, 1e3), min_size=1).filter(
+               lambda c: any(c.values())),
+           st.sampled_from(["ijkl", "kilj"]))
+    def test_margin_is_the_value_at_the_point(self, weights, coefficients, roles):
+        fr = _frame_of(roles)
+        ineq = LinearInequality("h", {fr.ground.labels_of(m): c
+                                      for m, c in coefficients.items()})
+        if not any(evaluate(ineq, v) for v in tetra_vertices(fr)):
+            with pytest.raises(ValueError, match="all-zero coefficients"):
+                section_halfspace(ineq, fr)
+            return
+        point = CrossSectionPoint(*weights)
+        want = evaluate(ineq, point_from_weights(point, fr))
+        scale = sum(map(abs, weights)) * sum(map(abs, ineq.coefficients.values()))
+        assert abs(section_halfspace(ineq, fr).margin(weights) - want) <= 1e-12 * scale
+
+    def test_label_outside_the_frame(self, frame):
+        with pytest.raises(ValueError, match="unknown label 'x'"):
+            section_halfspace(LinearInequality("h", {"x": 1.0, "i": -1.0}), frame)
+
+    def test_zero_on_the_section(self, frame):
+        # I(i;j) >= 0 vanishes at all four vertices
+        with pytest.raises(ValueError, match="'mi' has all-zero coefficients"):
+            section_halfspace(LinearInequality("mi", {"i": 1, "j": 1, "ij": -1}), frame)
 
 
 class TestPipelinePointsSatisfyBank:
