@@ -227,7 +227,9 @@ def _cloud_array(rows) -> np.ndarray:
 
 
 def _read_cloud_csv(path) -> np.ndarray:
-    return core._read_file(path, _cloud_array, parse=csv.reader)
+    # the hull's row rule runs while the file is read, so its errors name the file
+    return core._read_file(path, lambda rows: geometry._as_weight_array(_cloud_array(rows)),
+                           parse=csv.reader)
 
 
 def _directions(doc) -> list[tuple[float, float, float]]:

@@ -29,9 +29,10 @@ from the maps above, which stay the specification.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -164,8 +165,7 @@ def ingleton_base(frame: IngletonFrame) -> SetFunction:
 
 # --- basis expansion of the reversed-Ingleton tight cone ---------------------
 
-@dataclass(frozen=True)
-class BasisCoefficients:
+class BasisCoefficients(NamedTuple):
     """Coordinates of a tight function in the eleven-generator basis.
 
     ``c_bar`` multiplies the extreme score -1/4 generator; the other ten are
@@ -187,14 +187,14 @@ class BasisCoefficients:
     c_ik_l: float
 
     def as_array(self) -> np.ndarray:
-        return np.array(astuple(self))
+        return np.array(self)
 
     @classmethod
     def from_array(cls, arr) -> "BasisCoefficients":
         return cls(*(float(x) for x in arr))
 
 
-_COORDINATES = tuple(f.name for f in fields(BasisCoefficients))
+_COORDINATES = BasisCoefficients._fields
 
 #: One row per matroid coordinate, in BasisCoefficients field order after
 #: c_bar: the functional delta(a b | given) that reads the coordinate off and
@@ -328,9 +328,8 @@ def tetra_vertices(frame: IngletonFrame) -> tuple[SetFunction, SetFunction,
 
 # --- cross-section coordinates ------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossSectionPoint:
-    """Barycentric weights of a cross-section point in the tetrahedron.
+class CrossSectionPoint(NamedTuple):
+    """Barycentric weights of a cross-section point, stored as given.
 
     For points produced by the tighten -> b -> a -> symmetrize -> normalize
     pipeline the weights sum to one; for polymatroid inputs all four are
@@ -344,16 +343,8 @@ class CrossSectionPoint:
     delta_w: float
     source_tag: str = ""
 
-    def __post_init__(self):
-        for name in ("alpha_w", "beta_w", "gamma_w", "delta_w"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.alpha_w, self.beta_w, self.gamma_w, self.delta_w)
-
-    def affine(self) -> tuple[float, float, float]:
-        """Coordinates (beta, gamma, delta) in the affine chart of the simplex."""
-        return (self.beta_w, self.gamma_w, self.delta_w)
+        return self[:4]
 
     @property
     def weight_sum(self) -> float:

@@ -130,7 +130,7 @@ def stv_functional(frame: IngletonFrame) -> LinearInequality:
 def symmetrized_zy(frame: IngletonFrame) -> LinearInequality:
     """Symmetrized Zhang-Yeung inequality, DFZ member 1 plus its i<->j swap,
     valid >= 0 on entropic points; beta + delta >= alpha / 2 in section weights."""
-    return _dfz(1, "symmetrized-zhang-yeung", frame, frame.swapped_ij())
+    return _from_vec("symmetrized-zhang-yeung", frame, _dfz(1, frame, frame.swapped_ij()))
 
 
 def dfz_linear(s: int, frame: IngletonFrame) -> LinearInequality:
@@ -141,7 +141,7 @@ def dfz_linear(s: int, frame: IngletonFrame) -> LinearInequality:
     s = 1 is the Zhang-Yeung inequality.
     """
     _check_dfz_s(s)
-    return _dfz(s, f"dfz-linear-s{s}", frame)
+    return _from_vec(f"dfz-linear-s{s}", frame, _dfz(s, frame))
 
 
 @lru_cache(maxsize=FRAME_CACHE)
@@ -156,12 +156,11 @@ def _dfz_terms(*frames: IngletonFrame) -> tuple[np.ndarray, ...]:
     return tuple(sum(vecs) for vecs in zip(*terms))
 
 
-def _dfz(s: int, name: str, *frames: IngletonFrame) -> LinearInequality:
-    """The formula of :func:`dfz_linear`, summed over the frames."""
+def _dfz(s: int, *frames: IngletonFrame) -> np.ndarray:
+    """The mask-indexed vector of :func:`dfz_linear`, summed over the frames."""
     stv, kl_i, ik_il, jk_jl = _dfz_terms(*frames)
     half = 2 ** (s - 1)
-    vec = (2 ** s - 1) * stv + kl_i + s * half * ik_il + ((s - 2) * half + 1) * jk_jl
-    return _from_vec(name, frames[0], vec)
+    return (2 ** s - 1) * stv + kl_i + s * half * ik_il + ((s - 2) * half + 1) * jk_jl
 
 
 def _check_dfz_s(s: int) -> None:
@@ -169,19 +168,28 @@ def _check_dfz_s(s: int) -> None:
         raise ValueError(f"DFZ parameter s must be an integer in 1..20, got {s!r}")
 
 
+def _section_image(name: str, masks, coeffs, frame: IngletonFrame) -> CrossSectionHalfspace:
+    """The terms coeffs[t] h(masks[t]) at the four tetrahedron vertices, each value the
+    dot product :func:`evaluate` takes, as a halfspace on section weights."""
+    return CrossSectionHalfspace(name, *(float(coeffs @ v.values[masks])
+                                         for v in tetra_vertices(frame)))
+
+
 def section_halfspace(ineq: LinearInequality, frame: IngletonFrame) -> CrossSectionHalfspace:
-    """The inequality's values at the four tetrahedron vertices, as a halfspace
-    on section weights (a section point is their convex combination with its
-    weights).  Raises on a label outside the frame, or if all four values are 0."""
-    return CrossSectionHalfspace(ineq.name, *(evaluate(ineq, v) for v in tetra_vertices(frame)))
+    """The inequality's values at the four tetrahedron vertices, whose convex combinations
+    are the section points.  Raises on a label outside the frame, or if all four are 0."""
+    masks = [frame.ground.mask(tuple(key)) for key in ineq.coefficients]
+    return _section_image(ineq.name, masks, np.fromiter(ineq.coefficients.values(), float), frame)
 
 
 def dfz_halfspace(s: int) -> CrossSectionHalfspace:
     """DFZ member s plus its i<->j swap on section weights, which reads
     beta + ((s-1) 2^s + 1) delta >= (2^s - 1)/2 * alpha (s = 1: symmetrized ZY)."""
     _check_dfz_s(s)
-    ineq = _dfz(s, f"dfz-s{s}", SECTION_FRAME, SECTION_FRAME.swapped_ij())
-    return section_halfspace(ineq, SECTION_FRAME)
+    vec = _dfz(s, SECTION_FRAME, SECTION_FRAME.swapped_ij())
+    # the nonzero terms at masks >= 1 in ascending order, as _from_vec lists them
+    masks = np.flatnonzero(vec[1:]) + 1
+    return _section_image(f"dfz-s{s}", masks, vec[masks], SECTION_FRAME)
 
 
 def symmetrized_zy_halfspace() -> CrossSectionHalfspace:

@@ -70,11 +70,11 @@ def _as_weight_array(points: Sequence[Sequence[float]]) -> np.ndarray:
         raise ValueError(f"need weight quadruples, got shape {arr.shape}")
     bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
     if bad.size:
-        raise ValueError(f"point {bad[0]} has non-finite weights {tuple(arr[bad[0]])!r}")
+        raise ValueError(f"point {bad[0]} has non-finite weights {tuple(arr[bad[0]].tolist())!r}")
     sums = arr.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
     if bad.size:
-        raise ValueError(f"point {bad[0]} has weight sum {sums[bad[0]]!r}, expected 1")
+        raise ValueError(f"point {bad[0]} has weight sum {float(sums[bad[0]])!r}, expected 1")
     return arr
 
 

@@ -373,7 +373,18 @@ class TestCloudHullOuter:
         path.write_text("alpha,beta,gamma,delta,source\n")
         code, out, err = run(capsys, "hull", str(path))
         assert (code, out) == (2, "")
-        assert err == "error: need weight quadruples, got shape (0, 4)\n"
+        assert err == f"error: {path}: need weight quadruples, got shape (0, 4)\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.0,1.0,0.0,0.0", "point 1 has weight sum 2.0, expected 1"),
+        ("nan,0.5,0.25,0.25", "point 1 has non-finite weights (nan, 0.5, 0.25, 0.25)")])
+    def test_hull_row_rule_names_the_file(self, capsys, tmp_path, row, message):
+        path = tmp_path / "cloud.csv"
+        path.write_text(f"alpha,beta,gamma,delta,source\n1.0,0.0,0.0,0.0,a\n{row},b\n")
+        code, out, err = run(capsys, "hull", str(path), "-o", str(tmp_path / "h.obj"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
+        assert not (tmp_path / "h.obj").exists()
 
     def test_outer_s1_vertices(self, capsys, tmp_path):
         out_file = tmp_path / "region.json"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -47,8 +48,10 @@ from entropy_toolkit import (
     violated_instances,
 )
 
+from entropy_toolkit import cli, frame as frame_mod
 from entropy_toolkit.frame import _coordinate_matrix, _generator_matrix
-from entropy_toolkit.search.engine import DistributionObjective
+from entropy_toolkit.search.engine import (DistributionObjective, SearchConfig,
+                                           generate_cloud, optimize_distribution)
 
 from helpers import (
     a_map_by_deltas,
@@ -509,3 +512,57 @@ class TestCoordinateSystem:
         coeffs = BasisCoefficients(*range(11))
         assert np.array_equal(coeffs.as_array(), np.arange(11.0))
         assert BasisCoefficients.from_array(coeffs.as_array()) == coeffs
+
+
+def _float_weights(point) -> bool:
+    return all(type(w) is float for w in point.as_tuple())
+
+
+class TestPointRecord:
+    """A point stores its weights as given, so the producers supply Python
+    floats; records are named tuples with the dataclasses' field names."""
+
+    CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=1, budget_evals=40,
+                       master_seed=5)
+
+    def test_cross_section_point_weights_are_floats(self, frame, rng):
+        dist = rand_distribution(rng, frame.ground, (2, 3, 2, 2))
+        point, _ = cross_section_point(entropy_function(dist), frame, source_tag="t")
+        assert _float_weights(point) and point.source_tag == "t"
+
+    def test_cloud_points_are_floats(self, frame):
+        cloud = generate_cloud([(1.0, 0.0, 0.0)], self.CFG, frame, threads=1)
+        assert len(cloud) > 2
+        assert all(map(_float_weights, cloud))
+        assert _float_weights(cloud[0]) and _float_weights(cloud[-1])
+        assert all(map(_float_weights, cloud[1:3]))
+
+    def test_cloud_vertex_corners_are_floats(self, tmp_path, monkeypatch):
+        written = []
+        monkeypatch.setattr(cli, "_write_cloud_csv",
+                            lambda points, path: written.extend(points))
+        assert cli.main(["cloud", "--alphabet", "2,2,2,2", "--restarts", "1", "--budget",
+                         "20", "--directions", "1", "--include-vertices",
+                         "-o", str(tmp_path / "c.csv")]) == 0
+        corners = [p for p in written if p.source_tag.startswith("vertex-")]
+        assert len(corners) == 3 and all(map(_float_weights, corners))
+
+    def test_best_point_weights_are_floats(self, frame):
+        result = optimize_distribution(self.CFG, frame, threads=1)
+        assert result.best_point is not None and _float_weights(result.best_point)
+
+    def test_point_is_a_named_tuple(self):
+        point = CrossSectionPoint(0.25, 0.5, 0.125, 0.125, source_tag="x")
+        assert point.as_tuple() == (0.25, 0.5, 0.125, 0.125)
+        assert type(point.as_tuple()) is tuple and len(point.as_tuple()) == 4
+        assert point == (0.25, 0.5, 0.125, 0.125, "x") and len(point) == 5
+        assert CrossSectionPoint(1.0, 0.0, 0.0, 0.0).source_tag == ""
+        assert point._replace(source_tag="y").source_tag == "y"
+        assert pickle.loads(pickle.dumps(point)) == point
+
+    def test_coefficients_round_trip(self, frame, rng):
+        coeffs = basis_coefficients(rand_set_function(rng, frame.ground), frame)
+        assert BasisCoefficients.from_array(coeffs.as_array()) == coeffs
+        assert pickle.loads(pickle.dumps(coeffs)) == coeffs
+        assert frame_mod._COORDINATES == BasisCoefficients._fields
+        assert BasisCoefficients._fields[:3] == ("c_bar", "c_ij", "c_kl_ij")

@@ -305,6 +305,42 @@ class TestSectionHalfspace:
         scale = sum(map(abs, weights)) * sum(map(abs, ineq.coefficients.values()))
         assert abs(section_halfspace(ineq, fr).margin(weights) - want) <= 1e-12 * scale
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 15), st.floats(-1e6, 1e6)), min_size=1,
+                    unique_by=lambda term: term[0]).filter(lambda t: any(c for _, c in t)),
+           st.sampled_from(["ijkl", "kilj"]))
+    def test_coefficients_are_evaluate_at_the_vertices(self, terms, roles):
+        """Bit for bit, whatever the key order of the inequality."""
+        fr = _frame_of(roles)
+        ineq = LinearInequality("h", {fr.ground.labels_of(m): c for m, c in terms})
+        want = tuple(evaluate(ineq, v) for v in tetra_vertices(fr))
+        if not any(want):
+            with pytest.raises(ValueError, match="all-zero coefficients"):
+                section_halfspace(ineq, fr)
+            return
+        assert list(map(float.hex, section_halfspace(ineq, fr).abcd)) == list(
+            map(float.hex, want))
+
+    def test_keys_become_masks_once(self, frame, monkeypatch):
+        ineq = dfz_linear(3, frame)
+        tetra_vertices(frame)  # built and cached before the spy
+        calls = []
+        mask = GroundSet.mask
+        monkeypatch.setattr(GroundSet, "mask",
+                            lambda self, subset: calls.append(subset) or mask(self, subset))
+        section_halfspace(ineq, frame)
+        assert len(calls) == len(ineq.coefficients)
+
+    def test_bank_builds_no_inequality(self, frame, monkeypatch):
+        built = []
+        init = LinearInequality.__init__
+        monkeypatch.setattr(LinearInequality, "__init__",
+                            lambda self, *args: built.append(args[0]) or init(self, *args))
+        bank = default_halfspace_bank(20)
+        assert built == [] and len(bank) == 20
+        dfz_linear(2, frame)
+        assert built == ["dfz-linear-s2"]
+
     def test_label_outside_the_frame(self, frame):
         with pytest.raises(ValueError, match="unknown label 'x'"):
             section_halfspace(LinearInequality("h", {"x": 1.0, "i": -1.0}), frame)
