@@ -9,6 +9,12 @@ before any work, and an unwritable one is one ``error: <file>: <message>``
 line too.  All numeric console output uses 10 significant digits;
 files carry full doubles.  Searches are deterministic given their seeds;
 ENTROPY_TOOLKIT_THREADS caps parallel restarts.
+
+The commands are one table, ``COMMANDS``: name -> (help, add_arguments,
+handler).  ``main`` builds a fresh parser on every call, holding only the
+subparser of the command that ``argv[0]`` names (one of ten, so a call pays
+for one command's arguments), and the full parser, ``build_parser()``, for
+any other ``argv``; help, usage and error output are the same either way.
 """
 
 from __future__ import annotations
@@ -165,9 +171,6 @@ def _config_from_args(args) -> engine.SearchConfig:
     """The --config document (or {}) with every flag that was given written over it."""
     flags = {f.name: getattr(args, f.name) for f in fields(engine.SearchConfig)
              if getattr(args, f.name, None) is not None}
-    if args.alphabet is not None:
-        sizes = args.alphabet.split(",")
-        flags["alphabet_sizes"] = core._csv_numbers(sizes, [int] * len(sizes))
 
     def overlay(doc) -> engine.SearchConfig:
         return engine.SearchConfig.from_json({**doc, **flags} if isinstance(doc, dict) else doc)
@@ -324,97 +327,132 @@ def cmd_export(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="entropy-toolkit",
-        description="Polymatroid rank functions, entropy functions and "
-                    "Ingleton score minimization.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _alphabet(text: str) -> list[int]:
+    """argparse type of --alphabet: a comma list read by ``core._csv_numbers``."""
+    sizes = text.split(",")
+    return core._csv_numbers(sizes, [int] * len(sizes))
 
-    p = sub.add_parser("check", help="polymatroid axiom check of a set-function file")
+
+_alphabet.__name__ = "alphabet"  # argparse names it: "invalid alphabet value"
+
+
+def _check_args(p):
     p.add_argument("file")
     p.add_argument("--tol", type=_number(float), default=core.TOL_ANALYTIC)
-    p.set_defaults(fn=cmd_check)
 
-    p = sub.add_parser("entropy", help="entropy function of a distribution file")
+
+def _entropy_args(p):
     p.add_argument("file")
     p.add_argument("-o", "--output")
     p.add_argument("--bits", action="store_true",
                    help="display entropies in bits (storage stays in nats)")
-    p.set_defaults(fn=cmd_entropy)
 
-    p = sub.add_parser("score", help="Ingleton scores of a set-function file")
+
+def _score_args(p):
     p.add_argument("file")
     p.add_argument("--frame")
-    p.set_defaults(fn=cmd_score)
 
-    p = sub.add_parser("fouratom", help="four-atom family score")
+
+def _fouratom_args(p):
     p.add_argument("--p", type=_number(float))
     p.add_argument("--minimize", action="store_true")
-    p.set_defaults(fn=cmd_fouratom)
 
-    def add_exl_args(p):
-        p.add_argument("--default", action="store_true",
-                       help="use the reference parameter point")
-        for name in "pqrst":
-            p.add_argument(f"--{name}", type=_number(float))
-        p.add_argument("--frame")
 
-    p = sub.add_parser("exl", help="forty-configuration family scores")
-    add_exl_args(p)
-    p.set_defaults(fn=cmd_exl)
+def _exl_args(p):
+    p.add_argument("--default", action="store_true",
+                   help="use the reference parameter point")
+    for name in "pqrst":
+        p.add_argument(f"--{name}", type=_number(float))
+    p.add_argument("--frame")
 
-    def add_search_args(p):
-        p.add_argument("--config", help="SearchConfig JSON file")
-        p.add_argument("--alphabet", help="comma list, e.g. 4,4,4,4")
-        p.add_argument("--restarts", type=_number(int))
-        p.add_argument("--budget", type=_number(int), dest="budget_evals", metavar="BUDGET",
-                       help="objective evaluations per restart")
-        p.add_argument("--seed", type=_number(int), dest="master_seed", metavar="SEED")
-        p.add_argument("--frame")
 
-    p = sub.add_parser("minimize", help="minimize an Ingleton objective over distributions")
-    add_search_args(p)
+def _search_args(p):
+    p.add_argument("--config", help="SearchConfig JSON file")
+    p.add_argument("--alphabet", type=_alphabet, dest="alphabet_sizes", metavar="ALPHABET",
+                   help="comma list, e.g. 4,4,4,4")
+    p.add_argument("--restarts", type=_number(int))
+    p.add_argument("--budget", type=_number(int), dest="budget_evals", metavar="BUDGET",
+                   help="objective evaluations per restart")
+    p.add_argument("--seed", type=_number(int), dest="master_seed", metavar="SEED")
+    p.add_argument("--frame")
+
+
+def _minimize_args(p):
+    _search_args(p)
     p.add_argument("--objective", choices=[o for o in engine.OBJECTIVES
                                            if o != "alpha_in_direction"])
     p.add_argument("--init-dist", help="distribution file to seed the restarts near")
     p.add_argument("-o", "--output", help="write the result as JSON")
-    p.set_defaults(fn=cmd_minimize)
 
-    p = sub.add_parser("cloud", help="generate a cross-section point cloud")
-    add_search_args(p)
+
+def _cloud_args(p):
+    _search_args(p)
     p.add_argument("--directions", type=_number(int), default=8)
     p.add_argument("--directions-file", help="JSON list of 3-vectors")
     p.add_argument("--optima-only", action="store_true")
     p.add_argument("--include-vertices", action="store_true",
                    help="append the beta/gamma/delta corner points")
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_cloud)
 
-    p = sub.add_parser("hull", help="convex hull of a cloud CSV")
+
+def _hull_args(p):
     p.add_argument("file")
     p.add_argument("-o", "--output", help="write OBJ-like v/f lines")
-    p.set_defaults(fn=cmd_hull)
 
-    p = sub.add_parser("outer", help="outer approximation from halfspace banks")
+
+def _outer_args(p):
     p.add_argument("--dfz-max-s", type=_number(int), default=6)
     p.add_argument("--ineq-file")
     p.add_argument("-o", "--output", help="write the region as JSON")
-    p.set_defaults(fn=cmd_outer)
 
-    p = sub.add_parser("export", help="write built-in objects to files")
+
+def _export_args(p):
     p.add_argument("--what", required=True,
                    choices=["rbar", "generators", "vertices", "exl-table",
                             "fouratom-dist", "exl-dist"])
-    add_exl_args(p)
+    _exl_args(p)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_export)
 
+
+#: name -> (help, add_arguments, handler), in the order the help lists them
+COMMANDS = {
+    "check": ("polymatroid axiom check of a set-function file", _check_args, cmd_check),
+    "entropy": ("entropy function of a distribution file", _entropy_args, cmd_entropy),
+    "score": ("Ingleton scores of a set-function file", _score_args, cmd_score),
+    "fouratom": ("four-atom family score", _fouratom_args, cmd_fouratom),
+    "exl": ("forty-configuration family scores", _exl_args, cmd_exl),
+    "minimize": ("minimize an Ingleton objective over distributions", _minimize_args,
+                 cmd_minimize),
+    "cloud": ("generate a cross-section point cloud", _cloud_args, cmd_cloud),
+    "hull": ("convex hull of a cloud CSV", _hull_args, cmd_hull),
+    "outer": ("outer approximation from halfspace banks", _outer_args, cmd_outer),
+    "export": ("write built-in objects to files", _export_args, cmd_export),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone.  A one-command
+    parser lists all commands in its usage line, so its errors print the same
+    usage as the full parser's.  The full parser sets no metavar: its
+    "invalid choice" and "required" errors name the argument ``command``."""
+    parser = argparse.ArgumentParser(
+        prog="entropy-toolkit",
+        description="Polymatroid rank functions, entropy functions and "
+                    "Ingleton score minimization.")
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else [command]:
+        help_text, add_arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         if getattr(args, "output", None) is not None:
             core._check_writable(args.output)

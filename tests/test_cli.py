@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, outputs, rerun determinism."""
 
+import argparse
 import json
 import re
 import warnings
@@ -20,7 +21,7 @@ from entropy_toolkit import (
     save_set_function,
     vertex_seed_distributions,
 )
-from entropy_toolkit import core
+from entropy_toolkit import cli, core
 from entropy_toolkit.cli import main
 from entropy_toolkit.search import engine
 
@@ -835,6 +836,109 @@ class TestNumericFlags:
         code, out, _ = run(capsys, "fouratom", "--p", " 0.25 ")
         assert code == 0
         assert "closed form at p=0.25:" in out
+
+    @pytest.mark.parametrize("alphabet", ["2,1_0,2,2", "2,x,2,2", ""])
+    def test_bad_alphabet_names_the_flag(self, capsys, monkeypatch, alphabet):
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        with pytest.raises(SystemExit) as exc:
+            main(["minimize", "--alphabet", alphabet])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument --alphabet: invalid alphabet value: '{alphabet}'" in captured.err
+
+    def test_alphabet_overrides_config_file(self, capsys, tmp_path):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "res.json"
+        cfg.write_text(json.dumps({"alphabet_sizes": [3, 2, 2, 2], "restarts": 1,
+                                   "budget_evals": 40}))
+        code, _, _ = run(capsys, "minimize", "--config", str(cfg), "--alphabet", " 2,2, 2,2",
+                         "-o", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["config"]["alphabet_sizes"] == [2, 2, 2, 2]
+
+
+def _exit_and_output(capsys, call):
+    """(exit code, stdout, stderr) of call(); argparse's exits give the code."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestPerCommandParser:
+    """main builds only the invoked command's subparser; its help, usage,
+    errors and namespaces equal those of the full parser, build_parser()."""
+
+    ERRORS = [[], ["-h"], ["-h", "check"], ["--help", "score", "f"], ["nosuch"],
+              ["score", "f", "extra"], ["minimize", "--objective", "bogus"],
+              ["cloud"], ["export", "--what", "rbar"],
+              *([name, "-h"] for name in cli.COMMANDS)]
+
+    VALID = {
+        "check": ["check", "f.json", "--tol", "1e-6"],
+        "entropy": ["entropy", "d.csv", "-o", "f.json", "--bits"],
+        "score": ["score", "f.json", "--frame", "j,i,k,l"],
+        "fouratom": ["fouratom", "--p", "0.25", "--minimize"],
+        "exl": ["exl", "--default", "--frame", "i,j,l,k"],
+        "minimize": ["minimize", "--alphabet", "2,2,2,2", "--restarts", "2", "--budget",
+                     "50", "--seed", "3", "--objective", "tight_score", "--init-dist",
+                     "d.csv", "-o", "r.json"],
+        "cloud": ["cloud", "--config", "c.json", "--directions", "3", "--optima-only",
+                  "--include-vertices", "-o", "c.csv"],
+        "hull": ["hull", "c.csv", "-o", "h.obj"],
+        "outer": ["outer", "--dfz-max-s", "4", "--ineq-file", "b.json"],
+        "export": ["export", "--what", "exl-dist", "--p", "0.1", "--q", "0.01", "--r",
+                   "0.005", "--s", "0.005", "--t", "0.005", "-o", "e.csv"],
+    }
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", ERRORS, ids=" ".join)
+    def test_output_matches_full_parser(self, capsys, argv):
+        oracle = _exit_and_output(capsys, lambda: cli.build_parser().parse_args(argv))
+        assert oracle[0] in (0, 2)
+        assert _exit_and_output(capsys, lambda: main(argv)) == oracle
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "error: the following arguments are required: command\n"),
+        (["nosuch"], "error: argument command: invalid choice: 'nosuch'"),
+    ], ids=["empty", "nosuch"])
+    def test_full_parser_errors_name_the_command_argument(self, capsys, argv, message):
+        code, out, err = _exit_and_output(capsys, lambda: main(argv))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_every_command_has_a_valid_case(self):
+        assert list(self.VALID) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", VALID.values(), ids=list(VALID))
+    def test_namespace_matches_full_parser(self, argv):
+        assert (vars(cli.build_parser(argv[0]).parse_args(argv))
+                == vars(cli.build_parser().parse_args(argv)))
+
+    def test_one_subparser_and_no_cache(self, capsys, monkeypatch, r3_file):
+        registered, built = [], []
+
+        def add_parser(self, name, **kwargs):
+            registered.append(name)
+            return add_parser_real(self, name, **kwargs)
+
+        def build_parser(*args):
+            built.append(build_parser_real(*args))
+            return built[-1]
+
+        add_parser_real, build_parser_real = argparse._SubParsersAction.add_parser, cli.build_parser
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", add_parser)
+        monkeypatch.setattr(cli, "build_parser", build_parser)
+        assert run(capsys, "score", r3_file)[0] == 0
+        assert registered == ["score"]
+        assert run(capsys, "score", r3_file)[0] == 0
+        assert registered == ["score", "score"]
+        assert len(built) == 2 and built[0] is not built[1]
 
 
 class TestOverflowingInput:

@@ -282,12 +282,16 @@ class TestCommandLine:
 
     @pytest.mark.parametrize("alphabet", ["1_0,1,1,1", "2,2,2,2_0", "2,2,2,true"])
     def test_minimize_alphabet(self, capsys, tmp_path, alphabet):
+        """--alphabet is read by the CSV row rule as an argparse type, so the
+        usage error names the flag."""
         out = tmp_path / "res.json"
-        code, stdout, err = run(capsys, "minimize", "--alphabet", alphabet, "--restarts",
-                                "1", "--budget", "10", "-o", str(out))
-        assert code == 2
-        assert stdout == ""
-        assert "bad row" in err
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "minimize", "--alphabet", alphabet, "--restarts",
+                "1", "--budget", "10", "-o", str(out))
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert f"argument --alphabet: invalid alphabet value: '{alphabet}'" in captured.err
         assert not out.exists()
 
     def test_csv_alphabet_spaces_allowed(self, capsys):
