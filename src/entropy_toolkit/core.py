@@ -315,9 +315,11 @@ def _check_tol(tol: float) -> None:
 def _violations(margins: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
                 tol: float) -> tuple[float, tuple[tuple[int, int], ...]]:
     """The most negative margin (0.0 when none is negative) and the pairs of
-    the margins below -tol, most negative first, ties in table order."""
-    negative = margins[margins < 0.0]
-    worst = float(negative.min()) if negative.size else 0.0
+    the margins below -tol, most negative first, ties in table order.  The
+    pairs are searched only when some margin is negative."""
+    worst = float(margins.min(initial=0.0))
+    if worst >= 0.0:
+        return 0.0, ()
     bad = np.flatnonzero(margins < -tol)
     bad = bad[np.argsort(margins[bad], kind="stable")]
     return worst, tuple(zip(pairs[0][bad].tolist(), pairs[1][bad].tolist()))
@@ -329,7 +331,9 @@ def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
     Monotonicity is checked on all single-element increments
     f(K + i) - f(K) >= -tol, submodularity on all elemental defects
     delta(f, iK, jK) >= -tol with K disjoint from {i, j}.  For submodular
-    inputs these imply the full pairwise conditions.
+    inputs these imply the full pairwise conditions.  One ``min`` per table
+    clears a function with no negative margin; witnesses are searched only
+    when some margin is negative.
     """
     _check_tol(tol)
     v = f.values

@@ -56,6 +56,9 @@ MAX_CELLS = 10_000_000
 #: index entries per marginal_index call in entropy_function, bounding its memory
 INDEX_CHUNK = 1 << 22
 
+#: marginal_index plans (place values and block offsets) kept in the cache
+PLAN_CACHE = 8
+
 
 def kappa(u: float) -> float:
     """Entropy kernel -u ln u on [0, 1], with kappa(0) = 0."""
@@ -225,6 +228,22 @@ class JointDistribution:
         return d
 
 
+@lru_cache(maxsize=PLAN_CACHE)
+def _index_plan(sizes: tuple, n: int, masks: bytes, dtype: str,
+                shape: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Place values and block offsets of :func:`marginal_index` for one
+    alphabet and one mask array (its bytes, dtype and shape); read-only and
+    shared.  The cache keeps at most PLAN_CACHE plans, each holding (n + 2)
+    int64 per mask with its key: 20,400 bytes for the 255 masks of n = 8."""
+    masks = np.frombuffer(masks, dtype=dtype).reshape(shape)
+    member = (masks >> np.arange(n)[:, None]) & 1
+    radix = np.where(member, np.asarray(sizes, dtype=np.int64)[:, None], 1)
+    block = np.cumprod(radix[::-1], axis=0)[::-1]
+    place = member * np.vstack([block[1:], np.ones_like(block[:1])])
+    offsets = np.concatenate(([0], np.cumsum(block[0])[:-1]))
+    return _read_only(place, offsets)
+
+
 def marginal_index(configs: np.ndarray, sizes,
                    masks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
     """Cell of every atom (rows of ``configs``) in the marginal on every subset.
@@ -234,15 +253,13 @@ def marginal_index(configs: np.ndarray, sizes,
     blocks do not overlap; one ``configs @ place_values`` product gives all
     keys and ``np.unique`` numbers the occupied cells.  Returns the cell
     indices subset by subset, each subset's first cell and the cell count.
-    ``masks`` defaults to every nonempty subset.
+    ``masks`` (integers) defaults to every nonempty subset.  The place values
+    and offsets come from :func:`_index_plan`'s cache of PLAN_CACHE plans.
     """
     n = configs.shape[1]
-    masks = np.arange(1, 1 << n) if masks is None else masks
-    member = (masks >> np.arange(n)[:, None]) & 1
-    radix = np.where(member, np.asarray(sizes, dtype=np.int64)[:, None], 1)
-    block = np.cumprod(radix[::-1], axis=0)[::-1]
-    place = member * np.vstack([block[1:], np.ones_like(block[:1])])
-    offsets = np.concatenate(([0], np.cumsum(block[0])[:-1]))
+    masks = np.arange(1, 1 << n) if masks is None else np.asarray(masks)
+    place, offsets = _index_plan(tuple(sizes), n, masks.tobytes(), masks.dtype.str,
+                                 masks.shape)
     cells, flat_idx = np.unique((configs @ place + offsets).T.ravel(),
                                 return_inverse=True)
     return flat_idx, np.searchsorted(cells, offsets), len(cells)

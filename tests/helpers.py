@@ -33,7 +33,10 @@ from entropy_toolkit.core import (
     TOL_ANALYTIC,
     _bit_matrix,
     _check_pe_value,
+    _check_tol,
     _modular_values,
+    _square_table,
+    _step_table,
     is_modular,
 )
 from entropy_toolkit.entropy import (
@@ -43,7 +46,6 @@ from entropy_toolkit.entropy import (
     MAX_CELLS,
     ExLParams,
     _four_atom_p,
-    marginal_index,
     subset_entropies,
 )
 from entropy_toolkit.frame import CrossSectionPoint, _require_frame_ground
@@ -183,6 +185,37 @@ def check_axioms_by_loops(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomRep
         worst_submodular_violation=worst_sub,
         monotone_witnesses=tuple((p, q) for m, p, q in mono if m < -tol),
         submodular_witnesses=tuple((p, q) for m, p, q in sub if m < -tol),
+        tol=tol,
+    )
+
+
+def violations_by_witness_search(margins: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
+                                  tol: float) -> tuple[float, tuple[tuple[int, int], ...]]:
+    """Reference: the worst negative margin and the witnesses below -tol, with
+    the witness search run on every call."""
+    negative = margins[margins < 0.0]
+    worst = float(negative.min()) if negative.size else 0.0
+    bad = np.flatnonzero(margins < -tol)
+    bad = bad[np.argsort(margins[bad], kind="stable")]
+    return worst, tuple(zip(pairs[0][bad].tolist(), pairs[1][bad].tolist()))
+
+
+def check_axioms_by_witness_search(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
+    """Reference: ``check_axioms`` over :func:`violations_by_witness_search`."""
+    _check_tol(tol)
+    v = f.values
+    lo, hi = _step_table(f.ground.n)
+    iK, jK, ijK, K = _square_table(f.ground.n)
+    worst_mono, mono = violations_by_witness_search(v[hi] - v[lo], (lo, hi), tol)
+    worst_sub, sub = violations_by_witness_search(v[iK] + v[jK] - v[ijK] - v[K],
+                                                  (iK, jK), tol)
+    return AxiomReport(
+        is_monotone=worst_mono >= -tol,
+        is_submodular=worst_sub >= -tol,
+        worst_monotone_violation=worst_mono,
+        worst_submodular_violation=worst_sub,
+        monotone_witnesses=mono,
+        submodular_witnesses=sub,
         tol=tol,
     )
 
@@ -361,6 +394,23 @@ def softmax_by_np_max(theta: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def marginal_index_by_fresh_plan(configs: np.ndarray, sizes,
+                                 masks: np.ndarray | None = None
+                                 ) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference: ``marginal_index`` with its place values and block offsets
+    rebuilt from the alphabet and the masks on every call."""
+    n = configs.shape[1]
+    masks = np.arange(1, 1 << n) if masks is None else masks
+    member = (masks >> np.arange(n)[:, None]) & 1
+    radix = np.where(member, np.asarray(sizes, dtype=np.int64)[:, None], 1)
+    block = np.cumprod(radix[::-1], axis=0)[::-1]
+    place = member * np.vstack([block[1:], np.ones_like(block[:1])])
+    offsets = np.concatenate(([0], np.cumsum(block[0])[:-1]))
+    cells, flat_idx = np.unique((configs @ place + offsets).T.ravel(),
+                                return_inverse=True)
+    return flat_idx, np.searchsorted(cells, offsets), len(cells)
+
+
 def subset_entropies_by_tile(p: np.ndarray, flat_idx: np.ndarray, starts: np.ndarray,
                              n_cells: int) -> np.ndarray:
     """Reference: bincount weights from ``np.tile`` and the live masses
@@ -382,7 +432,7 @@ def entropy_function_by_tile(d: JointDistribution) -> SetFunction:
     for lo in range(1, d.ground.size, step):
         masks = np.arange(lo, min(lo + step, d.ground.size))
         vals[masks] = subset_entropies_by_tile(
-            probs, *marginal_index(configs, d.alphabet_sizes, masks))
+            probs, *marginal_index_by_fresh_plan(configs, d.alphabet_sizes, masks))
     return SetFunction(d.ground, vals)
 
 
@@ -902,7 +952,7 @@ def entropy_function_by_dict(d: JointDistributionByDict) -> SetFunction:
     for lo in range(1, d.ground.size, step):
         masks = np.arange(lo, min(lo + step, d.ground.size))
         vals[masks] = subset_entropies(
-            probs, *marginal_index(configs, d.alphabet_sizes, masks))
+            probs, *marginal_index_by_fresh_plan(configs, d.alphabet_sizes, masks))
     return SetFunction(d.ground, vals)
 
 

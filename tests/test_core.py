@@ -1,7 +1,10 @@
 """Core set-function algebra: axioms, generators, convolution, decomposition."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from entropy_toolkit import (
     GroundSet,
@@ -29,11 +32,13 @@ from entropy_toolkit import (
     set_function_to_json,
     tight_part,
 )
-from entropy_toolkit.core import _square_table, _step_table, _submask_table
+from entropy_toolkit.core import (TOL_ANALYTIC, TOL_ENTROPIC, _square_table, _step_table,
+                                  _submask_table)
 from entropy_toolkit.frame import ingleton_base
 
 from helpers import (
     check_axioms_by_loops,
+    check_axioms_by_witness_search,
     convolution_by_loops,
     convolve_modular_iterative_by_loops,
     is_tight_by_loop,
@@ -174,6 +179,99 @@ class TestCheckAxioms:
     def test_tolerance_must_be_finite_and_nonnegative(self, ground, check, tol):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             check(matroid_rank(ground, 2), tol)
+
+
+#: finite values whose sums and differences overflow to +-inf
+HUGE = (sys.float_info.max, -sys.float_info.max, 1e308, -1e308, 9e307, -9e307)
+
+
+@st.composite
+def axiom_inputs(draw):
+    """A set function on n = 1..6 and a tolerance.  Kinds: an exact
+    polymatroid (integer combinations of matroid ranks plus an integer
+    modular part, so its zero margins are exactly 0, some zeros signed
+    -0.0); the same nudged by at most tol/5 per value, so margins fall in
+    (-tol, 0); nudged by up to 1, so margins fall below -tol; and finite
+    values near +-1e308, whose margins overflow to +-inf."""
+    n = draw(st.integers(1, 6))
+    g = GroundSet("abcdef"[:n])
+    tol = draw(st.sampled_from((0.0, 1e-12, TOL_ANALYTIC, TOL_ENTROPIC, 1e-3)))
+    kind = draw(st.sampled_from(("exact", "within", "beyond", "huge")))
+    if kind == "huge":
+        values = draw(st.lists(st.sampled_from(HUGE + (0.0, -0.0, 1.0))
+                               | st.floats(allow_nan=False, allow_infinity=False),
+                               min_size=g.size - 1, max_size=g.size - 1))
+        return SetFunction(g, [0.0] + values), tol
+    values = modular_from(g, draw(st.lists(st.integers(0, 3), min_size=n,
+                                           max_size=n))).values
+    for _ in range(draw(st.integers(0, 3))):
+        loops = draw(st.integers(0, g.size - 1))
+        m = draw(st.integers(0, n - bin(loops).count("1")))
+        values = values + draw(st.integers(1, 3)) * matroid_rank(g, m, loops).values
+    signs = np.array(draw(st.lists(st.booleans(), min_size=g.size, max_size=g.size)))
+    values = np.where((values == 0.0) & signs, -0.0, values)
+    if kind != "exact":
+        scale = tol / 5 if kind == "within" else 1.0
+        values[1:] += draw(st.lists(st.floats(-scale, scale), min_size=g.size - 1,
+                                    max_size=g.size - 1))
+    return SetFunction(g, values), tol
+
+
+def _same_report(fast, slow) -> bool:
+    """Field-for-field equality, every float compared by float.hex."""
+    def bits(report):
+        return tuple(float.hex(x) if isinstance(x, float) else x
+                     for x in vars(report).values())
+    return (all(type(a) is type(b) for a, b in zip(vars(fast).values(),
+                                                   vars(slow).values()))
+            and bits(fast) == bits(slow))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestCheckAxiomsAgainstWitnessSearch:
+    """``check_axioms`` searches witnesses only when a margin is negative and
+    reports exactly what the search on every call reports."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(axiom_inputs())
+    def test_report_equals_the_oracle(self, case):
+        f, tol = case
+        assert _same_report(check_axioms(f, tol), check_axioms_by_witness_search(f, tol))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_signed_zero_and_overflowing_margins(self, n):
+        g = GroundSet("abcdef"[:n])
+        cases = [np.full(g.size, -0.0), np.zeros(g.size)]
+        for big in HUGE:
+            vals = np.zeros(g.size)
+            vals[1::2] = big
+            vals[3::4] = -big
+            cases.append(vals)
+        for vals in cases:
+            f = SetFunction(g, vals)
+            for tol in (0.0, TOL_ANALYTIC):
+                assert _same_report(check_axioms(f, tol),
+                                    check_axioms_by_witness_search(f, tol))
+
+    def test_overflow_reports_infinite_violation(self):
+        g = GroundSet("ab")
+        report = check_axioms(SetFunction(g, [0.0, HUGE[0], 0.0, HUGE[1]]))
+        assert report.worst_monotone_violation == -np.inf
+        assert report.worst_submodular_violation == 0.0
+        assert not report.is_monotone and report.is_submodular
+
+    def test_clean_function_skips_the_witness_search(self, monkeypatch, frame):
+        f = ingleton_base(frame)
+        want = check_axioms(f, tol=0.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("witness search on a function with no negative margin")
+        for name in ("flatnonzero", "argsort"):
+            monkeypatch.setattr(np, name, refuse)
+        report = check_axioms(f, tol=0.0)
+        assert report.is_polymatroid and report == want
+        with pytest.raises(AssertionError, match="witness search"):
+            check_axioms(SetFunction(f.ground, -f.values), tol=0.0)
 
 
 class TestMatroidRank:

@@ -1,8 +1,10 @@
 """Entropy functions, the four-atom family and the forty-configuration family."""
 
+import gc
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +47,7 @@ from helpers import (
     entropy_function_by_tile,
     exl_distribution_by_dict,
     four_atom_distribution_by_dict,
+    marginal_index_by_fresh_plan,
     rand_distribution,
 )
 
@@ -150,27 +153,38 @@ class TestEntropyFunctionMatchesReference:
             assert v.tobytes() == entropy_mod.subset_entropies(p, *index).tobytes()
             assert np.isnan(h[0])
 
-    @pytest.mark.parametrize("sizes", [(4, 4, 4, 4), (3, 2, 4, 2)])
+    @pytest.mark.parametrize("sizes", [(4, 4, 4, 4), (3, 2, 4, 2), (1, 2, 3, 1, 2)])
     def test_chunked_sparse_distributions(self, monkeypatch, sizes):
+        """Every chunk's index equals the plan rebuilt on every call."""
         n = math.prod(sizes)
         rng = np.random.default_rng(n)
+        ground = GroundSet("ijklm"[:len(sizes)])
         calls = []
         marginal_index = entropy_mod.marginal_index
 
         def counted_index(*args):
             calls.append(args)
-            return marginal_index(*args)
+            got = marginal_index(*args)
+            assert _same_triple(got, marginal_index_by_fresh_plan(*args))
+            return got
         monkeypatch.setattr(entropy_mod, "marginal_index", counted_index)
         for density in (0.05, 0.3):
             dense = rng.dirichlet(np.ones(n)) * (rng.random(n) < density)
             dense[int(rng.integers(n))] += 0.1
-            d = JointDistribution.from_dense(GroundSet("ijkl"), sizes, dense / dense.sum())
+            d = JointDistribution.from_dense(ground, sizes, dense / dense.sum())
             want = entropy_function_by_tile(d).values.tobytes()
-            # four masks per chunk: chunks 1-4, 5-8, 9-12 and 13-15
+            # four masks per chunk: chunks 1-4, 5-8, ...
             monkeypatch.setattr(entropy_mod, "INDEX_CHUNK", 4 * int(np.count_nonzero(dense)))
             calls.clear()
             assert entropy_function(d).values.tobytes() == want
-            assert len(calls) == 4
+            assert len(calls) == math.ceil((ground.size - 1) / 4)
+
+
+def _same_triple(fast, slow) -> bool:
+    """(flat_idx, starts, n_cells) equal byte for byte, dtypes and types included."""
+    return (all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+                for a, b in zip(fast[:2], slow[:2]))
+            and type(fast[2]) is type(slow[2]) and fast[2] == slow[2])
 
 
 class TestFourAtomFamily:
@@ -369,6 +383,69 @@ class TestMarginalIndex:
         d = JointDistribution(ground, (2, 2, 2, 2),
                               {(0, 0, 0, 0): 0.5, (1, 1, 1, 1): 0.5, (0, 1, 0, 1): 0.0})
         assert np.allclose(entropy_function(d).values[1:], LN2, atol=1e-15)
+
+
+#: plan bytes of a full ground of MAX_GROUND_SIZE: (8 + 2) int64 per mask, 255 masks
+PLAN_BYTES_N8 = 20_400
+
+
+class TestIndexPlanCache:
+    """``marginal_index`` reads its place values and offsets from a bounded
+    cache and gives the triple of the plan rebuilt on every call."""
+
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (2, 1), (1, 3, 1), (1, 1, 1, 1),
+                                       (3, 2, 4, 2), (1, 3, 1, 2), (2, 1, 3, 2, 1),
+                                       (2, 2, 2, 2, 2)])
+    def test_triples_equal_the_fresh_plan(self, sizes):
+        n, cells = len(sizes), math.prod(sizes)
+        rng = np.random.default_rng(cells + n)
+        grid = entropy_mod._config_grid(sizes)
+        full = np.arange(1, 1 << n)
+        wide = np.stack([full, full[::-1]], axis=1)
+        mask_arrays = [None, full, rng.permutation(full), full[::-2], wide[:, 1],
+                       full.astype(np.int32), full[rng.integers(0, len(full), 7)],
+                       full.tolist(), np.int64(full[-1])]
+        for configs in (grid, grid[rng.permutation(cells)],
+                        grid[rng.permutation(cells)[:max(1, cells // 3)]]):
+            for masks in mask_arrays:
+                want = marginal_index_by_fresh_plan(configs, sizes, masks)
+                for _ in range(2):      # filling the cache, then reading it
+                    assert _same_triple(entropy_mod.marginal_index(configs, sizes, masks),
+                                        want)
+
+    def test_plans_are_read_only(self):
+        masks = np.arange(1, 16)
+        place, offsets = entropy_mod._index_plan((3, 2, 4, 2), 4, masks.tobytes(),
+                                                 masks.dtype.str, masks.shape)
+        for table in (place, offsets):
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[...] = 0
+
+    def test_cache_stays_within_its_bound(self):
+        """Twice PLAN_CACHE alphabets on a ground of eight: the cache keeps
+        PLAN_CACHE plans of PLAN_BYTES_N8 bytes each, keys included, plus
+        at most 2 KiB each of the Python objects around them."""
+        n, cache = 8, entropy_mod._index_plan
+        masks = np.arange(1, 1 << n)
+        configs = np.zeros((1, n), dtype=np.int64)
+        cache.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for a in range(1, 2 * entropy_mod.PLAN_CACHE + 1):
+                entropy_mod.marginal_index(configs, (a,) * n)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+            kept = cache.cache_info().currsize
+        finally:
+            tracemalloc.stop()
+            cache.cache_clear()
+        assert kept == entropy_mod.PLAN_CACHE
+        place, offsets = cache((2,) * n, n, masks.tobytes(), masks.dtype.str, masks.shape)
+        assert place.nbytes + offsets.nbytes + masks.nbytes == PLAN_BYTES_N8
+        assert held <= entropy_mod.PLAN_CACHE * (PLAN_BYTES_N8 + 2048)
 
 
 # --- array-backed distributions against the dict-backed reference ------------
