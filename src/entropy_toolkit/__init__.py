@@ -64,7 +64,6 @@ from .entropy import (
     four_atom_score,
     kappa,
     load_distribution,
-    load_exl_table,
     save_distribution,
 )
 from .frame import (
@@ -109,7 +108,6 @@ from .inequalities import (
     section_halfspace,
     stv_functional,
     symmetrized_zy,
-    symmetrized_zy_halfspace,
 )
 from .search import (
     Cloud,
@@ -118,7 +116,6 @@ from .search import (
     SearchResult,
     convex_hull_3d,
     generate_cloud,
-    hull_contains,
     hull_volume,
     minimize_scalar,
     optimize_distribution,

@@ -64,24 +64,26 @@ def _print_set_function(f: core.SetFunction, bits: bool = False) -> None:
 
 def cmd_check(args) -> int:
     f = core.load_set_function(args.file)
-    report = core.check_axioms(f, tol=args.tol)
-    print(f"tolerance:  {_fmt(args.tol)}")
-    print(f"monotone:   {report.is_monotone}   "
-          f"(worst violation {_fmt(report.worst_monotone_violation)})")
-    print(f"submodular: {report.is_submodular}   "
-          f"(worst violation {_fmt(report.worst_submodular_violation)})")
-    for kind, witnesses in [("monotone", report.monotone_witnesses),
-                            ("submodular", report.submodular_witnesses)]:
-        for a, b in witnesses[:5]:
-            print(f"  {kind} witness: ({f.ground.subset_key(a) or '{}'}, "
-                  f"{f.ground.subset_key(b) or '{}'})")
-    if report.is_polymatroid:
-        print(f"tight:      {core.is_tight(f, args.tol)}")
-        print(f"modular:    {core.is_modular(f, args.tol)}")
-        print("polymatroid: yes")
-        return 0
-    print("polymatroid: no")
-    return 1
+    # margins of values near +-1.7e308 overflow to +-inf, which the report states
+    with np.errstate(over="ignore"):
+        report = core.check_axioms(f, tol=args.tol)
+        print(f"tolerance:  {_fmt(args.tol)}")
+        print(f"monotone:   {report.is_monotone}   "
+              f"(worst violation {_fmt(report.worst_monotone_violation)})")
+        print(f"submodular: {report.is_submodular}   "
+              f"(worst violation {_fmt(report.worst_submodular_violation)})")
+        for kind, witnesses in [("monotone", report.monotone_witnesses),
+                                ("submodular", report.submodular_witnesses)]:
+            for a, b in witnesses[:5]:
+                print(f"  {kind} witness: ({f.ground.subset_key(a) or '{}'}, "
+                      f"{f.ground.subset_key(b) or '{}'})")
+        if report.is_polymatroid:
+            print(f"tight:      {core.is_tight(f, args.tol)}")
+            print(f"modular:    {core.is_modular(f, args.tol)}")
+            print("polymatroid: yes")
+            return 0
+        print("polymatroid: no")
+        return 1
 
 
 def cmd_entropy(args) -> int:
@@ -299,28 +301,34 @@ def cmd_outer(args) -> int:
     return 0
 
 
+def _export_exl_table(args, fr) -> None:
+    rows = [f"{name},{cfg}\n" for name, cfgs in entropy.EXL_COLUMNS for cfg in cfgs]
+    core._write_file(args.output, lambda fh: fh.write("column,config\n" + "".join(rows)))
+
+
+def _export_fouratom_dist(args, fr) -> None:
+    if args.p is None:
+        raise ValueError("fouratom-dist needs --p")
+    entropy.save_distribution(entropy.four_atom_distribution(args.p), args.output)
+
+
+#: export target -> writer(args, frame) of args.output, in the order --what lists them
+EXPORTS = {
+    "rbar": lambda args, fr: core.save_set_function(frame_mod.ingleton_base(fr), args.output),
+    "generators": lambda args, fr: core._write_json(
+        [core.set_function_to_json(g) for g in frame_mod.basis_generators(fr)], args.output),
+    "vertices": lambda args, fr: core._write_json(
+        dict(zip(("alpha", "beta", "gamma", "delta"),
+                 map(core.set_function_to_json, frame_mod.tetra_vertices(fr)))), args.output),
+    "exl-table": _export_exl_table,
+    "fouratom-dist": _export_fouratom_dist,
+    "exl-dist": lambda args, fr: entropy.save_distribution(
+        entropy.exl_distribution(_exl_params(args)), args.output),
+}
+
+
 def cmd_export(args) -> int:
-    fr = _frame(args)
-    what = args.what
-    if what == "rbar":
-        core.save_set_function(frame_mod.ingleton_base(fr), args.output)
-    elif what == "generators":
-        core._write_json([core.set_function_to_json(g)
-                          for g in frame_mod.basis_generators(fr)], args.output)
-    elif what == "vertices":
-        doc = {name: core.set_function_to_json(v)
-               for name, v in zip(("alpha", "beta", "gamma", "delta"),
-                                  frame_mod.tetra_vertices(fr))}
-        core._write_json(doc, args.output)
-    elif what == "exl-table":
-        rows = [f"{name},{cfg}\n" for name, cfgs in entropy.EXL_COLUMNS for cfg in cfgs]
-        core._write_file(args.output, lambda fh: fh.write("column,config\n" + "".join(rows)))
-    elif what == "fouratom-dist":
-        if args.p is None:
-            raise ValueError("fouratom-dist needs --p")
-        entropy.save_distribution(entropy.four_atom_distribution(args.p), args.output)
-    elif what == "exl-dist":
-        entropy.save_distribution(entropy.exl_distribution(_exl_params(args)), args.output)
+    EXPORTS[args.what](args, _frame(args))
     print(f"wrote {args.output}")
     return 0
 
@@ -407,9 +415,7 @@ def _outer_args(p):
 
 
 def _export_args(p):
-    p.add_argument("--what", required=True,
-                   choices=["rbar", "generators", "vertices", "exl-table",
-                            "fouratom-dist", "exl-dist"])
+    p.add_argument("--what", required=True, choices=list(EXPORTS))
     _exl_args(p)
     p.add_argument("-o", "--output", required=True)
 

@@ -316,10 +316,10 @@ def _violations(margins: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
                 tol: float) -> tuple[float, tuple[tuple[int, int], ...]]:
     """The most negative margin (0.0 when none is negative) and the pairs of
     the margins below -tol, most negative first, ties in table order.  The
-    pairs are searched only when some margin is negative."""
+    pairs are searched only when some margin is below -tol."""
     worst = float(margins.min(initial=0.0))
-    if worst >= 0.0:
-        return 0.0, ()
+    if worst >= -tol:
+        return (worst if worst < 0.0 else 0.0), ()
     bad = np.flatnonzero(margins < -tol)
     bad = bad[np.argsort(margins[bad], kind="stable")]
     return worst, tuple(zip(pairs[0][bad].tolist(), pairs[1][bad].tolist()))
@@ -332,8 +332,9 @@ def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
     f(K + i) - f(K) >= -tol, submodularity on all elemental defects
     delta(f, iK, jK) >= -tol with K disjoint from {i, j}.  For submodular
     inputs these imply the full pairwise conditions.  One ``min`` per table
-    clears a function with no negative margin; witnesses are searched only
-    when some margin is negative.
+    clears a function with no margin below -tol (rounding leaves computed
+    entropy functions a few ulps below 0); witnesses are searched only when
+    some margin is below -tol.
     """
     _check_tol(tol)
     v = f.values

@@ -35,7 +35,6 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from importlib import resources
 from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
@@ -425,15 +424,6 @@ def exl_closed_form(params: ExLParams, ground: GroundSet | None = None) -> SetFu
     vals[m((i, j, l))] = 8.0 * k(p + s) + 8.0 * k(r + t) + 8.0 * k(q)
     vals[ground.full_mask] = 8.0 * (k(p) + k(q) + k(r) + k(s) + k(t))
     return SetFunction(ground, vals)
-
-
-def load_exl_table() -> tuple[tuple[str, tuple[str, ...]], ...]:
-    """Read the packaged CSV copy of the forty-configuration table."""
-    cols: dict[str, list[str]] = {}
-    text = resources.files("entropy_toolkit").joinpath("data/exl40.csv").read_text()
-    for row in csv.DictReader(text.splitlines()):
-        cols.setdefault(row["column"], []).append(row["config"])
-    return tuple((name, tuple(cfgs)) for name, cfgs in cols.items())
 
 
 # --- distribution wire formats ----------------------------------------------

@@ -192,11 +192,6 @@ def dfz_halfspace(s: int) -> CrossSectionHalfspace:
     return _section_image(f"dfz-s{s}", masks, vec[masks], SECTION_FRAME)
 
 
-def symmetrized_zy_halfspace() -> CrossSectionHalfspace:
-    """Symmetrized Zhang-Yeung constraint beta + delta >= alpha / 2."""
-    return section_halfspace(symmetrized_zy(SECTION_FRAME), SECTION_FRAME)
-
-
 def default_halfspace_bank(max_s: int = 6) -> list[CrossSectionHalfspace]:
     """The DFZ halfspaces for s = 1..max_s (s = 1 being symmetrized ZY)."""
     _check_dfz_s(max_s)

@@ -18,32 +18,7 @@ from .geometry import (
     Polytope3,
     active_constraints,
     convex_hull_3d,
-    hull_contains,
     hull_to_obj,
     hull_volume,
-    max_alpha_on_edge,
     outer_region,
 )
-
-__all__ = [
-    "Cloud",
-    "DistributionObjective",
-    "SearchConfig",
-    "SearchResult",
-    "generate_cloud",
-    "minimize_scalar",
-    "nelder_mead",
-    "optimize_distribution",
-    "restart_seed",
-    "softmax",
-    "sphere_directions",
-    "vertex_seed_distributions",
-    "Polytope3",
-    "active_constraints",
-    "convex_hull_3d",
-    "hull_contains",
-    "hull_to_obj",
-    "hull_volume",
-    "max_alpha_on_edge",
-    "outer_region",
-]

@@ -301,8 +301,10 @@ class DistributionObjective:
                        collector: _Collector | None = None) -> Callable[[np.ndarray], float]:
         """Bind an objective kind to a callable on dense probability vectors.
 
-        With a collector, every evaluation with weights appends them; the
-        collector drops the near-degenerate ones.
+        Only ``alpha_in_direction`` collects: with a collector, every
+        evaluation with weights appends them, and the collector drops the
+        near-degenerate ones.  A collector with a score objective raises
+        ValueError.
         """
         if objective == "alpha_in_direction":
             d = np.asarray(direction, dtype=float)
@@ -322,13 +324,11 @@ class DistributionObjective:
                 r = x - along * d if along > 0 else x
                 return -w[0] + DIRECTION_PENALTY * math.sqrt(float(r.dot(r)))
         else:
+            if collector is not None:
+                raise ValueError(f"only alpha_in_direction collects weights, not {objective!r}")
+
             def fn(p: np.ndarray) -> float:
-                h = self.entropy_vector(p)
-                if collector is not None:
-                    w = self.weights_from_entropy(h)
-                    if w is not None:
-                        collector.append(w)
-                return self.score_from_entropy(h, objective)
+                return self.score_from_entropy(self.entropy_vector(p), objective)
         return fn
 
 

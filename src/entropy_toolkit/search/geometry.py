@@ -129,24 +129,6 @@ def convex_hull_3d(points: Sequence[Sequence[float]]) -> Polytope3:
     return Polytope3((tuple(arr[0]),), (), 0)
 
 
-def hull_contains(poly: Polytope3, point: Sequence[float],
-                  tol: float = FEASIBILITY_TOL) -> bool:
-    """Membership test against the facet planes of a full-dimensional hull."""
-    _check_tol(tol)
-    if not poly.is_full_dimensional:
-        raise ValueError("containment test needs a full-dimensional polytope")
-    x = np.asarray(point, dtype=float)[1:]
-    verts = poly.affine_vertices()
-    centroid = verts.mean(axis=0)
-    for fa, fb, fc in poly.facets:
-        normal = np.cross(verts[fb] - verts[fa], verts[fc] - verts[fa])
-        if normal @ (centroid - verts[fa]) > 0:
-            normal = -normal
-        if normal @ (x - verts[fa]) > tol * max(1.0, float(np.linalg.norm(normal))):
-            return False
-    return True
-
-
 def hull_volume(poly: Polytope3) -> float:
     """Euclidean volume in the affine chart; 0 for degenerate hulls."""
     if not poly.is_full_dimensional:
@@ -226,29 +208,6 @@ def active_constraints(weights: Sequence[float],
     x = np.asarray(weights, dtype=float)[1:]
     margins = normals @ x + offsets
     return [name for name, margin in zip(names, margins) if abs(margin) <= tol]
-
-
-def max_alpha_on_edge(poly: Polytope3, edge: str = "alpha-beta",
-                      tol: float = FEASIBILITY_TOL) -> float:
-    """Largest alpha weight among region vertices on a tetrahedron edge.
-
-    ``edge`` picks which two weights may be nonzero, e.g. "alpha-beta" keeps
-    vertices with gamma = delta = 0.
-    """
-    _check_tol(tol)
-    names = ("alpha", "beta", "gamma", "delta")
-    try:
-        a, b = edge.split("-")
-        keep = {names.index(a), names.index(b)}
-    except ValueError:
-        raise ValueError(f"bad edge spec {edge!r}, want e.g. 'alpha-beta'") from None
-    best = None
-    for v in poly.vertices:
-        if all(abs(v[idx]) <= tol for idx in range(4) if idx not in keep):
-            best = v[0] if best is None else max(best, v[0])
-    if best is None:
-        raise ValueError(f"no region vertex lies on edge {edge}")
-    return float(best)
 
 
 def hull_to_obj(poly: Polytope3) -> str:

@@ -35,12 +35,12 @@ from entropy_toolkit import (
     optimize_distribution,
     outer_region,
     reconstruct,
-    symmetrized_zy_halfspace,
+    section_halfspace,
+    symmetrized_zy,
     tight_part,
 )
 from entropy_toolkit.cli import main
 from entropy_toolkit.frame import a_map, b_map
-from entropy_toolkit.search.geometry import max_alpha_on_edge
 
 from helpers import rand_distribution, rand_modular, rand_polymatroid, rand_set_function
 
@@ -217,21 +217,22 @@ def test_09_inequality_consistency():
             for hs in bank:
                 worst = min(worst, hs.margin(point.as_tuple()))
             count += 1
-    coeff_match = dfz_halfspace(1).abcd == symmetrized_zy_halfspace().abcd
+    coeff_match = dfz_halfspace(1).abcd == section_halfspace(symmetrized_zy(FRAME), FRAME).abcd
     ok = worst >= -1e-7 and coeff_match and count == 1000
     report(9, f"DFZ margins on {count} entropic points: min margin {worst:.2e}, "
               f"s=1 matches symmetrized ZY {coeff_match}", ok)
 
 
 def test_10_outer_region_geometry():
-    zy_region = outer_region([symmetrized_zy_halfspace()])
+    zy_region = outer_region([dfz_halfspace(1)])
     targets = [(2 / 3, 1 / 3, 0.0, 0.0), (2 / 3, 0.0, 0.0, 1 / 3)]
     has_vertices = all(
         any(max(abs(a - b) for a, b in zip(v, t)) <= 1e-9
             for v in zy_region.vertices)
         for t in targets)
     dfz_region = outer_region([dfz_halfspace(s) for s in range(1, 11)])
-    cap = max_alpha_on_edge(dfz_region, "alpha-beta")
+    # largest alpha among the region's vertices on the alpha-beta edge
+    cap = max(v[0] for v in dfz_region.vertices if abs(v[2]) <= 1e-9 and abs(v[3]) <= 1e-9)
     cap_ok = abs(cap - 2.0 / (2 ** 10 + 1)) <= 1e-9
     report(10, f"outer region: ZY vertices found {has_vertices}, "
                f"edge cap {cap:.3e} vs 2/1025", has_vertices and cap_ok)

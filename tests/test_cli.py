@@ -108,6 +108,27 @@ class TestCheck:
         code, _, err = run(capsys, "check", "/nonexistent/f.json")
         assert code == 2
 
+    @pytest.mark.parametrize("values, code, tail", [
+        ([1.7e308, 1.7e308, -1.7e308], 1,
+         ["monotone:   False   (worst violation -inf)",
+          "submodular: True   (worst violation 0)",
+          "  monotone witness: (j, ij)", "  monotone witness: (i, ij)",
+          "polymatroid: no"]),
+        ([1e308, 1e308, 1.5e308], 0,
+         ["monotone:   True   (worst violation 0)",
+          "submodular: True   (worst violation 0)",
+          "tight:      False", "modular:    False", "polymatroid: yes"]),
+    ])
+    def test_overflowing_margins_print_no_warning(self, capsys, tmp_path, values, code, tail):
+        from entropy_toolkit import SetFunction
+        path = tmp_path / "huge.json"
+        save_set_function(SetFunction(GroundSet("ij"), [0.0, *values]), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run(capsys, "check", str(path))
+        assert (got, err) == (code, "")
+        assert out.splitlines() == ["tolerance:  1e-09", *tail]
+
 
 class TestFouratom:
     def test_minimize(self, capsys):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from entropy_toolkit import (
     GroundSet,
+    JointDistribution,
     SetFunction,
     check_axioms,
     closure_of,
@@ -17,6 +18,7 @@ from entropy_toolkit import (
     delta,
     delta_given,
     delta_vec,
+    entropy_function,
     is_modular,
     is_tight,
     load_set_function,
@@ -229,8 +231,8 @@ def _same_report(fast, slow) -> bool:
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestCheckAxiomsAgainstWitnessSearch:
-    """``check_axioms`` searches witnesses only when a margin is negative and
-    reports exactly what the search on every call reports."""
+    """``check_axioms`` searches witnesses only when a margin is below -tol
+    and reports exactly what the search on every call reports."""
 
     @settings(max_examples=400, deadline=None)
     @given(axiom_inputs())
@@ -272,6 +274,40 @@ class TestCheckAxiomsAgainstWitnessSearch:
         assert report.is_polymatroid and report == want
         with pytest.raises(AssertionError, match="witness search"):
             check_axioms(SetFunction(f.ground, -f.values), tol=0.0)
+
+    @pytest.mark.parametrize("tol", [1e-12, TOL_ANALYTIC, 0.5])
+    def test_worst_margin_at_minus_tol(self, tol):
+        # the one margin f(a) - f({}) is exactly -tol, and -tol/2 in the second case
+        for low in (-tol, -tol / 2):
+            f = SetFunction(GroundSet("a"), [0.0, low])
+            report = check_axioms(f, tol)
+            assert report.worst_monotone_violation == low and report.is_polymatroid
+            assert _same_report(report, check_axioms_by_witness_search(f, tol))
+
+    def test_rounding_below_zero_skips_the_witness_search(self, monkeypatch, ground):
+        """Entropy functions of sparse distributions whose worst margin rounds a
+        few ulps below 0 get the oracle's report with no witness search."""
+        rng = np.random.default_rng(5)
+        fs = []
+        for sizes in [(2, 2, 2, 2), (3, 3, 3, 3)]:
+            cells = int(np.prod(sizes))
+            for _ in range(60):
+                dense = rng.random(cells) * (rng.random(cells) < 0.3)
+                dense[0] += 1e-3
+                fs.append(entropy_function(
+                    JointDistribution.from_dense(ground, sizes, dense / dense.sum())))
+        want = [check_axioms_by_witness_search(f, TOL_ENTROPIC) for f in fs]
+        ulp = [(f, w) for f, w in zip(fs, want)
+               if -TOL_ENTROPIC <= min(w.worst_monotone_violation,
+                                       w.worst_submodular_violation) < 0.0]
+        assert len(ulp) >= 5
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("witness search on margins within tol")
+        for name in ("flatnonzero", "argsort"):
+            monkeypatch.setattr(np, name, refuse)
+        for f, w in ulp:
+            assert _same_report(check_axioms(f, TOL_ENTROPIC), w)
 
 
 class TestMatroidRank:

@@ -28,7 +28,6 @@ from entropy_toolkit import (
     four_atom_distribution,
     four_atom_score,
     kappa,
-    load_exl_table,
     modular_from,
 )
 from entropy_toolkit import entropy as entropy_mod
@@ -280,9 +279,6 @@ class TestExlFamily:
         f = exl_closed_form(EXL_REFERENCE)
         assert f("il") == pytest.approx(3 * LN2, abs=1e-15)
         assert f("jk") == pytest.approx(3 * LN2, abs=1e-15)
-
-    def test_packaged_table_matches_source(self):
-        assert load_exl_table() == EXL_COLUMNS
 
 
 class TestFamiliesMatchDictBuilders:

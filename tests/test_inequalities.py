@@ -35,7 +35,6 @@ from entropy_toolkit import (
     section_halfspace,
     stv_functional,
     symmetrized_zy,
-    symmetrized_zy_halfspace,
     tetra_vertices,
 )
 
@@ -135,8 +134,9 @@ def is_balanced_and_kills_modular(ineq, frame, rng) -> bool:
 
 
 class TestDfzFamily:
-    def test_s1_equals_symmetrized_zy_halfspace(self):
-        assert dfz_halfspace(1).abcd == symmetrized_zy_halfspace().abcd
+    def test_s1_equals_symmetrized_zy_halfspace(self, frame):
+        zy = section_halfspace(symmetrized_zy(frame), frame)
+        assert dfz_halfspace(1).abcd == zy.abcd
         assert dfz_halfspace(1).abcd == (-0.5, 1.0, 0.0, 1.0)
 
     def test_s2_s3_coefficients(self):
@@ -194,20 +194,20 @@ class TestCheckPoint:
         assert report.all_satisfied
 
     def test_alpha_vertex_violates_zy(self):
-        report = check_point((1.0, 0.0, 0.0, 0.0), [symmetrized_zy_halfspace()])
+        report = check_point((1.0, 0.0, 0.0, 0.0), [dfz_halfspace(1)])
         assert not report.all_satisfied
         name, margin = report.violated[0]
-        assert name == "symmetrized-zhang-yeung"
+        assert name == "dfz-s1"
         assert margin == pytest.approx(-0.5, abs=1e-15)
 
     def test_reference_point_satisfies_zy(self, frame):
         point, _ = cross_section_point(exl_closed_form(EXL_REFERENCE), frame)
-        report = check_point(point, [symmetrized_zy_halfspace()])
+        report = check_point(point, [dfz_halfspace(1)])
         assert report.all_satisfied
 
     def test_weight_sum_validated(self):
         with pytest.raises(ValueError):
-            check_point((0.5, 0.5, 0.5, 0.5), [symmetrized_zy_halfspace()])
+            check_point((0.5, 0.5, 0.5, 0.5), [dfz_halfspace(1)])
 
     @pytest.mark.parametrize("weights", [(math.inf, -math.inf, 0.5, 0.5),
                                          (math.nan, 0.5, 0.25, 0.25),
@@ -219,7 +219,7 @@ class TestCheckPoint:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_tolerance_validated(self, bad):
         with pytest.raises(ValueError, match="tolerance"):
-            check_point((1.0, 0.0, 0.0, 0.0), [symmetrized_zy_halfspace()], tol=bad)
+            check_point((1.0, 0.0, 0.0, 0.0), [dfz_halfspace(1)], tol=bad)
 
 
 @st.composite

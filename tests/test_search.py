@@ -15,15 +15,11 @@ from entropy_toolkit import (
     EXL_REFERENCE,
     IngletonFrame,
     SearchConfig,
-    convex_hull_3d,
     cross_section_point,
     entropy_function,
-    exl_closed_form,
     exl_distribution,
-    four_atom_distribution,
     four_atom_score,
     generate_cloud,
-    hull_contains,
     ingleton_score,
     minimize_scalar,
     optimize_distribution,
@@ -146,6 +142,12 @@ class TestDistributionObjective:
         for objective in ("raw_score", "tight_score", "pipeline_score"):
             assert ev.score_from_entropy(h, objective) == 0.0
         assert ev.weights_from_entropy(h) is None
+
+    @pytest.mark.parametrize("objective", ["raw_score", "tight_score", "pipeline_score"])
+    def test_score_objective_refuses_a_collector(self, frame, objective):
+        ev = DistributionObjective(frame, (2, 2, 2, 2))
+        with pytest.raises(ValueError, match="only alpha_in_direction collects"):
+            ev.make_objective(objective, collector=engine._Collector(1))
 
 
 class TestNelderMead:
@@ -486,19 +488,6 @@ class TestCloud:
             assert list(seeds) == list(ref) == ["beta", "gamma", "delta"]
             for name in ref:
                 assert_same_rows(seeds[name], ref[name])
-
-    def test_hull_of_cloud_contains_known_points(self, frame):
-        ref_point, _ = cross_section_point(exl_closed_form(EXL_REFERENCE), frame)
-        fa_point, _ = cross_section_point(
-            entropy_function(four_atom_distribution(0.350457)), frame)
-        cloud = list(generate_cloud(sphere_directions(3, seed=1), self.CFG, frame))
-        seeds = vertex_seed_distributions(frame)
-        for dist in seeds.values():
-            cloud.append(cross_section_point(entropy_function(dist), frame)[0])
-        cloud += [ref_point, fa_point]
-        poly = convex_hull_3d([pt.as_tuple() for pt in cloud])
-        assert hull_contains(poly, ref_point.as_tuple(), tol=1e-9)
-        assert hull_contains(poly, fa_point.as_tuple(), tol=1e-9)
 
     def test_sphere_directions(self):
         dirs = sphere_directions(16, seed=3)
