@@ -387,8 +387,7 @@ def _search_args(p):
 
 def _minimize_args(p):
     _search_args(p)
-    p.add_argument("--objective", choices=[o for o in engine.OBJECTIVES
-                                           if o != "alpha_in_direction"])
+    p.add_argument("--objective", choices=engine.SCORE_OBJECTIVES)
     p.add_argument("--init-dist", help="distribution file to seed the restarts near")
     p.add_argument("-o", "--output", help="write the result as JSON")
 

@@ -54,6 +54,10 @@ FRAME_CACHE = 96
 #: point, and a search scores the evaluation 0
 DEGENERATE_TOL = 1e-12
 
+#: how far from 1 the sum of a weight quadruple may be for the readers of
+#: section points (``point_from_weights``, ``check_point``, the hulls)
+WEIGHT_SUM_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class IngletonFrame:
@@ -407,7 +411,7 @@ def cross_section_point(f: SetFunction, frame: IngletonFrame,
 
 
 def point_from_weights(w: CrossSectionPoint, frame: IngletonFrame,
-                       tol: float = 1e-6) -> SetFunction:
+                       tol: float = WEIGHT_SUM_TOL) -> SetFunction:
     """Convex combination of the tetrahedron vertices with the given weights."""
     _check_tol(tol)
     if not abs(w.weight_sum - 1.0) <= tol:  # also rejects non-finite weights

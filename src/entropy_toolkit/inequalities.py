@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import GroundSet, SetFunction, _check_tol, _is_integer, _is_real, _read_file, delta_vec
-from .frame import FRAME_CACHE, IngletonFrame, stv_vec, tetra_vertices
+from .frame import FRAME_CACHE, WEIGHT_SUM_TOL, IngletonFrame, stv_vec, tetra_vertices
 
 BALANCE_TOL = 1e-12
 
@@ -237,7 +237,7 @@ def check_point(weights, bank: Sequence[CrossSectionHalfspace],
     if len(w) != 4:
         raise ValueError(f"need a weight quadruple, got {w!r}")
     total = sum(w)
-    if not abs(total - 1.0) <= 1e-6:  # a non-finite weight makes the sum non-finite
+    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # a non-finite weight makes the sum non-finite
         raise ValueError(f"weights {w!r} sum to {total!r}, expected finite "
                          "weights summing to 1")
     aw, bw, gw, dw = w

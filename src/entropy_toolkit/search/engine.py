@@ -22,7 +22,7 @@ read.  The default ``cloud`` (8 directions x 64 restarts at 4^4, budget
 ``MAX_CLOUD_MIB``; at about 11,500 evaluations per second it runs about
 15 minutes on one worker.
 
-Objectives:
+Objectives (``SCORE_OBJECTIVES`` lists the first three, the scores):
 
 * ``raw_score``      - Ingleton score of the entropy function itself;
 * ``tight_score``    - score of its tight part;
@@ -68,12 +68,21 @@ from ..frame import (
     stv_vec,
 )
 
-OBJECTIVES = ("raw_score", "tight_score", "pipeline_score", "alpha_in_direction")
+#: the objectives that score an entropy vector, each divided by its own
+#: normalizer (``DistributionObjective.rank_vecs``)
+SCORE_OBJECTIVES = ("raw_score", "tight_score", "pipeline_score")
+OBJECTIVES = SCORE_OBJECTIVES + ("alpha_in_direction",)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 #: weight of the off-ray penalty in the alpha_in_direction objective
 DIRECTION_PENALTY = 8.0
+
+#: Nelder-Mead stops when the simplex diameter drops below this
+DIAM_TOL = 1e-10
+
+#: offset of each initial Nelder-Mead vertex from x0 along its axis
+INITIAL_STEP = 0.5
 
 #: largest alphabet product a search accepts.  A worker's Nelder-Mead buffer
 #: holds the simplex plus headroom, (atoms + 1) + (atoms // 4 + 1) rows of
@@ -122,17 +131,20 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
                     tol: float = 1e-8) -> tuple[float, float]:
     """Golden-section search for the minimizer of a unimodal f on [lo, hi].
 
-    Returns (x, f(x)) with |x - true minimizer| <= tol for unimodal f.
+    Returns (x, f(x)) with |x - true minimizer| <= tol for unimodal f, or
+    where float spacing stops a step from shrinking the bracket.
     """
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    if not (lo < hi and 0.0 < tol < math.inf):
+        raise ValueError(f"need lo < hi and a finite tol > 0, got [{lo}, {hi}], tol={tol!r}")
     a, b = float(lo), float(hi)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
     if not (math.isfinite(f1) and math.isfinite(f2)):
         raise ValueError("objective returned a non-finite value")
-    while b - a > tol:
+    width = math.inf
+    while width > b - a > tol:
+        width = b - a
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - GOLDEN * (b - a)
@@ -254,8 +266,6 @@ class DistributionObjective:
 
     def __init__(self, frame: IngletonFrame, alphabet_sizes: Sequence[int]):
         sizes = tuple(int(s) for s in alphabet_sizes)
-        self.frame = frame
-        self.sizes = sizes
         self.n_atoms = math.prod(sizes)
         self._flat_idx, self._offsets, self._n_cells = marginal_index(_config_grid(sizes),
                                                                       sizes)
@@ -263,9 +273,10 @@ class DistributionObjective:
         eye = np.eye(frame.ground.size)
         pipeline = pipeline_operator(frame)
         self.stv_vec = stv_vec(frame)
-        self.raw_rank_vec = eye[-1]
-        self.tight_rank_vec = eye[-1] - _modular_values(eye)[-1]
-        self.pipeline_rank_vec = pipeline[-1]
+        # each score objective's normalizer: the value at N of the entropy
+        # function, of its tight part and of its projection, in that order
+        self.rank_vecs = dict(zip(SCORE_OBJECTIVES, (
+            eye[-1], eye[-1] - _modular_values(eye)[-1], pipeline[-1])))
         self.weight_mat = section_weight_matrix(frame) @ pipeline
 
     def entropy_vector(self, p: np.ndarray) -> np.ndarray:
@@ -275,26 +286,18 @@ class DistributionObjective:
         return h
 
     def score_from_entropy(self, h: np.ndarray, objective: str) -> float:
-        if objective == "raw_score":
-            denom_vec = self.raw_rank_vec
-        elif objective == "tight_score":
-            denom_vec = self.tight_rank_vec
-        elif objective == "pipeline_score":
-            denom_vec = self.pipeline_rank_vec
-        else:
+        rank_vec = self.rank_vecs.get(objective)
+        if rank_vec is None:
             raise ValueError(f"not a score objective: {objective!r}")
-        denom = float(denom_vec @ h)
+        denom = float(rank_vec @ h)
         if denom <= DEGENERATE_TOL:
             return 0.0
         return float(self.stv_vec @ h) / denom
 
     def weights_from_entropy(self, h: np.ndarray) -> np.ndarray | None:
         """Normalized cross-section weights, or None when degenerate."""
-        raw = self.weight_mat @ h
-        denom = float(self.pipeline_rank_vec @ h)
-        if denom <= DEGENERATE_TOL:
-            return None
-        return raw / denom
+        denom = float(self.rank_vecs["pipeline_score"] @ h)
+        return None if denom <= DEGENERATE_TOL else self.weight_mat @ h / denom
 
     def make_objective(self, objective: str,
                        direction: tuple[float, float, float] | None = None,
@@ -393,12 +396,11 @@ def _move_rows(flat: np.ndarray, width: int, dst: int, src: int, count: int) -> 
 
 
 def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
-                budget: int, diam_tol: float = 1e-10,
-                initial_step: float = 0.5) -> tuple[np.ndarray, float, int, bool]:
+                budget: int) -> tuple[np.ndarray, float, int, bool]:
     """Nelder-Mead descent with the standard coefficient set.
 
     Reflection 1, expansion 2, contraction 0.5, shrink 0.5.  Stops when the
-    simplex diameter drops below diam_tol or the evaluation budget is spent
+    simplex diameter drops below ``DIAM_TOL`` or the evaluation budget is spent
     (an in-flight iteration may finish, so the count can exceed the budget by
     at most dim + 1).  Returns (best_x, best_value, evals, converged).
 
@@ -411,14 +413,14 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     value f replaces the worst at ``bisect_right(vals, f, 0, dim)``, after
     the vertices of equal value, which is where a stable sort of the values
     puts it; ties thus keep their rank (initially x0 first, then
-    x0 + initial_step * e_b in order of b).  The list drops the worst value
+    x0 + INITIAL_STEP * e_b in order of b).  The list drops the worst value
     and inserts f there; of the rows, the shorter side of the slot moves by
     one: the better rows up into the spare rows, or the worse rows down
     over the worst.  When no spare row is left, the window is first copied
     back to the bottom of the buffer (recentred).  A shrink updates the
     window in place, evaluates rows 1..dim in rank order and re-sorts once
     by a stable sort of the values.  The diameter test runs only when the
-    worst vertex is within diam_tol of the best, first in coordinate 0 (one
+    worst vertex is within ``DIAM_TOL`` of the best, first in coordinate 0 (one
     scalar comparison, which rules out convergence in most iterations),
     then in every coordinate.  A worker thus holds the buffer and, during a
     shrink re-sort or a diameter test near convergence, one simplex-sized
@@ -444,7 +446,7 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     top = headroom
     window = rows[top:]
     window[:] = np.asarray(x0, dtype=float)
-    window[np.arange(1, dim + 1), np.arange(dim)] += initial_step
+    window[np.arange(1, dim + 1), np.arange(dim)] += INITIAL_STEP
     vals = [evaluate(row.copy()) for row in window]
     sort_window()
     evals = dim + 1
@@ -453,12 +455,12 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     while evals < budget:
         worst = window[-1]
         # The diameter is a max, so the worst vertex alone rules out
-        # convergence whenever it is at least diam_tol from the best, and so
+        # convergence whenever it is at least DIAM_TOL from the best, and so
         # does its first coordinate alone, at the price of one scalar test.
-        if (abs(worst[0] - window[0, 0]) < diam_tol
-                and np.abs(worst - window[0]).max() < diam_tol):
+        if (abs(worst[0] - window[0, 0]) < DIAM_TOL
+                and np.abs(worst - window[0]).max() < DIAM_TOL):
             spread = window - window[0]
-            if np.abs(spread, out=spread).max() < diam_tol:
+            if np.abs(spread, out=spread).max() < DIAM_TOL:
                 converged = True
                 break
         # np.mean without its Python wrapper, over the rows in rank order

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core import _check_tol
+from ..frame import WEIGHT_SUM_TOL
 from ..inequalities import CrossSectionHalfspace
 
 FEASIBILITY_TOL = 1e-9
@@ -72,7 +73,7 @@ def _as_weight_array(points: Sequence[Sequence[float]]) -> np.ndarray:
     if bad.size:
         raise ValueError(f"point {bad[0]} has non-finite weights {tuple(arr[bad[0]].tolist())!r}")
     sums = arr.sum(axis=1)
-    bad = np.flatnonzero(np.abs(sums - 1.0) > 1e-6)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > WEIGHT_SUM_TOL)
     if bad.size:
         raise ValueError(f"point {bad[0]} has weight sum {float(sums[bad[0]])!r}, expected 1")
     return arr
@@ -144,18 +145,16 @@ def _affine_constraints(bank: Sequence[CrossSectionHalfspace]
                         ) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """All constraints as rows (n, off) meaning n . x + off >= 0 in the chart.
 
-    The four simplex facets come first, then the bank; a weight constraint
-    a*alpha + b*beta + c*gamma + d*delta >= 0 becomes
+    The four simplex facets (weight >= 0, the rows of the identity) come
+    first, then the bank, as one (m, 4) array of (a, b, c, d) rows; a weight
+    constraint a*alpha + b*beta + c*gamma + d*delta >= 0 becomes
     (b-a, c-a, d-a) . x + a >= 0 after substituting alpha = 1 - sum(x).
     """
-    normals = [np.array([-1.0, -1.0, -1.0]), np.eye(3)[0], np.eye(3)[1], np.eye(3)[2]]
-    offsets = [1.0, 0.0, 0.0, 0.0]
-    names = list(SIMPLEX_FACETS)
-    for hs in bank:
-        normals.append(np.array([hs.b - hs.a, hs.c - hs.a, hs.d - hs.a]))
-        offsets.append(hs.a)
-        names.append(hs.name)
-    return np.array(normals), np.array(offsets), names
+    abcd = np.array([*np.eye(4), *(hs.abcd for hs in bank)])
+    # huge coefficients overflow to inf, which outer_region reports
+    with np.errstate(over="ignore"):
+        normals = abcd[:, 1:] - abcd[:, :1]
+    return normals, abcd[:, 0], [*SIMPLEX_FACETS, *(hs.name for hs in bank)]
 
 
 def outer_region(bank: Sequence[CrossSectionHalfspace]) -> Polytope3:
@@ -169,8 +168,10 @@ def outer_region(bank: Sequence[CrossSectionHalfspace]) -> Polytope3:
     """
     normals, offsets, _ = _affine_constraints(bank)
     triples = np.array(list(combinations(range(len(normals)), 3)))
-    # huge coefficients overflow below; the finiteness test reports that
-    with np.errstate(over="ignore", invalid="ignore"):
+    # huge coefficients overflow below; the finiteness test reports that.  A
+    # singular triple with tiny entries divides by zero inside det, which
+    # then reads 0 and drops the triple
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         triples = triples[np.abs(np.linalg.det(normals[triples])) >= 1e-12]
         # b as a stack of columns: the same broadcasting on numpy 1.x and 2.x
         x = np.linalg.solve(normals[triples], -offsets[triples][..., None])[..., 0]

@@ -59,8 +59,8 @@ from entropy_toolkit.search.engine import (
 )
 from entropy_toolkit.search.geometry import (
     FEASIBILITY_TOL,
+    SIMPLEX_FACETS,
     Polytope3,
-    _affine_constraints,
     _affine_dim,
     convex_hull_3d,
 )
@@ -782,14 +782,28 @@ def dedupe_by_dict(arr: np.ndarray, decimals: int = 12) -> np.ndarray:
     return np.array(list(seen.values()))
 
 
+def affine_constraints_by_loop(bank) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Reference: the chart normal of each halfspace built in Python floats,
+    one halfspace at a time, after the four simplex facets written out."""
+    normals = [np.array([-1.0, -1.0, -1.0]), np.eye(3)[0], np.eye(3)[1], np.eye(3)[2]]
+    offsets = [1.0, 0.0, 0.0, 0.0]
+    names = list(SIMPLEX_FACETS)
+    for hs in bank:
+        normals.append(np.array([hs.b - hs.a, hs.c - hs.a, hs.d - hs.a]))
+        offsets.append(hs.a)
+        names.append(hs.name)
+    return np.array(normals), np.array(offsets), names
+
+
 def outer_region_by_loop(bank) -> Polytope3:
     """Reference: one np.linalg.solve per nonsingular boundary triple."""
-    normals, offsets, _ = _affine_constraints(bank)
+    normals, offsets, _ = affine_constraints_by_loop(bank)
     m = len(normals)
     candidates = []
     for tri in combinations(range(m), 3):
         A = normals[list(tri)]
-        det = np.linalg.det(A)
+        with np.errstate(divide="ignore"):  # as outer_region: a singular A reads 0
+            det = np.linalg.det(A)
         if abs(det) < 1e-12:
             continue
         x = np.linalg.solve(A, -offsets[list(tri)])

@@ -941,6 +941,12 @@ class TestPerCommandParser:
         assert (vars(cli.build_parser(argv[0]).parse_args(argv))
                 == vars(cli.build_parser().parse_args(argv)))
 
+    def test_objective_choices_are_the_score_objectives(self):
+        sub = next(a for a in cli.build_parser("minimize")._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        objective = next(a for a in sub.choices["minimize"]._actions if a.dest == "objective")
+        assert tuple(objective.choices) == engine.SCORE_OBJECTIVES
+
     def test_one_subparser_and_no_cache(self, capsys, monkeypatch, r3_file):
         registered, built = [], []
 

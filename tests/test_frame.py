@@ -19,8 +19,11 @@ from entropy_toolkit import (
     basis_generators,
     c_sym,
     check_axioms,
+    check_point,
+    convex_hull_3d,
     cross_section_point,
     delta_given,
+    dfz_halfspace,
     e_face_margins,
     entropy_function,
     exl_closed_form,
@@ -352,6 +355,15 @@ class TestCrossSection:
     def test_point_from_weights_validates_sum(self, frame):
         with pytest.raises(ValueError):
             point_from_weights(CrossSectionPoint(0.5, 0.5, 0.5, 0.5), frame)
+        # one WEIGHT_SUM_TOL for the three readers of a weight quadruple
+        assert frame_mod.WEIGHT_SUM_TOL == 1e-6
+        readers = (lambda w: point_from_weights(CrossSectionPoint(*w), frame),
+                   lambda w: check_point(w, [dfz_halfspace(1)]),
+                   lambda w: convex_hull_3d([w]))
+        for read in readers:
+            with pytest.raises(ValueError, match="sum"):
+                read((0.25 + 2e-6, 0.25, 0.25, 0.25))
+            read((0.25 + 5e-7, 0.25, 0.25, 0.25))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_point_from_weights_validates_tolerance(self, frame, bad):

@@ -26,6 +26,7 @@ from entropy_toolkit.search.geometry import (
 )
 
 from helpers import (
+    affine_constraints_by_loop,
     dedupe_by_dict,
     fixed_cloud,
     outer_region_by_loop,
@@ -214,7 +215,50 @@ def clouds(draw):
     return np.array(draw(st.permutations(rows)), dtype=float)
 
 
+def _hexed(constraints):
+    """Normals, offsets and names with every float as its hex string, which
+    tells -0.0 from 0.0; the shapes are compared too."""
+    normals, offsets, names = constraints
+    return (normals.shape, [list(map(float.hex, row)) for row in normals.tolist()],
+            offsets.shape, list(map(float.hex, offsets.tolist())), names)
+
+
+def assert_constraints_match_loop(bank):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _affine_constraints(bank)
+    assert _hexed(got) == _hexed(affine_constraints_by_loop(bank))
+
+
 class TestArrayGeometryMatchesLoops:
+    def test_constraints_of_default_and_empty_banks(self):
+        assert_constraints_match_loop(default_halfspace_bank(20))
+        assert_constraints_match_loop([])
+
+    def test_constraints_keep_signed_zeros(self):
+        bank = [CrossSectionHalfspace("z1", -0.0, 0.0, -0.0, 1.0),
+                CrossSectionHalfspace("z2", 0.0, -0.0, -0.0, -1.0),
+                CrossSectionHalfspace("z3", -0.0, -0.0, 1.0, -0.0)]
+        assert_constraints_match_loop(bank)
+        normals, offsets, _ = _affine_constraints(bank)
+        assert math.copysign(1.0, offsets[4]) == -1.0
+        assert math.copysign(1.0, normals[5, 0]) == -1.0
+
+    def test_constraints_overflow_to_inf_without_warning(self):
+        bank = [CrossSectionHalfspace("up", -1e308, 1e308, 0.0, -1e308),
+                CrossSectionHalfspace("down", 1e308, -1e308, 1e308, 0.0)]
+        assert_constraints_match_loop(bank)
+        normals = _affine_constraints(bank)[0]
+        assert normals[4].tolist() == [math.inf, 1e308, 0.0]
+        assert normals[5].tolist() == [-math.inf, 0.0, -1e308]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(banks(), st.lists(
+        st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4).filter(any)
+        .map(lambda abcd: CrossSectionHalfspace("h", *abcd)), max_size=6)))
+    def test_constraints(self, bank):
+        assert_constraints_match_loop(bank)
+
     def test_default_banks(self):
         for s in range(1, 21):
             bank = [dfz_halfspace(t) for t in range(1, s + 1)]
@@ -269,6 +313,18 @@ class TestRejectedInputs:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="not finite"):
                 outer_region(bank)
+
+    def test_tiny_coefficients_warn_nothing(self):
+        """A coefficient at the smallest normal double makes singular triples
+        whose det divides by zero inside numpy; the region is still the
+        simplex (the halfspace is a scaled beta >= 0), with no warning."""
+        bank = [CrossSectionHalfspace("h0", 0.0, 2.0, 1.0, 0.0),
+                CrossSectionHalfspace("h1", 0.0, 2.2250738585072014e-308, 0.0, 0.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            region = outer_region(bank)
+            assert region == outer_region_by_loop(bank)
+        assert sorted(region.vertices) == sorted(SIMPLEX)
 
     def test_large_but_finite_coefficients_kept(self):
         """Scaling a halfspace by 1e300 gives the same region up to rounding."""

@@ -303,7 +303,12 @@ class TestSectionHalfspace:
         point = CrossSectionPoint(*weights)
         want = evaluate(ineq, point_from_weights(point, fr))
         scale = sum(map(abs, weights)) * sum(map(abs, ineq.coefficients.values()))
-        assert abs(section_halfspace(ineq, fr).margin(weights) - want) <= 1e-12 * scale
+        # a rounding below the normal range errs by up to half the smallest
+        # subnormal, not relative to the value: 1e-12 * scale underflows to 0
+        # for a subnormal coefficient such as 5e-324, which both sides
+        # round in a few dozen operations
+        floor = 64 * math.ulp(0.0)
+        assert abs(section_halfspace(ineq, fr).margin(weights) - want) <= 1e-12 * scale + floor
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(1, 15), st.floats(-1e6, 1e6)), min_size=1,

@@ -33,6 +33,7 @@ from entropy_toolkit.frame import a_map, b_map
 from entropy_toolkit.search import engine
 from entropy_toolkit.search.engine import (
     MAX_ATOMS,
+    SCORE_OBJECTIVES,
     DistributionObjective,
     nelder_mead,
     restart_seed,
@@ -74,6 +75,24 @@ class TestMinimizeScalar:
             minimize_scalar(lambda x: x, 1.0, 0.0)
         with pytest.raises(ValueError):
             minimize_scalar(lambda x: float("nan"), 0.0, 1.0)
+
+    @pytest.mark.parametrize("lo, tol", [(0.0, 0.0), (0.0, -1.0), (-1.0, math.nan),
+                                         (0.0, math.inf)])
+    def test_rejects_bad_tolerance(self, lo, tol):
+        # without the check, tol 0 or -1 never ends the loop, and nan skips it
+        # and returns the first probe (0.23607 on [-1, 1])
+        with pytest.raises(ValueError, match="finite tol > 0"):
+            minimize_scalar(lambda x: (x - 0.3) ** 2, lo, 1.0, tol=tol)
+
+    def test_tolerance_below_float_spacing(self):
+        # 1e-17 is below the spacing of floats near 0.3 (5.6e-17): the search
+        # stops when a step no longer shrinks the bracket
+        calls = []
+        x, fx = minimize_scalar(lambda x: calls.append(x) or (x - 0.3) ** 2, 0.0, 1.0,
+                                tol=1e-17)
+        assert x == pytest.approx(0.3, abs=1e-8)
+        assert fx == pytest.approx(0.0, abs=1e-15)
+        assert len(calls) < 100
 
 
 class TestSearchConfig:
@@ -132,7 +151,7 @@ class TestDistributionObjective:
     def test_weight_rows_sum_to_normalizer(self, frame):
         ev = DistributionObjective(frame, (2, 2, 2, 2))
         assert np.max(np.abs(ev.weight_mat.sum(axis=0)
-                             - ev.pipeline_rank_vec)) <= 1e-12
+                             - ev.rank_vecs["pipeline_score"])) <= 1e-12
 
     def test_degenerate_scores_zero(self, frame):
         ev = DistributionObjective(frame, (2, 2, 2, 2))
@@ -142,6 +161,13 @@ class TestDistributionObjective:
         for objective in ("raw_score", "tight_score", "pipeline_score"):
             assert ev.score_from_entropy(h, objective) == 0.0
         assert ev.weights_from_entropy(h) is None
+
+    @pytest.mark.parametrize("objective", ["alpha_in_direction", "no_such_score"])
+    def test_score_from_entropy_rejects_a_non_score(self, frame, rng, objective):
+        ev = DistributionObjective(frame, (2, 2, 2, 2))
+        h = ev.entropy_vector(rand_distribution(rng, frame.ground, (2, 2, 2, 2)).as_dense())
+        with pytest.raises(ValueError, match="not a score objective"):
+            ev.score_from_entropy(h, objective)
 
     @pytest.mark.parametrize("objective", ["raw_score", "tight_score", "pipeline_score"])
     def test_score_objective_refuses_a_collector(self, frame, objective):
@@ -293,7 +319,7 @@ class TestNelderMeadRankOrder:
                     regimes.add("shrink")
         assert regimes == {"converged", "budget", "recentre", "up", "down", "shrink"}
 
-    def test_peak_memory_as_stated(self):
+    def test_peak_memory_as_stated(self, monkeypatch):
         """A search holds its buffer and at most one simplex-sized temporary
         (a shrink re-sort, a diameter test near convergence), the memory the
         MAX_ATOMS statement counts."""
@@ -303,9 +329,9 @@ class TestNelderMeadRankOrder:
         try:
             # every iteration of a constant objective shrinks
             assert nelder_mead(lambda v: 0.0, np.zeros(dim), budget=3 * dim)[2] > 2 * dim
-            # diam_tol above the initial diameter: converged at the first test
-            assert nelder_mead(lambda v: float(v.sum()), np.zeros(dim), budget=3 * dim,
-                               diam_tol=1.0)[3]
+            # DIAM_TOL above the initial diameter: converged at the first test
+            monkeypatch.setattr(engine, "DIAM_TOL", 1.0)
+            assert nelder_mead(lambda v: float(v.sum()), np.zeros(dim), budget=3 * dim)[3]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -583,8 +609,10 @@ class TestDerivedRows:
             ev = DistributionObjective(frame, (2, 2, 2, 2))
             stv, tight, pipe, weights = hand_rows(frame)
             assert np.array_equal(ev.stv_vec, stv)
-            assert np.array_equal(ev.tight_rank_vec, tight)
-            assert np.array_equal(ev.pipeline_rank_vec, pipe)
+            assert list(ev.rank_vecs) == list(SCORE_OBJECTIVES)
+            assert np.array_equal(ev.rank_vecs["raw_score"], np.eye(16)[15])
+            assert np.array_equal(ev.rank_vecs["tight_score"], tight)
+            assert np.array_equal(ev.rank_vecs["pipeline_score"], pipe)
             assert np.array_equal(ev.weight_mat, weights)
 
 
