@@ -109,19 +109,16 @@ from .inequalities import (
     stv_functional,
     symmetrized_zy,
 )
-from .search import (
+from .search.engine import (
     Cloud,
-    Polytope3,
     SearchConfig,
     SearchResult,
-    convex_hull_3d,
     generate_cloud,
-    hull_volume,
     minimize_scalar,
     optimize_distribution,
-    outer_region,
     sphere_directions,
     vertex_seed_distributions,
 )
+from .search.geometry import Polytope3, convex_hull_3d, hull_volume, outer_region
 
 __version__ = "0.1.0"

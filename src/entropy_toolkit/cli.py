@@ -116,8 +116,11 @@ def _score_block(f: core.SetFunction, fr: frame_mod.IngletonFrame) -> None:
 
 
 def cmd_score(args) -> int:
-    f = core.load_set_function(args.file)
-    fr = _frame(args, f.ground)
+    def with_frame(doc):
+        f = core.set_function_from_json(doc)
+        return f, _frame(args, f.ground)
+    # the frame is built while the file is read, so a ground it cannot frame names the file
+    f, fr = core._read_file(args.file, with_frame)
     print(f"frame (i,j,k,l) = {fr.roles}")
     print(f"h(N) = {_fmt(f.rank)}, tight = {core.is_tight(f, core.TOL_ANALYTIC)}")
     print(f"tolerance   = {_fmt(core.TOL_ANALYTIC)} (tight), "
@@ -128,16 +131,14 @@ def cmd_score(args) -> int:
 
 def cmd_fouratom(args) -> int:
     fr = _frame(args)
+    if args.minimize == (args.p is not None):
+        raise ValueError("need exactly one of --p and --minimize")
+    p = args.p
     if args.minimize:
-        p_star, score = engine.minimize_scalar(
+        p, score = engine.minimize_scalar(
             entropy.four_atom_score, 0.0, 0.5, tol=1e-7)
-        print(f"p*    = {_fmt(p_star)}")
+        print(f"p*    = {_fmt(p)}")
         print(f"score = {_fmt(score)}")
-        p = p_star
-    else:
-        p = args.p
-        if p is None:
-            raise ValueError("need --p or --minimize")
     closed = entropy.four_atom_score(p)
     oracle = frame_mod.ingleton_score(
         entropy.entropy_function(entropy.four_atom_distribution(p)), fr)
@@ -148,11 +149,11 @@ def cmd_fouratom(args) -> int:
 
 
 def _exl_params(args) -> entropy.ExLParams:
-    if args.default:
-        return entropy.EXL_REFERENCE
     missing = [n for n in "pqrst" if getattr(args, n) is None]
-    if missing:
-        raise ValueError(f"need --default or all of --p..--t; missing {missing}")
+    if args.default and len(missing) == 5:
+        return entropy.EXL_REFERENCE
+    if args.default or missing:
+        raise ValueError(f"need --default or all of --p..--t, not both; missing {missing}")
     return entropy.ExLParams(args.p, args.q, args.r, args.s, args.t)
 
 
@@ -200,6 +201,11 @@ def cmd_minimize(args) -> int:
     cfg = _config_from_args(args)
     fr = _frame(args)
     init = entropy.load_distribution(args.init_dist) if args.init_dist else None
+    if init is not None:
+        try:  # the search checks the same; this check names the file
+            engine._init_dense(init, cfg, fr)
+        except ValueError as exc:
+            raise ValueError(f"{args.init_dist}: {exc}") from exc
     result = engine.optimize_distribution(cfg, fr, init=init)
     print(f"objective      = {cfg.objective}")
     print(f"best value     = {_fmt(result.best_value)}")

@@ -11,10 +11,10 @@ straight between rows and the arrays.  The ``atoms`` mapping is a read-only
 view built only when asked for.
 
 The generic path goes distribution -> marginals -> Shannon entropies (nats):
-:func:`marginal_index` numbers the cells of every marginal at once, and
-:func:`subset_entropies` turns atom probabilities into all marginal entropies
-with one bincount.  The search engine evaluates entropies through the same
-two functions, over the same configuration grid.
+:func:`marginal_index` numbers the cells of every marginal at once, from one
+cached plan per alphabet, and :func:`subset_entropies` turns atom
+probabilities into all marginal entropies with one bincount.  The search
+engine evaluates entropies through the same two functions and grid.
 
 On top of that sit the two hand-analyzed families used throughout the Ingleton
 score experiments:
@@ -228,14 +228,12 @@ class JointDistribution:
 
 
 @lru_cache(maxsize=PLAN_CACHE)
-def _index_plan(sizes: tuple, n: int, masks: bytes, dtype: str,
-                shape: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Place values and block offsets of :func:`marginal_index` for one
-    alphabet and one mask array (its bytes, dtype and shape); read-only and
-    shared.  The cache keeps at most PLAN_CACHE plans, each holding (n + 2)
-    int64 per mask with its key: 20,400 bytes for the 255 masks of n = 8."""
-    masks = np.frombuffer(masks, dtype=dtype).reshape(shape)
-    member = (masks >> np.arange(n)[:, None]) & 1
+def _index_plan(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Place values and block offsets of every nonempty subset of one alphabet,
+    in mask order, read-only and shared; the cache keeps PLAN_CACHE plans of
+    n + 1 int64 per mask (18,360 bytes for the 255 masks of n = 8)."""
+    n = len(sizes)
+    member = (np.arange(1, 1 << n) >> np.arange(n)[:, None]) & 1
     radix = np.where(member, np.asarray(sizes, dtype=np.int64)[:, None], 1)
     block = np.cumprod(radix[::-1], axis=0)[::-1]
     place = member * np.vstack([block[1:], np.ones_like(block[:1])])
@@ -243,22 +241,24 @@ def _index_plan(sizes: tuple, n: int, masks: bytes, dtype: str,
     return _read_only(place, offsets)
 
 
-def marginal_index(configs: np.ndarray, sizes,
-                   masks: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cell of every atom (rows of ``configs``) in the marginal on every subset.
+def marginal_index(configs: np.ndarray, sizes, lo: int = 1,
+                   hi: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Cell of every atom (rows of ``configs``) in the marginal on every
+    subset with a mask in [lo, hi), by default on every nonempty subset.
 
     An atom's key on subset I is the mixed-radix index of its configuration
     restricted to I, lowest bit most significant, offset per subset so the
     blocks do not overlap; one ``configs @ place_values`` product gives all
     keys and ``np.unique`` numbers the occupied cells.  Returns the cell
     indices subset by subset, each subset's first cell and the cell count.
-    ``masks`` (integers) defaults to every nonempty subset.  The place values
-    and offsets come from :func:`_index_plan`'s cache of PLAN_CACHE plans.
+    The place values and offsets are a column range of :func:`_index_plan`.
     """
-    n = configs.shape[1]
-    masks = np.arange(1, 1 << n) if masks is None else np.asarray(masks)
-    place, offsets = _index_plan(tuple(sizes), n, masks.tobytes(), masks.dtype.str,
-                                 masks.shape)
+    place, offsets = _index_plan(tuple(sizes))
+    # a range's offsets start at its first block, not at 0: every key moves
+    # by the same constant, so the triple is that of a plan for the range
+    # alone.  Keys stay below prod(size + 1), at most 1.3e9 under MAX_CELLS.
+    cols = slice(lo - 1, None if hi is None else hi - 1)
+    place, offsets = place[:, cols], offsets[cols]
     cells, flat_idx = np.unique((configs @ place + offsets).T.ravel(),
                                 return_inverse=True)
     return flat_idx, np.searchsorted(cells, offsets), len(cells)
@@ -292,9 +292,8 @@ def entropy_function(d: JointDistribution) -> SetFunction:
     vals = np.zeros(d.ground.size)
     step = max(1, INDEX_CHUNK // len(probs))
     for lo in range(1, d.ground.size, step):
-        masks = np.arange(lo, min(lo + step, d.ground.size))
-        vals[masks] = subset_entropies(
-            probs, *marginal_index(configs, d.alphabet_sizes, masks))
+        vals[lo:lo + step] = subset_entropies(
+            probs, *marginal_index(configs, d.alphabet_sizes, lo, lo + step))
     return SetFunction(d.ground, vals)
 
 

@@ -59,6 +59,13 @@ DEGENERATE_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-6
 
 
+def _frame_ground(ground: GroundSet) -> GroundSet:
+    """``ground`` after checking it has the four elements a frame needs."""
+    if ground.n != 4:
+        raise ValueError(f"frame needs a 4-element ground set, got n={ground.n}")
+    return ground
+
+
 @dataclass(frozen=True)
 class IngletonFrame:
     """Role assignment (i, j, k, l) of the four ground labels."""
@@ -70,8 +77,7 @@ class IngletonFrame:
     l: str
 
     def __post_init__(self):
-        if self.ground.n != 4:
-            raise ValueError(f"frame needs a 4-element ground set, got n={self.ground.n}")
+        _frame_ground(self.ground)
         roles = (self.i, self.j, self.k, self.l)
         if sorted(roles) != sorted(self.ground.labels):
             raise ValueError(f"frame roles {roles} must enumerate the ground set "
@@ -79,7 +85,7 @@ class IngletonFrame:
 
     @classmethod
     def default(cls, ground: GroundSet) -> "IngletonFrame":
-        return cls(ground, *ground.labels)
+        return cls(ground, *_frame_ground(ground).labels)
 
     @classmethod
     def from_spec(cls, ground: GroundSet, spec: str) -> "IngletonFrame":
@@ -142,8 +148,7 @@ def violated_instances(h: SetFunction, tol: float = 1e-12) -> list[frozenset[str
     A polymatroid violates at most one of the six instances.
     """
     _check_tol(tol)
-    if h.ground.n != 4:
-        raise ValueError("Ingleton instances need a 4-element ground set")
+    _frame_ground(h.ground)
     out = []
     for a, b in combinations(h.ground.labels, 2):
         c, d = [x for x in h.ground.labels if x not in (a, b)]

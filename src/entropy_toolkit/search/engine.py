@@ -9,8 +9,8 @@ results regardless of the worker count.  ENTROPY_TOOLKIT_THREADS (or the
 ``threads`` argument) caps parallel restarts; the worker count never exceeds
 the restarts or ``os.cpu_count()``.  The restarts are split into one
 contiguous chunk per worker, sent as one task each, and a chunk runs its
-restarts through one evaluator; a cloud sends the searches of all its
-directions through one such call, so it starts at most one process pool.
+restarts through one evaluator.  The driver takes a list of configs: a search
+passes one, a cloud one per direction, so each starts at most one pool.
 
 A cloud is a :class:`Cloud`: one read-only (n, 4) float64 array of section
 weights plus its source tags as (tag, count) runs, about 32 B per point
@@ -252,8 +252,8 @@ class DistributionObjective:
     """Vectorized entropy and score evaluation over a fixed product alphabet.
 
     Marginal masses for all nonempty subsets are accumulated with a single
-    bincount over a :func:`~entropy_toolkit.entropy.marginal_index` built
-    once per alphabet, through the same
+    bincount over a :func:`~entropy_toolkit.entropy.marginal_index` read from
+    the alphabet's cached index plan, through the same
     :func:`~entropy_toolkit.entropy.subset_entropies` as ``entropy_function``;
     scores and cross-section weights are then linear functionals of the
     entropy vector, read off :func:`~entropy_toolkit.frame.pipeline_operator`.
@@ -560,17 +560,16 @@ def _thread_count(threads: int | None) -> int:
     return max(1, min(int(threads), os.cpu_count() or 1))
 
 
-def _run_all_restarts(cfg: SearchConfig | Sequence[SearchConfig], frame: IngletonFrame,
+def _run_all_restarts(cfgs: Sequence[SearchConfig], frame: IngletonFrame,
                       init: np.ndarray | None, collect: bool,
                       threads: int | None) -> list[tuple]:
-    """The outcomes of every restart of ``cfg``, or of several configs on one
-    alphabet back to back, in that order.
+    """The outcomes of every restart of each config in ``cfgs`` (all on one
+    alphabet), config by config and restart by restart.
 
     The restarts are split into one contiguous chunk per worker, as even as
     the count allows, and each chunk is one task; one worker runs them all
     in-process as one chunk.
     """
-    cfgs = [cfg] if isinstance(cfg, SearchConfig) else list(cfg)
     jobs = [(c, r) for c in cfgs for r in range(c.restarts)]
     workers = min(_thread_count(threads), len(jobs))
     cuts = [len(jobs) * k // workers for k in range(workers + 1)]
@@ -597,6 +596,15 @@ def _best_restart(outcomes: list[tuple], cfg: SearchConfig, frame: IngletonFrame
     return best, dist, point
 
 
+def _init_dense(init: JointDistribution, cfg: SearchConfig, frame: IngletonFrame) -> np.ndarray:
+    """``init`` as a dense vector, once its labels and alphabet are the search's."""
+    for what, got, want in [("labels", init.ground.labels, frame.ground.labels),
+                            ("alphabet", init.alphabet_sizes, cfg.alphabet_sizes)]:
+        if got != want:
+            raise ValueError(f"init distribution has {what} {got}, the search {want}")
+    return init.as_dense()
+
+
 def optimize_distribution(cfg: SearchConfig, frame: IngletonFrame,
                           init: JointDistribution | None = None,
                           threads: int | None = None) -> SearchResult:
@@ -607,13 +615,8 @@ def optimize_distribution(cfg: SearchConfig, frame: IngletonFrame,
     objective value, ties broken by restart index, so the result does not
     depend on the degree of parallelism.
     """
-    init_dense = None
-    if init is not None:
-        if init.ground != frame.ground or init.alphabet_sizes != cfg.alphabet_sizes:
-            raise ValueError("init distribution does not match frame/alphabet")
-        init_dense = init.as_dense()
-
-    outcomes = _run_all_restarts(cfg, frame, init_dense, collect=False,
+    init_dense = None if init is None else _init_dense(init, cfg, frame)
+    outcomes = _run_all_restarts([cfg], frame, init_dense, collect=False,
                                  threads=threads)
     best_restart, best_distribution, point = _best_restart(
         outcomes, cfg, frame, f"search/seed{cfg.master_seed}")

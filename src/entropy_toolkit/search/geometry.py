@@ -79,18 +79,18 @@ def _as_weight_array(points: Sequence[Sequence[float]]) -> np.ndarray:
     return arr
 
 
-def _dedupe(arr: np.ndarray, decimals: int = 12) -> np.ndarray:
-    """The first row of each class of rows equal after rounding, in first-seen
-    order; -0.0 and 0.0 round to the same key."""
-    _, first = np.unique(np.round(arr, decimals), axis=0, return_index=True)
+def _dedupe(arr: np.ndarray) -> np.ndarray:
+    """The first row of each class of rows equal after rounding to 12
+    decimals, in first-seen order; -0.0 and 0.0 round to the same key."""
+    _, first = np.unique(np.round(arr, 12), axis=0, return_index=True)
     return arr[np.sort(first)]
 
 
-def _affine_dim(x: np.ndarray, tol: float = 1e-9) -> int:
+def _affine_dim(x: np.ndarray) -> int:
     if len(x) <= 1:
         return 0
     centered = x - x[0]
-    return int(np.linalg.matrix_rank(centered, tol=tol))
+    return int(np.linalg.matrix_rank(centered, tol=1e-9))
 
 
 def convex_hull_3d(points: Sequence[Sequence[float]]) -> Polytope3:

@@ -540,6 +540,26 @@ class TestSearchCommandGoldens:
         assert stdout.splitlines()[0] == f"cloud points   = {points}"
 
 
+class TestIgnoredFlags:
+    """A flag the command would not read is an error, not silently dropped."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fouratom", "--p", "0.3", "--minimize"], "need exactly one of --p and --minimize"),
+        (["fouratom"], "need exactly one of --p and --minimize"),
+        (["exl", "--default", "--p", "0.5"], "need --default or all of --p..--t, not both"),
+        (["exl", "--default", "--t", "0"], "need --default or all of --p..--t, not both"),
+        (["export", "--what", "exl-dist", "--default", "--q", "0.1", "-o", "{out}"],
+         "need --default or all of --p..--t, not both"),
+    ], ids=["fouratom", "fouratom-neither", "exl-p", "exl-t", "export-exl-dist"])
+    def test_exits_two(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "e.csv"
+        code, stdout, err = run(capsys, *(a.format(out=out) for a in argv))
+        assert (code, stdout) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+        assert not out.exists()
+
+
 class TestExport:
     def test_all_targets(self, capsys, tmp_path):
         for what, name in [("rbar", "rbar.json"), ("generators", "gens.json"),
@@ -680,6 +700,32 @@ class TestErrorsNameTheFile:
             assert code == 2
             assert out == ""
             assert err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("labels", ["i", "ijk", "ijklm"])
+    def test_score_of_a_ground_without_four_labels(self, capsys, tmp_path, labels):
+        path = tmp_path / "r.json"
+        save_set_function(matroid_rank(GroundSet(labels), 1), path)
+        code, out, err = run(capsys, "score", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}: frame needs a 4-element ground set, "
+                       f"got n={len(labels)}\n")
+
+    @pytest.mark.parametrize("header, alphabet, message", [
+        ("x_i", "4,4,4,4", "init distribution has alphabet (2, 2, 2, 2), the search (4, 4, 4, 4)"),
+        ("x_a", "2,2,2,2",
+         "init distribution has labels ('a', 'j', 'k', 'l'), the search ('i', 'j', 'k', 'l')"),
+    ], ids=["alphabet", "labels"])
+    def test_init_dist_mismatch(self, capsys, tmp_path, monkeypatch, header, alphabet,
+                                message):
+        path = tmp_path / "fa.csv"
+        assert run(capsys, "export", "--what", "fouratom-dist", "--p", "0.3",
+                   "-o", str(path))[0] == 0
+        path.write_text(path.read_text().replace("x_i,", f"{header},"))
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        code, out, err = run(capsys, "minimize", "--init-dist", str(path), "--restarts", "1",
+                             "--budget", "20", "--alphabet", alphabet)
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: {message}\n"
 
     def test_distribution_as_bank(self, capsys, tmp_path):
         # the entry is named by index and keys, not quoted whole (about 2 KB)

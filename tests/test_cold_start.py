@@ -80,3 +80,43 @@ def test_hull_cold_matches_golden(tmp_path):
     assert stdout.splitlines()[:4] == ["input points   = 267", "hull vertices  = 41",
                                        "hull facets    = 78", "hull dimension = 3"]
     assert obj.read_bytes() == (GOLDENS / "hull.obj").read_bytes()
+
+
+#: the package's public names after ``import entropy_toolkit``: its exports
+#: and its five subpackages and modules
+PUBLIC_NAMES = [
+    "AxiomReport", "BasisCoefficients", "Cloud", "CrossSectionHalfspace",
+    "CrossSectionPoint", "EXL_COLUMNS", "EXL_REFERENCE", "ExLParams", "FourAtomParams",
+    "GroundSet", "IngletonFrame", "JointDistribution", "LinearInequality",
+    "NonPolymatroidWarning", "PointCheckReport", "Polytope3", "SearchConfig",
+    "SearchResult", "SetFunction", "TOL_ANALYTIC", "TOL_ENTROPIC", "a_map", "b_map",
+    "basis_coefficients", "basis_generators", "c_sym", "check_axioms", "check_point",
+    "closure_of", "contraction", "convex_hull_3d", "convolution",
+    "convolve_modular_iterative", "core", "cross_section_point",
+    "default_halfspace_bank", "delta", "delta_given", "delta_vec", "dfz_halfspace",
+    "dfz_linear", "distribution_from_csv", "distribution_from_json",
+    "distribution_to_csv", "distribution_to_json", "e_face_margins", "entropy",
+    "entropy_function", "evaluate", "exl_closed_form", "exl_distribution",
+    "four_atom_distribution", "four_atom_score", "frame", "generate_cloud",
+    "halfspace_from_json", "halfspace_to_json", "hull_volume", "in_e_face",
+    "inequalities", "inequality_from_json", "inequality_to_json", "ingleton_base",
+    "ingleton_score", "ingleton_value", "is_balanced", "is_modular", "is_tight",
+    "kappa", "load_distribution", "load_inequality_file", "load_set_function",
+    "matroid_rank", "minimize_scalar", "modular_from", "modular_part",
+    "optimize_distribution", "outer_region", "parallel_extension", "pe_contract",
+    "pipeline_operator", "point_from_weights", "principal_extension", "reconstruct",
+    "relabel", "save_distribution", "save_set_function", "search", "section_halfspace",
+    "section_weight_matrix", "section_weights", "set_function_from_json",
+    "set_function_to_json", "sphere_directions", "stv_functional", "stv_vec",
+    "symmetrized_zy", "tetra_vertices", "tight_part", "vertex_seed_distributions",
+    "violated_instances",
+]
+
+
+def test_public_names():
+    """The top-level names stay as they are; ``entropy_toolkit.search`` holds
+    its two modules and re-exports nothing."""
+    out = cold("import json, entropy_toolkit as e, entropy_toolkit.search as s\n"
+               "print(json.dumps([sorted(n for n in vars(m) if not n.startswith('_'))"
+               " for m in (e, s)]))")
+    assert json.loads(out) == [PUBLIC_NAMES, ["engine", "geometry"]]

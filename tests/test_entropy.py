@@ -161,10 +161,11 @@ class TestEntropyFunctionMatchesReference:
         calls = []
         marginal_index = entropy_mod.marginal_index
 
-        def counted_index(*args):
-            calls.append(args)
-            got = marginal_index(*args)
-            assert _same_triple(got, marginal_index_by_fresh_plan(*args))
+        def counted_index(configs, sizes, lo, hi):
+            calls.append((lo, hi))
+            got = marginal_index(configs, sizes, lo, hi)
+            masks = np.arange(lo, min(hi, ground.size))
+            assert _same_triple(got, marginal_index_by_fresh_plan(configs, sizes, masks))
             return got
         monkeypatch.setattr(entropy_mod, "marginal_index", counted_index)
         for density in (0.05, 0.3):
@@ -381,13 +382,14 @@ class TestMarginalIndex:
         assert np.allclose(entropy_function(d).values[1:], LN2, atol=1e-15)
 
 
-#: plan bytes of a full ground of MAX_GROUND_SIZE: (8 + 2) int64 per mask, 255 masks
-PLAN_BYTES_N8 = 20_400
+#: plan bytes of a full ground of MAX_GROUND_SIZE: (8 + 1) int64 per mask, 255 masks
+PLAN_BYTES_N8 = 18_360
 
 
 class TestIndexPlanCache:
-    """``marginal_index`` reads its place values and offsets from a bounded
-    cache and gives the triple of the plan rebuilt on every call."""
+    """``marginal_index`` reads its place values and offsets from one cached
+    plan per alphabet and gives, for every mask range, the triple of the plan
+    rebuilt for that range on every call."""
 
     @pytest.mark.parametrize("sizes", [(1,), (3,), (2, 1), (1, 3, 1), (1, 1, 1, 1),
                                        (3, 2, 4, 2), (1, 3, 1, 2), (2, 1, 3, 2, 1),
@@ -396,23 +398,21 @@ class TestIndexPlanCache:
         n, cells = len(sizes), math.prod(sizes)
         rng = np.random.default_rng(cells + n)
         grid = entropy_mod._config_grid(sizes)
-        full = np.arange(1, 1 << n)
-        wide = np.stack([full, full[::-1]], axis=1)
-        mask_arrays = [None, full, rng.permutation(full), full[::-2], wide[:, 1],
-                       full.astype(np.int32), full[rng.integers(0, len(full), 7)],
-                       full.tolist(), np.int64(full[-1])]
+        top = 1 << n
+        ranges = [(1, None), (1, top), *((lo, hi) for lo in range(1, top)
+                                         for hi in range(lo + 1, top + 1))]
         for configs in (grid, grid[rng.permutation(cells)],
                         grid[rng.permutation(cells)[:max(1, cells // 3)]]):
-            for masks in mask_arrays:
+            entropy_mod._index_plan.cache_clear()
+            for lo, hi in ranges:
+                masks = np.arange(lo, top if hi is None else hi)
                 want = marginal_index_by_fresh_plan(configs, sizes, masks)
-                for _ in range(2):      # filling the cache, then reading it
-                    assert _same_triple(entropy_mod.marginal_index(configs, sizes, masks),
+                for _ in range(2):      # a cold cache, then a warm one
+                    assert _same_triple(entropy_mod.marginal_index(configs, sizes, lo, hi),
                                         want)
 
     def test_plans_are_read_only(self):
-        masks = np.arange(1, 16)
-        place, offsets = entropy_mod._index_plan((3, 2, 4, 2), 4, masks.tobytes(),
-                                                 masks.dtype.str, masks.shape)
+        place, offsets = entropy_mod._index_plan((3, 2, 4, 2))
         for table in (place, offsets):
             assert not table.flags.writeable
             with pytest.raises(ValueError):
@@ -420,10 +420,9 @@ class TestIndexPlanCache:
 
     def test_cache_stays_within_its_bound(self):
         """Twice PLAN_CACHE alphabets on a ground of eight: the cache keeps
-        PLAN_CACHE plans of PLAN_BYTES_N8 bytes each, keys included, plus
-        at most 2 KiB each of the Python objects around them."""
+        PLAN_CACHE plans of PLAN_BYTES_N8 bytes each, plus at most 2 KiB each
+        of the Python objects and keys around them."""
         n, cache = 8, entropy_mod._index_plan
-        masks = np.arange(1, 1 << n)
         configs = np.zeros((1, n), dtype=np.int64)
         cache.cache_clear()
         gc.collect()
@@ -439,9 +438,22 @@ class TestIndexPlanCache:
             tracemalloc.stop()
             cache.cache_clear()
         assert kept == entropy_mod.PLAN_CACHE
-        place, offsets = cache((2,) * n, n, masks.tobytes(), masks.dtype.str, masks.shape)
-        assert place.nbytes + offsets.nbytes + masks.nbytes == PLAN_BYTES_N8
+        place, offsets = cache((2,) * n)
+        assert place.nbytes + offsets.nbytes == PLAN_BYTES_N8
         assert held <= entropy_mod.PLAN_CACHE * (PLAN_BYTES_N8 + 2048)
+
+    @pytest.mark.parametrize("sizes", [(4, 4, 4, 4), (1, 2, 3, 1, 2)])
+    def test_chunked_entropy_function_keeps_one_plan(self, monkeypatch, sizes):
+        """Every chunk of a chunked ``entropy_function`` reads the same plan,
+        the one its alphabet keys."""
+        d = JointDistribution.from_dense(GroundSet("ijklm"[:len(sizes)]), sizes,
+                                         np.full(math.prod(sizes), 1 / math.prod(sizes)))
+        monkeypatch.setattr(entropy_mod, "INDEX_CHUNK", 4 * len(d.probs))
+        entropy_mod._index_plan.cache_clear()
+        entropy_function(d)
+        info = entropy_mod._index_plan.cache_info()
+        assert (info.currsize, info.misses) == (1, 1)
+        assert info.hits == math.ceil((d.ground.size - 1) / 4) - 1
 
 
 # --- array-backed distributions against the dict-backed reference ------------

@@ -89,6 +89,16 @@ class TestFrame:
         fr = IngletonFrame.from_spec(ground, "k,l,i,j")
         assert fr.roles == ("k", "l", "i", "j")
 
+    @pytest.mark.parametrize("labels", ["a", "abc", "abcde"])
+    def test_default_needs_four_labels(self, labels):
+        """The ground is checked before its labels become roles (a TypeError
+        from the unpacking before)."""
+        message = f"^frame needs a 4-element ground set, got n={len(labels)}$"
+        with pytest.raises(ValueError, match=message):
+            IngletonFrame.default(GroundSet(labels))
+        with pytest.raises(ValueError, match=message):
+            violated_instances(matroid_rank(GroundSet(labels), 1))
+
 
 class TestIngletonValue:
     def test_modular_annihilated(self, frame, rng):

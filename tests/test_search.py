@@ -905,10 +905,10 @@ class TestRestartTasks:
                 return [pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(t)))))
                         for t in items]
 
-        serial = engine._run_all_restarts(self.CFG, frame, None, True, threads=1)
+        serial = engine._run_all_restarts([self.CFG], frame, None, True, threads=1)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(engine, "ProcessPoolExecutor", PicklingPool)
-        pooled = engine._run_all_restarts(self.CFG, frame, None, True, threads=2)
+        pooled = engine._run_all_restarts([self.CFG], frame, None, True, threads=2)
         for (v1, p1, e1, c1, w1), (v2, p2, e2, c2, w2) in zip(serial, pooled, strict=True):
             assert (v1, e1, c1, w1) == (v2, e2, c2, w2)
             assert np.array_equal(p1, p2)
@@ -958,10 +958,10 @@ class TestChunkDriver:
     ])
     def test_chunks_give_serial_outcomes(self, frame, setups, restarts, threads, chunks):
         cfg = replace(self.CFG, restarts=restarts)
-        serial = engine._run_all_restarts(cfg, frame, None, True, threads=1)
+        serial = engine._run_all_restarts([cfg], frame, None, True, threads=1)
         assert len(setups) == 1 and FakePool.requested == []
         setups.clear()
-        pooled = engine._run_all_restarts(cfg, frame, None, True, threads=threads)
+        pooled = engine._run_all_restarts([cfg], frame, None, True, threads=threads)
         workers = len(chunks)
         assert FakePool.requested == [workers]
         assert PicklingPool.tasks == [chunks]
