@@ -51,7 +51,6 @@ from .entropy import (
     EXL_COLUMNS,
     EXL_REFERENCE,
     ExLParams,
-    FourAtomParams,
     JointDistribution,
     distribution_from_csv,
     distribution_from_json,

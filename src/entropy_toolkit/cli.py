@@ -247,11 +247,15 @@ def _directions(doc) -> list[tuple[float, float, float]]:
     """A directions document, each entry checked as a SearchConfig direction."""
     if not (isinstance(doc, list) and all(isinstance(d, list) for d in doc)):
         raise ValueError("malformed directions document: expected a JSON list of 3-vectors")
-    return [engine.SearchConfig(direction=d).direction for d in doc]
+    return [engine.SearchConfig(objective="alpha_in_direction", direction=d).direction
+            for d in doc]
 
 
 def cmd_cloud(args) -> int:
     cfg = _config_from_args(args)
+    if cfg.objective != engine.SearchConfig.objective:  # only a --config sets it
+        raise ValueError(f"{args.config}: cloud maximizes alpha along each direction "
+                         f"and reads no objective: {cfg.objective!r}")
     fr = _frame(args)
     if args.directions_file:
         directions = core._read_file(args.directions_file, _directions)
@@ -318,23 +322,30 @@ def _export_fouratom_dist(args, fr) -> None:
     entropy.save_distribution(entropy.four_atom_distribution(args.p), args.output)
 
 
-#: export target -> writer(args, frame) of args.output, in the order --what lists them
+#: export target -> (the flags it reads, writer(args, frame) of args.output), in the
+#: order --what lists them
 EXPORTS = {
-    "rbar": lambda args, fr: core.save_set_function(frame_mod.ingleton_base(fr), args.output),
-    "generators": lambda args, fr: core._write_json(
-        [core.set_function_to_json(g) for g in frame_mod.basis_generators(fr)], args.output),
-    "vertices": lambda args, fr: core._write_json(
+    "rbar": (["frame"], lambda args, fr: core.save_set_function(
+        frame_mod.ingleton_base(fr), args.output)),
+    "generators": (["frame"], lambda args, fr: core._write_json(
+        [core.set_function_to_json(g) for g in frame_mod.basis_generators(fr)], args.output)),
+    "vertices": (["frame"], lambda args, fr: core._write_json(
         dict(zip(("alpha", "beta", "gamma", "delta"),
-                 map(core.set_function_to_json, frame_mod.tetra_vertices(fr)))), args.output),
-    "exl-table": _export_exl_table,
-    "fouratom-dist": _export_fouratom_dist,
-    "exl-dist": lambda args, fr: entropy.save_distribution(
-        entropy.exl_distribution(_exl_params(args)), args.output),
+                 map(core.set_function_to_json, frame_mod.tetra_vertices(fr)))), args.output)),
+    "exl-table": ([], _export_exl_table),
+    "fouratom-dist": (["p"], _export_fouratom_dist),
+    "exl-dist": (["default", *"pqrst"], lambda args, fr: entropy.save_distribution(
+        entropy.exl_distribution(_exl_params(args)), args.output)),
 }
 
 
 def cmd_export(args) -> int:
-    EXPORTS[args.what](args, _frame(args))
+    reads, write = EXPORTS[args.what]
+    stray = [f"--{name}" for name in ["default", *"pqrst", "frame"]
+             if name not in reads and getattr(args, name) is not None]
+    if stray:
+        raise ValueError(f"export --what {args.what} does not read {', '.join(stray)}")
+    write(args, _frame(args))
     print(f"wrote {args.output}")
     return 0
 
@@ -422,6 +433,7 @@ def _outer_args(p):
 def _export_args(p):
     p.add_argument("--what", required=True, choices=list(EXPORTS))
     _exl_args(p)
+    p.set_defaults(default=None)  # so a flag left out is None, --default too
     p.add_argument("-o", "--output", required=True)
 
 

@@ -299,21 +299,12 @@ def entropy_function(d: JointDistribution) -> SetFunction:
 
 # --- four-atom family -------------------------------------------------------
 
-@dataclass(frozen=True)
-class FourAtomParams:
-    """Probability p in [0, 1/2] of the all-zero atom of the four-atom family."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 0.5:
-            raise ValueError(f"p={self.p} outside [0, 1/2]")
-
-
-def _four_atom_p(params) -> float:
-    if isinstance(params, FourAtomParams):
-        return params.p
-    return FourAtomParams(float(params)).p
+def _four_atom_p(p) -> float:
+    """p as a float, checked to lie in [0, 1/2] (NaN does not)."""
+    p = float(p)
+    if not 0.0 <= p <= 0.5:
+        raise ValueError(f"p={p} outside [0, 1/2]")
+    return p
 
 
 def _family_ground(ground: GroundSet | None, family: str) -> GroundSet:
@@ -324,27 +315,27 @@ def _family_ground(ground: GroundSet | None, family: str) -> GroundSet:
     return ground
 
 
-def four_atom_distribution(params, ground: GroundSet | None = None) -> JointDistribution:
+def four_atom_distribution(p: float, ground: GroundSet | None = None) -> JointDistribution:
     """Two exchangeable fair bits at positions 0,1 with their min and max.
 
     Atoms on {0,1}^4: (0,0,0,0) and (1,1,1,1) carry probability p each,
     (0,1,0,1) and (1,0,0,1) carry 1/2 - p each.
     """
-    p = _four_atom_p(params)
+    p = _four_atom_p(p)
     return JointDistribution._from_arrays(
         _family_ground(ground, "four-atom"), (2, 2, 2, 2),
         np.array([[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]], dtype=np.int64),
         np.array([p, 0.5 - p, 0.5 - p, p], dtype=float))
 
 
-def four_atom_score(params) -> float:
+def four_atom_score(p: float) -> float:
     """Closed-form Ingleton score of the four-atom family at parameter p.
 
     Score of the pair formed by the two exchangeable bits:
     ((2p+1) ln 2 - 2 kappa(p) - 2 kappa(1-p)) / (2 kappa(p) + 2 kappa(1/2-p)).
     The denominator is bounded away from 0 on [0, 1/2].
     """
-    p = _four_atom_p(params)
+    p = _four_atom_p(p)
     num = (2.0 * p + 1.0) * LN2 - 2.0 * kappa(p) - 2.0 * kappa(1.0 - p)
     den = 2.0 * kappa(p) + 2.0 * kappa(0.5 - p)
     if den <= 0.0:

@@ -12,8 +12,9 @@ contiguous chunk per worker, sent as one task each, and a chunk runs its
 restarts through one evaluator.  The driver takes a list of configs: a search
 passes one, a cloud one per direction, so each starts at most one pool.
 
-A cloud is a :class:`Cloud`: one read-only (n, 4) float64 array of section
-weights plus its source tags as (tag, count) runs, about 32 B per point
+A cloud is a :class:`Cloud`, a record of one read-only (n, 4) float64 array
+of section weights and its source tags as (tag, count) runs, read through
+``len`` and iteration; about 32 B per point
 (``CLOUD_POINT_BYTES`` = 80 B bounds the peak, 64.6 B measured).  Each
 restart's collector writes its evaluations' weights into one buffer of
 budget + atoms + 1 rows, so no per-point object exists until a point is
@@ -38,14 +39,12 @@ Degenerate inputs whose normalizer vanishes score 0 by convention.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -194,8 +193,6 @@ class SearchConfig:
         _check_outcome_size(self.restarts, atoms, "restarts")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"objective {self.objective!r} not one of {OBJECTIVES}")
-        if self.objective == "alpha_in_direction" and self.direction is None:
-            raise ValueError("alpha_in_direction needs a 3-vector direction")
         if self.direction is not None:
             d = _as_tuple(self.direction)
             if (len(d) != 3 or not all(map(_is_real, d))
@@ -210,18 +207,15 @@ class SearchConfig:
                 raise ValueError(f"direction must be a finite nonzero 3-vector whose "
                                  f"squared norm is a normal double: {self.direction!r}")
             object.__setattr__(self, "direction", d)
+        if (self.direction is None) == (self.objective == "alpha_in_direction"):
+            raise ValueError(f"a direction goes with objective alpha_in_direction and "
+                             f"no other: objective {self.objective!r}, direction "
+                             f"{self.direction!r}")
 
     def to_json(self) -> dict:
-        out = {
-            "alphabet_sizes": list(self.alphabet_sizes),
-            "restarts": self.restarts,
-            "budget_evals": self.budget_evals,
-            "master_seed": self.master_seed,
-            "objective": self.objective,
-        }
-        if self.direction is not None:
-            out["direction"] = list(self.direction)
-        return out
+        """The fields in order, tuples as lists; a None direction is left out."""
+        return {f.name: list(v) if isinstance(v, tuple) else v
+                for f in fields(self) if (v := getattr(self, f.name)) is not None}
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchConfig":
@@ -648,64 +642,26 @@ def _check_cloud_size(n_directions: int, cfg: SearchConfig, optima_only: bool) -
             f"lower the budget, the restarts or the directions, or keep optima only")
 
 
-class Cloud(Sequence):
-    """The section points of a cloud, read-only: one (n, 4) float64 array of
-    weights and the source tags as (tag, count) runs, in point order.
+@dataclass(frozen=True, eq=False)
+class Cloud:
+    """The section points of a cloud: ``weights``, one read-only (n, 4)
+    float64 array, and ``runs``, the source tags as (tag, count) pairs in
+    point order.  Iterating yields one
+    :class:`~entropy_toolkit.frame.CrossSectionPoint` per row, built from the
+    row's Python floats (``tolist()`` of one run at a time) when it is read."""
 
-    A Cloud is a Sequence of :class:`~entropy_toolkit.frame.CrossSectionPoint`:
-    each point is built from the row's Python floats (``tolist()``) when it is
-    read, and a slice is a list of points.  Two clouds are equal when their
-    weights and runs are.  Writeable weights are copied; a read-only array is
-    kept as given.  Runs of count 0 (a restart that kept no row) are dropped.
-    """
-
-    __slots__ = ("weights", "runs", "_ends")
-
-    def __init__(self, weights, runs: Sequence[tuple[str, int]]):
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2 or weights.shape[1] != 4:
-            raise ValueError(f"need an (n, 4) weights array, got shape {weights.shape}")
-        if weights.flags.writeable:
-            weights = weights.copy()
-            weights.flags.writeable = False
-        runs = tuple(runs)
-        bad = [count for _, count in runs if not (_is_integer(count) and count >= 0)]
-        if bad:
-            raise ValueError(f"run counts must be non-negative integers: {bad[0]!r}")
-        runs = tuple((tag, int(count)) for tag, count in runs if count)
-        ends = list(accumulate(count for _, count in runs))
-        total = ends[-1] if ends else 0
-        if total != len(weights):
-            raise ValueError(f"the runs count {total} points, the weights {len(weights)}")
-        self.weights = weights
-        self.runs = runs
-        self._ends = ends
+    weights: np.ndarray
+    runs: tuple[tuple[str, int], ...]
 
     def __len__(self) -> int:
         return len(self.weights)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("cloud index out of range")
-        tag = self.runs[bisect_right(self._ends, i)][0]
-        return CrossSectionPoint(*self.weights[i].tolist(), source_tag=tag)
-
     def __iter__(self):
         lo = 0
-        for (tag, _), hi in zip(self.runs, self._ends):
-            for row in self.weights[lo:hi].tolist():
+        for tag, count in self.runs:
+            for row in self.weights[lo:lo + count].tolist():
                 yield CrossSectionPoint(*row, source_tag=tag)
-            lo = hi
-
-    def __eq__(self, other):
-        if not isinstance(other, Cloud):
-            return NotImplemented
-        return self.runs == other.runs and np.array_equal(self.weights, other.weights)
+            lo += count
 
 
 def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
@@ -739,9 +695,11 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
                 runs.append((point.source_tag, np.array(point.as_tuple()).tobytes()))
         else:
             runs.extend((f"{tag}/r{r}", outcome[4]) for r, outcome in enumerate(own))
-    # a bytes buffer gives a read-only array without a copy
+    # a bytes buffer gives a read-only array without a copy; a restart that
+    # kept no row gives no run
     weights = np.frombuffer(b"".join(rows for _, rows in runs), dtype=np.float64)
-    return Cloud(weights.reshape(-1, 4), [(tag, len(rows) // 32) for tag, rows in runs])
+    return Cloud(weights.reshape(-1, 4), tuple((tag, len(rows) // 32)
+                                               for tag, rows in runs if rows))
 
 
 def sphere_directions(count: int, seed: int = 0) -> list[tuple[float, float, float]]:

@@ -858,7 +858,7 @@ def cloud_by_lists(directions, cfg, frame: IngletonFrame) -> list[CrossSectionPo
     evaluator = DistributionObjective(frame, cfg.alphabet_sizes)
     points = []
     for d_idx, direction in enumerate(directions):
-        d = SearchConfig(direction=direction).direction
+        d = SearchConfig(objective="alpha_in_direction", direction=direction).direction
         tag = "dir{}({:.6g},{:.6g},{:.6g})".format(d_idx, *d)
         for r in range(cfg.restarts):
             collector: list = []

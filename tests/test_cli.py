@@ -560,6 +560,73 @@ class TestIgnoredFlags:
         assert not out.exists()
 
 
+class TestExportStrayFlags:
+    """Each export target reads its own flags, and any other flag given is an
+    error before the file is written."""
+
+    @pytest.mark.parametrize("what, flags, stray", [
+        ("rbar", ["--default", "--p", "0.3"], "--default, --p"),
+        ("generators", ["--q", "0.1"], "--q"),
+        ("vertices", ["--t", "0"], "--t"),
+        ("exl-table", ["--frame", "j,i,k,l"], "--frame"),
+        ("exl-table", ["--p", "0.3"], "--p"),
+        ("fouratom-dist", ["--p", "0.3", "--default", "--q", "0.1"], "--default, --q"),
+        ("fouratom-dist", ["--p", "0.3", "--frame", "j,i,k,l"], "--frame"),
+        ("exl-dist", ["--default", "--frame", "j,i,k,l"], "--frame"),
+    ])
+    def test_exits_two(self, capsys, tmp_path, what, flags, stray):
+        out = tmp_path / "e.json"
+        code, stdout, err = run(capsys, "export", "--what", what, *flags, "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == f"error: export --what {what} does not read {stray}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("what, flags", [
+        ("rbar", ["--frame", "j,i,k,l"]),
+        ("generators", ["--frame", "j,i,k,l"]),
+        ("vertices", ["--frame", "j,i,k,l"]),
+        ("fouratom-dist", ["--p", "0.0"]),
+        ("exl-dist", ["--p", "0.125", "--q", "0", "--r", "0", "--s", "0", "--t", "0"]),
+    ])
+    def test_own_flags_accepted(self, capsys, tmp_path, what, flags):
+        out = tmp_path / "e.json"
+        assert run(capsys, "export", "--what", what, *flags, "-o", str(out))[0] == 0
+        assert out.exists()
+
+
+class TestConfigKeysReadByTheCommand:
+    """A config key that the command would not read is an error that names
+    the file, not a silently dropped or merely recorded setting."""
+
+    SEARCH = {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1, "budget_evals": 20}
+
+    @pytest.mark.parametrize("command, doc, message", [
+        ("minimize", {"objective": "raw_score", "direction": [1, 0, 0]},
+         "a direction goes with objective alpha_in_direction and no other"),
+        ("cloud", {"objective": "raw_score", "direction": [1, 0, 0]},
+         "a direction goes with objective alpha_in_direction and no other"),
+        ("cloud", {"objective": "raw_score"}, "reads no objective: 'raw_score'"),
+        ("cloud", {"objective": "alpha_in_direction", "direction": [1, 0, 0]},
+         "reads no objective: 'alpha_in_direction'"),
+    ])
+    def test_exits_two(self, capsys, tmp_path, monkeypatch, command, doc, message):
+        cfg, out = tmp_path / "c.json", tmp_path / "out"
+        cfg.write_text(json.dumps({**self.SEARCH, **doc}))
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        code, stdout, err = run(capsys, command, "--config", str(cfg), "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {cfg}: ") and message in err
+        assert not out.exists()
+
+    def test_cloud_accepts_the_default_objective(self, capsys, tmp_path):
+        cfg, out = tmp_path / "c.json", tmp_path / "c.csv"
+        cfg.write_text(json.dumps({**self.SEARCH, "objective": "pipeline_score"}))
+        code, _, _ = run(capsys, "cloud", "--config", str(cfg), "--directions", "1",
+                         "-o", str(out))
+        assert code == 0 and out.exists()
+
+
 class TestExport:
     def test_all_targets(self, capsys, tmp_path):
         for what, name in [("rbar", "rbar.json"), ("generators", "gens.json"),

@@ -86,7 +86,7 @@ def test_hull_cold_matches_golden(tmp_path):
 #: and its five subpackages and modules
 PUBLIC_NAMES = [
     "AxiomReport", "BasisCoefficients", "Cloud", "CrossSectionHalfspace",
-    "CrossSectionPoint", "EXL_COLUMNS", "EXL_REFERENCE", "ExLParams", "FourAtomParams",
+    "CrossSectionPoint", "EXL_COLUMNS", "EXL_REFERENCE", "ExLParams",
     "GroundSet", "IngletonFrame", "JointDistribution", "LinearInequality",
     "NonPolymatroidWarning", "PointCheckReport", "Polytope3", "SearchConfig",
     "SearchResult", "SetFunction", "TOL_ANALYTIC", "TOL_ENTROPIC", "a_map", "b_map",

@@ -14,7 +14,6 @@ from entropy_toolkit import (
     EXL_COLUMNS,
     EXL_REFERENCE,
     ExLParams,
-    FourAtomParams,
     GroundSet,
     JointDistribution,
     check_axioms,
@@ -189,8 +188,8 @@ def _same_triple(fast, slow) -> bool:
 
 class TestFourAtomFamily:
     def test_param_validation(self):
-        with pytest.raises(ValueError):
-            FourAtomParams(0.6)
+        with pytest.raises(ValueError, match=r"p=0.6 outside \[0, 1/2\]"):
+            four_atom_score(0.6)
         with pytest.raises(ValueError):
             four_atom_distribution(-0.01)
 
@@ -288,7 +287,7 @@ class TestFamiliesMatchDictBuilders:
 
     @pytest.mark.parametrize("ground", [None, GroundSet("abcd")])
     def test_four_atom_grid(self, ground):
-        for p in [*np.linspace(0.0, 0.5, 21), 0.350457, FourAtomParams(0.2)]:
+        for p in [*np.linspace(0.0, 0.5, 21), 0.350457, 0.2]:
             assert_same_rows(four_atom_distribution(p, ground),
                              four_atom_distribution_by_dict(p, ground))
 
