@@ -243,10 +243,13 @@ def _read_cloud_csv(path) -> np.ndarray:
                            parse=csv.reader)
 
 
-def _directions(doc) -> list[tuple[float, float, float]]:
-    """A directions document, each entry checked as a SearchConfig direction."""
+def _directions(doc, cfg: engine.SearchConfig,
+                optima_only: bool) -> list[tuple[float, float, float]]:
+    """A directions document: its count passes the cloud size check, then each
+    entry is checked as a SearchConfig direction."""
     if not (isinstance(doc, list) and all(isinstance(d, list) for d in doc)):
         raise ValueError("malformed directions document: expected a JSON list of 3-vectors")
+    engine._check_cloud_size(len(doc), cfg, optima_only)
     return [engine.SearchConfig(objective="alpha_in_direction", direction=d).direction
             for d in doc]
 
@@ -257,8 +260,9 @@ def cmd_cloud(args) -> int:
         raise ValueError(f"{args.config}: cloud maximizes alpha along each direction "
                          f"and reads no objective: {cfg.objective!r}")
     fr = _frame(args)
-    if args.directions_file:
-        directions = core._read_file(args.directions_file, _directions)
+    if args.directions_file:  # checked while the file is read, so every error names it
+        directions = core._read_file(args.directions_file,
+                                     lambda doc: _directions(doc, cfg, args.optima_only))
     else:
         engine._check_cloud_size(args.directions, cfg, args.optima_only)
         directions = engine.sphere_directions(args.directions, seed=cfg.master_seed)
@@ -290,8 +294,10 @@ def cmd_hull(args) -> int:
 def cmd_outer(args) -> int:
     bank = ineq_mod.default_halfspace_bank(args.dfz_max_s) if args.dfz_max_s else []
     if args.ineq_file:
-        bank += core._read_file(args.ineq_file, lambda doc: ineq_mod._bank_from_json(
-            doc, ineq_mod.SECTION_FRAME))
+        sf = ineq_mod.SECTION_FRAME
+        bank += core._read_file(args.ineq_file, lambda doc: [
+            ineq_mod.section_halfspace(e, sf) if isinstance(e, ineq_mod.LinearInequality) else e
+            for e in ineq_mod._bank_from_json(doc, sf.ground)])
     poly = geometry.outer_region(bank)
     print(f"bank size      = {len(bank)}")
     print(f"region vertices = {len(poly.vertices)} (dim {poly.dim})")

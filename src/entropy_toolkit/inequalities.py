@@ -4,12 +4,13 @@ Sign convention: every stored inequality means "evaluates to >= 0 on entropic
 points", so positive margins read as satisfied-by-margin-m.  Sources using
 the polar-cone convention (<= 0) must be negated on load.
 
-A :class:`LinearInequality` is a coefficient vector over nonempty subsets; a
-:class:`CrossSectionHalfspace` is its section image on the tetrahedron
-weights (alpha, beta, gamma, delta), the inequality's values at the four
-vertices (:func:`section_halfspace`).  Built-ins cover the symmetrized
-Zhang-Yeung inequality and the DFZ family, from one formula; anything else
-comes from user-supplied files, never from invented coefficients.
+A :class:`LinearInequality` is a name and a mask-indexed coefficient vector
+(a :class:`~entropy_toolkit.core.SetFunction`); a :class:`CrossSectionHalfspace`
+is its section image on the tetrahedron weights (alpha, beta, gamma, delta),
+the inequality's values at the four vertices (:func:`section_halfspace`).
+Built-ins cover the symmetrized Zhang-Yeung inequality and the DFZ family,
+from one formula; anything else comes from user-supplied files, never from
+invented coefficients.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import GroundSet, SetFunction, _check_tol, _is_integer, _is_real, _read_file, delta_vec
+from .core import (GroundSet, SetFunction, _bit_matrix, _check_tol, _is_integer, _is_real,
+                   _read_file, delta_vec)
 from .frame import FRAME_CACHE, WEIGHT_SUM_TOL, IngletonFrame, stv_vec, tetra_vertices
 
 BALANCE_TOL = 1e-12
@@ -31,56 +33,33 @@ BALANCE_TOL = 1e-12
 SECTION_FRAME = IngletonFrame.default(GroundSet("ijkl"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearInequality:
-    """A named coefficient vector over nonempty subsets, valid as >= 0 on
-    entropic points (for genuine inequalities; arbitrary functionals may also
-    be carried in this shape for diagnostics)."""
+    """A name and a coefficient vector on a ground set, ``values[m]`` the coefficient
+    of h(m), valid as >= 0 on entropic points (for genuine inequalities; arbitrary
+    functionals may also be carried in this shape for diagnostics)."""
 
     name: str
-    coefficients: dict[frozenset, float]
+    coefficients: SetFunction
 
-    def __init__(self, name: str, coefficients: Mapping):
-        clean: dict[frozenset, float] = {}
-        for key, c in coefficients.items():
-            fs = frozenset(key)
-            if not fs:
-                raise ValueError("coefficient on the empty set is not allowed")
-            c = float(c)
-            if c != 0.0:
-                clean[fs] = clean.get(fs, 0.0) + c
-        clean = {k: v for k, v in clean.items() if v != 0.0}
-        if not all(map(math.isfinite, clean.values())):
-            raise ValueError(f"inequality {name!r} has non-finite coefficients "
-                             f"{list(clean.values())}")
-        if not clean:
-            raise ValueError(f"inequality {name!r} has no nonzero coefficient")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "coefficients", clean)
-
-    def elements(self) -> frozenset:
-        return frozenset().union(*self.coefficients)
+    def __post_init__(self):
+        if not self.coefficients.values.any():
+            raise ValueError(f"inequality {self.name!r} has no nonzero coefficient")
 
 
 def evaluate(ineq: LinearInequality, h: SetFunction) -> float:
-    """Scalar product of the coefficient vector with h.
-
-    A value >= -tol signals consistency with the inequality.  Raises if some
-    coefficient key mentions a label outside h's ground set.
-    """
-    masks = [h.ground.mask(tuple(key)) for key in ineq.coefficients]
-    return float(np.fromiter(ineq.coefficients.values(), float) @ h.values[masks])
+    """Scalar product of the coefficient vector with h, which must live on the
+    inequality's ground set.  A value >= -tol signals consistency with the inequality."""
+    ineq.coefficients._require_same_ground(h)
+    return float(ineq.coefficients.values @ h.values)
 
 
 def is_balanced(ineq: LinearInequality, tol: float = BALANCE_TOL) -> bool:
     """True iff for every element the coefficient sum over subsets containing
     it vanishes; balanced functionals annihilate modular functions."""
     _check_tol(tol)
-    for elem in ineq.elements():
-        s = sum(c for key, c in ineq.coefficients.items() if elem in key)
-        if abs(s) > tol:
-            return False
-    return True
+    c = ineq.coefficients
+    return bool(np.all(np.abs(c.values @ _bit_matrix(c.ground.n)) <= tol))
 
 
 @dataclass(frozen=True)
@@ -111,26 +90,20 @@ class CrossSectionHalfspace:
 
 # --- built-in functionals and inequalities ------------------------------------
 
-def _from_vec(name: str, frame: IngletonFrame, vec: np.ndarray) -> LinearInequality:
-    """The inequality whose coefficients are the nonzero entries of a
-    mask-indexed vector; the empty-set entry is inert and dropped."""
-    labels_of = frame.ground.labels_of
-    return LinearInequality(name, {labels_of(m): c for m, c in enumerate(vec) if m})
-
-
 def stv_functional(frame: IngletonFrame) -> LinearInequality:
     """The Ingleton functional as a coefficient vector.
 
     Not a valid information inequality (entropic points can make it
     negative); exposed for balancedness checks and diagnostics.
     """
-    return _from_vec("ingleton-stv", frame, stv_vec(frame))
+    return LinearInequality("ingleton-stv", SetFunction(frame.ground, stv_vec(frame)))
 
 
 def symmetrized_zy(frame: IngletonFrame) -> LinearInequality:
     """Symmetrized Zhang-Yeung inequality, DFZ member 1 plus its i<->j swap,
     valid >= 0 on entropic points; beta + delta >= alpha / 2 in section weights."""
-    return _from_vec("symmetrized-zhang-yeung", frame, _dfz(1, frame, frame.swapped_ij()))
+    return LinearInequality("symmetrized-zhang-yeung",
+                            SetFunction(frame.ground, _dfz(1, frame, frame.swapped_ij())))
 
 
 def dfz_linear(s: int, frame: IngletonFrame) -> LinearInequality:
@@ -141,7 +114,7 @@ def dfz_linear(s: int, frame: IngletonFrame) -> LinearInequality:
     s = 1 is the Zhang-Yeung inequality.
     """
     _check_dfz_s(s)
-    return _from_vec(f"dfz-linear-s{s}", frame, _dfz(s, frame))
+    return LinearInequality(f"dfz-linear-s{s}", SetFunction(frame.ground, _dfz(s, frame)))
 
 
 @lru_cache(maxsize=FRAME_CACHE)
@@ -168,28 +141,20 @@ def _check_dfz_s(s: int) -> None:
         raise ValueError(f"DFZ parameter s must be an integer in 1..20, got {s!r}")
 
 
-def _section_image(name: str, masks, coeffs, frame: IngletonFrame) -> CrossSectionHalfspace:
-    """The terms coeffs[t] h(masks[t]) at the four tetrahedron vertices, each value the
-    dot product :func:`evaluate` takes, as a halfspace on section weights."""
-    return CrossSectionHalfspace(name, *(float(coeffs @ v.values[masks])
-                                         for v in tetra_vertices(frame)))
-
-
 def section_halfspace(ineq: LinearInequality, frame: IngletonFrame) -> CrossSectionHalfspace:
     """The inequality's values at the four tetrahedron vertices, whose convex combinations
-    are the section points.  Raises on a label outside the frame, or if all four are 0."""
-    masks = [frame.ground.mask(tuple(key)) for key in ineq.coefficients]
-    return _section_image(ineq.name, masks, np.fromiter(ineq.coefficients.values(), float), frame)
+    are the section points.  Raises if the inequality lives on another ground set than
+    the frame, or if all four values are 0."""
+    return CrossSectionHalfspace(ineq.name, *(evaluate(ineq, v) for v in tetra_vertices(frame)))
 
 
 def dfz_halfspace(s: int) -> CrossSectionHalfspace:
     """DFZ member s plus its i<->j swap on section weights, which reads
     beta + ((s-1) 2^s + 1) delta >= (2^s - 1)/2 * alpha (s = 1: symmetrized ZY)."""
     _check_dfz_s(s)
-    vec = _dfz(s, SECTION_FRAME, SECTION_FRAME.swapped_ij())
-    # the nonzero terms at masks >= 1 in ascending order, as _from_vec lists them
-    masks = np.flatnonzero(vec[1:]) + 1
-    return _section_image(f"dfz-s{s}", masks, vec[masks], SECTION_FRAME)
+    ineq = LinearInequality(f"dfz-s{s}", SetFunction(
+        SECTION_FRAME.ground, _dfz(s, SECTION_FRAME, SECTION_FRAME.swapped_ij())))
+    return section_halfspace(ineq, SECTION_FRAME)
 
 
 def default_halfspace_bank(max_s: int = 6) -> list[CrossSectionHalfspace]:
@@ -251,25 +216,34 @@ def check_point(weights, bank: Sequence[CrossSectionHalfspace],
 #
 # LinearInequality JSON:      {"name": ..., "coefficients": {"ik": 1.0, ...}}
 # CrossSectionHalfspace JSON: {"name": ..., "abcd": [a, b, c, d]}
-# A file may hold one object or a list of them; labels inside coefficient keys
-# must be single characters, and the writer rejects longer ones.
+# A file may hold one object or a list of them.  Coefficient keys are read on a
+# given ground set, and keys that name the same subset add up; the writer lists
+# the nonzero subsets in mask order and rejects a label longer than one character.
 
 def inequality_to_json(ineq: LinearInequality) -> dict:
-    long = sorted(str(lab) for lab in ineq.elements()
-                  if not isinstance(lab, str) or len(lab) != 1)
+    c = ineq.coefficients
+    masks = np.flatnonzero(c.values).tolist()
+    long = sorted({lab for m in masks for lab in c.ground.labels_of(m) if len(lab) != 1})
     if long:
         raise ValueError(f"inequality JSON needs single-character labels, got {long}")
-    keys = {"".join(sorted(k)): v for k, v in ineq.coefficients.items()}
-    return {"name": ineq.name, "coefficients": dict(sorted(keys.items()))}
+    return {"name": ineq.name,
+            "coefficients": {c.ground.subset_key(m): float(c.values[m]) for m in masks}}
 
 
-def inequality_from_json(data: dict) -> LinearInequality:
+def inequality_from_json(data: dict, ground: GroundSet) -> LinearInequality:
     try:
         name, coeffs = data["name"], data["coefficients"]
         if not (isinstance(name, str) and isinstance(coeffs, dict)
                 and all(map(_is_real, coeffs.values()))):
             raise ValueError("name needs a string, coefficients an object of numbers")
-        return LinearInequality(name, {frozenset(key): c for key, c in coeffs.items()})
+        if "" in coeffs:
+            raise ValueError("coefficient on the empty set is not allowed")
+        values = [0.0] * ground.size  # Python floats: an overflowing sum is inf, unwarned
+        for key, c in coeffs.items():  # one label per character, as the writer writes
+            values[ground.mask(tuple(key))] += float(c)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"inequality {name!r} has non-finite coefficients")
+        return LinearInequality(name, SetFunction(ground, values))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed inequality document: {exc}") from exc
 
@@ -288,13 +262,13 @@ def halfspace_from_json(data: dict) -> CrossSectionHalfspace:
         raise ValueError(f"malformed halfspace document: {exc}") from exc
 
 
-def load_inequality_file(path) -> list[LinearInequality | CrossSectionHalfspace]:
-    """Load a JSON file holding inequalities and/or halfspaces (object or list)."""
-    return _read_file(path, _bank_from_json)
+def load_inequality_file(path, ground: GroundSet) -> list[LinearInequality | CrossSectionHalfspace]:
+    """Load a JSON file holding inequalities on ground and/or halfspaces (object or list)."""
+    return _read_file(path, partial(_bank_from_json, ground=ground))
 
 
-def _bank_from_json(data, frame=None) -> list[LinearInequality | CrossSectionHalfspace]:
-    """The entries of a document, coefficient ones as section halfspaces if given a frame."""
+def _bank_from_json(data, ground: GroundSet) -> list[LinearInequality | CrossSectionHalfspace]:
+    """The entries of a document, coefficient ones read on ground."""
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list) or not all(isinstance(item, dict) for item in data):
@@ -302,11 +276,12 @@ def _bank_from_json(data, frame=None) -> list[LinearInequality | CrossSectionHal
                          "or a list of objects")
     out: list[LinearInequality | CrossSectionHalfspace] = []
     for index, item in enumerate(data):
+        if "abcd" in item and "coefficients" in item:
+            raise ValueError(f'entry {index} has both "coefficients" and "abcd"')
         if "abcd" in item:
             out.append(halfspace_from_json(item))
         elif "coefficients" in item:
-            ineq = inequality_from_json(item)
-            out.append(ineq if frame is None else section_halfspace(ineq, frame))
+            out.append(inequality_from_json(item, ground))
         else:
             raise ValueError(f"entry {index} has neither \"coefficients\" nor \"abcd\"; "
                              f"its keys are {sorted(item)}")

@@ -627,8 +627,10 @@ def optimize_distribution(cfg: SearchConfig, frame: IngletonFrame,
 
 
 def _check_cloud_size(n_directions: int, cfg: SearchConfig, optima_only: bool) -> None:
-    """Reject a cloud whose merged outcomes or emitted points could exceed
-    their memory bounds, before any search starts."""
+    """Reject a cloud of no direction, or one whose merged outcomes or emitted
+    points could exceed their memory bounds, before any search starts."""
+    if n_directions < 1:
+        raise ValueError("need at least one direction")
     atoms = math.prod(cfg.alphabet_sizes)
     searches = n_directions * cfg.restarts
     _check_outcome_size(searches, atoms, f"directions x restarts "
@@ -679,8 +681,6 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
     could exceed ``MAX_CLOUD_MIB`` of points, or ``MAX_OUTCOME_MIB`` of merged
     best distributions, is rejected before any search starts.
     """
-    if not directions:
-        raise ValueError("need at least one direction")
     _check_cloud_size(len(directions), cfg, optima_only)
     d_cfgs = [replace(cfg, objective="alpha_in_direction", direction=d) for d in directions]
     outcomes = _run_all_restarts(d_cfgs, frame, None, collect=not optima_only,

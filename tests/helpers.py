@@ -752,11 +752,20 @@ def pipeline_operator_by_deltas(frame: IngletonFrame) -> np.ndarray:
 
 
 def evaluate_by_frozenset_loop(ineq: LinearInequality, h: SetFunction) -> float:
-    """Reference: the coefficient dict walked key by key."""
+    """Reference: the nonzero coefficients walked one by one in mask order, each
+    subset looked up in h by its labels, as the frozenset-keyed dict was."""
+    c = ineq.coefficients
     total = 0.0
-    for key, c in ineq.coefficients.items():
-        total += c * h.values[h.ground.mask(tuple(key))]
+    for m in np.flatnonzero(c.values):
+        total += c.values[m] * h.values[h.ground.mask(frozenset(c.ground.labels_of(m)))]
     return float(total)
+
+
+def inequality_of(name: str, ground: GroundSet, terms: Mapping[int, float]) -> LinearInequality:
+    """The inequality with coefficient terms[m] on the subset of mask m, 0 elsewhere."""
+    vec = np.zeros(ground.size)
+    vec[list(terms)] = list(terms.values())
+    return LinearInequality(name, SetFunction(ground, vec))
 
 
 def dfz_halfspace_closed_form(s: int) -> CrossSectionHalfspace:
@@ -768,10 +777,9 @@ def dfz_halfspace_closed_form(s: int) -> CrossSectionHalfspace:
 
 
 def dfz_member_plus_swap(s: int, frame: IngletonFrame) -> LinearInequality:
-    """DFZ member s plus its i<->j swap, summed key by key and named dfz-s<s>."""
-    a = dfz_linear(s, frame).coefficients
-    b = dfz_linear(s, frame.swapped_ij()).coefficients
-    return LinearInequality(f"dfz-s{s}", {k: a.get(k, 0.0) + b.get(k, 0.0) for k in {**a, **b}})
+    """DFZ member s plus its i<->j swap, the two coefficient vectors added, named dfz-s<s>."""
+    return LinearInequality(f"dfz-s{s}", dfz_linear(s, frame).coefficients
+                            + dfz_linear(s, frame.swapped_ij()).coefficients)
 
 
 def dedupe_by_dict(arr: np.ndarray, decimals: int = 12) -> np.ndarray:

@@ -806,6 +806,32 @@ class TestErrorsNameTheFile:
         assert err.startswith(f"error: {path}: entry 0 ")
         assert "['alphabet_sizes', 'atoms', 'labels']" in err
 
+    def test_entry_with_both_keys(self, capsys, tmp_path):
+        """Such an entry was read as its halfspace, its coefficients dropped."""
+        path, region = tmp_path / "both.json", tmp_path / "region.json"
+        path.write_text(json.dumps([{"name": "both", "abcd": [1, 0, 0, 0],
+                                     "coefficients": {"i": 1, "j": 1, "ij": -1}}]))
+        code, out, err = run(capsys, "outer", "--dfz-max-s", "0", "--ineq-file", str(path),
+                             "-o", str(region))
+        assert (code, out) == (2, "")
+        assert err == f'error: {path}: entry 0 has both "coefficients" and "abcd"\n'
+        assert not region.exists()
+
+    @pytest.mark.parametrize("count, message", [
+        (0, "need at least one direction"),
+        (100_000, "directions x restarts (100,000 x 64) must be at most 32,768 at 256 atoms"),
+    ])
+    def test_directions_file_count(self, capsys, tmp_path, monkeypatch, count, message):
+        """The count is checked before any entry: these entries are all invalid."""
+        path, cloud = tmp_path / "dirs.json", tmp_path / "cloud.csv"
+        path.write_text(json.dumps([[0, 0, 0]] * count))
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        code, out, err = run(capsys, "cloud", "--directions-file", str(path), "-o", str(cloud))
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: {message}")
+        assert not cloud.exists()
+
 
 class TestUnwritableOutput:
     """A command with -o checks that it can write there before any work: an

@@ -87,44 +87,66 @@ class TestSetFunctionJson:
 
 
 class TestInequalityJson:
+    GROUND = GroundSet("ijkl")
     KEYS = ["i", "j", "ik", "jl", "ijkl"]
+
+    def vector(self, values) -> np.ndarray:
+        vec = np.zeros(self.GROUND.size)
+        vec[[self.GROUND.mask(k) for k in self.KEYS]] = [float(v) for v in values]
+        return vec
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(json_values, min_size=5, max_size=5))
     def test_only_numbers_accepted(self, values):
         doc = {"name": "x", "coefficients": dict(zip(self.KEYS, values))}
         if all(map(is_number, values)) and any(values):
-            ineq = inequality_from_json(doc)
-            assert ineq.coefficients == {frozenset(k): float(v)
-                                         for k, v in zip(self.KEYS, values) if v}
+            ineq = inequality_from_json(doc, self.GROUND)
+            # == and not bytes: the reader adds each value to 0.0, so -0.0 reads as 0.0
+            assert ineq.coefficients.values.tolist() == self.vector(values).tolist()
         else:
             with pytest.raises(ValueError, match="malformed inequality document") as exc:
-                inequality_from_json(doc)
+                inequality_from_json(doc, self.GROUND)
             assert str(exc.value).count("malformed inequality document") == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6, allow_nan=False).filter(bool),
                     min_size=5, max_size=5))
     def test_round_trip(self, values):
-        ineq = LinearInequality("x", dict(zip(self.KEYS, values)))
-        assert inequality_from_json(json.loads(json.dumps(inequality_to_json(ineq)))) == ineq
+        ineq = LinearInequality("x", SetFunction(self.GROUND, self.vector(values)))
+        back = inequality_from_json(json.loads(json.dumps(inequality_to_json(ineq))),
+                                    self.GROUND)
+        assert back.name == ineq.name
+        assert back.coefficients.values.tobytes() == ineq.coefficients.values.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_coefficient_rejected(self, bad):
-        with pytest.raises(ValueError, match="non-finite coefficients"):
-            LinearInequality("x", {"i": bad, "j": 1.0})
+        with pytest.raises(ValueError, match="must be finite"):
+            LinearInequality("x", SetFunction(self.GROUND, self.vector([bad, 1, 0, 0, 0])))
         doc = json.loads(json.dumps({"name": "x", "coefficients": {"i": bad, "j": 1}}))
         with pytest.raises(ValueError, match="malformed inequality document.*non-finite"):
-            inequality_from_json(doc)
+            inequality_from_json(doc, self.GROUND)
+
+    def test_keys_of_one_subset_add_up(self):
+        doc = {"name": "x", "coefficients": {"ik": 1.5, "j": 1, "ki": 2.0, "kii": -0.25}}
+        ineq = inequality_from_json(doc, self.GROUND)
+        assert np.flatnonzero(ineq.coefficients.values).tolist() == [2, 5]
+        assert (ineq.coefficients("ik"), ineq.coefficients("j")) == (3.25, 1.0)
 
     def test_overflowing_sum_rejected(self):
-        with pytest.raises(ValueError, match="non-finite coefficients"):
-            LinearInequality("x", {"ik": 1e308, "ki": 1e308})
+        doc = {"name": "x", "coefficients": {"ik": 1e308, "ki": 1e308}}
+        with pytest.raises(ValueError, match="'x' has non-finite coefficients"):
+            inequality_from_json(doc, self.GROUND)
+
+    @pytest.mark.parametrize("value", [0, 1.5])
+    def test_empty_key_rejected(self, value):
+        doc = {"name": "x", "coefficients": {"i": 1, "": value}}
+        with pytest.raises(ValueError, match="coefficient on the empty set is not allowed"):
+            inequality_from_json(doc, self.GROUND)
 
     @pytest.mark.parametrize("name", [None, 7, ["x"]])
     def test_name_must_be_a_string(self, name):
         with pytest.raises(ValueError, match="malformed inequality document"):
-            inequality_from_json({"name": name, "coefficients": {"i": 1}})
+            inequality_from_json({"name": name, "coefficients": {"i": 1}}, self.GROUND)
         with pytest.raises(ValueError, match="malformed halfspace document"):
             halfspace_from_json({"name": name, "abcd": [1, 0, 0, 0]})
 

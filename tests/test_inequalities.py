@@ -14,6 +14,7 @@ from entropy_toolkit import (
     GroundSet,
     IngletonFrame,
     LinearInequality,
+    SetFunction,
     check_point,
     cross_section_point,
     default_halfspace_bank,
@@ -43,6 +44,7 @@ from helpers import (
     dfz_halfspace_closed_form,
     dfz_member_plus_swap,
     evaluate_by_frozenset_loop,
+    inequality_of,
     rand_distribution,
     rand_modular,
     rand_polymatroid,
@@ -70,9 +72,13 @@ class TestEvaluate:
             assert evaluate(symmetrized_zy(frame), h) == pytest.approx(0.0, abs=1e-12)
 
     def test_key_mismatch(self, frame):
-        bad = LinearInequality("bad", {frozenset("z"): 1.0})
-        with pytest.raises(ValueError):
-            evaluate(bad, matroid_rank(frame.ground, 1))
+        """A set function on another ground set, even one with the same labels in
+        another order, is rejected, and the message names both ground sets."""
+        for other in map(GroundSet, ["ijkz", "jikl", "ijklm"]):
+            with pytest.raises(ValueError, match="ground sets differ") as exc:
+                evaluate(symmetrized_zy(frame), matroid_rank(other, 1))
+            assert str(frame.ground.labels) in str(exc.value)
+            assert str(other.labels) in str(exc.value)
 
     def test_matches_frozenset_loop(self, frame, rng):
         """Values agree with the key-by-key sum up to the rounding of a
@@ -84,37 +90,35 @@ class TestEvaluate:
         for _ in range(40):
             masks = rng.choice(np.arange(1, ground.size), int(rng.integers(1, 16)),
                                replace=False)
-            coeffs = {ground.labels_of(int(m)): c
-                      for m, c in zip(masks, rng.uniform(-3.0, 3.0, len(masks)))}
+            coeffs = dict(zip(masks.tolist(), rng.uniform(-3.0, 3.0, len(masks))))
             h = (rand_polymatroid if rng.integers(2) else rand_set_function)(rng, ground)
-            for ineq in builtins + [LinearInequality("random", coeffs)]:
-                terms = [c * h.values[ground.mask(tuple(key))]
-                         for key, c in ineq.coefficients.items()]
+            for ineq in builtins + [inequality_of("random", ground, coeffs)]:
+                terms = ineq.coefficients.values * h.values
                 assert abs(evaluate(ineq, h) - evaluate_by_frozenset_loop(ineq, h)) \
                     <= 4e-15 * sum(map(abs, terms))
 
-    def test_needs_nonzero_coefficient(self):
-        with pytest.raises(ValueError):
-            LinearInequality("empty", {})
-        with pytest.raises(ValueError):
-            LinearInequality("cancels", {frozenset("i"): 1.0, ("i",): -1.0})
+    def test_needs_nonzero_coefficient(self, ground):
+        with pytest.raises(ValueError, match="'empty' has no nonzero coefficient"):
+            LinearInequality("empty", SetFunction(ground, np.zeros(ground.size)))
+        with pytest.raises(ValueError, match="'cancels' has no nonzero coefficient"):
+            inequality_from_json({"name": "cancels", "coefficients": {"ik": 1.0, "ki": -1.0}},
+                                 ground)
 
 
 class TestBalanced:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
     def test_tolerance_validated(self, frame, bad):
         with pytest.raises(ValueError, match="tolerance"):
-            is_balanced(LinearInequality("mono", {"i": 1.0}), tol=bad)
+            is_balanced(inequality_of("mono", frame.ground, {1: 1.0}), tol=bad)
 
     def test_stv_is_balanced(self, frame, rng):
         ineq = stv_functional(frame)
-        assert len(ineq.coefficients) == 10
+        assert np.count_nonzero(ineq.coefficients.values) == 10
         assert is_balanced_and_kills_modular(ineq, frame, rng)
 
     def test_monotonicity_functional_not_balanced(self, frame):
-        mono = LinearInequality("mono-i", {frozenset("ijkl"): 1.0,
-                                           frozenset("jkl"): -1.0})
-        from entropy_toolkit import is_balanced
+        g = frame.ground
+        mono = inequality_of("mono-i", g, {g.mask("ijkl"): 1.0, g.mask("jkl"): -1.0})
         assert not is_balanced(mono)
 
     def test_symmetrized_zy_is_balanced(self, frame, rng):
@@ -124,9 +128,30 @@ class TestBalanced:
         for s in (1, 2, 5):
             assert is_balanced_and_kills_modular(dfz_linear(s, frame), frame, rng)
 
+    @pytest.mark.parametrize("labels", ["ij", "ijkl", "abcdef"])
+    def test_matches_per_element_loop(self, labels, rng):
+        """The answer of a per-element loop over the nonzero coefficients, on
+        random integer vectors (exact sums) with every element balanced, one
+        element off by a random amount, or neither."""
+        ground = GroundSet(labels)
+        bits = np.arange(ground.size)[:, None] >> np.arange(ground.n) & 1
+        for _ in range(200):
+            vec = rng.integers(-3, 4, ground.size).astype(float)
+            vec[0] = 0.0
+            if rng.integers(2):
+                # a singleton's coefficient enters its element's sum alone
+                vec[1 << np.arange(ground.n)] -= vec @ bits
+                vec[1 << int(rng.integers(ground.n))] += rng.choice([0.0, 1.0, 1e-13])
+            if not vec.any():
+                continue
+            ineq = LinearInequality("r", SetFunction(ground, vec))
+            c = ineq.coefficients
+            want = all(abs(sum(c.values[m] for m in np.flatnonzero(c.values) if m >> b & 1))
+                       <= 1e-12 for b in range(ground.n))
+            assert is_balanced(ineq) is want
+
 
 def is_balanced_and_kills_modular(ineq, frame, rng) -> bool:
-    from entropy_toolkit import is_balanced
     if not is_balanced(ineq):
         return False
     h = rand_modular(rng, frame.ground)
@@ -285,7 +310,8 @@ class TestSectionHalfspace:
                 assert list(map(float.hex, got.abcd)) == list(map(float.hex, want.abcd))
             half = section_halfspace(dfz_linear(s, fr), fr)
             assert tuple(2 * x for x in half.abcd) == want.abcd
-        assert symmetrized_zy(fr).coefficients == dfz_member_plus_swap(1, fr).coefficients
+        assert symmetrized_zy(fr).coefficients.values.tobytes() == \
+            dfz_member_plus_swap(1, fr).coefficients.values.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(section_quadruples(),
@@ -294,15 +320,14 @@ class TestSectionHalfspace:
            st.sampled_from(["ijkl", "kilj"]))
     def test_margin_is_the_value_at_the_point(self, weights, coefficients, roles):
         fr = _frame_of(roles)
-        ineq = LinearInequality("h", {fr.ground.labels_of(m): c
-                                      for m, c in coefficients.items()})
+        ineq = inequality_of("h", fr.ground, coefficients)
         if not any(evaluate(ineq, v) for v in tetra_vertices(fr)):
             with pytest.raises(ValueError, match="all-zero coefficients"):
                 section_halfspace(ineq, fr)
             return
         point = CrossSectionPoint(*weights)
         want = evaluate(ineq, point_from_weights(point, fr))
-        scale = sum(map(abs, weights)) * sum(map(abs, ineq.coefficients.values()))
+        scale = sum(map(abs, weights)) * sum(map(abs, coefficients.values()))
         # a rounding below the normal range errs by up to half the smallest
         # subnormal, not relative to the value: 1e-12 * scale underflows to 0
         # for a subnormal coefficient such as 5e-324, which both sides
@@ -315,9 +340,9 @@ class TestSectionHalfspace:
                     unique_by=lambda term: term[0]).filter(lambda t: any(c for _, c in t)),
            st.sampled_from(["ijkl", "kilj"]))
     def test_coefficients_are_evaluate_at_the_vertices(self, terms, roles):
-        """Bit for bit, whatever the key order of the inequality."""
+        """Bit for bit."""
         fr = _frame_of(roles)
-        ineq = LinearInequality("h", {fr.ground.labels_of(m): c for m, c in terms})
+        ineq = inequality_of("h", fr.ground, dict(terms))
         want = tuple(evaluate(ineq, v) for v in tetra_vertices(fr))
         if not any(want):
             with pytest.raises(ValueError, match="all-zero coefficients"):
@@ -326,7 +351,8 @@ class TestSectionHalfspace:
         assert list(map(float.hex, section_halfspace(ineq, fr).abcd)) == list(
             map(float.hex, want))
 
-    def test_keys_become_masks_once(self, frame, monkeypatch):
+    def test_makes_no_mask_call(self, frame, monkeypatch):
+        """The coefficients are already mask-indexed: no subset is looked up."""
         ineq = dfz_linear(3, frame)
         tetra_vertices(frame)  # built and cached before the spy
         calls = []
@@ -334,26 +360,25 @@ class TestSectionHalfspace:
         monkeypatch.setattr(GroundSet, "mask",
                             lambda self, subset: calls.append(subset) or mask(self, subset))
         section_halfspace(ineq, frame)
-        assert len(calls) == len(ineq.coefficients)
-
-    def test_bank_builds_no_inequality(self, frame, monkeypatch):
-        built = []
-        init = LinearInequality.__init__
-        monkeypatch.setattr(LinearInequality, "__init__",
-                            lambda self, *args: built.append(args[0]) or init(self, *args))
-        bank = default_halfspace_bank(20)
-        assert built == [] and len(bank) == 20
-        dfz_linear(2, frame)
-        assert built == ["dfz-linear-s2"]
+        dfz_halfspace(3)
+        assert calls == []
 
     def test_label_outside_the_frame(self, frame):
         with pytest.raises(ValueError, match="unknown label 'x'"):
-            section_halfspace(LinearInequality("h", {"x": 1.0, "i": -1.0}), frame)
+            inequality_from_json({"name": "h", "coefficients": {"x": 1.0, "i": -1.0}},
+                                 frame.ground)
+        other = GroundSet("ijkx")
+        with pytest.raises(ValueError, match="ground sets differ") as exc:
+            section_halfspace(inequality_of("h", other, {8: 1.0, 1: -1.0}), frame)
+        assert str(frame.ground.labels) in str(exc.value)
+        assert str(other.labels) in str(exc.value)
 
     def test_zero_on_the_section(self, frame):
         # I(i;j) >= 0 vanishes at all four vertices
+        mi = inequality_from_json({"name": "mi", "coefficients": {"i": 1, "j": 1, "ij": -1}},
+                                  frame.ground)
         with pytest.raises(ValueError, match="'mi' has all-zero coefficients"):
-            section_halfspace(LinearInequality("mi", {"i": 1, "j": 1, "ij": -1}), frame)
+            section_halfspace(mi, frame)
 
 
 class TestPipelinePointsSatisfyBank:
@@ -373,8 +398,9 @@ class TestWireFormats:
         doc = inequality_to_json(ineq)
         assert doc["name"] == "symmetrized-zhang-yeung"
         assert all(key == "".join(sorted(key)) for key in doc["coefficients"])
-        back = inequality_from_json(json.loads(json.dumps(doc)))
-        assert back.coefficients == ineq.coefficients
+        back = inequality_from_json(json.loads(json.dumps(doc)), frame.ground)
+        assert back.name == ineq.name
+        assert back.coefficients.values.tobytes() == ineq.coefficients.values.tobytes()
 
     def test_halfspace_roundtrip(self):
         hs = dfz_halfspace(4)
@@ -386,21 +412,31 @@ class TestWireFormats:
         doc = [inequality_to_json(symmetrized_zy(frame)),
                halfspace_to_json(dfz_halfspace(2))]
         path.write_text(json.dumps(doc))
-        items = load_inequality_file(path)
+        items = load_inequality_file(path, frame.ground)
         assert isinstance(items[0], LinearInequality)
         assert isinstance(items[1], CrossSectionHalfspace)
 
-    def test_single_object_file(self, tmp_path):
+    def test_single_object_file(self, ground, tmp_path):
         path = tmp_path / "one.json"
         path.write_text(json.dumps(halfspace_to_json(dfz_halfspace(1))))
-        items = load_inequality_file(path)
+        items = load_inequality_file(path, ground)
         assert len(items) == 1
 
-    def test_malformed_entry(self, tmp_path):
+    def test_malformed_entry(self, ground, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps([{"name": "x"}]))
         with pytest.raises(ValueError):
-            load_inequality_file(path)
+            load_inequality_file(path, ground)
+
+    def test_entry_with_both_keys_rejected(self, ground, tmp_path):
+        """Neither reading wins: an entry that is both a halfspace and a
+        coefficient vector is an error that names the file and the entry."""
+        path = tmp_path / "both.json"
+        path.write_text(json.dumps([halfspace_to_json(dfz_halfspace(1)), {
+            "name": "both", "abcd": [1, 0, 0, 0], "coefficients": {"i": 1, "j": 1, "ij": -1}}]))
+        with pytest.raises(ValueError) as exc:
+            load_inequality_file(path, ground)
+        assert str(exc.value) == f'{path}: entry 1 has both "coefficients" and "abcd"'
 
     def test_all_zero_halfspace_rejected(self):
         with pytest.raises(ValueError):
@@ -418,12 +454,14 @@ class TestWireFormats:
 
 
 def _keyed(ineq):
-    return {"".join(sorted(k)): v for k, v in ineq.coefficients.items()}
+    c = ineq.coefficients
+    return {c.ground.subset_key(m): c.values[m] for m in np.flatnonzero(c.values)}
 
 
 class TestBuiltinGoldens:
     """Coefficients of the built-in functionals, recorded from the former
-    frozenset-dictionary construction."""
+    frozenset-dictionary construction; the labels i, j, k, l are in ground
+    order, so each key is sorted."""
 
     def test_symmetrized_zy(self, frame):
         assert _keyed(symmetrized_zy(frame)) == {
@@ -449,11 +487,23 @@ class TestBuiltinGoldens:
 
 class TestInequalityJsonLabels:
     def test_multi_character_label_rejected(self):
-        ineq = LinearInequality("long", {("x1", "y"): 1.0, ("y",): -1.0})
-        with pytest.raises(ValueError, match="single-character"):
+        ineq = inequality_of("long", GroundSet(["x1", "y", "z2"]), {3: 1.0, 2: -1.0})
+        with pytest.raises(ValueError, match=r"single-character labels, got \['x1'\]"):
             inequality_to_json(ineq)
 
     def test_single_character_labels_round_trip(self):
-        ineq = LinearInequality("short", {("x", "y"): 1.0, ("y",): -1.0})
-        back = inequality_from_json(json.loads(json.dumps(inequality_to_json(ineq))))
-        assert back.coefficients == ineq.coefficients
+        ground = GroundSet("yx")
+        ineq = inequality_of("short", ground, {3: 1.0, 1: -1.0})
+        doc = inequality_to_json(ineq)
+        assert doc == {"name": "short", "coefficients": {"y": -1.0, "yx": 1.0}}
+        back = inequality_from_json(json.loads(json.dumps(doc)), ground)
+        assert back.coefficients.values.tobytes() == ineq.coefficients.values.tobytes()
+
+    def test_key_is_read_one_label_per_character(self):
+        """A key names single-character labels, even where the ground set also
+        has a label equal to the whole key."""
+        ground = GroundSet(["ab", "a", "b"])
+        doc = {"name": "x", "coefficients": {"ab": 1.0, "a": -1.0}}
+        ineq = inequality_from_json(doc, ground)
+        assert np.flatnonzero(ineq.coefficients.values).tolist() == [2, 6]
+        assert inequality_to_json(ineq) == {"name": "x", "coefficients": {"a": -1.0, "ab": 1.0}}
