@@ -246,12 +246,11 @@ def _read_cloud_csv(path) -> np.ndarray:
 def _directions(doc, cfg: engine.SearchConfig,
                 optima_only: bool) -> list[tuple[float, float, float]]:
     """A directions document: its count passes the cloud size check, then each
-    entry is checked as a SearchConfig direction."""
+    entry ``engine.check_direction``."""
     if not (isinstance(doc, list) and all(isinstance(d, list) for d in doc)):
         raise ValueError("malformed directions document: expected a JSON list of 3-vectors")
     engine._check_cloud_size(len(doc), cfg, optima_only)
-    return [engine.SearchConfig(objective="alpha_in_direction", direction=d).direction
-            for d in doc]
+    return [engine.check_direction(d) for d in doc]
 
 
 def cmd_cloud(args) -> int:

@@ -9,8 +9,10 @@ results regardless of the worker count.  ENTROPY_TOOLKIT_THREADS (or the
 ``threads`` argument) caps parallel restarts; the worker count never exceeds
 the restarts or ``os.cpu_count()``.  The restarts are split into one
 contiguous chunk per worker, sent as one task each, and a chunk runs its
-restarts through one evaluator.  The driver takes a list of configs: a search
-passes one, a cloud one per direction, so each starts at most one pool.
+restarts through one evaluator.  The driver takes one config and a list of
+directions and runs (direction, restart) jobs: a search passes ``[None]`` for
+the config's score, a cloud its directions for the ray objective.  So each
+starts at most one pool, and a chunk has one alphabet, budget and seed family.
 
 A cloud is a :class:`Cloud`, a record of one read-only (n, 4) float64 array
 of section weights and its source tags as (tag, count) runs, read through
@@ -23,15 +25,17 @@ read.  The default ``cloud`` (8 directions x 64 restarts at 4^4, budget
 ``MAX_CLOUD_MIB``; at about 11,500 evaluations per second it runs about
 15 minutes on one worker.
 
-Objectives (``SCORE_OBJECTIVES`` lists the first three, the scores):
+A :class:`SearchConfig` names one of the ``SCORE_OBJECTIVES``:
 
 * ``raw_score``      - Ingleton score of the entropy function itself;
 * ``tight_score``    - score of its tight part;
 * ``pipeline_score`` - score after the tighten/b/a projection (the quantity
-  whose infimum the cross-section geometry bounds);
-* ``alpha_in_direction`` - maximize the alpha weight of the cross-section
-  point subject to a penalty keeping the point near a given ray, used to
-  sweep the cross-section when generating point clouds.
+  whose infimum the cross-section geometry bounds).
+
+A cloud direction (checked by :func:`check_direction`) runs the ray objective
+``alpha_in_direction`` instead: maximize the alpha weight of the
+cross-section point subject to a penalty keeping the point near the ray, used
+to sweep the cross-section when generating point clouds.
 
 Degenerate inputs whose normalizer vanishes score 0 by convention.
 """
@@ -44,7 +48,7 @@ import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -70,7 +74,6 @@ from ..frame import (
 #: the objectives that score an entropy vector, each divided by its own
 #: normalizer (``DistributionObjective.rank_vecs``)
 SCORE_OBJECTIVES = ("raw_score", "tight_score", "pipeline_score")
-OBJECTIVES = SCORE_OBJECTIVES + ("alpha_in_direction",)
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -158,16 +161,33 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
     return (x, min(f1, f2))
 
 
+def check_direction(direction) -> tuple[float, float, float]:
+    """A search direction as a tuple of three floats: a finite nonzero
+    3-vector of reals (no booleans) whose squared norm is a normal double,
+    else ValueError."""
+    d = _as_tuple(direction)
+    if (len(d) != 3 or not all(map(_is_real, d))
+            or not any(d) or not all(map(math.isfinite, d))):
+        raise ValueError(f"direction must be a finite nonzero 3-vector: {direction!r}")
+    d = tuple(float(x) for x in d)
+    # make_objective divides by the norm, sqrt(d . d): a d . d that
+    # underflows (to 0 or a subnormal) or overflows loses the ray
+    dd = sum(x * x for x in d)
+    if not (sys.float_info.min <= dd and math.isfinite(dd)):
+        raise ValueError(f"direction must be a finite nonzero 3-vector whose "
+                         f"squared norm is a normal double: {direction!r}")
+    return d
+
+
 @dataclass(frozen=True)
 class SearchConfig:
-    """Settings of one distribution search."""
+    """Settings of one score search."""
 
     alphabet_sizes: tuple[int, int, int, int] = (4, 4, 4, 4)
     restarts: int = 64
     budget_evals: int = 20_000
     master_seed: int = 1
     objective: str = "pipeline_score"
-    direction: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         sizes = _as_tuple(self.alphabet_sizes)
@@ -191,31 +211,12 @@ class SearchConfig:
                 raise ValueError(f"{name} must be a {kind} integer: {count!r}")
             object.__setattr__(self, name, int(count))
         _check_outcome_size(self.restarts, atoms, "restarts")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"objective {self.objective!r} not one of {OBJECTIVES}")
-        if self.direction is not None:
-            d = _as_tuple(self.direction)
-            if (len(d) != 3 or not all(map(_is_real, d))
-                    or not any(d) or not all(map(math.isfinite, d))):
-                raise ValueError(f"direction must be a finite nonzero 3-vector: "
-                                 f"{self.direction!r}")
-            d = tuple(float(x) for x in d)
-            # make_objective divides by the norm, sqrt(d . d): a d . d that
-            # underflows (to 0 or a subnormal) or overflows loses the ray
-            dd = sum(x * x for x in d)
-            if not (sys.float_info.min <= dd and math.isfinite(dd)):
-                raise ValueError(f"direction must be a finite nonzero 3-vector whose "
-                                 f"squared norm is a normal double: {self.direction!r}")
-            object.__setattr__(self, "direction", d)
-        if (self.direction is None) == (self.objective == "alpha_in_direction"):
-            raise ValueError(f"a direction goes with objective alpha_in_direction and "
-                             f"no other: objective {self.objective!r}, direction "
-                             f"{self.direction!r}")
+        if self.objective not in SCORE_OBJECTIVES:
+            raise ValueError(f"objective {self.objective!r} not one of {SCORE_OBJECTIVES}")
 
     def to_json(self) -> dict:
-        """The fields in order, tuples as lists; a None direction is left out."""
-        return {f.name: list(v) if isinstance(v, tuple) else v
-                for f in fields(self) if (v := getattr(self, f.name)) is not None}
+        """The fields in order, the alphabet sizes as a list."""
+        return {**asdict(self), "alphabet_sizes": list(self.alphabet_sizes)}
 
     @classmethod
     def from_json(cls, data: dict) -> "SearchConfig":
@@ -519,21 +520,22 @@ def _initial_theta(rng: np.random.Generator, dim: int, restart: int,
 
 
 def _run_restarts(chunk) -> list[tuple]:
-    """A contiguous run of seeded restarts, all on one alphabet, through one
+    """A contiguous run of seeded restarts of one config through one
     evaluator; module-level so process pools can pickle it.
 
-    ``chunk`` is (frame, jobs, init, collect) with jobs a list of
-    (config, restart) pairs.  Each outcome is (best value, best
-    distribution, evaluations, converged, collected weights or None); the
-    weights are the bytes of an (n, 4) float64 array, which compare bit for
-    bit and pickle as one buffer.
+    ``chunk`` is (config, frame, jobs, init, collect), jobs (direction,
+    restart) pairs, a None direction for the config's score.  Each outcome is
+    (best value, best distribution, evaluations, converged, collected weights
+    or None); the weights are the bytes of an (n, 4) float64 array, which
+    compare bit for bit and pickle as one buffer.
     """
-    frame, jobs, init, collect = chunk
-    evaluator = DistributionObjective(frame, jobs[0][0].alphabet_sizes)
+    cfg, frame, jobs, init, collect = chunk
+    evaluator = DistributionObjective(frame, cfg.alphabet_sizes)
     outcomes = []
-    for cfg, restart in jobs:
+    for direction, restart in jobs:
         collector = _Collector(cfg.budget_evals + evaluator.n_atoms + 1) if collect else None
-        objective = evaluator.make_objective(cfg.objective, cfg.direction, collector)
+        objective = evaluator.make_objective(
+            cfg.objective if direction is None else "alpha_in_direction", direction, collector)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, restart)))
         theta0 = _initial_theta(rng, evaluator.n_atoms, restart, init)
         best_theta, best_val, evals, converged = nelder_mead(
@@ -554,20 +556,19 @@ def _thread_count(threads: int | None) -> int:
     return max(1, min(int(threads), os.cpu_count() or 1))
 
 
-def _run_all_restarts(cfgs: Sequence[SearchConfig], frame: IngletonFrame,
-                      init: np.ndarray | None, collect: bool,
+def _run_all_restarts(cfg: SearchConfig, directions: Sequence[tuple | None],
+                      frame: IngletonFrame, init: np.ndarray | None, collect: bool,
                       threads: int | None) -> list[tuple]:
-    """The outcomes of every restart of each config in ``cfgs`` (all on one
-    alphabet), config by config and restart by restart.
-
-    The restarts are split into one contiguous chunk per worker, as even as
-    the count allows, and each chunk is one task; one worker runs them all
+    """The outcomes of every restart of ``cfg`` along each of ``directions``
+    (None for the config's score), direction by direction and restart by
+    restart.  The jobs are split into one contiguous chunk per worker, as even
+    as the count allows, and each chunk is one task; one worker runs them all
     in-process as one chunk.
     """
-    jobs = [(c, r) for c in cfgs for r in range(c.restarts)]
+    jobs = [(d, r) for d in directions for r in range(cfg.restarts)]
     workers = min(_thread_count(threads), len(jobs))
     cuts = [len(jobs) * k // workers for k in range(workers + 1)]
-    chunks = [(frame, jobs[lo:hi], init, collect) for lo, hi in zip(cuts, cuts[1:])]
+    chunks = [(cfg, frame, jobs[lo:hi], init, collect) for lo, hi in zip(cuts, cuts[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_restarts, chunks))
@@ -610,7 +611,7 @@ def optimize_distribution(cfg: SearchConfig, frame: IngletonFrame,
     depend on the degree of parallelism.
     """
     init_dense = None if init is None else _init_dense(init, cfg, frame)
-    outcomes = _run_all_restarts([cfg], frame, init_dense, collect=False,
+    outcomes = _run_all_restarts(cfg, [None], frame, init_dense, collect=False,
                                  threads=threads)
     best_restart, best_distribution, point = _best_restart(
         outcomes, cfg, frame, f"search/seed{cfg.master_seed}")
@@ -674,7 +675,8 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
     By default every evaluated point's weights are emitted (skipping
     near-degenerate evaluations), so the cloud density mirrors the search
     effort; ``optima_only`` keeps only the best point of each direction.
-    Every (direction, restart) search goes to one restart driver call, so a
+    Each direction must pass :func:`check_direction`; ``cfg.objective`` is
+    not read.  All (direction, restart) searches go to one driver call, so a
     cloud starts at most one process pool.  Each restart's weights come back
     as one buffer, tagged ``dir<d>(<direction>)/r<restart>``, and the
     :class:`Cloud` joins them in direction and restart order.  A cloud that
@@ -682,15 +684,15 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
     best distributions, is rejected before any search starts.
     """
     _check_cloud_size(len(directions), cfg, optima_only)
-    d_cfgs = [replace(cfg, objective="alpha_in_direction", direction=d) for d in directions]
-    outcomes = _run_all_restarts(d_cfgs, frame, None, collect=not optima_only,
+    directions = [check_direction(d) for d in directions]
+    outcomes = _run_all_restarts(cfg, directions, frame, None, collect=not optima_only,
                                  threads=threads)
     runs: list[tuple[str, bytes]] = []
-    for d_idx, d_cfg in enumerate(d_cfgs):
-        tag = "dir{}({:.6g},{:.6g},{:.6g})".format(d_idx, *d_cfg.direction)
+    for d_idx, direction in enumerate(directions):
+        tag = "dir{}({:.6g},{:.6g},{:.6g})".format(d_idx, *direction)
         own = outcomes[d_idx * cfg.restarts:(d_idx + 1) * cfg.restarts]
         if optima_only:
-            point = _best_restart(own, d_cfg, frame, tag)[2]
+            point = _best_restart(own, cfg, frame, tag)[2]
             if point is not None:
                 runs.append((point.source_tag, np.array(point.as_tuple()).tobytes()))
         else:

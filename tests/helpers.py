@@ -53,7 +53,7 @@ from entropy_toolkit.inequalities import CrossSectionHalfspace, LinearInequality
 from entropy_toolkit.search.engine import (
     DIRECTION_PENALTY,
     DistributionObjective,
-    SearchConfig,
+    check_direction,
     nelder_mead,
     softmax,
 )
@@ -866,7 +866,7 @@ def cloud_by_lists(directions, cfg, frame: IngletonFrame) -> list[CrossSectionPo
     evaluator = DistributionObjective(frame, cfg.alphabet_sizes)
     points = []
     for d_idx, direction in enumerate(directions):
-        d = SearchConfig(objective="alpha_in_direction", direction=direction).direction
+        d = check_direction(direction)
         tag = "dir{}({:.6g},{:.6g},{:.6g})".format(d_idx, *d)
         for r in range(cfg.restarts):
             collector: list = []

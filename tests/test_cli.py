@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, outputs, rerun determinism."""
 
 import argparse
+import csv
 import json
 import re
 import warnings
@@ -265,11 +266,15 @@ class TestMinimizeCommand:
         ({"master_seed": 2.5}, "master_seed"),
         ({"master_seed": "7"}, "master_seed"),
         ({"objective": "alpha_in_direction", "direction": [float("nan"), 0, 1]}, "finite"),
+        ({"objective": "alpha_in_direction"}, "not one of"),
     ])
     def test_bad_config_file_exits_2(self, capsys, tmp_path, fields, message):
         cfg = tmp_path / "cfg.json"
         doc = {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1, "budget_evals": 80,
                "master_seed": 3, **fields}
+        if "direction" in doc:
+            assert_direction_moved(capsys, tmp_path, doc, message)
+            return
         cfg.write_text(json.dumps(doc))
         code, _, err = run(capsys, "minimize", "--config", str(cfg))
         assert code == 2
@@ -341,6 +346,26 @@ class TestMinimizeCommand:
 
 def _no_search(*args, **kwargs):
     pytest.fail("a search started on a configuration the guard should reject")
+
+
+def assert_direction_moved(capsys, tmp_path, doc: dict, message: str) -> None:
+    """``minimize --config`` and ``cloud --config`` refuse a config document
+    with a direction, a cloud's setting, naming the file; the direction in a
+    ``--directions-file`` exits 2 with ``message``, naming that file."""
+    cfg, dirs, out = tmp_path / "moved.json", tmp_path / "dirs.json", tmp_path / "out"
+    cfg.write_text(json.dumps(doc))
+    dirs.write_text(json.dumps([doc["direction"]]))
+    for argv, path, expected in [
+            (["minimize", "--config", str(cfg)], cfg, "unknown config keys ['direction']"),
+            (["cloud", "--config", str(cfg), "--directions-file", str(dirs)], cfg,
+             "unknown config keys ['direction']"),
+            (["cloud", "--alphabet", "2,2,2,2", "--directions-file", str(dirs)], dirs,
+             message)]:
+        code, stdout, err = run(capsys, *argv, "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: ") and expected in err
+        assert not out.exists()
 
 
 class TestCloudHullOuter:
@@ -540,6 +565,74 @@ class TestSearchCommandGoldens:
         assert stdout.splitlines()[0] == f"cloud points   = {points}"
 
 
+class TestRaySearchMoved:
+    """A ray search runs as a one-direction optima-only cloud.  The weights
+    below are the best point that ``minimize --config`` wrote for
+    {"alphabet_sizes": [2, 2, 2, 2], "restarts": 2, "budget_evals": 120,
+    "master_seed": 3, "objective": "alpha_in_direction",
+    "direction": [0.2, -0.5, 0.8]} while a config could carry a direction."""
+
+    BEST = ("-0x1.b863faa706800p-7", "0x1.0bf92e8e25748p-2",
+            "0x1.3446aa688db00p-6", "0x1.7742c35044f24p-1")
+
+    def test_cloud_writes_the_ray_search_optimum(self, capsys, tmp_path):
+        dirs, out = tmp_path / "dirs.json", tmp_path / "cloud.csv"
+        dirs.write_text("[[0.2, -0.5, 0.8]]")
+        code, _, _ = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "2",
+                         "--budget", "120", "--seed", "3", "--optima-only",
+                         "--directions-file", str(dirs), "-o", str(out))
+        assert code == 0
+        header, row = csv.reader(out.read_text().splitlines())
+        *weights, tag = row
+        assert tuple(float(w).hex() for w in weights) == self.BEST
+        assert tag == "dir0(0.2,-0.5,0.8)/r0"
+
+    def test_config_direction_exits_two(self, capsys, tmp_path, monkeypatch):
+        cfg, out = tmp_path / "ray.json", tmp_path / "res.json"
+        cfg.write_text(json.dumps({"alphabet_sizes": [2, 2, 2, 2], "restarts": 2,
+                                   "budget_evals": 120, "master_seed": 3,
+                                   "objective": "alpha_in_direction",
+                                   "direction": [0.2, -0.5, 0.8]}))
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        code, stdout, err = run(capsys, "minimize", "--config", str(cfg), "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {cfg}: unknown config keys ['direction']")
+        assert not out.exists()
+
+
+class TestDirectionsFileRule:
+    """Every entry the direction rule rejects exits 2 with one line that
+    names the directions file, before any search and without an output file."""
+
+    @pytest.mark.parametrize("entry, message", [
+        ("[NaN, 0, 1]", "finite"),
+        ("[1, Infinity, 0]", "finite"),
+        ("[0, 0, -Infinity]", "finite"),
+        ("[true, false, false]", "3-vector"),
+        ("[1.0, 0.0, true]", "3-vector"),
+        ("[0, 0, 0]", "finite nonzero"),
+        ("[1, 0]", "3-vector"),
+        ('["1", 0, 1]', "3-vector"),
+        ("[null, 0, 1]", "3-vector"),
+        ("[1e-200, 0, 0]", "squared norm is a normal double"),
+        ("[1e-160, 0, 0]", "squared norm is a normal double"),
+        ("[1e200, 0, 0]", "squared norm is a normal double"),
+        ("[1e154, 1e154, 1e154]", "squared norm is a normal double"),
+    ])
+    def test_exits_two(self, capsys, tmp_path, monkeypatch, entry, message):
+        dirs, out = tmp_path / "dirs.json", tmp_path / "cloud.csv"
+        dirs.write_text(f"[[1, 0, 0], {entry}]")
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        code, stdout, err = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "1",
+                                "--budget", "20", "--directions-file", str(dirs),
+                                "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {dirs}: direction must be a ") and message in err
+        assert not out.exists()
+
+
 class TestIgnoredFlags:
     """A flag the command would not read is an error, not silently dropped."""
 
@@ -601,13 +694,11 @@ class TestConfigKeysReadByTheCommand:
     SEARCH = {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1, "budget_evals": 20}
 
     @pytest.mark.parametrize("command, doc, message", [
-        ("minimize", {"objective": "raw_score", "direction": [1, 0, 0]},
-         "a direction goes with objective alpha_in_direction and no other"),
-        ("cloud", {"objective": "raw_score", "direction": [1, 0, 0]},
-         "a direction goes with objective alpha_in_direction and no other"),
+        ("minimize", {"objective": "alpha_in_direction", "direction": [1, 0, 0]},
+         "unknown config keys ['direction']"),
+        ("cloud", {"direction": [1, 0, 0]}, "unknown config keys ['direction']"),
         ("cloud", {"objective": "raw_score"}, "reads no objective: 'raw_score'"),
-        ("cloud", {"objective": "alpha_in_direction", "direction": [1, 0, 0]},
-         "reads no objective: 'alpha_in_direction'"),
+        ("cloud", {"objective": "alpha_in_direction"}, "'alpha_in_direction' not one of"),
     ])
     def test_exits_two(self, capsys, tmp_path, monkeypatch, command, doc, message):
         cfg, out = tmp_path / "c.json", tmp_path / "out"
@@ -681,6 +772,9 @@ class TestMalformedDocuments:
         if isinstance(doc, dict):
             doc = {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1, "budget_evals": 40,
                    **doc}
+        if "direction" in doc:
+            assert_direction_moved(capsys, tmp_path, doc, message)
+            return
         cfg.write_text(json.dumps(doc))
         code, _, err = run(capsys, "minimize", "--config", str(cfg), "-o", str(out))
         assert code == 2
@@ -1110,14 +1204,11 @@ class TestPerCommandParser:
 class TestOverflowingInput:
     @pytest.mark.parametrize("direction", [[1e-200, 0, 0], [1e200, 0, 0]])
     def test_config_direction_exits_two(self, capsys, tmp_path, direction):
-        cfg, out = tmp_path / "cfg.json", tmp_path / "res.json"
-        cfg.write_text(json.dumps({"alphabet_sizes": [2, 2, 2, 2], "restarts": 1,
-                                   "budget_evals": 40, "objective": "raw_score",
-                                   "direction": direction}))
-        code, _, err = run(capsys, "minimize", "--config", str(cfg), "-o", str(out))
-        assert code == 2
-        assert "squared norm is a normal double" in err
-        assert not out.exists()
+        assert_direction_moved(capsys, tmp_path,
+                               {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1,
+                                "budget_evals": 40, "objective": "raw_score",
+                                "direction": direction},
+                               "squared norm is a normal double")
 
     def test_directions_file_exits_two(self, capsys, tmp_path):
         dirs, out = tmp_path / "dirs.json", tmp_path / "cloud.csv"
@@ -1155,11 +1246,7 @@ class TestBooleanNumbers:
         assert out == ""
 
     def test_boolean_config_direction_exits_two(self, capsys, tmp_path):
-        cfg, out = tmp_path / "cfg.json", tmp_path / "res.json"
-        cfg.write_text(json.dumps({"alphabet_sizes": [2, 2, 2, 2], "restarts": 1,
-                                   "budget_evals": 40, "objective": "raw_score",
-                                   "direction": [True, False, False]}))
-        code, _, err = run(capsys, "minimize", "--config", str(cfg), "-o", str(out))
-        assert code == 2
-        assert "3-vector" in err
-        assert not out.exists()
+        assert_direction_moved(capsys, tmp_path,
+                               {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1,
+                                "budget_evals": 40, "objective": "raw_score",
+                                "direction": [True, False, False]}, "3-vector")

@@ -33,6 +33,7 @@ from entropy_toolkit import (
 )
 from entropy_toolkit import core
 from entropy_toolkit.cli import _cloud_array, _read_cloud_csv, _write_cloud_csv, main
+from entropy_toolkit.search.engine import check_direction
 
 FOUND_BANK = [{"name": "x", "abcd": ["1", True, 0, "1e0"]}]
 
@@ -182,25 +183,31 @@ class TestSearchConfigJson:
     counts = st.integers(1, 50) | not_numbers | st.sampled_from([3.0])
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(sizes, min_size=4, max_size=4), st.lists(directions, min_size=3,
-                                                             max_size=3),
-           counts, counts)
-    def test_only_numbers_accepted(self, alphabet, direction, restarts, seed):
-        doc = {"alphabet_sizes": alphabet, "direction": direction, "restarts": restarts,
-               "master_seed": seed, "objective": "alpha_in_direction"}
+    @given(st.lists(sizes, min_size=4, max_size=4), counts, counts)
+    def test_only_numbers_accepted(self, alphabet, restarts, seed):
+        doc = {"alphabet_sizes": alphabet, "restarts": restarts, "master_seed": seed,
+               "objective": "raw_score"}
         integral = [*alphabet, restarts, seed]
         valid = (all(isinstance(x, int) and not isinstance(x, bool) for x in integral)
                  and all(1 <= s <= 11 for s in alphabet) and max(alphabet) >= 2
-                 and restarts >= 1 and seed >= 0
-                 and all(map(is_number, direction)) and any(direction))
+                 and restarts >= 1 and seed >= 0)
         if valid:
             cfg = SearchConfig.from_json(doc)
             assert cfg.alphabet_sizes == tuple(alphabet)
-            assert cfg.direction == tuple(map(float, direction))
             assert SearchConfig.from_json(json.loads(json.dumps(cfg.to_json()))) == cfg
         else:
             with pytest.raises(ValueError):
                 SearchConfig.from_json(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(directions, min_size=3, max_size=3))
+    def test_direction_only_numbers_accepted(self, direction):
+        """A directions-file entry, read by the one direction rule."""
+        if all(map(is_number, direction)) and any(direction):
+            assert check_direction(direction) == tuple(map(float, direction))
+        else:
+            with pytest.raises(ValueError, match="3-vector"):
+                check_direction(direction)
 
 
 # --- CSV readers -------------------------------------------------------------------
@@ -326,8 +333,9 @@ class TestCommandLine:
         ("outer", [{"name": "big", "abcd": [10 ** 400, 1, 0, 1]}]),
         ("entropy", {"labels": ["i"], "alphabet_sizes": [1],
                      "atoms": [{"config": [0], "prob": 10 ** 400}]}),
-        ("minimize", {"alphabet_sizes": [2, 2, 2, 2], "restarts": 1, "budget_evals": 10,
-                      "objective": "raw_score", "direction": [-10 ** 400, 0, 0]}),
+        ("minimize", {"alphabet_sizes": [-10 ** 400, 2, 2, 2], "restarts": 1,
+                      "budget_evals": 10}),
+        ("cloud", [[-10 ** 400, 0, 0]]),
     ])
     def test_integer_too_large_for_a_double(self, capsys, tmp_path, command, doc):
         """Exits 2 with the reader's message and the file name, not only
@@ -335,11 +343,14 @@ class TestCommandLine:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         argv = {"outer": ["--ineq-file", str(path)],
-                "minimize": ["--config", str(path)]}.get(command, [str(path)])
+                "minimize": ["--config", str(path)],
+                "cloud": ["--directions-file", str(path), "-o", str(tmp_path / "c.csv")],
+                }.get(command, [str(path)])
         message = {"check": "malformed set-function document",
                    "outer": "malformed halfspace document",
                    "entropy": "malformed distribution document",
-                   "minimize": "direction must be a finite nonzero 3-vector"}[command]
+                   "minimize": "alphabet sizes must be four integers",
+                   "cloud": "direction must be a finite nonzero 3-vector"}[command]
         code, out, err = run(capsys, command, *argv)
         assert code == 2
         assert out == ""

@@ -35,6 +35,7 @@ from entropy_toolkit.search.engine import (
     MAX_ATOMS,
     SCORE_OBJECTIVES,
     DistributionObjective,
+    check_direction,
     nelder_mead,
     restart_seed,
     softmax,
@@ -105,16 +106,17 @@ class TestSearchConfig:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(objective="nope")
-        with pytest.raises(ValueError):
+        # the ray objective belongs to cloud directions, not to a config
+        with pytest.raises(ValueError, match="not one of"):
             SearchConfig(objective="alpha_in_direction")
 
     def test_json_roundtrip(self):
         cfg = SearchConfig(alphabet_sizes=(2, 3, 2, 2), restarts=3,
-                           budget_evals=100, master_seed=7,
-                           objective="alpha_in_direction",
-                           direction=(1.0, 0.0, 0.5))
+                           budget_evals=100, master_seed=7, objective="raw_score")
         assert SearchConfig.from_json(cfg.to_json()) == cfg
-        assert list(cfg.to_json()) == [f.name for f in fields(SearchConfig)]
+        assert list(cfg.to_json()) == [f.name for f in fields(SearchConfig)] == [
+            "alphabet_sizes", "restarts", "budget_evals", "master_seed", "objective"]
+        assert cfg.to_json()["alphabet_sizes"] == [2, 3, 2, 2]
 
 
 class TestDistributionObjective:
@@ -753,6 +755,15 @@ class TestSearchConfigCounts:
             SearchConfig.from_json({field: value})
 
 
+def assert_direction_moved(doc: dict, match: str) -> None:
+    """A config document refuses a direction, a cloud's setting, and the
+    direction rule rejects its value with ``match``."""
+    with pytest.raises(ValueError, match=r"unknown config keys \['direction'\]"):
+        SearchConfig.from_json(doc)
+    with pytest.raises(ValueError, match=match):
+        check_direction(doc["direction"])
+
+
 class TestSearchConfigInputs:
     @pytest.mark.parametrize("kwargs, match", [
         ({"alphabet_sizes": (2.7, 2, 2, 2)}, "four integers"),
@@ -763,11 +774,14 @@ class TestSearchConfigInputs:
         ({"master_seed": "7"}, "master_seed"),
         ({"master_seed": True}, "master_seed"),
         ({"master_seed": -1}, "master_seed"),
-        ({"objective": "alpha_in_direction", "direction": (math.nan, 0.0, 0.0)}, "finite"),
-        ({"objective": "alpha_in_direction", "direction": (1.0, math.inf, 0.0)}, "finite"),
-        ({"objective": "alpha_in_direction", "direction": (0.0, 0.0, -math.inf)}, "finite"),
+        ({"direction": (math.nan, 0.0, 0.0)}, "finite"),
+        ({"direction": (1.0, math.inf, 0.0)}, "finite"),
+        ({"direction": (0.0, 0.0, -math.inf)}, "finite"),
     ])
     def test_rejected(self, kwargs, match):
+        if "direction" in kwargs:
+            assert_direction_moved(kwargs, match)
+            return
         with pytest.raises(ValueError, match=match):
             SearchConfig(**kwargs)
         with pytest.raises(ValueError, match=match):
@@ -862,12 +876,12 @@ class TestSearchConfigWireFormat:
         ({"direction": 5}, "3-vector"),
         ({"direction": [None, 0.0, 1.0]}, "3-vector"),
         ({"direction": ["1", 0.0, 1.0]}, "3-vector"),
-        ({"objective": "raw_score", "direction": [1.0, 0.0, 0.0]},
-         "direction goes with objective alpha_in_direction and no other"),
-        ({"direction": [1.0, 0.0, 0.0]}, "objective 'pipeline_score'"),
-        ({"objective": "alpha_in_direction"}, "direction None"),
+        ({"objective": "alpha_in_direction"}, "'alpha_in_direction' not one of"),
     ])
     def test_rejected(self, doc, match):
+        if "direction" in doc:
+            assert_direction_moved({**self.BASE, **doc}, match)
+            return
         with pytest.raises(ValueError, match=match):
             SearchConfig.from_json({**self.BASE, **doc})
 
@@ -877,17 +891,48 @@ class TestSearchConfigWireFormat:
             SearchConfig.from_json(doc)
 
     def test_direction_normalized_once(self):
-        cfg = SearchConfig.from_json({**self.BASE, "objective": "alpha_in_direction",
-                                      "direction": [1, 0, 2]})
-        assert cfg.direction == (1.0, 0.0, 2.0)
+        """A direction is read once into floats, by the direction rule; a
+        config document refuses it."""
+        d = check_direction([1, 0, np.float32(2)])
+        assert d == (1.0, 0.0, 2.0) and all(type(x) is float for x in d)
+        assert check_direction(d) == d
+        with pytest.raises(ValueError, match=r"unknown config keys \['direction'\]"):
+            SearchConfig.from_json({**self.BASE, "direction": [1, 0, 2]})
+        cfg = SearchConfig.from_json(self.BASE)
         assert cfg.alphabet_sizes == (2, 2, 2, 2)
         assert SearchConfig.from_json(cfg.to_json()) == cfg
 
 
+class TestCheckDirection:
+    """The one direction rule, which ``generate_cloud`` and a
+    ``--directions-file`` apply: a finite nonzero 3-vector of reals, no
+    booleans, whose squared norm is a normal double."""
+
+    @pytest.mark.parametrize("direction, match", [
+        ((math.nan, 0.0, 0.0), "finite"),
+        ((1.0, math.inf, 0.0), "finite"),
+        ((0.0, 0.0, 0.0), "finite nonzero"),
+        ([0, -0.0, 0], "finite nonzero"),
+        ([1.0, 0.0, 0.0, 0.0], "3-vector"),
+        ([True, 0.0, 0.0], "3-vector"),
+        ((1e-200, 0.0, 0.0), "squared norm is a normal double"),
+        ((1e200, 0.0, 0.0), "squared norm is a normal double"),
+    ])
+    def test_generate_cloud_rejects_first(self, frame, monkeypatch, direction, match):
+        with pytest.raises(ValueError, match=match):
+            check_direction(direction)
+        monkeypatch.setattr(engine, "_run_all_restarts", lambda *a, **k: pytest.fail(
+            "a search started along a direction the rule rejects"))
+        with pytest.raises(ValueError, match=match):
+            generate_cloud([(0.0, 0.0, 1.0), direction],
+                           SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=1,
+                                        budget_evals=20), frame)
+
+
 class TestRestartTasks:
     CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=3, budget_evals=120,
-                       master_seed=5, objective="alpha_in_direction",
-                       direction=(0.2, 0.3, 0.5))
+                       master_seed=5)
+    DIRECTION = (0.2, 0.3, 0.5)
 
     def test_config_and_frame_pickle(self):
         frame = IngletonFrame(GroundSet("abcd"), "c", "a", "d", "b")
@@ -912,10 +957,12 @@ class TestRestartTasks:
                 return [pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(t)))))
                         for t in items]
 
-        serial = engine._run_all_restarts([self.CFG], frame, None, True, threads=1)
+        serial = engine._run_all_restarts(self.CFG, [self.DIRECTION], frame, None, True,
+                                          threads=1)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(engine, "ProcessPoolExecutor", PicklingPool)
-        pooled = engine._run_all_restarts([self.CFG], frame, None, True, threads=2)
+        pooled = engine._run_all_restarts(self.CFG, [self.DIRECTION], frame, None, True,
+                                          threads=2)
         for (v1, p1, e1, c1, w1), (v2, p2, e2, c2, w2) in zip(serial, pooled, strict=True):
             assert (v1, e1, c1, w1) == (v2, e2, c2, w2)
             assert np.array_equal(p1, p2)
@@ -929,7 +976,7 @@ class PicklingPool(FakePool):
 
     def map(self, fn, items):
         items = list(items)
-        PicklingPool.tasks.append([[r for _, r in jobs] for _, jobs, _, _ in items])
+        PicklingPool.tasks.append([[r for _, r in jobs] for _, _, jobs, _, _ in items])
         return [pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(t)))))
                 for t in items]
 
@@ -940,8 +987,8 @@ class TestChunkDriver:
     to the serial ones."""
 
     CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=5, budget_evals=90,
-                       master_seed=17, objective="alpha_in_direction",
-                       direction=(0.1, -0.4, 0.9))
+                       master_seed=17)
+    DIRECTION = (0.1, -0.4, 0.9)
 
     @pytest.fixture
     def setups(self, monkeypatch):
@@ -965,10 +1012,11 @@ class TestChunkDriver:
     ])
     def test_chunks_give_serial_outcomes(self, frame, setups, restarts, threads, chunks):
         cfg = replace(self.CFG, restarts=restarts)
-        serial = engine._run_all_restarts([cfg], frame, None, True, threads=1)
+        serial = engine._run_all_restarts(cfg, [self.DIRECTION], frame, None, True, threads=1)
         assert len(setups) == 1 and FakePool.requested == []
         setups.clear()
-        pooled = engine._run_all_restarts([cfg], frame, None, True, threads=threads)
+        pooled = engine._run_all_restarts(cfg, [self.DIRECTION], frame, None, True,
+                                          threads=threads)
         workers = len(chunks)
         assert FakePool.requested == [workers]
         assert PicklingPool.tasks == [chunks]
@@ -976,6 +1024,21 @@ class TestChunkDriver:
         for (v1, p1, e1, c1, w1), (v2, p2, e2, c2, w2) in zip(serial, pooled, strict=True):
             assert (v1.hex(), e1, c1, w1) == (v2.hex(), e2, c2, w2)
             assert p1.tobytes() == p2.tobytes()
+
+    def test_one_config_per_chunk(self, frame, monkeypatch):
+        """A search's jobs carry no direction and a cloud's carry its
+        directions; either way the chunk holds the one config as given."""
+        chunks = []
+        run = engine._run_restarts
+        monkeypatch.setattr(engine, "_run_restarts",
+                            lambda chunk: chunks.append(chunk) or run(chunk))
+        cfg = replace(self.CFG, restarts=2, objective="raw_score")
+        optimize_distribution(cfg, frame, threads=1)
+        generate_cloud([self.DIRECTION, [0, 0, 1]], cfg, frame, threads=1)
+        (search_cfg, _, search_jobs, _, _), (cloud_cfg, _, cloud_jobs, _, _) = chunks
+        assert search_cfg is cfg and search_jobs == [(None, 0), (None, 1)]
+        assert cloud_cfg is cfg and cloud_jobs == [
+            (self.DIRECTION, 0), (self.DIRECTION, 1), ((0.0, 0.0, 1.0), 0), ((0.0, 0.0, 1.0), 1)]
 
     def test_cloud_starts_one_pool(self, frame, setups):
         directions = sphere_directions(3, seed=5)
@@ -1161,15 +1224,14 @@ class TestDirectionNormRange:
     ])
     def test_rejected(self, direction):
         with pytest.raises(ValueError, match="squared norm is a normal double"):
-            SearchConfig(objective="alpha_in_direction", direction=direction)
+            check_direction(direction)
         with pytest.raises(ValueError, match="squared norm is a normal double"):
-            SearchConfig.from_json({"objective": "raw_score", "direction": list(direction)})
+            check_direction(list(direction))
 
     @pytest.mark.parametrize("direction", [(1e-150, 0.0, 0.0), (1e150, 0.0, 0.0),
                                            (0.0, -3e-154, 0.0)])
     def test_extreme_but_normal_accepted(self, direction):
-        cfg = SearchConfig(objective="alpha_in_direction", direction=direction)
-        assert cfg.direction == direction
+        assert check_direction(direction) == direction
 
     def test_scaled_direction_gives_the_same_objective(self, frame, rng):
         """A direction accepted at an extreme scale evaluates like the unit one."""
@@ -1177,15 +1239,18 @@ class TestDirectionNormRange:
         p = rng.dirichlet(np.ones(16))
         unit = ev.make_objective("alpha_in_direction", (1.0, 0.0, 0.0))(p)
         for scale in (1e-150, 1e150):
-            cfg = SearchConfig(objective="alpha_in_direction", direction=(scale, 0.0, 0.0))
-            assert ev.make_objective(cfg.objective, cfg.direction)(p) == unit
+            d = check_direction((scale, 0.0, 0.0))
+            assert ev.make_objective("alpha_in_direction", d)(p) == unit
 
 
 class TestSearchConfigBooleanDirection:
     @pytest.mark.parametrize("direction", [[True, False, False], [1.0, 0.0, True]])
     def test_rejected(self, direction):
-        """JSON true is not the number 1, as in alphabet_sizes."""
+        """JSON true is not the number 1, as in alphabet_sizes; a config has
+        no direction at all."""
         with pytest.raises(ValueError, match="3-vector"):
-            SearchConfig(objective="alpha_in_direction", direction=tuple(direction))
+            check_direction(tuple(direction))
         with pytest.raises(ValueError, match="3-vector"):
+            check_direction(direction)
+        with pytest.raises(ValueError, match=r"unknown config keys \['direction'\]"):
             SearchConfig.from_json({"objective": "raw_score", "direction": direction})
