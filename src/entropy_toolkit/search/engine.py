@@ -19,8 +19,8 @@ of section weights and its source tags as (tag, count) runs, read through
 ``len`` and iteration; about 32 B per point
 (``CLOUD_POINT_BYTES`` = 80 B bounds the peak, 64.6 B measured).  Each
 restart's collector writes its evaluations' weights into one buffer of
-budget + atoms + 1 rows, so no per-point object exists until a point is
-read.  The default ``cloud`` (8 directions x 64 restarts at 4^4, budget
+budget + atoms + 1 rows and keeps the rows inside the tetrahedron, so no
+per-point object exists until a point is read.  The default ``cloud`` (8 directions x 64 restarts at 4^4, budget
 20,000) holds at most 10,371,584 points, 791 MiB at that bound, within
 ``MAX_CLOUD_MIB``; at about 11,500 evaluations per second it runs about
 15 minutes on one worker.
@@ -346,12 +346,12 @@ class _Collector:
         self.count += 1
 
     def kept(self) -> bytes:
-        """The bytes of the rows that sum to 1 within 1e-9, in order: the
-        rows of near-degenerate evaluations fail that invariant.  A row sum
-        along axis 1 adds the four weights in the order ``np.add.reduce``
-        adds one row."""
+        """The bytes of the rows inside the tetrahedron, in order: four
+        weights >= 0 that sum to 1 within 1e-9 (the rows of near-degenerate
+        evaluations fail the sum).  A row sum along axis 1 adds the four
+        weights in the order ``np.add.reduce`` adds one row."""
         rows = self.rows[:self.count]
-        keep = np.abs(np.add.reduce(rows, axis=1) - 1.0) <= 1e-9
+        keep = (np.abs(np.add.reduce(rows, axis=1) - 1.0) <= 1e-9) & (rows >= 0.0).all(axis=1)
         return (rows if keep.all() else rows[keep]).tobytes()
 
 
@@ -672,9 +672,9 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
                    threads: int | None = None) -> Cloud:
     """One alpha-maximization per direction; emit the visited section points.
 
-    By default every evaluated point's weights are emitted (skipping
-    near-degenerate evaluations), so the cloud density mirrors the search
-    effort; ``optima_only`` keeps only the best point of each direction.
+    By default every evaluated point inside the tetrahedron is emitted
+    (skipping near-degenerate evaluations), so the cloud density mirrors the
+    search effort; ``optima_only`` keeps only the best point of each direction.
     Each direction must pass :func:`check_direction`; ``cfg.objective`` is
     not read.  All (direction, restart) searches go to one driver call, so a
     cloud starts at most one process pool.  Each restart's weights come back

@@ -448,10 +448,13 @@ def entropy_vector_by_tile(evaluator: DistributionObjective, p: np.ndarray) -> n
 def alpha_objective_by_norm(evaluator: DistributionObjective, direction,
                             collector: list | None = None) -> Callable[[np.ndarray], float]:
     """Reference: the alpha-in-direction objective with ``np.linalg.norm``
-    distances and a collector that converts weights one float at a time."""
+    distances and a collector that converts weights one float at a time and
+    keeps those inside the tetrahedron."""
     def emit(w: np.ndarray | None) -> None:
         if w is not None and abs(float(w.sum()) - 1.0) <= 1e-9:
-            collector.append(tuple(float(x) for x in w))
+            point = tuple(float(x) for x in w)
+            if min(point) >= 0.0:
+                collector.append(point)
 
     d = np.asarray(direction, dtype=float)
     d = d / np.linalg.norm(d)

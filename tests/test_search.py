@@ -470,11 +470,21 @@ class TestCloud:
                        budget_evals=120, master_seed=9,
                        objective="pipeline_score")
 
-    def test_cloud_emits_every_evaluation(self, frame):
-        cloud = generate_cloud([(0.0, 0.0, 1.0)], self.CFG, frame)
-        assert len(cloud) >= 200  # both restarts' evaluations
-        for pt in list(cloud)[::17]:
-            assert pt.weight_sum == pytest.approx(1.0, abs=1e-9)
+    def test_cloud_emits_every_evaluation(self, frame, monkeypatch):
+        """Every evaluation whose weights lie in the tetrahedron, in order."""
+        emitted = []
+        append = engine._Collector.append
+
+        def spy(self, w):
+            emitted.append(w.copy())
+            append(self, w)
+        monkeypatch.setattr(engine._Collector, "append", spy)
+        cloud = generate_cloud([(0.0, 0.0, 1.0)], self.CFG, frame, threads=1)
+        assert len(emitted) >= 200  # both restarts' evaluations
+        inside = [w for w in emitted
+                  if w.min() >= 0.0 and abs(np.add.reduce(w) - 1.0) <= 1e-9]
+        assert 0 < len(cloud) == len(inside) < len(emitted)
+        assert cloud.weights.tobytes() == np.array(inside).tobytes()
 
     def test_optima_only(self, frame):
         cloud = generate_cloud([(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)],
@@ -537,6 +547,22 @@ class TestCloud:
         c1 = generate_cloud([(0.0, 1.0, 0.0)], self.CFG, frame)
         c2 = generate_cloud([(0.0, 1.0, 0.0)], self.CFG, frame)
         assert [p.as_tuple() for p in c1] == [p.as_tuple() for p in c2]
+
+    @pytest.mark.parametrize("seed", [1, 1009])
+    def test_hull_inside_the_outer_region(self, frame, seed):
+        """At the benchmark's cloud settings every point lies in the
+        tetrahedron, and the hull of the cloud (an inner bound) lies inside
+        the outer region of the DFZ bank up to s = 20."""
+        from entropy_toolkit import convex_hull_3d, default_halfspace_bank
+        cfg = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=2, budget_evals=400,
+                           master_seed=seed)
+        cloud = generate_cloud(sphere_directions(8, seed=seed), cfg, frame, threads=1)
+        assert len(cloud) > 3000
+        assert (cloud.weights >= 0.0).all()
+        poly = convex_hull_3d(cloud.weights)
+        assert poly.dim == 3
+        margins = [hs.margin(v) for hs in default_halfspace_bank(20) for v in poly.vertices]
+        assert min(margins) >= -1e-7
 
 
 class TestThreadEnvironment:
@@ -642,19 +668,21 @@ class TestSearchGoldens:
              0.43432389803394433), abs=1e-13)
 
     def test_generate_cloud(self, frame):
-        cfg = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=1, budget_evals=60,
+        """206 of the 400 evaluated points lie in the tetrahedron; the rows
+        kept are those rows of the unfiltered cloud, bit for bit."""
+        cfg = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=1, budget_evals=200,
                            master_seed=5)
         cloud = generate_cloud(sphere_directions(2, seed=5), cfg, frame, threads=1)
-        assert len(cloud) == 120
+        assert len(cloud) == 206
         assert [[w.hex() for w in row] for row in cloud.weights[:3].tolist()] == [
-            ["-0x1.c2f6b577730e1p+0", "0x1.115902ea9a5ccp-1",
-             "0x1.6d595294e27a8p+0", "0x1.99e1c2da86cbbp-1"],
-            ["-0x1.d8544598fd16cp+0", "0x1.1ad8b472c77b6p-1",
-             "0x1.6a24a8ec573b8p+0", "0x1.c18684e6843bap-1"],
-            ["-0x1.ca9136ee0cbacp+0", "0x1.192c42b444f74p-1",
-             "0x1.6fd159c0d06c4p+0", "0x1.9c5377a633a54p-1"]]
-        assert cloud.runs == (("dir0(-0.25621,0.0925889,0.962177)/r0", 60),
-                              ("dir1(0.55661,-0.829772,0.0407944)/r0", 60))
+            ["0x1.1336b80c53a2ap-6", "0x1.df2797032cec1p-3",
+             "0x1.6fbb2bfaec531p-3", "0x1.23ad99801713cp-1"],
+            ["0x1.a785ce8e4589cp-8", "0x1.57b26df4b8dccp-4",
+             "0x1.21ac7242f56f4p-2", "0x1.40e46d82d1a22p-1"],
+            ["0x1.23b3e7ad6d44bp-7", "0x1.3851285ef4980p-4",
+             "0x1.07aa930c83595p-2", "0x1.5091c1cf2a0b1p-1"]]
+        assert cloud.runs == (("dir0(-0.25621,0.0925889,0.962177)/r0", 83),
+                              ("dir1(0.55661,-0.829772,0.0407944)/r0", 123))
         assert [p.source_tag for p in cloud] == [tag for tag, n in cloud.runs for _ in range(n)]
 
     @pytest.mark.parametrize("sizes, value, evals, dense", [
@@ -1058,10 +1086,10 @@ class TestChunkDriver:
         """A fork pool of two workers, whatever the CPU count of the host."""
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         directions = sphere_directions(3, seed=8)
-        cfg = replace(self.CFG, restarts=2)
+        cfg = replace(self.CFG, restarts=2, budget_evals=200)
         serial = generate_cloud(directions, cfg, frame, threads=1)
         pooled = generate_cloud(directions, cfg, frame, threads=2)
-        assert len(serial) > 300
+        assert len(serial) > 150
         assert [(p.as_tuple(), p.source_tag) for p in pooled] == \
             [(p.as_tuple(), p.source_tag) for p in serial]
 
@@ -1085,7 +1113,7 @@ class TestCloudContract:
         cloud = generate_cloud(directions, self.CFG, frame, threads=threads)
         assert isinstance(cloud, engine.Cloud)
         ref = cloud_by_lists(directions, self.CFG, frame)
-        assert len(cloud) == len(ref) > 600
+        assert len(cloud) == len(ref) > 150
         assert hexed_points(cloud) == hexed_points(ref)
         assert [tag for tag, _ in cloud.runs] == list(dict.fromkeys(p.source_tag for p in ref))
 
@@ -1116,7 +1144,8 @@ class TestCloudContract:
 
     def test_batched_sum_test_keeps_the_per_row_rows(self):
         """The collector's row sums add each row's weights as the per-row
-        ``np.add.reduce`` does, so the 1e-9 test keeps the same rows."""
+        ``np.add.reduce`` does, so the 1e-9 test keeps the same rows; of
+        those, it keeps the rows with no negative weight."""
         rng = np.random.default_rng(3)
         rows = rng.normal(size=(20_000, 4)) * rng.uniform(0.0, 8.0, size=(20_000, 1))
         rows[:, 3] = 1.0 - rows[:, :3].sum(axis=1)
@@ -1126,7 +1155,8 @@ class TestCloudContract:
         collector = engine._Collector(len(rows) + 3)
         for row in rows:
             collector.append(row)
-        kept = [row for row in rows if abs(float(np.add.reduce(row)) - 1.0) <= 1e-9]
+        kept = [row for row in rows
+                if abs(float(np.add.reduce(row)) - 1.0) <= 1e-9 and min(row) >= 0.0]
         assert 0 < len(kept) < len(rows)
         assert collector.kept() == np.array(kept).tobytes()
 
