@@ -570,7 +570,8 @@ class TestRaySearchMoved:
     below are the best point that ``minimize --config`` wrote for
     {"alphabet_sizes": [2, 2, 2, 2], "restarts": 2, "budget_evals": 120,
     "master_seed": 3, "objective": "alpha_in_direction",
-    "direction": [0.2, -0.5, 0.8]} while a config could carry a direction."""
+    "direction": [0.2, -0.5, 0.8]} while a config could carry a direction;
+    ``TestConfigKeysReadByTheCommand`` checks that such a config now exits 2."""
 
     BEST = ("-0x1.b863faa706800p-7", "0x1.0bf92e8e25748p-2",
             "0x1.3446aa688db00p-6", "0x1.7742c35044f24p-1")
@@ -586,19 +587,6 @@ class TestRaySearchMoved:
         *weights, tag = row
         assert tuple(float(w).hex() for w in weights) == self.BEST
         assert tag == "dir0(0.2,-0.5,0.8)/r0"
-
-    def test_config_direction_exits_two(self, capsys, tmp_path, monkeypatch):
-        cfg, out = tmp_path / "ray.json", tmp_path / "res.json"
-        cfg.write_text(json.dumps({"alphabet_sizes": [2, 2, 2, 2], "restarts": 2,
-                                   "budget_evals": 120, "master_seed": 3,
-                                   "objective": "alpha_in_direction",
-                                   "direction": [0.2, -0.5, 0.8]}))
-        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
-        code, stdout, err = run(capsys, "minimize", "--config", str(cfg), "-o", str(out))
-        assert (code, stdout) == (2, "")
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"error: {cfg}: unknown config keys ['direction']")
-        assert not out.exists()
 
 
 class TestDirectionsFileRule:

@@ -1276,11 +1276,5 @@ class TestDirectionNormRange:
 class TestSearchConfigBooleanDirection:
     @pytest.mark.parametrize("direction", [[True, False, False], [1.0, 0.0, True]])
     def test_rejected(self, direction):
-        """JSON true is not the number 1, as in alphabet_sizes; a config has
-        no direction at all."""
-        with pytest.raises(ValueError, match="3-vector"):
-            check_direction(tuple(direction))
-        with pytest.raises(ValueError, match="3-vector"):
-            check_direction(direction)
-        with pytest.raises(ValueError, match=r"unknown config keys \['direction'\]"):
-            SearchConfig.from_json({"objective": "raw_score", "direction": direction})
+        """JSON true is not the number 1, as in alphabet_sizes."""
+        assert_direction_moved({"objective": "raw_score", "direction": direction}, "3-vector")
