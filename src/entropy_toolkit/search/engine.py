@@ -20,10 +20,10 @@ of section weights and its source tags as (tag, count) runs, read through
 (``CLOUD_POINT_BYTES`` = 80 B bounds the peak, 64.6 B measured).  Each
 restart's collector writes its evaluations' weights into one buffer of
 budget + atoms + 1 rows and keeps the rows inside the tetrahedron, so no
-per-point object exists until a point is read.  The default ``cloud`` (8 directions x 64 restarts at 4^4, budget
-20,000) holds at most 10,371,584 points, 791 MiB at that bound, within
-``MAX_CLOUD_MIB``; at about 11,500 evaluations per second it runs about
-15 minutes on one worker.
+per-point object exists until a point is read.  The default ``cloud`` (8
+directions x 64 restarts at 4^4, budget 20,000) holds at most 10,371,584
+points, 791 MiB at that bound, within ``MAX_CLOUD_MIB``; at about 11,500
+evaluations per second it runs about 15 minutes on one worker.
 
 A :class:`SearchConfig` names one of the ``SCORE_OBJECTIVES``:
 

@@ -33,7 +33,7 @@ from entropy_toolkit import (
 )
 from entropy_toolkit import core
 from entropy_toolkit.cli import _cloud_array, _read_cloud_csv, _write_cloud_csv, main
-from entropy_toolkit.search.engine import check_direction
+from entropy_toolkit.search.engine import MAX_OUTCOME_MIB, check_direction
 
 FOUND_BANK = [{"name": "x", "abcd": ["1", True, 0, "1e0"]}]
 
@@ -190,7 +190,9 @@ class TestSearchConfigJson:
         integral = [*alphabet, restarts, seed]
         valid = (all(isinstance(x, int) and not isinstance(x, bool) for x in integral)
                  and all(1 <= s <= 11 for s in alphabet) and max(alphabet) >= 2
-                 and restarts >= 1 and seed >= 0)
+                 and restarts >= 1 and seed >= 0
+                 # the merge's memory bound, MAX_OUTCOME_MIB over the atoms
+                 and restarts <= MAX_OUTCOME_MIB * 2**20 // (8 * math.prod(alphabet)))
         if valid:
             cfg = SearchConfig.from_json(doc)
             assert cfg.alphabet_sizes == tuple(alphabet)
