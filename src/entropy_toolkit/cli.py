@@ -266,11 +266,13 @@ def cmd_cloud(args) -> int:
         engine._check_cloud_size(args.directions, cfg, args.optima_only)
         directions = engine.sphere_directions(args.directions, seed=cfg.master_seed)
     cloud = engine.generate_cloud(directions, cfg, fr, optima_only=args.optima_only)
-    vertices = []
-    if args.include_vertices:
-        vertices = [frame_mod.cross_section_point(entropy.entropy_function(dist), fr,
-                                                  source_tag=f"vertex-{name}")[0]
-                    for name, dist in engine.vertex_seed_distributions(fr).items()]
+    seeds = engine.vertex_seed_distributions(fr) if args.include_vertices else {}
+    vertices = [frame_mod.cross_section_point(entropy.entropy_function(dist), fr,
+                                              source_tag=f"vertex-{name}")[0]
+                for name, dist in seeds.items()]
+    if not len(cloud) + len(vertices):
+        raise ValueError(f"{args.output}: no point was inside the tetrahedron at a budget of "
+                         f"{cfg.budget_evals:,} evaluations per restart")
     _write_cloud_csv(chain(cloud, vertices), args.output)
     print(f"cloud points   = {len(cloud) + len(vertices)}")
     print(f"wrote {args.output}")

@@ -25,19 +25,14 @@ directions x 64 restarts at 4^4, budget 20,000) holds at most 10,371,584
 points, 791 MiB at that bound, within ``MAX_CLOUD_MIB``; at about 11,500
 evaluations per second it runs about 15 minutes on one worker.
 
-A :class:`SearchConfig` names one of the ``SCORE_OBJECTIVES``:
-
-* ``raw_score``      - Ingleton score of the entropy function itself;
-* ``tight_score``    - score of its tight part;
-* ``pipeline_score`` - score after the tighten/b/a projection (the quantity
-  whose infimum the cross-section geometry bounds).
-
-A cloud direction (checked by :func:`check_direction`) runs the ray objective
-``alpha_in_direction`` instead: maximize the alpha weight of the
-cross-section point subject to a penalty keeping the point near the ray, used
-to sweep the cross-section when generating point clouds.
-
-Degenerate inputs whose normalizer vanishes score 0 by convention.
+A :class:`SearchConfig` names one of the ``SCORE_OBJECTIVES``: ``raw_score``
+scores the entropy function itself, ``tight_score`` its tight part and
+``pipeline_score`` its tighten/b/a projection (the quantity whose infimum the
+cross-section geometry bounds).  Each score, and each section weight, is a
+ratio of two linear functionals of the entropy vector, rows of one table
+(``DistributionObjective.table``); a degenerate input scores 0.  A cloud
+direction (:func:`check_direction`) runs the ray objective instead: maximize
+the alpha weight of the section point with a penalty keeping it near the ray.
 """
 
 from __future__ import annotations
@@ -71,13 +66,13 @@ from ..frame import (
     stv_vec,
 )
 
-#: the objectives that score an entropy vector, each divided by its own
-#: normalizer (``DistributionObjective.rank_vecs``)
+#: the objectives that score an entropy vector: stv over the normalizer in
+#: row 5, 6 or 7 of ``DistributionObjective.table``, in this order
 SCORE_OBJECTIVES = ("raw_score", "tight_score", "pipeline_score")
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
-#: weight of the off-ray penalty in the alpha_in_direction objective
+#: weight of the off-ray penalty in the ray objective
 DIRECTION_PENALTY = 8.0
 
 #: Nelder-Mead stops when the simplex diameter drops below this
@@ -249,14 +244,17 @@ class DistributionObjective:
     Marginal masses for all nonempty subsets are accumulated with a single
     bincount over a :func:`~entropy_toolkit.entropy.marginal_index` read from
     the alphabet's cached index plan, through the same
-    :func:`~entropy_toolkit.entropy.subset_entropies` as ``entropy_function``;
-    scores and cross-section weights are then linear functionals of the
-    entropy vector, read off :func:`~entropy_toolkit.frame.pipeline_operator`.
-    At 2^4 an evaluation is a few dozen numpy calls on 16-element arrays, so
-    the objectives call ufuncs and array methods directly rather than numpy's
-    Python-level wrappers (``np.tile``, ``np.max``, ``np.linalg.norm``).
-    Agrees with the compositional path through SetFunction operations to
-    ~1e-13.
+    :func:`~entropy_toolkit.entropy.subset_entropies` as ``entropy_function``.
+    An objective is then a quotient of rows of ``table``, a read-only (8, 16)
+    array over masks: row 0 is stv, rows 1-4 the section weights of the
+    tighten/b/a/symmetrize projection and rows 5-7 the normalizers of
+    ``SCORE_OBJECTIVES`` (h, its tight part and its projection at N).  A
+    score is row 0 over its normalizer, the weights rows 1-4 over row 7, and
+    a normalizer at most ``DEGENERATE_TOL`` makes h degenerate.  At 2^4 an
+    evaluation is a few dozen numpy calls on 16-element arrays, so the
+    objectives call ufuncs and array methods directly rather than numpy's
+    Python-level wrappers (``np.tile``, ``np.max``, ``np.linalg.norm``), and
+    agree with the compositional path through SetFunction operations to ~1e-13.
     """
 
     def __init__(self, frame: IngletonFrame, alphabet_sizes: Sequence[int]):
@@ -264,15 +262,11 @@ class DistributionObjective:
         self.n_atoms = math.prod(sizes)
         self._flat_idx, self._offsets, self._n_cells = marginal_index(_config_grid(sizes),
                                                                       sizes)
-
         eye = np.eye(frame.ground.size)
         pipeline = pipeline_operator(frame)
-        self.stv_vec = stv_vec(frame)
-        # each score objective's normalizer: the value at N of the entropy
-        # function, of its tight part and of its projection, in that order
-        self.rank_vecs = dict(zip(SCORE_OBJECTIVES, (
-            eye[-1], eye[-1] - _modular_values(eye)[-1], pipeline[-1])))
-        self.weight_mat = section_weight_matrix(frame) @ pipeline
+        self.table = np.vstack([stv_vec(frame), section_weight_matrix(frame) @ pipeline,
+                                eye[-1], eye[-1] - _modular_values(eye)[-1], pipeline[-1]])
+        self.table.flags.writeable = False
 
     def entropy_vector(self, p: np.ndarray) -> np.ndarray:
         """Entropy (nats) of every nonempty marginal, as a 16-vector over masks."""
@@ -280,54 +274,56 @@ class DistributionObjective:
         subset_entropies(p, self._flat_idx, self._offsets, self._n_cells, out=h[1:])
         return h
 
+    def _quotient(self, h: np.ndarray, rows, den: int):
+        """``table[rows] @ h`` over ``table[den] @ h``, or None when h is degenerate."""
+        denom = float(self.table[den] @ h)
+        return None if denom <= DEGENERATE_TOL else self.table[rows] @ h / denom
+
     def score_from_entropy(self, h: np.ndarray, objective: str) -> float:
-        rank_vec = self.rank_vecs.get(objective)
-        if rank_vec is None:
+        if objective not in SCORE_OBJECTIVES:
             raise ValueError(f"not a score objective: {objective!r}")
-        denom = float(rank_vec @ h)
-        if denom <= DEGENERATE_TOL:
-            return 0.0
-        return float(self.stv_vec @ h) / denom
+        score = self._quotient(h, 0, 5 + SCORE_OBJECTIVES.index(objective))
+        return 0.0 if score is None else float(score)
 
     def weights_from_entropy(self, h: np.ndarray) -> np.ndarray | None:
         """Normalized cross-section weights, or None when degenerate."""
-        denom = float(self.rank_vecs["pipeline_score"] @ h)
-        return None if denom <= DEGENERATE_TOL else self.weight_mat @ h / denom
+        return self._quotient(h, slice(1, 5), 7)
 
     def make_objective(self, objective: str,
                        direction: tuple[float, float, float] | None = None,
                        collector: _Collector | None = None) -> Callable[[np.ndarray], float]:
-        """Bind an objective kind to a callable on dense probability vectors.
-
-        Only ``alpha_in_direction`` collects: with a collector, every
-        evaluation with weights appends them, and the collector drops the
-        near-degenerate ones.  A collector with a score objective raises
-        ValueError.
-        """
-        if objective == "alpha_in_direction":
-            d = np.asarray(direction, dtype=float)
-            d = d / np.linalg.norm(d)
-
-            def fn(p: np.ndarray) -> float:
-                h = self.entropy_vector(p)
-                w = self.weights_from_entropy(h)
-                if w is None:
-                    return 0.0
-                if collector is not None:
-                    collector.append(w)
-                x = w[1:]
-                along = float(x @ d)
-                # the distance to the ray; np.linalg.norm computes the same
-                # sqrt(r.dot(r)) behind a Python wrapper
-                r = x - along * d if along > 0 else x
-                return -w[0] + DIRECTION_PENALTY * math.sqrt(float(r.dot(r)))
-        else:
+        """The objective as a callable on dense probability vectors: the ray
+        objective along ``direction`` if one is given, else the score
+        ``objective``.  Only the ray objective collects (every evaluation with
+        weights appends them); a collector without a direction raises ValueError."""
+        if direction is None:
             if collector is not None:
-                raise ValueError(f"only alpha_in_direction collects weights, not {objective!r}")
+                raise ValueError("a collector needs a direction: only the ray objective collects")
+            return lambda p: self.score_from_entropy(self.entropy_vector(p), objective)
+        d = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
 
-            def fn(p: np.ndarray) -> float:
-                return self.score_from_entropy(self.entropy_vector(p), objective)
+        def fn(p: np.ndarray) -> float:
+            h = self.entropy_vector(p)
+            w = self.weights_from_entropy(h)
+            if w is None:
+                return 0.0
+            if collector is not None:
+                collector.append(w)
+            x = w[1:]
+            along = float(x @ d)
+            # the distance to the ray; np.linalg.norm computes the same
+            # sqrt(r.dot(r)) behind a Python wrapper
+            r = x - along * d if along > 0 else x
+            return -w[0] + DIRECTION_PENALTY * math.sqrt(float(r.dot(r)))
         return fn
+
+
+def _inside_tetrahedron(rows: np.ndarray) -> np.ndarray:
+    """Which rows of an (n, 4) weight array are inside the tetrahedron: four
+    weights >= 0 that sum to 1 within 1e-9, which near-degenerate rows fail."""
+    # a row sum along axis 1 adds the four weights in the order
+    # np.add.reduce adds one row
+    return (np.abs(np.add.reduce(rows, axis=1) - 1.0) <= 1e-9) & (rows >= 0.0).all(axis=1)
 
 
 class _Collector:
@@ -346,12 +342,9 @@ class _Collector:
         self.count += 1
 
     def kept(self) -> bytes:
-        """The bytes of the rows inside the tetrahedron, in order: four
-        weights >= 0 that sum to 1 within 1e-9 (the rows of near-degenerate
-        evaluations fail the sum).  A row sum along axis 1 adds the four
-        weights in the order ``np.add.reduce`` adds one row."""
+        """The bytes of the rows inside the tetrahedron, in order."""
         rows = self.rows[:self.count]
-        keep = (np.abs(np.add.reduce(rows, axis=1) - 1.0) <= 1e-9) & (rows >= 0.0).all(axis=1)
+        keep = _inside_tetrahedron(rows)
         return (rows if keep.all() else rows[keep]).tobytes()
 
 
@@ -534,8 +527,7 @@ def _run_restarts(chunk) -> list[tuple]:
     outcomes = []
     for direction, restart in jobs:
         collector = _Collector(cfg.budget_evals + evaluator.n_atoms + 1) if collect else None
-        objective = evaluator.make_objective(
-            cfg.objective if direction is None else "alpha_in_direction", direction, collector)
+        objective = evaluator.make_objective(cfg.objective, direction, collector)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.master_seed, restart)))
         theta0 = _initial_theta(rng, evaluator.n_atoms, restart, init)
         best_theta, best_val, evals, converged = nelder_mead(
@@ -674,7 +666,8 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
 
     By default every evaluated point inside the tetrahedron is emitted
     (skipping near-degenerate evaluations), so the cloud density mirrors the
-    search effort; ``optima_only`` keeps only the best point of each direction.
+    search effort; ``optima_only`` keeps only the best point of each
+    direction, if it is inside too, so a cloud may be empty.
     Each direction must pass :func:`check_direction`; ``cfg.objective`` is
     not read.  All (direction, restart) searches go to one driver call, so a
     cloud starts at most one process pool.  Each restart's weights come back
@@ -694,7 +687,8 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
         if optima_only:
             point = _best_restart(own, cfg, frame, tag)[2]
             if point is not None:
-                runs.append((point.source_tag, np.array(point.as_tuple()).tobytes()))
+                row = np.array([point.as_tuple()])
+                runs.append((point.source_tag, row[_inside_tetrahedron(row)].tobytes()))
         else:
             runs.extend((f"{tag}/r{r}", outcome[4]) for r, outcome in enumerate(own))
     # a bytes buffer gives a read-only array without a copy; a restart that

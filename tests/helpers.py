@@ -48,10 +48,17 @@ from entropy_toolkit.entropy import (
     _four_atom_p,
     subset_entropies,
 )
-from entropy_toolkit.frame import CrossSectionPoint, _require_frame_ground
+from entropy_toolkit.frame import (
+    DEGENERATE_TOL,
+    CrossSectionPoint,
+    _require_frame_ground,
+    pipeline_operator,
+    section_weight_matrix,
+)
 from entropy_toolkit.inequalities import CrossSectionHalfspace, LinearInequality, dfz_linear
 from entropy_toolkit.search.engine import (
     DIRECTION_PENALTY,
+    SCORE_OBJECTIVES,
     DistributionObjective,
     check_direction,
     nelder_mead,
@@ -443,6 +450,33 @@ def entropy_vector_by_tile(evaluator: DistributionObjective, p: np.ndarray) -> n
     h[1:] = subset_entropies_by_tile(p, evaluator._flat_idx, evaluator._offsets,
                                      evaluator._n_cells)
     return h
+
+
+class ObjectiveByRankVecs:
+    """Reference: ``DistributionObjective``'s scores and weights from a
+    separate stv vector, one normalizer vector per score objective and a
+    weight matrix, each method applying the degenerate rule itself."""
+
+    def __init__(self, frame: IngletonFrame):
+        eye = np.eye(frame.ground.size)
+        pipeline = pipeline_operator(frame)
+        self.stv_vec = stv_vec(frame)
+        self.rank_vecs = dict(zip(SCORE_OBJECTIVES, (
+            eye[-1], eye[-1] - _modular_values(eye)[-1], pipeline[-1])))
+        self.weight_mat = section_weight_matrix(frame) @ pipeline
+
+    def score_from_entropy(self, h: np.ndarray, objective: str) -> float:
+        rank_vec = self.rank_vecs.get(objective)
+        if rank_vec is None:
+            raise ValueError(f"not a score objective: {objective!r}")
+        denom = float(rank_vec @ h)
+        if denom <= DEGENERATE_TOL:
+            return 0.0
+        return float(self.stv_vec @ h) / denom
+
+    def weights_from_entropy(self, h: np.ndarray) -> np.ndarray | None:
+        denom = float(self.rank_vecs["pipeline_score"] @ h)
+        return None if denom <= DEGENERATE_TOL else self.weight_mat @ h / denom
 
 
 def alpha_objective_by_norm(evaluator: DistributionObjective, direction,

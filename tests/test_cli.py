@@ -12,9 +12,11 @@ import pytest
 from entropy_toolkit import (
     GroundSet,
     IngletonFrame,
+    SearchConfig,
     cross_section_point,
     entropy_function,
     four_atom_distribution,
+    generate_cloud,
     ingleton_base,
     inequality_to_json,
     matroid_rank,
@@ -403,7 +405,9 @@ class TestCloudHullOuter:
                               "--directions-file", str(dirs), "--optima-only",
                               "-o", str(out))
         assert code == 0
-        assert len(out.read_text().strip().splitlines()) == 3  # header + 2 optima
+        # header + the first optimum: the second, alpha -0.216, is outside
+        header, row = out.read_text().splitlines()
+        assert row.endswith('"dir0(1,0,0)/r0"')
 
     def test_hull_of_tetra_vertices(self, capsys, tmp_path):
         path = tmp_path / "verts.csv"
@@ -566,27 +570,80 @@ class TestSearchCommandGoldens:
 
 
 class TestRaySearchMoved:
-    """A ray search runs as a one-direction optima-only cloud.  The weights
-    below are the best point that ``minimize --config`` wrote for
-    {"alphabet_sizes": [2, 2, 2, 2], "restarts": 2, "budget_evals": 120,
-    "master_seed": 3, "objective": "alpha_in_direction",
-    "direction": [0.2, -0.5, 0.8]} while a config could carry a direction;
-    ``TestConfigKeysReadByTheCommand`` checks that such a config now exits 2."""
+    """A ray search runs as a one-direction optima-only cloud, and an optimum
+    is kept only inside the tetrahedron, by the collector's rule."""
 
-    BEST = ("-0x1.b863faa706800p-7", "0x1.0bf92e8e25748p-2",
-            "0x1.3446aa688db00p-6", "0x1.7742c35044f24p-1")
-
-    def test_cloud_writes_the_ray_search_optimum(self, capsys, tmp_path):
+    def test_outside_ray_optimum_is_dropped(self, capsys, tmp_path):
+        """The best point of this search, formerly what ``minimize --config``
+        wrote for {"alphabet_sizes": [2, 2, 2, 2], "restarts": 2,
+        "budget_evals": 120, "master_seed": 3, "objective":
+        "alpha_in_direction", "direction": [0.2, -0.5, 0.8]}, has alpha
+        -0x1.b863faa706800p-7 < 0: the cloud is empty and writes no file."""
+        cfg = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=2, budget_evals=120,
+                           master_seed=3)
+        frame = IngletonFrame.default(GroundSet("ijkl"))
+        assert len(generate_cloud([(0.2, -0.5, 0.8)], cfg, frame, optima_only=True)) == 0
         dirs, out = tmp_path / "dirs.json", tmp_path / "cloud.csv"
         dirs.write_text("[[0.2, -0.5, 0.8]]")
-        code, _, _ = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "2",
-                         "--budget", "120", "--seed", "3", "--optima-only",
-                         "--directions-file", str(dirs), "-o", str(out))
+        code, stdout, err = run(capsys, "cloud", "--alphabet", "2,2,2,2", "--restarts", "2",
+                                "--budget", "120", "--seed", "3", "--optima-only",
+                                "--directions-file", str(dirs), "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: {out}: no point was inside the tetrahedron")
+        assert not out.exists()
+
+    #: the rows ``cloud --optima-only`` wrote for the command below before
+    #: optima were tested: dir7's optimum, alpha -0x1.f3c4cefddfc98p-2, is
+    #: now dropped, and the rows inside are unchanged
+    INSIDE = [
+        ("dir1(0.231896,-0.866058,-0.442909)/r1", "0x1.2a87e6df236b8p-2",
+         "0x1.5cad079205ef0p-3", "0x1.5601194f584c0p-3", "0x1.7c2108b02d770p-2"),
+        ("dir2(-0.668426,0.481284,-0.567073)/r1", "0x1.376d7343e7800p-2",
+         "0x1.1ddb22cc11330p-3", "0x1.6bdcceaa636f0p-3", "0x1.83b69400de2f0p-2"),
+        ("dir3(-0.890163,-0.0216816,-0.455126)/r1", "0x1.2a87e6df236b8p-2",
+         "0x1.5cad079205ef0p-3", "0x1.5601194f584c0p-3", "0x1.7c2108b02d770p-2"),
+        ("dir4(-0.202617,-0.0684648,-0.976862)/r1", "0x1.2a87e6df236b8p-2",
+         "0x1.5cad079205ef0p-3", "0x1.5601194f584c0p-3", "0x1.7c2108b02d770p-2"),
+        ("dir5(0.60837,-0.541682,0.580058)/r1", "0x1.1411b1971a790p-2",
+         "0x1.3aa6ac8efd450p-2", "0x1.2f8b66725fd00p-5", "0x1.8b56350b9c480p-2"),
+        ("dir6(0.575468,-0.791898,-0.20429)/r1", "0x1.28bc6cdd01668p-2",
+         "0x1.679b48c149ed0p-3", "0x1.4b30153584f60p-3", "0x1.7ddde42797280p-2"),
+    ]
+
+    def test_optima_inside_are_kept(self, capsys, tmp_path):
+        out = tmp_path / "cloud.csv"
+        code, stdout, _ = run(capsys, "cloud", "--optima-only", "--alphabet", "2,2,2,2",
+                              "--restarts", "2", "--budget", "400", "--seed", "1",
+                              "--directions", "8", "-o", str(out))
         assert code == 0
-        header, row = csv.reader(out.read_text().splitlines())
-        *weights, tag = row
-        assert tuple(float(w).hex() for w in weights) == self.BEST
-        assert tag == "dir0(0.2,-0.5,0.8)/r0"
+        assert stdout.splitlines()[0] == "cloud points   = 6"
+        header, *rows = csv.reader(out.read_text().splitlines())
+        assert [(tag, *(float(w).hex() for w in weights))
+                for *weights, tag in rows] == self.INSIDE
+
+
+class TestEmptyCloud:
+    """A cloud with no point inside the tetrahedron exits 2 and writes no
+    file, so ``hull`` never reads a header-only cloud from ``cloud``."""
+
+    ARGV = ["cloud", "--alphabet", "2,2,2,2", "--restarts", "1", "--budget", "20",
+            "--directions", "2"]
+
+    def test_exits_two(self, capsys, tmp_path):
+        out = tmp_path / "c.csv"
+        code, stdout, err = run(capsys, *self.ARGV, "-o", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: {out}: no point was inside the tetrahedron at a budget "
+                       f"of 20 evaluations per restart\n")
+        assert not out.exists()
+
+    def test_vertices_alone_are_written(self, capsys, tmp_path):
+        out = tmp_path / "c.csv"
+        code, stdout, _ = run(capsys, *self.ARGV, "--include-vertices", "-o", str(out))
+        assert code == 0
+        assert stdout.splitlines()[0] == "cloud points   = 3"
+        assert [row[4] for row in csv.reader(out.read_text().splitlines()[1:])] == [
+            "vertex-beta", "vertex-gamma", "vertex-delta"]
 
 
 class TestDirectionsFileRule:
@@ -701,8 +758,9 @@ class TestConfigKeysReadByTheCommand:
     def test_cloud_accepts_the_default_objective(self, capsys, tmp_path):
         cfg, out = tmp_path / "c.json", tmp_path / "c.csv"
         cfg.write_text(json.dumps({**self.SEARCH, "objective": "pipeline_score"}))
+        # at the config's budget of 20 no point lands inside, and an empty cloud exits 2
         code, _, _ = run(capsys, "cloud", "--config", str(cfg), "--directions", "1",
-                         "-o", str(out))
+                         "--budget", "200", "-o", str(out))
         assert code == 0 and out.exists()
 
 

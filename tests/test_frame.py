@@ -507,7 +507,7 @@ class TestCoordinateSystem:
         assert np.array_equal(section_weight_matrix(frame),
                               section_weight_matrix_by_deltas(frame))
         assert np.array_equal(pipeline_operator(frame), pipeline_operator_by_deltas(frame))
-        assert np.array_equal(DistributionObjective(frame, (2, 2, 2, 2)).weight_mat,
+        assert np.array_equal(DistributionObjective(frame, (2, 2, 2, 2)).table[1:5],
                               section_weight_matrix_by_deltas(frame)
                               @ pipeline_operator_by_deltas(frame))
 

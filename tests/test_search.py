@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entropy_toolkit import (
     EXL_REFERENCE,
@@ -42,6 +42,7 @@ from entropy_toolkit.search.engine import (
 )
 
 from helpers import (
+    ObjectiveByRankVecs,
     alpha_objective_by_norm,
     assert_same_rows,
     cloud_by_lists,
@@ -153,8 +154,7 @@ class TestDistributionObjective:
 
     def test_weight_rows_sum_to_normalizer(self, frame):
         ev = DistributionObjective(frame, (2, 2, 2, 2))
-        assert np.max(np.abs(ev.weight_mat.sum(axis=0)
-                             - ev.rank_vecs["pipeline_score"])) <= 1e-12
+        assert np.max(np.abs(ev.table[1:5].sum(axis=0) - ev.table[7])) <= 1e-12
 
     def test_degenerate_scores_zero(self, frame):
         ev = DistributionObjective(frame, (2, 2, 2, 2))
@@ -174,8 +174,9 @@ class TestDistributionObjective:
 
     @pytest.mark.parametrize("objective", ["raw_score", "tight_score", "pipeline_score"])
     def test_score_objective_refuses_a_collector(self, frame, objective):
+        """A collector without a direction raises: only the ray objective collects."""
         ev = DistributionObjective(frame, (2, 2, 2, 2))
-        with pytest.raises(ValueError, match="only alpha_in_direction collects"):
+        with pytest.raises(ValueError, match="a collector needs a direction"):
             ev.make_objective(objective, collector=engine._Collector(1))
 
 
@@ -487,10 +488,14 @@ class TestCloud:
         assert cloud.weights.tobytes() == np.array(inside).tobytes()
 
     def test_optima_only(self, frame):
+        """One optimum per direction, kept only inside the tetrahedron: at
+        this budget the (0, 1, 0) optimum has alpha < 0 and is dropped."""
         cloud = generate_cloud([(0.0, 0.0, 1.0), (0.0, 1.0, 0.0)],
                                self.CFG, frame, optima_only=True)
-        assert len(cloud) == 2
-        assert all(pt.source_tag.startswith("dir") for pt in cloud)
+        assert cloud.runs == (("dir0(0,0,1)/r0", 1),)
+        outcomes = engine._run_all_restarts(self.CFG, [(0.0, 1.0, 0.0)], frame, None,
+                                            collect=False, threads=1)
+        assert engine._best_restart(outcomes, self.CFG, frame, "dir1")[2].alpha_w < 0.0
 
     def test_optima_only_builds_no_collector(self, frame, monkeypatch):
         collectors = []
@@ -637,12 +642,11 @@ class TestDerivedRows:
         for frame in ALL_FRAMES:
             ev = DistributionObjective(frame, (2, 2, 2, 2))
             stv, tight, pipe, weights = hand_rows(frame)
-            assert np.array_equal(ev.stv_vec, stv)
-            assert list(ev.rank_vecs) == list(SCORE_OBJECTIVES)
-            assert np.array_equal(ev.rank_vecs["raw_score"], np.eye(16)[15])
-            assert np.array_equal(ev.rank_vecs["tight_score"], tight)
-            assert np.array_equal(ev.rank_vecs["pipeline_score"], pipe)
-            assert np.array_equal(ev.weight_mat, weights)
+            # rows: stv, the four weights, then the normalizers of SCORE_OBJECTIVES
+            assert SCORE_OBJECTIVES == ("raw_score", "tight_score", "pipeline_score")
+            assert np.array_equal(ev.table, np.vstack([stv, weights, np.eye(16)[15],
+                                                       tight, pipe]))
+            assert ev.table.shape == (8, 16) and not ev.table.flags.writeable
 
 
 class TestSearchGoldens:
@@ -771,6 +775,47 @@ class TestKernelMatchesReference:
         assert new[1].hex() == ref[1].hex()
         assert new[2:] == ref[2:]
         assert got.kept() == np.array(want, dtype=float).reshape(-1, 4).tobytes()
+
+
+@st.composite
+def table_cases(draw):
+    """A frame, an alphabet and a distribution on it: a softmax of normal
+    parameters at three scales, or a mass on one or two atoms, whose
+    normalizers may vanish (a point mass is degenerate for every objective)."""
+    frame = draw(st.sampled_from(ALL_FRAMES))
+    sizes = draw(st.sampled_from([(2, 2, 2, 2), (3, 3, 3, 3), (3, 2, 4, 2)]))
+    n = math.prod(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        p = softmax(draw(st.sampled_from([1.0, 40.0, 800.0])) * rng.normal(size=n))
+    else:
+        p = np.zeros(n)
+        p[rng.integers(n, size=draw(st.integers(1, 2)))] += draw(st.sampled_from([0.5, 1.0]))
+        p /= p.sum()
+    return frame, sizes, p
+
+
+class TestTableMatchesReference:
+    """Every score and the weights, read off ``DistributionObjective.table``,
+    equal the separate-vector reference bit for bit, degenerate inputs too."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_cases())
+    @example((KERNEL_FRAME, (2, 2, 2, 2), np.eye(16)[0]))
+    @example((KERNEL_FRAME, (3, 3, 3, 3), np.eye(81)[40]))
+    @example((KERNEL_FRAME, (3, 2, 4, 2), np.eye(48)[-1]))
+    def test_scores_and_weights(self, case):
+        frame, sizes, p = case
+        ev, ref = DistributionObjective(frame, sizes), ObjectiveByRankVecs(frame)
+        h = ev.entropy_vector(p)
+        for objective in SCORE_OBJECTIVES:
+            got = ev.score_from_entropy(h, objective)
+            assert type(got) is float
+            assert got.hex() == ref.score_from_entropy(h, objective).hex()
+        got, want = ev.weights_from_entropy(h), ref.weights_from_entropy(h)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
 
 
 class TestSearchConfigCounts:
