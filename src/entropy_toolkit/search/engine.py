@@ -7,12 +7,15 @@ contraction 0.5, shrink 0.5) from a seeded start; restarts are independent
 and merged deterministically, so a fixed master seed gives bit-identical
 results regardless of the worker count.  ENTROPY_TOOLKIT_THREADS (or the
 ``threads`` argument) caps parallel restarts; the worker count never exceeds
-the restarts or ``os.cpu_count()``.  The restarts are split into one
-contiguous chunk per worker, sent as one task each, and a chunk runs its
-restarts through one evaluator.  The driver takes one config and a list of
-directions and runs (direction, restart) jobs: a search passes ``[None]`` for
-the config's score, a cloud its directions for the ray objective.  So each
-starts at most one pool, and a chunk has one alphabet, budget and seed family.
+the restarts or ``os.cpu_count()``, and is 1 where ``os.fork`` does not
+exist.  The restarts are split into one contiguous chunk per worker, and a
+chunk runs its restarts through one evaluator.  The caller runs the first
+chunk itself; each other chunk runs in one forked child, which sends its
+pickled outcomes back through a pipe and leaves by ``os._exit``.  The driver
+takes one config and a list of directions and runs (direction, restart) jobs:
+a search passes ``[None]`` for the config's score, a cloud its directions for
+the ray objective.  So each makes one driver call, and a chunk has one
+alphabet, budget and seed family.
 
 A cloud is a :class:`Cloud`, a record of one read-only (n, 4) float64 array
 of section weights and its source tags as (tag, count) runs, read through
@@ -39,12 +42,13 @@ from __future__ import annotations
 
 import math
 import os
+import pickle
+import signal
 import sys
 from bisect import bisect_right
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Callable
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -100,8 +104,8 @@ MAX_CLOUD_MIB = 1024
 #: bound on the peak bytes per emitted cloud point.  A point is one float64
 #: row of four weights (32 B); a restart's rows come back as one bytes buffer,
 #: and the cloud's array joins them, so both copies coexist once.  tracemalloc
-#: measures 64.4-64.9 B per point on 2^4 clouds of 8,743 and 12,001 points,
-#: serial or pickled back from a pool
+#: measures 64.6-64.7 B per point on 2^4 clouds of 7,459 and 7,790 points,
+#: serial or with half of them pickled back from a forked child
 CLOUD_POINT_BYTES = 80
 
 
@@ -267,6 +271,9 @@ class DistributionObjective:
         self.table = np.vstack([stv_vec(frame), section_weight_matrix(frame) @ pipeline,
                                 eye[-1], eye[-1] - _modular_values(eye)[-1], pipeline[-1]])
         self.table.flags.writeable = False
+        # row views bound once: an evaluation indexes no table row
+        self._stv, self._weight_rows = self.table[0], self.table[1:5]
+        self._normalizers = dict(zip(SCORE_OBJECTIVES, self.table[5:]))
 
     def entropy_vector(self, p: np.ndarray) -> np.ndarray:
         """Entropy (nats) of every nonempty marginal, as a 16-vector over masks."""
@@ -274,20 +281,22 @@ class DistributionObjective:
         subset_entropies(p, self._flat_idx, self._offsets, self._n_cells, out=h[1:])
         return h
 
-    def _quotient(self, h: np.ndarray, rows, den: int):
-        """``table[rows] @ h`` over ``table[den] @ h``, or None when h is degenerate."""
-        denom = float(self.table[den] @ h)
-        return None if denom <= DEGENERATE_TOL else self.table[rows] @ h / denom
+    @staticmethod
+    def _quotient(h: np.ndarray, rows: np.ndarray, den: np.ndarray):
+        """``rows @ h`` over ``den @ h``, or None when h is degenerate."""
+        denom = float(den @ h)
+        return None if denom <= DEGENERATE_TOL else rows @ h / denom
 
     def score_from_entropy(self, h: np.ndarray, objective: str) -> float:
-        if objective not in SCORE_OBJECTIVES:
+        den = self._normalizers.get(objective)
+        if den is None:
             raise ValueError(f"not a score objective: {objective!r}")
-        score = self._quotient(h, 0, 5 + SCORE_OBJECTIVES.index(objective))
+        score = self._quotient(h, self._stv, den)
         return 0.0 if score is None else float(score)
 
     def weights_from_entropy(self, h: np.ndarray) -> np.ndarray | None:
         """Normalized cross-section weights, or None when degenerate."""
-        return self._quotient(h, slice(1, 5), 7)
+        return self._quotient(h, self._weight_rows, self._normalizers["pipeline_score"])
 
     def make_objective(self, objective: str,
                        direction: tuple[float, float, float] | None = None,
@@ -514,7 +523,7 @@ def _initial_theta(rng: np.random.Generator, dim: int, restart: int,
 
 def _run_restarts(chunk) -> list[tuple]:
     """A contiguous run of seeded restarts of one config through one
-    evaluator; module-level so process pools can pickle it.
+    evaluator.
 
     ``chunk`` is (config, frame, jobs, init, collect), jobs (direction,
     restart) pairs, a None direction for the config's score.  Each outcome is
@@ -539,7 +548,9 @@ def _run_restarts(chunk) -> list[tuple]:
 
 def _thread_count(threads: int | None) -> int:
     """Requested workers (argument, else ENTROPY_TOOLKIT_THREADS), capped at
-    the CPU count."""
+    the CPU count, and at 1 where ``os.fork`` does not exist."""
+    if not hasattr(os, "fork"):
+        return 1
     if threads is None:
         try:
             threads = int(os.environ.get("ENTROPY_TOOLKIT_THREADS", "1"))
@@ -548,24 +559,91 @@ def _thread_count(threads: int | None) -> int:
     return max(1, min(int(threads), os.cpu_count() or 1))
 
 
+def _run_child(chunk, pipe: int) -> NoReturn:
+    """A forked child's whole life: run ``chunk`` and write the pickled
+    ``(ok, outcomes or exception)`` to the ``pipe`` descriptor.  It leaves by
+    ``os._exit``, with status 0 once the result is written, so it runs no
+    atexit handler and flushes none of the stdio buffers it inherited."""
+    status = 1
+    try:
+        try:
+            result = (True, _run_restarts(chunk))
+        except Exception as exc:
+            result = (False, exc)
+        with open(pipe, "wb") as out:
+            pickle.dump(result, out)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _ForkedChunk:
+    """A chunk run by a forked child (:func:`_run_child`), whose result the
+    caller reads from a pipe.  Constructing one is the driver's fork step."""
+
+    def __init__(self, chunk):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            _run_child(chunk, write)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def outcomes(self) -> list[tuple]:
+        """The child's outcomes, read to the end of the pipe before the child
+        is reaped; the child's exception is raised again here, and a child
+        that ended without a result raises RuntimeError."""
+        with self.pipe:
+            data = self.pipe.read()
+        status = os.waitpid(self.pid, 0)[1]
+        pid, self.pid = self.pid, None
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise RuntimeError(f"restart worker {pid} ended without a result: exit code "
+                               f"{code} (a negative code is the signal that ended it)")
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        return value
+
+    def kill(self) -> None:
+        """Kill and reap the child, unless it has been reaped already."""
+        if self.pid is not None:
+            self.pipe.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def _run_all_restarts(cfg: SearchConfig, directions: Sequence[tuple | None],
                       frame: IngletonFrame, init: np.ndarray | None, collect: bool,
                       threads: int | None) -> list[tuple]:
     """The outcomes of every restart of ``cfg`` along each of ``directions``
     (None for the config's score), direction by direction and restart by
     restart.  The jobs are split into one contiguous chunk per worker, as even
-    as the count allows, and each chunk is one task; one worker runs them all
-    in-process as one chunk.
+    as the count allows.  Each chunk after the first goes to one forked child;
+    the caller runs the first chunk itself, then collects the children's
+    outcomes in chunk order.  If anything raises, every child not yet reaped is
+    killed and reaped, so no process outlives the call.
     """
     jobs = [(d, r) for d in directions for r in range(cfg.restarts)]
     workers = min(_thread_count(threads), len(jobs))
     cuts = [len(jobs) * k // workers for k in range(workers + 1)]
     chunks = [(cfg, frame, jobs[lo:hi], init, collect) for lo, hi in zip(cuts, cuts[1:])]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_restarts, chunks))
-    else:
-        parts = [_run_restarts(c) for c in chunks]
+    children: list[_ForkedChunk] = []
+    try:
+        for chunk in chunks[1:]:
+            children.append(_ForkedChunk(chunk))
+        parts = [_run_restarts(chunks[0])]
+        parts.extend(child.outcomes() for child in children)
+    finally:
+        for child in children:
+            child.kill()
     return [outcome for part in parts for outcome in part]
 
 
@@ -670,8 +748,8 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
     direction, if it is inside too, so a cloud may be empty.
     Each direction must pass :func:`check_direction`; ``cfg.objective`` is
     not read.  All (direction, restart) searches go to one driver call, so a
-    cloud starts at most one process pool.  Each restart's weights come back
-    as one buffer, tagged ``dir<d>(<direction>)/r<restart>``, and the
+    cloud forks one child per worker after the first.  Each restart's weights
+    come back as one buffer, tagged ``dir<d>(<direction>)/r<restart>``, and the
     :class:`Cloud` joins them in direction and restart order.  A cloud that
     could exceed ``MAX_CLOUD_MIB`` of points, or ``MAX_OUTCOME_MIB`` of merged
     best distributions, is rejected before any search starts.

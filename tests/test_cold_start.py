@@ -5,7 +5,9 @@ import it), so these checks run each scenario in a subprocess with only
 ``src`` on the path.  Only hulls need Qhull: importing the package, the CLI
 and the commands that build no hull must leave every ``scipy`` module
 unloaded, and the commands that do build one must print and write the same
-bytes as in a warm process.
+bytes as in a warm process.  A search forks its workers itself, so no
+``multiprocessing`` or ``concurrent`` module is ever loaded, and a forked
+worker flushes none of the stdio buffers it inherits.
 """
 
 import json
@@ -19,14 +21,22 @@ from helpers import fixed_cloud
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "tests" / "goldens"
 
-# prints the sorted names of the loaded scipy modules as a JSON list
-REPORT_SCIPY = ("import json, sys; print(json.dumps(sorted("
-                "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+
+def report(*packages):
+    """Code that prints the sorted names of the loaded modules of
+    ``packages`` as a JSON list."""
+    return ("import json, sys; print(json.dumps(sorted("
+            f"m for m in sys.modules if m.split('.')[0] in {packages!r})))")
 
 
-def cold(code, *args):
-    """Run ``code`` in a fresh interpreter with ``src`` on the path."""
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+REPORT_SCIPY = report("scipy")
+REPORT_POOL = report("multiprocessing", "concurrent")
+
+
+def cold(code, *args, **env):
+    """Run ``code`` in a fresh interpreter with ``src`` on the path and
+    ``env`` added to the environment."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), **env}
     proc = subprocess.run([sys.executable, "-c", code, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -59,6 +69,40 @@ def test_hull_free_commands_load_no_scipy(tmp_path):
     codes, loaded = cold(code, json.dumps(runs)).splitlines()
     assert json.loads(codes) == [0] * len(runs)
     assert json.loads(loaded) == []
+
+
+def test_import_and_serial_search_load_no_process_pool(tmp_path):
+    code = ("import contextlib, io, sys\n"
+            "import entropy_toolkit, entropy_toolkit.cli\n"
+            + REPORT_POOL + "\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = entropy_toolkit.cli.main(sys.argv[1:])\n"
+            + REPORT_POOL + "\n"
+            "print(code)")
+    imported, searched, code = cold(
+        code, "minimize", "--alphabet", "2,2,2,2", "--restarts", "4", "--budget", "60",
+        "-o", str(tmp_path / "res.json"), ENTROPY_TOOLKIT_THREADS="1").splitlines()
+    assert json.loads(imported) == json.loads(searched) == []
+    assert code == "0"
+
+
+def test_two_worker_minimize_prints_the_serial_stdout(tmp_path):
+    """The line printed before the search is still in stdout's buffer when
+    the worker forks (stdout to a pipe is block-buffered, unless
+    PYTHONUNBUFFERED is non-empty); it must come out once."""
+    code = ("import os, sys; from entropy_toolkit import cli\n"
+            "os.cpu_count = lambda: 2\n"
+            "print('before the search')\n"
+            "sys.exit(cli.main(sys.argv[1:]))")
+    outs = {}
+    for threads in ("1", "2"):
+        res = tmp_path / f"res{threads}.json"
+        stdout = cold(code, "minimize", "--alphabet", "2,2,2,2", "--restarts", "6",
+                      "--budget", "120", "--seed", "4", "-o", str(res),
+                      ENTROPY_TOOLKIT_THREADS=threads, PYTHONUNBUFFERED="")
+        outs[threads] = stdout.replace(str(res), "RESULT"), res.read_bytes()
+    assert outs["2"] == outs["1"]
+    assert outs["1"][0].startswith("before the search\nobjective ")
 
 
 def test_outer_cold_matches_goldens(tmp_path):

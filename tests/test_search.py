@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import math
+import os
 import pickle
+import signal
+import time
 import tracemalloc
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -890,22 +893,32 @@ class TestSearchConfigInputs:
             SearchConfig.from_json({"restarts": 10**400, "budget_evals": 10**400})
 
 
-class FakePool:
-    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+class PicklingChild:
+    """Stands in for the driver's fork step, ``engine._ForkedChunk``: the
+    chunk runs in-process when its outcomes are read, in chunk order as the
+    caller reads a child's pipe, and the task and the outcomes are pickled as
+    the pipe pickles them.  Records the restart indices of each chunk."""
 
-    requested: list = []
+    forked: list = []
 
-    def __init__(self, max_workers):
-        FakePool.requested.append(max_workers)
+    def __init__(self, chunk):
+        PicklingChild.forked.append([r for _, r in chunk[2]])
+        self.task = pickle.dumps(chunk)
 
-    def __enter__(self):
-        return self
+    def outcomes(self):
+        return pickle.loads(pickle.dumps(engine._run_restarts(pickle.loads(self.task))))
 
-    def __exit__(self, *exc):
-        return False
+    def kill(self):
+        pass
 
-    def map(self, fn, items):
-        return map(fn, items)
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The restart indices of each chunk given to a child, through
+    ``PicklingChild``; a driver call with w workers forks w - 1 children."""
+    monkeypatch.setattr(engine, "_ForkedChunk", PicklingChild)
+    PicklingChild.forked = []
+    return PicklingChild.forked
 
 
 class TestWorkerCap:
@@ -915,26 +928,32 @@ class TestWorkerCap:
     @pytest.fixture(autouse=True)
     def three_cpus(self, monkeypatch):
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
-        FakePool.requested = []
 
-    def test_argument_capped_at_cpu_count(self, frame):
+    def test_argument_capped_at_cpu_count(self, frame, forked):
         optimize_distribution(self.CFG, frame, threads=100_000)
-        assert FakePool.requested == [3]
+        assert 1 + len(forked) == 3
 
-    def test_env_variable_capped_at_cpu_count(self, frame, monkeypatch):
+    def test_env_variable_capped_at_cpu_count(self, frame, monkeypatch, forked):
         monkeypatch.setenv("ENTROPY_TOOLKIT_THREADS", "100000")
         optimize_distribution(self.CFG, frame)
-        assert FakePool.requested == [3]
+        assert 1 + len(forked) == 3
 
-    def test_restarts_still_cap(self, frame):
+    def test_restarts_still_cap(self, frame, forked):
         optimize_distribution(replace(self.CFG, restarts=2), frame, threads=100_000)
-        assert FakePool.requested == [2]
+        assert 1 + len(forked) == 2
 
-    def test_unknown_cpu_count_runs_serially(self, frame, monkeypatch):
+    def test_unknown_cpu_count_runs_serially(self, frame, monkeypatch, forked):
         monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
         optimize_distribution(self.CFG, frame, threads=100_000)
-        assert FakePool.requested == []
+        assert forked == []
+
+    def test_no_fork_runs_serially(self, frame, monkeypatch, forked):
+        """Where ``os.fork`` does not exist (Windows), one worker runs all."""
+        monkeypatch.delattr(engine.os, "fork")
+        monkeypatch.setenv("ENTROPY_TOOLKIT_THREADS", "3")
+        assert engine._thread_count(3) == engine._thread_count(None) == 1
+        optimize_distribution(self.CFG, frame, threads=3)
+        assert forked == []
 
 
 class TestSearchConfigWireFormat:
@@ -1013,59 +1032,34 @@ class TestRestartTasks:
             back = pickle.loads(pickle.dumps(obj))
             assert back == obj and hash(back) == hash(obj)
 
-    def test_pickled_tasks_give_serial_results(self, frame, monkeypatch):
-        """A pool that pickles every task and outcome, as a process pool does,
-        returns what the serial loop returns."""
-        class PicklingPool:
-            def __init__(self, max_workers):
-                pass
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return [pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(t)))))
-                        for t in items]
-
+    def test_pickled_tasks_give_serial_results(self, frame, monkeypatch, forked):
+        """A child that gets its task and sends its outcomes pickled, as the
+        pipe does, returns what the serial loop returns."""
         serial = engine._run_all_restarts(self.CFG, [self.DIRECTION], frame, None, True,
                                           threads=1)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", PicklingPool)
-        pooled = engine._run_all_restarts(self.CFG, [self.DIRECTION], frame, None, True,
-                                          threads=2)
-        for (v1, p1, e1, c1, w1), (v2, p2, e2, c2, w2) in zip(serial, pooled, strict=True):
+        parallel = engine._run_all_restarts(self.CFG, [self.DIRECTION], frame, None, True,
+                                            threads=2)
+        assert forked == [[1, 2]]
+        for (v1, p1, e1, c1, w1), (v2, p2, e2, c2, w2) in zip(serial, parallel, strict=True):
             assert (v1, e1, c1, w1) == (v2, e2, c2, w2)
             assert np.array_equal(p1, p2)
 
 
-class PicklingPool(FakePool):
-    """A FakePool that pickles every task and outcome, as a process pool
-    does, and records the restart indices of each task it is given."""
-
-    tasks: list = []
-
-    def map(self, fn, items):
-        items = list(items)
-        PicklingPool.tasks.append([[r for _, r in jobs] for _, _, jobs, _, _ in items])
-        return [pickle.loads(pickle.dumps(fn(pickle.loads(pickle.dumps(t)))))
-                for t in items]
-
-
 class TestChunkDriver:
-    """The restarts go out as one contiguous chunk per worker, each chunk
-    builds one evaluator, and the outcomes come back in restart order, equal
-    to the serial ones."""
+    """The restarts go out as one contiguous chunk per worker, the caller
+    running the first and a child each other, each chunk builds one
+    evaluator, and the outcomes come back in restart order, equal to the
+    serial ones."""
 
     CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=5, budget_evals=90,
                        master_seed=17)
     DIRECTION = (0.1, -0.4, 0.9)
 
     @pytest.fixture
-    def setups(self, monkeypatch):
-        """Counts DistributionObjective constructions; pools get three CPUs."""
+    def setups(self, monkeypatch, forked):
+        """Counts DistributionObjective constructions; the driver gets three
+        CPUs and forks ``PicklingChild``."""
         calls = []
         init = DistributionObjective.__init__
 
@@ -1074,27 +1068,37 @@ class TestChunkDriver:
             init(self, *args)
         monkeypatch.setattr(DistributionObjective, "__init__", counted)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", PicklingPool)
-        FakePool.requested, PicklingPool.tasks = [], []
         return calls
+
+    @pytest.fixture
+    def ran(self, monkeypatch):
+        """The restart indices of every chunk run, caller's or child's, in
+        run order."""
+        chunks = []
+        run = engine._run_restarts
+        monkeypatch.setattr(engine, "_run_restarts", lambda chunk: chunks.append(
+            [r for _, r in chunk[2]]) or run(chunk))
+        return chunks
 
     @pytest.mark.parametrize("restarts, threads, chunks", [
         (5, 2, [[0, 1], [2, 3, 4]]),
         (5, 3, [[0], [1, 2], [3, 4]]),
         (2, 3, [[0], [1]]),
     ])
-    def test_chunks_give_serial_outcomes(self, frame, setups, restarts, threads, chunks):
+    def test_chunks_give_serial_outcomes(self, frame, setups, forked, ran, restarts,
+                                         threads, chunks):
         cfg = replace(self.CFG, restarts=restarts)
         serial = engine._run_all_restarts(cfg, [self.DIRECTION], frame, None, True, threads=1)
-        assert len(setups) == 1 and FakePool.requested == []
+        assert len(setups) == 1 and forked == []
         setups.clear()
-        pooled = engine._run_all_restarts(cfg, [self.DIRECTION], frame, None, True,
-                                          threads=threads)
+        ran.clear()
+        parallel = engine._run_all_restarts(cfg, [self.DIRECTION], frame, None, True,
+                                            threads=threads)
         workers = len(chunks)
-        assert FakePool.requested == [workers]
-        assert PicklingPool.tasks == [chunks]
+        assert 1 + len(forked) == workers
+        assert ran == chunks and forked == chunks[1:]
         assert len(setups) == workers
-        for (v1, p1, e1, c1, w1), (v2, p2, e2, c2, w2) in zip(serial, pooled, strict=True):
+        for (v1, p1, e1, c1, w1), (v2, p2, e2, c2, w2) in zip(serial, parallel, strict=True):
             assert (v1.hex(), e1, c1, w1) == (v2.hex(), e2, c2, w2)
             assert p1.tobytes() == p2.tobytes()
 
@@ -1113,30 +1117,90 @@ class TestChunkDriver:
         assert cloud_cfg is cfg and cloud_jobs == [
             (self.DIRECTION, 0), (self.DIRECTION, 1), ((0.0, 0.0, 1.0), 0), ((0.0, 0.0, 1.0), 1)]
 
-    def test_cloud_starts_one_pool(self, frame, setups):
+    def test_cloud_is_one_driver_call(self, frame, setups, forked, ran):
         directions = sphere_directions(3, seed=5)
         cfg = replace(self.CFG, restarts=2)
         serial = generate_cloud(directions, cfg, frame, threads=1)
         assert len(setups) == 1
         setups.clear()
-        pooled = generate_cloud(directions, cfg, frame, threads=2)
-        # six (direction, restart) searches in two chunks, one pool
-        assert FakePool.requested == [2]
-        assert PicklingPool.tasks == [[[0, 1, 0], [1, 0, 1]]]
+        ran.clear()
+        parallel = generate_cloud(directions, cfg, frame, threads=2)
+        # six (direction, restart) searches in two chunks, one child
+        assert 1 + len(forked) == 2
+        assert ran == [[0, 1, 0], [1, 0, 1]] and forked == [[1, 0, 1]]
         assert len(setups) == 2
-        assert pooled.weights.tobytes() == serial.weights.tobytes()
-        assert pooled.runs == serial.runs
+        assert parallel.weights.tobytes() == serial.weights.tobytes()
+        assert parallel.runs == serial.runs
 
-    def test_real_pool_cloud_equals_serial(self, frame, monkeypatch):
-        """A fork pool of two workers, whatever the CPU count of the host."""
+    def test_real_fork_cloud_equals_serial(self, frame, monkeypatch):
+        """Two workers, the caller and one forked child, whatever the CPU
+        count of the host."""
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         directions = sphere_directions(3, seed=8)
         cfg = replace(self.CFG, restarts=2, budget_evals=200)
         serial = generate_cloud(directions, cfg, frame, threads=1)
-        pooled = generate_cloud(directions, cfg, frame, threads=2)
+        parallel = generate_cloud(directions, cfg, frame, threads=2)
         assert len(serial) > 150
-        assert [(p.as_tuple(), p.source_tag) for p in pooled] == \
+        assert [(p.as_tuple(), p.source_tag) for p in parallel] == \
             [(p.as_tuple(), p.source_tag) for p in serial]
+
+
+class TestForkFailures:
+    """Failures with real forked children: the child's exception or its
+    death reaches the caller, a failure in the caller's own chunk kills the
+    children, and no child is left after any of them."""
+
+    CFG = SearchConfig(alphabet_sizes=(2, 2, 2, 2), restarts=4, budget_evals=60,
+                       master_seed=2)
+
+    @pytest.fixture
+    def in_child(self, monkeypatch):
+        """Replaces the chunk runner by ``behave(chunk, child)``, ``child``
+        telling a forked child from the caller; two workers."""
+        caller = os.getpid()
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+
+        def patch(behave):
+            monkeypatch.setattr(engine, "_run_restarts",
+                                lambda chunk: behave(chunk, os.getpid() != caller))
+        yield patch
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_exception_reaches_the_caller(self, frame, in_child):
+        run = engine._run_restarts
+
+        def behave(chunk, child):
+            if child:
+                raise ValueError("restarts 2..3 cannot run")
+            return run(chunk)
+        in_child(behave)
+        with pytest.raises(ValueError, match=r"^restarts 2\.\.3 cannot run$"):
+            optimize_distribution(self.CFG, frame, threads=2)
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_caller_failure_kills_the_child(self, frame, in_child, error):
+        def behave(chunk, child):
+            if child:
+                time.sleep(60)
+            raise error("the caller's chunk failed")
+        in_child(behave)
+        start = time.monotonic()
+        with pytest.raises(error, match="the caller's chunk failed"):
+            optimize_distribution(self.CFG, frame, threads=2)
+        assert time.monotonic() - start < 30
+
+    def test_killed_child_gives_runtime_error(self, frame, in_child):
+        run = engine._run_restarts
+
+        def behave(chunk, child):
+            if child:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run(chunk)
+        in_child(behave)
+        with pytest.raises(RuntimeError, match=r"worker \d+ ended without a result: "
+                                               r"exit code -9"):
+            generate_cloud([(0.0, 0.0, 1.0)], self.CFG, frame, threads=2)
 
 
 def hexed_points(points):
@@ -1152,7 +1216,7 @@ class TestCloudContract:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_equals_list_path(self, frame, monkeypatch, threads):
-        """Serially and with a real fork pool of two workers."""
+        """Serially and with two workers, the caller and a real forked child."""
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
         directions = sphere_directions(3, seed=4)
         cloud = generate_cloud(directions, self.CFG, frame, threads=threads)
@@ -1245,9 +1309,9 @@ class TestCloudMemoryBound:
     @pytest.mark.parametrize("pooled", [False, True])
     def test_bytes_per_point_as_stated(self, frame, monkeypatch, pooled):
         """The peak memory of a cloud, over its points, stays within
-        CLOUD_POINT_BYTES, serially and with outcomes pickled back."""
+        CLOUD_POINT_BYTES, serially and with half the outcomes read back from
+        a real forked child."""
         monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", PicklingPool)
         threads = 2 if pooled else 1
         directions = sphere_directions(3, seed=1)
         cfg = replace(self.CFG, restarts=2, budget_evals=2000)
