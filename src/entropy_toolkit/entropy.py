@@ -11,9 +11,10 @@ straight between rows and the arrays.  The ``atoms`` mapping is a read-only
 view built only when asked for.
 
 The generic path goes distribution -> marginals -> Shannon entropies (nats):
-:func:`marginal_index` numbers the cells of every marginal at once, from one
-cached plan per alphabet, and :func:`subset_entropies` turns atom
-probabilities into all marginal entropies with one bincount.  The search
+:func:`marginal_index` numbers the cells of every marginal at once, atom by
+atom, from one cached plan per alphabet, and :func:`subset_entropies` turns
+atom probabilities into all marginal entropies with one bincount, without
+masking when every marginal cell has mass in (KAPPA_FLOOR, 1).  The search
 engine evaluates entropies through the same two functions and grid.
 
 On top of that sit the two hand-analyzed families used throughout the Ingleton
@@ -250,8 +251,10 @@ def marginal_index(configs: np.ndarray, sizes, lo: int = 1,
     restricted to I, lowest bit most significant, offset per subset so the
     blocks do not overlap; one ``configs @ place_values`` product gives all
     keys and ``np.unique`` numbers the occupied cells.  Returns the cell
-    indices subset by subset, each subset's first cell and the cell count.
-    The place values and offsets are a column range of :func:`_index_plan`.
+    indices atom by atom (atom a's cells on the range's S subsets are entries
+    a * S to (a + 1) * S, the product's own order, so nothing is transposed),
+    each subset's first cell and the cell count.  The place values and
+    offsets are a column range of :func:`_index_plan`.
     """
     place, offsets = _index_plan(tuple(sizes))
     # a range's offsets start at its first block, not at 0: every key moves
@@ -259,7 +262,7 @@ def marginal_index(configs: np.ndarray, sizes, lo: int = 1,
     # alone.  Keys stay below prod(size + 1), at most 1.3e9 under MAX_CELLS.
     cols = slice(lo - 1, None if hi is None else hi - 1)
     place, offsets = place[:, cols], offsets[cols]
-    cells, flat_idx = np.unique((configs @ place + offsets).T.ravel(),
+    cells, flat_idx = np.unique((configs @ place + offsets).ravel(),
                                 return_inverse=True)
     return flat_idx, np.searchsorted(cells, offsets), len(cells)
 
@@ -269,15 +272,22 @@ def subset_entropies(p: np.ndarray, flat_idx: np.ndarray, starts: np.ndarray,
     """Entropies (nats) of the marginals of a :func:`marginal_index`, one per
     subset, from the atom probabilities ``p`` in ``configs`` row order.
 
-    One bincount accumulates every marginal mass, weighted by ``p`` tiled
-    once per subset by ``repeat`` of its one-row view (faster than
-    ``np.tile``, than a broadcast assignment into a fresh array, and than a
-    gather through a cached index table from 4^4 up); masses in
-    (KAPPA_FLOOR, 1) contribute -m ln m, and one ``reduceat`` sums them
-    subset by subset, into ``out`` when given (which is then returned).
+    One bincount accumulates every marginal mass, weighted by ``p`` with each
+    atom's probability repeated once per subset, as the atom-major index
+    lists its cells; a cell adds its atoms from 0.0 in increasing atom order.
+    Masses in (KAPPA_FLOOR, 1) contribute -m ln m, and one ``reduceat`` sums
+    them subset by subset, into ``out`` when given (which is then returned).
+    When every mass is live, as at nearly every point a search evaluates, the
+    sums of m ln m are negated instead, with no mask: the same bits, since
+    (-m) * ln m is exactly -(ln m * m), ``reduceat`` adds in the same order,
+    and under round-to-nearest a sum of negated terms is the negated sum.
     """
-    weights = p.reshape(1, -1).repeat(len(starts), 0).ravel()
-    masses = np.bincount(flat_idx, weights=weights, minlength=n_cells)
+    masses = np.bincount(flat_idx, weights=p.repeat(len(starts)), minlength=n_cells)
+    if KAPPA_FLOOR < np.minimum.reduce(masses) and np.maximum.reduce(masses) < 1.0:
+        contrib = np.log(masses)
+        contrib *= masses
+        out = np.add.reduceat(contrib, starts, out=out)
+        return np.negative(out, out=out)
     contrib = np.zeros(n_cells)
     live = (masses > KAPPA_FLOOR) & (masses < 1.0)
     m = masses[live]

@@ -25,8 +25,10 @@ restart's collector writes its evaluations' weights into one buffer of
 budget + atoms + 1 rows and keeps the rows inside the tetrahedron, so no
 per-point object exists until a point is read.  The default ``cloud`` (8
 directions x 64 restarts at 4^4, budget 20,000) holds at most 10,371,584
-points, 791 MiB at that bound, within ``MAX_CLOUD_MIB``; at about 11,500
-evaluations per second it runs about 15 minutes on one worker.
+points, 791 MiB at that bound, within ``MAX_CLOUD_MIB``.  One worker made
+11,700-14,300 evaluations per second at 4^4 on a shared 2-core box, whose
+perfbench reference kernel ran at 0.55 of its nominal speed: 12-15 minutes
+for the default cloud there, about 7-8 at nominal speed.
 
 A :class:`SearchConfig` names one of the ``SCORE_OBJECTIVES``: ``raw_score``
 scores the entropy function itself, ``tight_score`` its tight part and
@@ -281,22 +283,17 @@ class DistributionObjective:
         subset_entropies(p, self._flat_idx, self._offsets, self._n_cells, out=h[1:])
         return h
 
-    @staticmethod
-    def _quotient(h: np.ndarray, rows: np.ndarray, den: np.ndarray):
-        """``rows @ h`` over ``den @ h``, or None when h is degenerate."""
-        denom = float(den @ h)
-        return None if denom <= DEGENERATE_TOL else rows @ h / denom
-
     def score_from_entropy(self, h: np.ndarray, objective: str) -> float:
         den = self._normalizers.get(objective)
         if den is None:
             raise ValueError(f"not a score objective: {objective!r}")
-        score = self._quotient(h, self._stv, den)
-        return 0.0 if score is None else float(score)
+        denom = float(den @ h)
+        return 0.0 if denom <= DEGENERATE_TOL else float(self._stv @ h) / denom
 
     def weights_from_entropy(self, h: np.ndarray) -> np.ndarray | None:
         """Normalized cross-section weights, or None when degenerate."""
-        return self._quotient(h, self._weight_rows, self._normalizers["pipeline_score"])
+        denom = float(self._normalizers["pipeline_score"] @ h)
+        return None if denom <= DEGENERATE_TOL else self._weight_rows @ h / denom
 
     def make_objective(self, objective: str,
                        direction: tuple[float, float, float] | None = None,
@@ -361,8 +358,9 @@ def softmax(theta: np.ndarray) -> np.ndarray:
     """Normalized exponentials: the unconstrained simplex parametrization.
 
     The reductions are the ufuncs that ``.max()`` and ``.sum()`` call behind
-    numpy's Python-level ``_methods`` wrappers."""
-    e = np.exp(theta - np.maximum.reduce(theta))
+    numpy's Python-level ``_methods`` wrappers; ``exp`` writes in place."""
+    e = theta - np.maximum.reduce(theta)
+    np.exp(e, out=e)
     e /= np.add.reduce(e)
     return e
 

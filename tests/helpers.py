@@ -413,16 +413,16 @@ def marginal_index_by_fresh_plan(configs: np.ndarray, sizes,
     block = np.cumprod(radix[::-1], axis=0)[::-1]
     place = member * np.vstack([block[1:], np.ones_like(block[:1])])
     offsets = np.concatenate(([0], np.cumsum(block[0])[:-1]))
-    cells, flat_idx = np.unique((configs @ place + offsets).T.ravel(),
+    cells, flat_idx = np.unique((configs @ place + offsets).ravel(),
                                 return_inverse=True)
     return flat_idx, np.searchsorted(cells, offsets), len(cells)
 
 
 def subset_entropies_by_tile(p: np.ndarray, flat_idx: np.ndarray, starts: np.ndarray,
                              n_cells: int) -> np.ndarray:
-    """Reference: bincount weights from ``np.tile`` and the live masses
+    """Reference: bincount weights from ``np.repeat`` and the live masses
     indexed twice."""
-    masses = np.bincount(flat_idx, weights=np.tile(p, len(starts)), minlength=n_cells)
+    masses = np.bincount(flat_idx, weights=np.repeat(p, len(starts)), minlength=n_cells)
     contrib = np.zeros_like(masses)
     live = (masses > KAPPA_FLOOR) & (masses < 1.0)
     contrib[live] = -masses[live] * np.log(masses[live])

@@ -31,7 +31,7 @@ from entropy_toolkit import (
 )
 from entropy_toolkit import entropy as entropy_mod
 from entropy_toolkit.core import TOL_ENTROPIC
-from entropy_toolkit.search.engine import DistributionObjective
+from entropy_toolkit.search.engine import DistributionObjective, softmax
 
 from helpers import (
     JointDistributionByDict,
@@ -47,6 +47,7 @@ from helpers import (
     four_atom_distribution_by_dict,
     marginal_index_by_fresh_plan,
     rand_distribution,
+    subset_entropies_by_tile,
 )
 
 LN2 = math.log(2.0)
@@ -123,6 +124,87 @@ def sparse_distributions(draw):
     return JointDistribution.from_dense(GroundSet("ijkl"), sizes, dense / dense.sum())
 
 
+def _takes_all_live_branch(p, flat_idx, starts, n_cells) -> bool:
+    """Whether ``subset_entropies`` skips the live-cell mask on these inputs:
+    every marginal mass in (KAPPA_FLOOR, 1)."""
+    masses = np.bincount(flat_idx, weights=np.repeat(p, len(starts)), minlength=n_cells)
+    return bool(entropy_mod.KAPPA_FLOOR < masses.min() and masses.max() < 1.0)
+
+
+def _leading_atoms(sizes, rng, excess: float):
+    """The atoms whose first symbol is 0, with probabilities whose running
+    sum in row order is exactly 1 + excess, so the marginal on the first
+    variable is one cell of that mass."""
+    configs = entropy_mod._config_grid(sizes)
+    configs = configs[configs[:, 0] == 0]
+    head = 0.6 * rng.dirichlet(np.ones(len(configs) - 1))
+    total = float(np.add.accumulate(head)[-1])
+    # 1 - total is exact for a total in [1/2, 2], and so is the excess
+    # added to it, a few units in its last place
+    p = np.append(head, 1.0 - total + excess)
+    assert float(np.add.accumulate(p)[-1]) == 1.0 + excess
+    return configs, p
+
+
+class TestAllLiveBranch:
+    """``subset_entropies`` without the live-cell mask gives the masked
+    oracle's bits, and the mask runs whenever a mass is at most KAPPA_FLOOR
+    or at least 1."""
+
+    ALPHABETS = [(2, 2, 2, 2), (3, 3, 3, 3), (4, 4, 4, 4), (3, 2, 4, 2), (2, 3, 2, 2, 2)]
+
+    @staticmethod
+    def cases(sizes):
+        """(name, configs, p, all_live) on one alphabet."""
+        rng = np.random.default_rng(math.prod(sizes))
+        grid = entropy_mod._config_grid(sizes)
+        n = len(grid)
+        yield "softmax", grid, softmax(rng.normal(size=n)), True
+        zero = softmax(rng.normal(size=n))
+        zero[rng.integers(n)] = 0.0
+        yield "zero cell", grid, zero / zero.sum(), False
+        floor = softmax(rng.normal(size=n))
+        floor[rng.integers(n)] = 0.0
+        floor *= (1.0 - entropy_mod.KAPPA_FLOOR) / floor.sum()
+        floor[floor == 0.0] = entropy_mod.KAPPA_FLOOR
+        yield "mass at the floor", grid, floor, False
+        yield "point-mass marginal", *_leading_atoms(sizes, rng, 0.0), False
+        yield "mass above one", *_leading_atoms(sizes, rng, 2.0 ** -52), False
+
+    @pytest.mark.parametrize("sizes", ALPHABETS)
+    def test_matches_masked_oracle(self, sizes):
+        for name, configs, p, all_live in self.cases(sizes):
+            index = entropy_mod.marginal_index(configs, sizes)
+            assert _takes_all_live_branch(p, *index) is all_live, name
+            got = entropy_mod.subset_entropies(p, *index)
+            assert got.tobytes() == subset_entropies_by_tile(p, *index).tobytes(), name
+
+    @pytest.mark.parametrize("sizes", ALPHABETS)
+    def test_chunked_entropy_function(self, monkeypatch, sizes):
+        """Through ``entropy_function``'s chunks, each of which takes its own
+        branch: an all-live distribution takes the unmasked one in every
+        chunk, the others the masked one in at least one.  It drops zero
+        atoms first, which leaves every mass of the zero-cell case live."""
+        ground = GroundSet("ijklm"[:len(sizes)])
+        subset_entropies = entropy_mod.subset_entropies
+        for name, configs, p, all_live in self.cases(sizes):
+            dense = np.zeros(math.prod(sizes))
+            dense[np.ravel_multi_index(configs.T, sizes)] = p
+            d = JointDistribution.from_dense(ground, sizes, dense)
+            branches = []
+
+            def spy(p, *index):
+                branches.append(_takes_all_live_branch(p, *index))
+                return subset_entropies(p, *index)
+            monkeypatch.setattr(entropy_mod, "subset_entropies", spy)
+            monkeypatch.setattr(entropy_mod, "INDEX_CHUNK", 5 * len(configs))
+            got = entropy_function(d).values
+            monkeypatch.undo()
+            assert len(branches) == -(-(ground.size - 1) // 5), name
+            assert (set(branches) == {True}) is (all_live or name == "zero cell"), name
+            assert got.tobytes() == entropy_function_by_tile(d).values.tobytes(), name
+
+
 class TestEntropyFunctionMatchesReference:
     @settings(max_examples=100, deadline=None)
     @given(sparse_distributions())
@@ -142,9 +224,10 @@ class TestEntropyFunctionMatchesReference:
         index = entropy_mod.marginal_index(entropy_mod._config_grid(sizes), sizes)
         rng = np.random.default_rng(sum(sizes))
         n = math.prod(sizes)
-        for dense in (rng.dirichlet(np.ones(n)),
-                      rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.2)):
+        for dense, all_live in ((rng.dirichlet(np.ones(n)), True),
+                                (rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.2), False)):
             p = dense / dense.sum()
+            assert _takes_all_live_branch(p, *index) is all_live
             h = np.full(16, np.nan)
             v = h[1:]
             assert entropy_mod.subset_entropies(p, *index, out=v) is v
@@ -348,7 +431,7 @@ class TestMarginalIndex:
         configs = np.indices(sizes).reshape(4, -1).T
         flat, starts, n_cells = entropy_mod.marginal_index(configs, sizes)
         I = 0b1010
-        block = flat[(I - 1) * len(configs):I * len(configs)] - starts[I - 1]
+        block = flat.reshape(len(configs), -1)[:, I - 1] - starts[I - 1]
         assert np.array_equal(block, configs[:, 1] * 2 + configs[:, 3])
         assert n_cells == math.prod(s + 1 for s in sizes) - 1
 
