@@ -281,9 +281,11 @@ def subset_entropies(p: np.ndarray, flat_idx: np.ndarray, starts: np.ndarray,
     sums of m ln m are negated instead, with no mask: the same bits, since
     (-m) * ln m is exactly -(ln m * m), ``reduceat`` adds in the same order,
     and under round-to-nearest a sum of negated terms is the negated sum.
+    The test reads the extreme masses at ``argmin``/``argmax``, whose zeros'
+    signs no comparison sees; a NaN mass fails it and takes the masked path.
     """
     masses = np.bincount(flat_idx, weights=p.repeat(len(starts)), minlength=n_cells)
-    if KAPPA_FLOOR < np.minimum.reduce(masses) and np.maximum.reduce(masses) < 1.0:
+    if KAPPA_FLOOR < masses[masses.argmin()] and masses[masses.argmax()] < 1.0:
         contrib = np.log(masses)
         contrib *= masses
         out = np.add.reduceat(contrib, starts, out=out)

@@ -26,9 +26,9 @@ budget + atoms + 1 rows and keeps the rows inside the tetrahedron, so no
 per-point object exists until a point is read.  The default ``cloud`` (8
 directions x 64 restarts at 4^4, budget 20,000) holds at most 10,371,584
 points, 791 MiB at that bound, within ``MAX_CLOUD_MIB``.  One worker made
-11,700-14,300 evaluations per second at 4^4 on a shared 2-core box, whose
-perfbench reference kernel ran at 0.55 of its nominal speed: 12-15 minutes
-for the default cloud there, about 7-8 at nominal speed.
+20,700-24,100 evaluations per second at 4^4 on a shared 2-core box, whose
+perfbench reference kernel ran at about its nominal speed (3.8-4.1 ms against
+4.1 ms): 7-8 minutes for the default cloud there.
 
 A :class:`SearchConfig` names one of the ``SCORE_OBJECTIVES``: ``raw_score``
 scores the entropy function itself, ``tight_score`` its tight part and
@@ -258,9 +258,10 @@ class DistributionObjective:
     score is row 0 over its normalizer, the weights rows 1-4 over row 7, and
     a normalizer at most ``DEGENERATE_TOL`` makes h degenerate.  At 2^4 an
     evaluation is a few dozen numpy calls on 16-element arrays, so the
-    objectives call ufuncs and array methods directly rather than numpy's
-    Python-level wrappers (``np.tile``, ``np.max``, ``np.linalg.norm``), and
-    agree with the compositional path through SetFunction operations to ~1e-13.
+    objectives call array methods rather than numpy's Python-level wrappers
+    (``np.tile``, ``np.linalg.norm``) or ``@``, whose dot kernels ``.dot``
+    reaches at half the call cost, and agree with the compositional path
+    through SetFunction operations to ~1e-13.
     """
 
     def __init__(self, frame: IngletonFrame, alphabet_sizes: Sequence[int]):
@@ -287,13 +288,13 @@ class DistributionObjective:
         den = self._normalizers.get(objective)
         if den is None:
             raise ValueError(f"not a score objective: {objective!r}")
-        denom = float(den @ h)
-        return 0.0 if denom <= DEGENERATE_TOL else float(self._stv @ h) / denom
+        denom = float(den.dot(h))
+        return 0.0 if denom <= DEGENERATE_TOL else float(self._stv.dot(h)) / denom
 
     def weights_from_entropy(self, h: np.ndarray) -> np.ndarray | None:
         """Normalized cross-section weights, or None when degenerate."""
-        denom = float(self._normalizers["pipeline_score"] @ h)
-        return None if denom <= DEGENERATE_TOL else self._weight_rows @ h / denom
+        denom = float(self._normalizers["pipeline_score"].dot(h))
+        return None if denom <= DEGENERATE_TOL else self._weight_rows.dot(h) / denom
 
     def make_objective(self, objective: str,
                        direction: tuple[float, float, float] | None = None,
@@ -316,7 +317,7 @@ class DistributionObjective:
             if collector is not None:
                 collector.append(w)
             x = w[1:]
-            along = float(x @ d)
+            along = float(x.dot(d))
             # the distance to the ray; np.linalg.norm computes the same
             # sqrt(r.dot(r)) behind a Python wrapper
             r = x - along * d if along > 0 else x
@@ -357,9 +358,11 @@ class _Collector:
 def softmax(theta: np.ndarray) -> np.ndarray:
     """Normalized exponentials: the unconstrained simplex parametrization.
 
-    The reductions are the ufuncs that ``.max()`` and ``.sum()`` call behind
-    numpy's Python-level ``_methods`` wrappers; ``exp`` writes in place."""
-    e = theta - np.maximum.reduce(theta)
+    The maximum is read at ``argmax``, cheaper than a ufunc reduction and of
+    the same bits but a zero's sign, which changes ``e`` only where theta is
+    that zero, where ``exp(+-0)`` is exactly 1.0.  The sum is the pairwise
+    ``np.add.reduce`` that ``.sum()`` wraps; ``exp`` writes in place."""
+    e = theta - theta[theta.argmax()]
     np.exp(e, out=e)
     e /= np.add.reduce(e)
     return e

@@ -401,6 +401,19 @@ def softmax_by_np_max(theta: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
+def softmax_by_maximum_reduce(theta: np.ndarray) -> np.ndarray:
+    """Reference: ``softmax`` with its maximum from the ufunc reduction."""
+    e = theta - np.maximum.reduce(theta)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e)
+    return e
+
+
+def all_live_by_reduce(masses: np.ndarray) -> bool:
+    """Reference: ``subset_entropies``' all-live test with ufunc reductions."""
+    return bool(KAPPA_FLOOR < np.minimum.reduce(masses) and np.maximum.reduce(masses) < 1.0)
+
+
 def marginal_index_by_fresh_plan(configs: np.ndarray, sizes,
                                  masks: np.ndarray | None = None
                                  ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -477,6 +490,26 @@ class ObjectiveByRankVecs:
     def weights_from_entropy(self, h: np.ndarray) -> np.ndarray | None:
         denom = float(self.rank_vecs["pipeline_score"] @ h)
         return None if denom <= DEGENERATE_TOL else self.weight_mat @ h / denom
+
+
+def ray_objective_by_matmul(evaluator: DistributionObjective,
+                            direction) -> Callable[[np.ndarray], float]:
+    """Reference: the ray objective with the weights, the pipeline
+    normalizer and the component along the direction made by ``@``."""
+    d = np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+    denominator, weight_rows = evaluator.table[7], evaluator.table[1:5]
+
+    def fn(p: np.ndarray) -> float:
+        h = evaluator.entropy_vector(p)
+        denom = float(denominator @ h)
+        if denom <= DEGENERATE_TOL:
+            return 0.0
+        w = weight_rows @ h / denom
+        x = w[1:]
+        along = float(x @ d)
+        r = x - along * d if along > 0 else x
+        return -w[0] + DIRECTION_PENALTY * math.sqrt(float(r.dot(r)))
+    return fn
 
 
 def alpha_objective_by_norm(evaluator: DistributionObjective, direction,

@@ -35,6 +35,7 @@ from entropy_toolkit.search.engine import DistributionObjective, softmax
 
 from helpers import (
     JointDistributionByDict,
+    all_live_by_reduce,
     assert_same_rows,
     distribution_from_csv_by_dict,
     distribution_from_json_by_dict,
@@ -128,7 +129,22 @@ def _takes_all_live_branch(p, flat_idx, starts, n_cells) -> bool:
     """Whether ``subset_entropies`` skips the live-cell mask on these inputs:
     every marginal mass in (KAPPA_FLOOR, 1)."""
     masses = np.bincount(flat_idx, weights=np.repeat(p, len(starts)), minlength=n_cells)
-    return bool(entropy_mod.KAPPA_FLOOR < masses.min() and masses.max() < 1.0)
+    return all_live_by_reduce(masses)
+
+
+class _MaskSpy:
+    """Stands in for the entropy module's numpy and records whether the
+    masked path's zero-filled contribution array was made."""
+
+    def __init__(self):
+        self.masked = False
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def zeros(self, *args, **kwargs):
+        self.masked = True
+        return np.zeros(*args, **kwargs)
 
 
 def _leading_atoms(sizes, rng, excess: float):
@@ -177,6 +193,25 @@ class TestAllLiveBranch:
             index = entropy_mod.marginal_index(configs, sizes)
             assert _takes_all_live_branch(p, *index) is all_live, name
             got = entropy_mod.subset_entropies(p, *index)
+            assert got.tobytes() == subset_entropies_by_tile(p, *index).tobytes(), name
+
+    @pytest.mark.parametrize("sizes", ALPHABETS)
+    def test_branch_is_the_reduce_test(self, monkeypatch, sizes):
+        """The branch taken is the one the ufunc-reduction test picks, on
+        every case and on a NaN mass, which takes the masked path: its cells
+        count as not live, as in the oracle."""
+        rng = np.random.default_rng(len(sizes))
+        nan = softmax(rng.normal(size=math.prod(sizes)))
+        nan[rng.integers(len(nan))] = np.nan
+        grid = entropy_mod._config_grid(sizes)
+        for name, configs, p, all_live in [*self.cases(sizes), ("NaN mass", grid, nan, False)]:
+            index = entropy_mod.marginal_index(configs, sizes)
+            spy = _MaskSpy()
+            monkeypatch.setattr(entropy_mod, "np", spy)
+            got = entropy_mod.subset_entropies(p, *index)
+            monkeypatch.undo()
+            assert _takes_all_live_branch(p, *index) is all_live, name
+            assert spy.masked is not all_live, name
             assert got.tobytes() == subset_entropies_by_tile(p, *index).tobytes(), name
 
     @pytest.mark.parametrize("sizes", ALPHABETS)

@@ -54,6 +54,8 @@ from helpers import (
     nelder_mead_by_mean,
     nelder_mead_by_rank,
     rand_distribution,
+    ray_objective_by_matmul,
+    softmax_by_maximum_reduce,
     softmax_by_np_max,
     vertex_seed_distributions_by_dict,
 )
@@ -726,9 +728,64 @@ def peaked_thetas(draw):
     return sizes, theta
 
 
+@st.composite
+def special_thetas(draw):
+    """Softmax parameters of dimension 16, 81 or 256 at three scales, with
+    special entries written over a seeded normal draw: a zero maximum of
+    either sign, or both signs in either order, a tie at the maximum, an
+    infinity of either sign or a NaN."""
+    n = draw(st.sampled_from([16, 81, 256]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = draw(st.sampled_from([1.0, 40.0, 800.0])) * rng.normal(size=n)
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    kind = draw(st.sampled_from(["plain", "+0", "-0", "+0 -0", "-0 +0", "tie",
+                                 "inf", "-inf", "nan"]))
+    if "0" in kind:
+        theta = -np.abs(theta)
+        for k, sign in zip((i, j), kind.split()):
+            theta[k] = 0.0 if sign == "+0" else -0.0
+    elif kind == "tie":
+        theta[i] = theta[j] = theta.max()
+    elif kind != "plain":
+        theta[i] = float(kind)
+    return theta
+
+
 class TestKernelMatchesReference:
     """softmax, the entropy vector, the alpha objective and Nelder-Mead
     reproduce their numpy-wrapper references in tests/helpers.py bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(special_thetas())
+    @example(np.array([-0.0, 0.0] + [-1.0] * 14))
+    @example(np.array([0.0, -0.0] + [-1.0] * 14))
+    @example(np.array([np.inf, np.inf] + [0.0] * 14))
+    @example(np.full(16, -np.inf))
+    @example(np.full(16, np.nan))
+    def test_softmax_equals_maximum_reduce(self, theta):
+        """The maximum read at argmax gives the ufunc reduction's bits."""
+        with np.errstate(all="ignore"):
+            got = softmax(theta.copy())
+            want = softmax_by_maximum_reduce(theta.copy())
+        assert got.tobytes() == want.tobytes()
+
+    def test_ray_objective_equals_matmul(self, frame):
+        """The ray objective's ``ndarray.dot`` products give the ``@``
+        products' bits on 20,000 seeded 2^4 points, each along one of six
+        directions and its negation, so both sides of the ray are taken."""
+        ev = DistributionObjective(frame, (2, 2, 2, 2))
+        rng = np.random.default_rng(30)
+        scales = np.repeat([1.0, 4.0, 40.0], [7000, 7000, 6000])[:, None]
+        points = [softmax(theta) for theta in scales * rng.normal(size=(20000, 16))]
+        directions = [(0.3, -0.2, 0.9), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                      (-0.5, 0.5, 0.5), (0.2, 0.7, -0.1), (1e-3, -2.0, 3.0)]
+        for k, d in enumerate(directions):
+            pair = (d, tuple(-x for x in d))
+            got = [ev.make_objective("pipeline_score", e) for e in pair]
+            want = [ray_objective_by_matmul(ev, e) for e in pair]
+            for p in points[k::len(directions)]:
+                for fn, ref in zip(got, want):
+                    assert fn(p).hex() == ref(p).hex()
 
     @settings(max_examples=80, deadline=None)
     @given(peaked_thetas())
