@@ -779,8 +779,8 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
 
 def sphere_directions(count: int, seed: int = 0) -> list[tuple[float, float, float]]:
     """Deterministic directions drawn uniformly on the sphere in weight space."""
-    if count < 1:
-        raise ValueError("need a positive direction count")
+    if not _is_integer(count) or count < 1:
+        raise ValueError(f"need a positive integer direction count, got {count!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1F)))
     out = []
     while len(out) < count:

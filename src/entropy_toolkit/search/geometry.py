@@ -9,10 +9,10 @@ enumeration solves every nonsingular 3x3 boundary system in one batched
 product, which is exact enough for banks of a few dozen constraints.  Point
 deduplication is one ``np.unique`` over the rounded rows.
 
-``scipy.spatial`` is imported inside ``convex_hull_3d``, ``hull_volume`` and
+``scipy.spatial`` is imported only inside ``convex_hull_3d`` and
 ``outer_region``, on the first hull: it is most of the cost of importing the
 package, and everything but hulls (entropy functions, scores, the searches)
-runs without it.
+runs without it; a polytope keeps the volume its hull computed.
 """
 
 from __future__ import annotations
@@ -39,18 +39,14 @@ class Polytope3:
 
     ``dim`` is the affine dimension of the vertex set; facets are only
     populated for full-dimensional (dim 3) polytopes, referencing vertex
-    indices.  An empty region has dim -1.
+    indices.  An empty region has dim -1.  ``volume`` is the chart volume its
+    hull computed, stored; 0 for a polytope without facets.
     """
 
     vertices: tuple[tuple[float, float, float, float], ...]
     facets: tuple[tuple[int, int, int], ...]
     dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(
-            tuple(float(x) for x in v) for v in self.vertices))
-        object.__setattr__(self, "facets", tuple(
-            tuple(int(x) for x in f) for f in self.facets))
+    volume: float = 0.0
 
     @property
     def is_empty(self) -> bool:
@@ -59,10 +55,6 @@ class Polytope3:
     @property
     def is_full_dimensional(self) -> bool:
         return self.dim == 3
-
-    def affine_vertices(self) -> np.ndarray:
-        """Vertex coordinates in the (beta, gamma, delta) chart."""
-        return np.array([v[1:] for v in self.vertices], dtype=float).reshape(-1, 3)
 
 
 def _as_weight_array(points: Sequence[Sequence[float]]) -> np.ndarray:
@@ -77,6 +69,11 @@ def _as_weight_array(points: Sequence[Sequence[float]]) -> np.ndarray:
     if bad.size:
         raise ValueError(f"point {bad[0]} has weight sum {float(sums[bad[0]])!r}, expected 1")
     return arr
+
+
+def _rows(arr: np.ndarray) -> tuple[tuple, ...]:
+    """The rows of an array as tuples of Python numbers, as polytopes store them."""
+    return tuple(map(tuple, arr.tolist()))
 
 
 def _dedupe(arr: np.ndarray) -> np.ndarray:
@@ -112,31 +109,27 @@ def convex_hull_3d(points: Sequence[Sequence[float]]) -> Polytope3:
         keep = np.sort(hull.vertices)
         renumber = np.empty(len(arr), dtype=int)
         renumber[keep] = np.arange(len(keep))
-        return Polytope3(arr[keep], renumber[hull.simplices], 3)
+        return Polytope3(_rows(arr[keep]), _rows(renumber[hull.simplices]), 3, float(hull.volume))
 
     if dim == 2:
         origin = x[0]
         basis, *_ = np.linalg.svd((x - origin).T)
         proj = (x - origin) @ basis[:, :2]
         hull = ConvexHull(proj)
-        return Polytope3(arr[np.sort(hull.vertices)], (), 2)
+        return Polytope3(_rows(arr[np.sort(hull.vertices)]), (), 2)
 
     if dim == 1:
         axis = x[np.argmax(np.linalg.norm(x - x[0], axis=1))] - x[0]
         coords = (x - x[0]) @ axis
         keep = sorted({int(np.argmin(coords)), int(np.argmax(coords))})
-        return Polytope3(tuple(tuple(arr[v]) for v in keep), (), 1)
+        return Polytope3(_rows(arr[keep]), (), 1)
 
-    return Polytope3((tuple(arr[0]),), (), 0)
+    return Polytope3(_rows(arr[:1]), (), 0)
 
 
 def hull_volume(poly: Polytope3) -> float:
-    """Euclidean volume in the affine chart; 0 for degenerate hulls."""
-    if not poly.is_full_dimensional:
-        return 0.0
-    from scipy.spatial import ConvexHull
-
-    return float(ConvexHull(poly.affine_vertices()).volume)
+    """Euclidean chart volume, stored by the polytope's hull; 0 without facets."""
+    return poly.volume
 
 
 # --- outer approximation from halfspace banks ---------------------------------
@@ -197,7 +190,7 @@ def outer_region(bank: Sequence[CrossSectionHalfspace]) -> Polytope3:
             return convex_hull_3d(weights)
         except QhullError:
             pass
-    return Polytope3(tuple(tuple(w) for w in weights), (), dim)
+    return Polytope3(_rows(weights), (), dim)
 
 
 def active_constraints(weights: Sequence[float],

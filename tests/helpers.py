@@ -9,7 +9,7 @@ from itertools import combinations
 from typing import Callable, Mapping
 
 import numpy as np
-from scipy.spatial import QhullError
+from scipy.spatial import ConvexHull, QhullError
 
 from entropy_toolkit import (
     AxiomReport,
@@ -902,6 +902,14 @@ def outer_region_by_loop(bank) -> Polytope3:
         except QhullError:
             pass
     return Polytope3(tuple(tuple(w) for w in weights), (), dim)
+
+
+def hull_volume_by_qhull(poly: Polytope3) -> float:
+    """Reference: a second Qhull run over the vertices in the (beta, gamma,
+    delta) chart, 0 below dimension 3."""
+    if not poly.is_full_dimensional:
+        return 0.0
+    return float(ConvexHull(np.array([v[1:] for v in poly.vertices], dtype=float)).volume)
 
 
 @dataclass(frozen=True)

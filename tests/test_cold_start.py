@@ -48,6 +48,17 @@ def test_import_loads_no_scipy():
     assert json.loads(out) == []
 
 
+def test_hull_volume_loads_no_scipy():
+    """The volume is stored on the polytope: reading it runs no Qhull."""
+    out = cold("from entropy_toolkit import Polytope3, hull_volume\n"
+               "corners = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0),\n"
+               "           (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0))\n"
+               "facets = ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))\n"
+               "print(hull_volume(Polytope3(corners, facets, 3, 1 / 6)))\n"
+               "print(hull_volume(Polytope3((), (), -1)))\n" + REPORT_SCIPY)
+    assert out.splitlines() == [repr(1 / 6), "0.0", "[]"]
+
+
 def test_hull_free_commands_load_no_scipy(tmp_path):
     runs = [
         ["entropy", "tests/goldens/dist3242.csv"],

@@ -16,6 +16,7 @@ from entropy_toolkit import (
     dfz_halfspace,
 )
 from entropy_toolkit.search.geometry import (
+    Polytope3,
     _affine_constraints,
     _dedupe,
     active_constraints,
@@ -29,6 +30,7 @@ from helpers import (
     affine_constraints_by_loop,
     dedupe_by_dict,
     fixed_cloud,
+    hull_volume_by_qhull,
     outer_region_by_loop,
 )
 
@@ -336,7 +338,7 @@ class TestRejectedInputs:
 
 class TestOuterRegionQhullFallback:
     """When Qhull rejects the full-dimensional candidate set, outer_region
-    returns the sorted feasible vertices without facets."""
+    returns the sorted feasible vertices without facets or volume."""
 
     def test_qhull_error_keeps_sorted_vertices(self, monkeypatch):
         bank = default_halfspace_bank(6)
@@ -351,3 +353,92 @@ class TestOuterRegionQhullFallback:
         assert region.dim == 3
         assert region.vertices == hulled.vertices
         assert list(region.vertices) == sorted(region.vertices, key=lambda v: v[1:])
+        assert_python_rows(region)
+        assert region.volume == hull_volume(region) == 0.0
+
+
+# --- the volume a hull stores, and rows of Python numbers ------------------------
+
+@st.composite
+def grid_clouds(draw):
+    """Section points with weights on a grid of twentieths of their sum:
+    duplicates, coplanar and collinear sets and full-dimensional clouds."""
+    cells = st.tuples(*[st.integers(0, 20)] * 4).filter(any)
+    rows = np.array(draw(st.lists(cells, min_size=1, max_size=30)), dtype=float)
+    return rows / rows.sum(axis=1, keepdims=True)
+
+
+def assert_python_rows(poly):
+    """Vertices and facets are tuples of tuples of Python floats and ints."""
+    assert type(poly.vertices) is tuple and type(poly.facets) is tuple
+    assert all(type(v) is tuple and len(v) == 4 and all(type(x) is float for x in v)
+               for v in poly.vertices)
+    assert all(type(f) is tuple and len(f) == 3 and all(type(i) is int for i in f)
+               for f in poly.facets)
+    assert type(poly.volume) is float
+
+
+def hexed(rows):
+    return [[float(x).hex() for x in row] for row in rows]
+
+
+class TestStoredVolume:
+    def test_hull_volume_runs_no_qhull(self, rng, monkeypatch):
+        poly = convex_hull_3d(SIMPLEX + random_simplex_points(rng, 40))
+        expected = hull_volume_by_qhull(poly)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("hull_volume ran Qhull")
+
+        monkeypatch.setattr(scipy.spatial, "ConvexHull", refuse)
+        assert hull_volume(poly) == pytest.approx(expected, rel=1e-12)
+        assert hull_volume(poly) == poly.volume
+
+    @settings(max_examples=150, deadline=None)
+    @given(grid_clouds())
+    def test_clouds_against_second_qhull_run(self, rows):
+        poly = convex_hull_3d(rows)
+        assert_python_rows(poly)
+        if poly.dim < 3:
+            assert hull_volume(poly) == 0.0
+        assert hull_volume(poly) == pytest.approx(hull_volume_by_qhull(poly), rel=1e-12)
+
+    @pytest.mark.parametrize("s", range(1, 21))
+    def test_default_banks_against_second_qhull_run(self, s):
+        region = outer_region(default_halfspace_bank(s))
+        assert region.dim == 3
+        assert hull_volume(region) == pytest.approx(hull_volume_by_qhull(region), rel=1e-12)
+
+
+
+class TestRowsAsGiven:
+    """Every producer stores Python numbers, with the bits of the rows it
+    keeps, and a volume exactly when it has facets."""
+
+    def test_hulls(self, rng):
+        cloud = random_simplex_points(rng, 200)
+        plane = [(a, b, 1.0 - a - b, 0.0) for a, b in rng.dirichlet(np.ones(3), size=30)[:, :2]]
+        seg = [(1.0 - t, t, 0.0, 0.0) for t in (0.0, 0.25, 0.5, 1.0)]
+        point = [(0.25, 0.25, 0.25, 0.25)] * 3
+        for pts, dim in ((cloud, 3), (plane, 2), (seg, 1), (point, 0)):
+            poly = convex_hull_3d(pts)
+            assert_python_rows(poly)
+            assert poly.dim == dim
+            assert (poly.volume > 0.0) == bool(poly.facets) == (dim == 3)
+            assert set(map(tuple, hexed(poly.vertices))) <= set(map(tuple, hexed(pts)))
+        assert hexed(convex_hull_3d(seg).vertices) == hexed([seg[0], seg[3]])
+        assert hexed(convex_hull_3d(point).vertices) == hexed(point[:1])
+
+    def test_outer_regions(self):
+        flat = [CrossSectionHalfspace("ge", -1, 1, -1, -1),
+                CrossSectionHalfspace("le", 1, -1, 1, 1)]
+        for bank, dim in ((default_halfspace_bank(20), 3), ([], 3), (flat, 2),
+                          ([CrossSectionHalfspace("nope", -1, -1, -1, -1)], -1)):
+            region = outer_region(bank)
+            assert_python_rows(region)
+            assert region.dim == dim
+            assert (region.volume > 0.0) == (dim == 3)
+            oracle = outer_region_by_loop(bank)
+            assert hexed(region.vertices) == hexed(oracle.vertices)
+            assert region.facets == oracle.facets
+        assert Polytope3((), (), -1).volume == 0.0

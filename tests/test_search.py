@@ -543,6 +543,15 @@ class TestCloud:
         assert dirs == sphere_directions(16, seed=3)
         for d in dirs:
             assert math.hypot(*d) == pytest.approx(1.0, abs=1e-12)
+        # integer counts keep their directions, numpy integers included
+        assert sphere_directions(np.int64(5), seed=3) == dirs[:5]
+        assert [x.hex() for x in map(float, dirs[1])] == [
+            "0x1.932c52dcd18e4p-1", "0x1.24ad1c1dcd414p-1", "-0x1.d8344c3dc7311p-3"]
+
+    @pytest.mark.parametrize("count", [math.nan, 2.5, True, 0, -1, math.inf])
+    def test_sphere_directions_rejects_count(self, count):
+        with pytest.raises(ValueError, match=f"direction count, got {count!r}"):
+            sphere_directions(count)
 
     def test_cloud_points_satisfy_builtin_bank(self, frame):
         # entropic points obey the non-Shannon bank; cross-module consistency
