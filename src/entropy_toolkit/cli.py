@@ -254,6 +254,8 @@ def _directions(doc, cfg: engine.SearchConfig,
 
 
 def cmd_cloud(args) -> int:
+    if args.directions_file and args.directions is not None:
+        raise ValueError("need at most one of --directions and --directions-file")
     cfg = _config_from_args(args)
     if cfg.objective != engine.SearchConfig.objective:  # only a --config sets it
         raise ValueError(f"{args.config}: cloud maximizes alpha along each direction "
@@ -263,8 +265,9 @@ def cmd_cloud(args) -> int:
         directions = core._read_file(args.directions_file,
                                      lambda doc: _directions(doc, cfg, args.optima_only))
     else:
-        engine._check_cloud_size(args.directions, cfg, args.optima_only)
-        directions = engine.sphere_directions(args.directions, seed=cfg.master_seed)
+        count = 8 if args.directions is None else args.directions
+        engine._check_cloud_size(count, cfg, args.optima_only)
+        directions = engine.sphere_directions(count, seed=cfg.master_seed)
     cloud = engine.generate_cloud(directions, cfg, fr, optima_only=args.optima_only)
     seeds = engine.vertex_seed_distributions(fr) if args.include_vertices else {}
     vertices = [frame_mod.cross_section_point(entropy.entropy_function(dist), fr,
@@ -418,7 +421,7 @@ def _minimize_args(p):
 
 def _cloud_args(p):
     _search_args(p)
-    p.add_argument("--directions", type=_number(int), default=8)
+    p.add_argument("--directions", type=_number(int))
     p.add_argument("--directions-file", help="JSON list of 3-vectors")
     p.add_argument("--optima-only", action="store_true")
     p.add_argument("--include-vertices", action="store_true",

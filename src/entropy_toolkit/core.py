@@ -354,11 +354,12 @@ def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
 
 
 def matroid_rank(ground: GroundSet, m: int, loops: SubsetLike = 0) -> SetFunction:
-    """Rank function of the uniform-up-to-loops matroid: min(m, |I - loops|)."""
+    """Rank function of the uniform-up-to-loops matroid: min(m, |I - loops|).
+    The rank m is an integer (numpy integers accepted, bools rejected)."""
     J = ground.mask(loops)
     free = 1.0 - _bit_matrix(ground.n)[J]
-    if not 0 <= m <= free.sum():
-        raise ValueError(f"rank {m} out of range 0..{free.sum():g} for loop set "
+    if not (_is_integer(m) and 0 <= m <= free.sum()):
+        raise ValueError(f"rank {m!r} is not an integer in 0..{free.sum():g} for loop set "
                          f"{ground.subset_key(J)!r}")
     return SetFunction(ground, np.minimum(m, _bit_matrix(ground.n) @ free))
 
@@ -593,12 +594,14 @@ def relabel(f: SetFunction, perm: Mapping[str, str]) -> SetFunction:
     """Permute the ground labels: the result h satisfies h(perm(I)) = f(I).
 
     ``perm`` maps labels to labels and must be a bijection of the ground set;
-    omitted labels stay fixed.
+    omitted labels stay fixed, and a key outside the ground set is an error.
     """
     g = f.ground
     full = {lab: perm.get(lab, lab) for lab in g.labels}
-    if sorted(full.values()) != sorted(g.labels):
-        raise ValueError(f"not a permutation of {g.labels}: {full}")
+    stray = [lab for lab in perm if lab not in g.labels]
+    if stray or set(full.values()) != set(g.labels):
+        raise ValueError(f"not a permutation of {g.labels}: {full}"
+                         + (f"; keys outside it: {stray}" if stray else ""))
     vals = np.zeros(g.size)
     vals[_spread_masks(g.n, [g.bit(full[lab]) for lab in g.labels])] = f.values
     return SetFunction(g, vals)

@@ -62,7 +62,7 @@ PLAN_CACHE = 8
 
 def kappa(u: float) -> float:
     """Entropy kernel -u ln u on [0, 1], with kappa(0) = 0."""
-    if u < -1e-12 or u > 1.0 + 1e-9:
+    if not -1e-12 <= u <= 1.0 + 1e-9:  # also rejects NaN
         raise ValueError(f"kappa argument {u} outside [0, 1]")
     if u <= KAPPA_FLOOR or u >= 1.0:
         return 0.0

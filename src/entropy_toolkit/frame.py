@@ -302,22 +302,17 @@ def b_map(h: SetFunction, frame: IngletonFrame) -> SetFunction:
     return _move_coordinate(h, frame, "c_kl_ij", "c_ij_l")
 
 
-def stabilizer_permutations(frame: IngletonFrame) -> tuple[dict[str, str], ...]:
-    """The four label permutations fixing the pair {i, j}: id, i<->j, k<->l, both."""
-    i, j, k, l = frame.roles
-    return ({}, {i: j, j: i}, {k: l, l: k}, {i: j, j: i, k: l, l: k})
-
-
 def c_sym(h: SetFunction, frame: IngletonFrame) -> SetFunction:
-    """Average h over the four stabilizer permutations of the pair {i, j}.
+    """Average h over the stabilizer of the pair {i, j}: id, i<->j, k<->l, both.
 
     The output is invariant under each of the four; stv and the value at N
     are preserved.
     """
     _require_frame_ground(h, frame)
     acc = np.zeros(h.ground.size)
-    for perm in stabilizer_permutations(frame):
-        acc += relabel(h, perm).values
+    for image in (frame, frame.swapped_ij(), frame.swapped_kl(),
+                  frame.swapped_ij().swapped_kl()):
+        acc += relabel(h, dict(zip(frame.roles, image.roles))).values
     return SetFunction(h.ground, acc / 4.0)
 
 

@@ -7,11 +7,12 @@ contraction 0.5, shrink 0.5) from a seeded start; restarts are independent
 and merged deterministically, so a fixed master seed gives bit-identical
 results regardless of the worker count.  ENTROPY_TOOLKIT_THREADS (or the
 ``threads`` argument) caps parallel restarts; the worker count never exceeds
-the restarts or ``os.cpu_count()``, and is 1 where ``os.fork`` does not
-exist.  The restarts are split into one contiguous chunk per worker, and a
-chunk runs its restarts through one evaluator.  The caller runs the first
-chunk itself; each other chunk runs in one forked child, which sends its
-pickled outcomes back through a pipe and leaves by ``os._exit``.  The driver
+the restarts or the CPUs this process may run on (``os.sched_getaffinity``,
+else ``os.cpu_count()``), and is 1 where ``os.fork`` does not exist.  The
+restarts are split into one contiguous chunk per worker, and a chunk runs its
+restarts through one evaluator.  The caller runs the first chunk itself; each
+other chunk runs in one forked child, which sends its pickled outcomes back
+through a pipe and leaves by ``os._exit``.  The driver
 takes one config and a list of directions and runs (direction, restart) jobs:
 a search passes ``[None]`` for the config's score, a cloud its directions for
 the ray objective.  So each makes one driver call, and a chunk has one
@@ -233,7 +234,8 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best point found by a distribution search."""
+    """Best point found by a distribution search.  ``seed_trace[r]`` is
+    restart r's :func:`restart_seed`, a fingerprint that does not reseed it."""
 
     best_value: float
     best_distribution: JointDistribution
@@ -508,7 +510,10 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
 
 
 def restart_seed(master_seed: int, restart: int) -> int:
-    """Stable per-restart seed derived from the master seed."""
+    """A stable per-restart fingerprint: the first word of
+    ``SeedSequence((master_seed, restart))``.  The restart draws from
+    ``default_rng`` of that sequence, and ``default_rng`` of this integer
+    (``restart_seed(1, 3)`` = 4010755824) draws other numbers."""
     return int(np.random.SeedSequence((master_seed, restart)).generate_state(1)[0])
 
 
@@ -549,7 +554,8 @@ def _run_restarts(chunk) -> list[tuple]:
 
 def _thread_count(threads: int | None) -> int:
     """Requested workers (argument, else ENTROPY_TOOLKIT_THREADS), capped at
-    the CPU count, and at 1 where ``os.fork`` does not exist."""
+    the CPUs this process may run on (its affinity set where the OS reports
+    one, else the host's CPU count), and at 1 where ``os.fork`` does not exist."""
     if not hasattr(os, "fork"):
         return 1
     if threads is None:
@@ -557,7 +563,9 @@ def _thread_count(threads: int | None) -> int:
             threads = int(os.environ.get("ENTROPY_TOOLKIT_THREADS", "1"))
         except ValueError:
             threads = 1
-    return max(1, min(int(threads), os.cpu_count() or 1))
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return max(1, min(int(threads), cpus or 1))
 
 
 def _run_child(chunk, pipe: int) -> NoReturn:

@@ -18,7 +18,6 @@ from entropy_toolkit import (
     IngletonFrame,
     JointDistribution,
     SetFunction,
-    c_sym,
     delta,
     delta_given,
     delta_vec,
@@ -27,6 +26,7 @@ from entropy_toolkit import (
     ingleton_value,
     matroid_rank,
     modular_from,
+    relabel,
     stv_vec,
 )
 from entropy_toolkit.core import (
@@ -808,16 +808,27 @@ def section_weight_matrix_by_deltas(frame: IngletonFrame) -> np.ndarray:
                       d(j, l, k) + d(i, l, k) + d(j, k, l) + d(i, k, l)])
 
 
+def c_sym_by_dicts(h: SetFunction, frame: IngletonFrame) -> SetFunction:
+    """Reference: h averaged over the stabilizer of {i, j} written as four
+    literal label dicts, id, i<->j, k<->l and both, in that order."""
+    i, j, k, l = frame.roles
+    acc = np.zeros(h.ground.size)
+    for perm in ({}, {i: j, j: i}, {k: l, l: k}, {i: j, j: i, k: l, l: k}):
+        acc += relabel(h, perm).values
+    return SetFunction(h.ground, acc / 4.0)
+
+
 def pipeline_operator_by_deltas(frame: IngletonFrame) -> np.ndarray:
-    """Reference: the pipeline matrix built from the delta_given face maps,
-    column m the image of the unit vector at mask m."""
+    """Reference: the pipeline matrix built from the delta_given face maps
+    and the literal-dict stabilizer average, column m the image of the unit
+    vector at mask m."""
     g = frame.ground
     units = np.eye(g.size)
     op = np.zeros((g.size, g.size))
     for m in range(1, g.size):
         tight = SetFunction(g, units[m] - _modular_values(units[m]))
-        op[:, m] = c_sym(a_map_by_deltas(b_map_by_deltas(tight, frame), frame),
-                         frame).values
+        op[:, m] = c_sym_by_dicts(a_map_by_deltas(b_map_by_deltas(tight, frame), frame),
+                                  frame).values
     return op
 
 

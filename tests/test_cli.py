@@ -688,10 +688,15 @@ class TestIgnoredFlags:
         (["exl", "--default", "--t", "0"], "need --default or all of --p..--t, not both"),
         (["export", "--what", "exl-dist", "--default", "--q", "0.1", "-o", "{out}"],
          "need --default or all of --p..--t, not both"),
-    ], ids=["fouratom", "fouratom-neither", "exl-p", "exl-t", "export-exl-dist"])
+        (["cloud", "--alphabet", "2,2,2,2", "--restarts", "2", "--budget", "400",
+          "--directions", "5", "--directions-file", "{dirs}", "-o", "{out}"],
+         "need at most one of --directions and --directions-file"),
+    ], ids=["fouratom", "fouratom-neither", "exl-p", "exl-t", "export-exl-dist",
+            "cloud-directions"])
     def test_exits_two(self, capsys, tmp_path, argv, message):
-        out = tmp_path / "e.csv"
-        code, stdout, err = run(capsys, *(a.format(out=out) for a in argv))
+        out, dirs = tmp_path / "e.csv", tmp_path / "dirs.json"
+        dirs.write_text("[[0.2, -0.5, 0.8]]")
+        code, stdout, err = run(capsys, *(a.format(out=out, dirs=dirs) for a in argv))
         assert (code, stdout) == (2, "")
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {message}")

@@ -103,6 +103,7 @@ def test_two_worker_minimize_prints_the_serial_stdout(tmp_path):
     PYTHONUNBUFFERED is non-empty); it must come out once."""
     code = ("import os, sys; from entropy_toolkit import cli\n"
             "os.cpu_count = lambda: 2\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
             "print('before the search')\n"
             "sys.exit(cli.main(sys.argv[1:]))")
     outs = {}

@@ -331,6 +331,11 @@ class TestMatroidRank:
             matroid_rank(ground, 4, "i")
         with pytest.raises(ValueError):
             matroid_rank(ground, -1)
+        for m in (1.5, True, 2.0):
+            with pytest.raises(ValueError, match="not an integer"):
+                matroid_rank(ground, m)
+        assert np.array_equal(matroid_rank(ground, np.int64(2)).values,
+                              matroid_rank(ground, 2).values)
 
 
 class TestModular:
@@ -655,6 +660,10 @@ class TestRelabel:
     def test_rejects_non_permutation(self, ground):
         with pytest.raises(ValueError):
             relabel(matroid_rank(ground, 1), {"i": "j"})
+        with pytest.raises(ValueError, match=r"keys outside it: \['x'\]"):
+            relabel(matroid_rank(ground, 1), {"x": "y"})
+        with pytest.raises(ValueError):
+            relabel(matroid_rank(ground, 1), {"i": 1, "j": "i"})
 
 
 class TestJsonFormat:

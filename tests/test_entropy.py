@@ -70,6 +70,8 @@ class TestKappa:
             kappa(-0.1)
         with pytest.raises(ValueError):
             kappa(1.1)
+        with pytest.raises(ValueError):
+            kappa(float("nan"))
 
 
 class TestJointDistribution:

@@ -62,6 +62,7 @@ from helpers import (
     b_map_by_deltas,
     basis_coefficients_by_deltas,
     basis_generators_by_hand,
+    c_sym_by_dicts,
     e_face_margins_by_deltas,
     pipeline_operator_by_deltas,
     rand_distribution,
@@ -280,6 +281,16 @@ class TestSymmetrization:
         expected = 0.5 * (matroid_rank(frame.ground, 1, (frame.i,))
                           + matroid_rank(frame.ground, 1, (frame.j,)))
         assert out.allclose(expected, tol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=15, max_size=15))
+    def test_equals_literal_dict_average(self, values):
+        """The frame's swaps relabel as the four literal stabilizer dicts
+        do, in the same order, so every bit agrees."""
+        h = SetFunction(GroundSet("ijkl"), [0.0] + values)
+        for frame in ALL_FRAMES:
+            assert c_sym(h, frame).values.tobytes() == \
+                c_sym_by_dicts(h, frame).values.tobytes()
 
     def test_invariance_and_preservation(self, frame, rng):
         for _ in range(50):

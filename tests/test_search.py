@@ -978,6 +978,13 @@ class PicklingChild:
         pass
 
 
+def allow_cpus(monkeypatch, n: int) -> None:
+    """A host of n CPUs, all of which this process may run on."""
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: n)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
 @pytest.fixture
 def forked(monkeypatch):
     """The restart indices of each chunk given to a child, through
@@ -993,7 +1000,7 @@ class TestWorkerCap:
 
     @pytest.fixture(autouse=True)
     def three_cpus(self, monkeypatch):
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+        allow_cpus(monkeypatch, 3)
 
     def test_argument_capped_at_cpu_count(self, frame, forked):
         optimize_distribution(self.CFG, frame, threads=100_000)
@@ -1009,8 +1016,18 @@ class TestWorkerCap:
         assert 1 + len(forked) == 2
 
     def test_unknown_cpu_count_runs_serially(self, frame, monkeypatch, forked):
+        """Where the OS reports no affinity set, the host's count caps."""
+        monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(engine.os, "cpu_count", lambda: None)
         optimize_distribution(self.CFG, frame, threads=100_000)
+        assert forked == []
+
+    def test_capped_at_the_cpus_this_process_may_use(self, frame, monkeypatch, forked):
+        """A host of 8 CPUs whose affinity set (taskset, a cpuset) allows 1."""
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {5}, raising=False)
+        assert engine._thread_count(64) == 1
+        optimize_distribution(self.CFG, frame, threads=64)
         assert forked == []
 
     def test_no_fork_runs_serially(self, frame, monkeypatch, forked):
@@ -1103,7 +1120,7 @@ class TestRestartTasks:
         pipe does, returns what the serial loop returns."""
         serial = engine._run_all_restarts(self.CFG, [self.DIRECTION], frame, None, True,
                                           threads=1)
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         parallel = engine._run_all_restarts(self.CFG, [self.DIRECTION], frame, None, True,
                                             threads=2)
         assert forked == [[1, 2]]
@@ -1133,7 +1150,7 @@ class TestChunkDriver:
             calls.append(args)
             init(self, *args)
         monkeypatch.setattr(DistributionObjective, "__init__", counted)
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+        allow_cpus(monkeypatch, 3)
         return calls
 
     @pytest.fixture
@@ -1201,7 +1218,7 @@ class TestChunkDriver:
     def test_real_fork_cloud_equals_serial(self, frame, monkeypatch):
         """Two workers, the caller and one forked child, whatever the CPU
         count of the host."""
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         directions = sphere_directions(3, seed=8)
         cfg = replace(self.CFG, restarts=2, budget_evals=200)
         serial = generate_cloud(directions, cfg, frame, threads=1)
@@ -1224,7 +1241,7 @@ class TestForkFailures:
         """Replaces the chunk runner by ``behave(chunk, child)``, ``child``
         telling a forked child from the caller; two workers."""
         caller = os.getpid()
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
 
         def patch(behave):
             monkeypatch.setattr(engine, "_run_restarts",
@@ -1283,7 +1300,7 @@ class TestCloudContract:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_equals_list_path(self, frame, monkeypatch, threads):
         """Serially and with two workers, the caller and a real forked child."""
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         directions = sphere_directions(3, seed=4)
         cloud = generate_cloud(directions, self.CFG, frame, threads=threads)
         assert isinstance(cloud, engine.Cloud)
@@ -1377,7 +1394,7 @@ class TestCloudMemoryBound:
         """The peak memory of a cloud, over its points, stays within
         CLOUD_POINT_BYTES, serially and with half the outcomes read back from
         a real forked child."""
-        monkeypatch.setattr(engine.os, "cpu_count", lambda: 2)
+        allow_cpus(monkeypatch, 2)
         threads = 2 if pooled else 1
         directions = sphere_directions(3, seed=1)
         cfg = replace(self.CFG, restarts=2, budget_evals=2000)
