@@ -254,14 +254,15 @@ def _directions(doc, cfg: engine.SearchConfig,
 
 
 def cmd_cloud(args) -> int:
-    if args.directions_file and args.directions is not None:
+    if args.directions_file is not None and args.directions is not None:
         raise ValueError("need at most one of --directions and --directions-file")
     cfg = _config_from_args(args)
     if cfg.objective != engine.SearchConfig.objective:  # only a --config sets it
         raise ValueError(f"{args.config}: cloud maximizes alpha along each direction "
                          f"and reads no objective: {cfg.objective!r}")
     fr = _frame(args)
-    if args.directions_file:  # checked while the file is read, so every error names it
+    # checked while the file is read, so every error names it ("" too)
+    if args.directions_file is not None:
         directions = core._read_file(args.directions_file,
                                      lambda doc: _directions(doc, cfg, args.optima_only))
     else:

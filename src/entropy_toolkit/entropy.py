@@ -249,22 +249,37 @@ def marginal_index(configs: np.ndarray, sizes, lo: int = 1,
 
     An atom's key on subset I is the mixed-radix index of its configuration
     restricted to I, lowest bit most significant, offset per subset so the
-    blocks do not overlap; one ``configs @ place_values`` product gives all
-    keys and ``np.unique`` numbers the occupied cells.  Returns the cell
-    indices atom by atom (atom a's cells on the range's S subsets are entries
-    a * S to (a + 1) * S, the product's own order, so nothing is transposed),
-    each subset's first cell and the cell count.  The place values and
-    offsets are a column range of :func:`_index_plan`.
+    blocks do not overlap; one float64 ``configs @ place_values`` product
+    gives all keys, exactly in any summation order, as every partial sum is
+    an integer below prod(size + 1) <= 1.3e9 (MAX_CELLS) < 2**53.  The
+    occupied cells are numbered in key order: when the key span (the end of
+    the range's last block minus its first offset) is at most the number of
+    keys, by the running count of a span-long bool array of occupied keys,
+    which thus never outgrows the keys; otherwise by ``np.unique``.  Returns
+    the cell indices atom by atom (atom a's cells on the range's S subsets
+    are entries a * S to (a + 1) * S, the product's own order, so nothing is
+    transposed), each subset's first cell and the cell count.  The place
+    values and offsets are a column range of :func:`_index_plan`.
     """
     place, offsets = _index_plan(tuple(sizes))
-    # a range's offsets start at its first block, not at 0: every key moves
-    # by the same constant, so the triple is that of a plan for the range
-    # alone.  Keys stay below prod(size + 1), at most 1.3e9 under MAX_CELLS.
+    # the range's blocks are moved to start at key 0: every key moves by the
+    # same constant, so the triple is that of a plan for the range alone
     cols = slice(lo - 1, None if hi is None else hi - 1)
-    place, offsets = place[:, cols], offsets[cols]
-    cells, flat_idx = np.unique((configs @ place + offsets).ravel(),
-                                return_inverse=True)
-    return flat_idx, np.searchsorted(cells, offsets), len(cells)
+    place, offsets = place[:, cols], offsets[cols] - offsets[cols][:1]
+    keys = (configs.astype(float) @ place + offsets).astype(np.int64).ravel()
+    # the range ends with the block of its last mask, one key per
+    # configuration of that subset; an empty range's span is positive
+    last = lo + len(offsets) - 1
+    span = (offsets[-1] if len(offsets) else 0) + math.prod(
+        s for i, s in enumerate(sizes) if last >> i & 1)
+    if span > len(keys):
+        cells, flat_idx = np.unique(keys, return_inverse=True)
+        return flat_idx, np.searchsorted(cells, offsets), len(cells)
+    occupied = np.zeros(span, dtype=bool)
+    occupied[keys] = True
+    # rank[k] - 1 is np.unique's number of an occupied key k
+    rank = occupied.cumsum()
+    return rank[keys] - 1, rank[offsets] - occupied[offsets], int(rank[-1])
 
 
 def subset_entropies(p: np.ndarray, flat_idx: np.ndarray, starts: np.ndarray,

@@ -46,6 +46,7 @@ from entropy_toolkit.entropy import (
     MAX_CELLS,
     ExLParams,
     _four_atom_p,
+    _index_plan,
     subset_entropies,
 )
 from entropy_toolkit.frame import (
@@ -426,6 +427,18 @@ def marginal_index_by_fresh_plan(configs: np.ndarray, sizes,
     block = np.cumprod(radix[::-1], axis=0)[::-1]
     place = member * np.vstack([block[1:], np.ones_like(block[:1])])
     offsets = np.concatenate(([0], np.cumsum(block[0])[:-1]))
+    cells, flat_idx = np.unique((configs @ place + offsets).ravel(),
+                                return_inverse=True)
+    return flat_idx, np.searchsorted(cells, offsets), len(cells)
+
+
+def marginal_index_by_unique(configs: np.ndarray, sizes, lo: int = 1,
+                             hi: int | None = None) -> tuple[np.ndarray, np.ndarray, int]:
+    """Reference: ``marginal_index`` with int64 keys that ``np.unique``
+    numbers on every range, whatever its key span."""
+    place, offsets = _index_plan(tuple(sizes))
+    cols = slice(lo - 1, None if hi is None else hi - 1)
+    place, offsets = place[:, cols], offsets[cols]
     cells, flat_idx = np.unique((configs @ place + offsets).ravel(),
                                 return_inverse=True)
     return flat_idx, np.searchsorted(cells, offsets), len(cells)

@@ -691,8 +691,14 @@ class TestIgnoredFlags:
         (["cloud", "--alphabet", "2,2,2,2", "--restarts", "2", "--budget", "400",
           "--directions", "5", "--directions-file", "{dirs}", "-o", "{out}"],
          "need at most one of --directions and --directions-file"),
+        (["cloud", "--alphabet", "2,2,2,2", "--restarts", "1", "--budget", "100",
+          "--directions-file", "", "-o", "{out}"], ": No such file or directory"),
+        (["cloud", "--alphabet", "2,2,2,2", "--restarts", "1", "--budget", "100",
+          "--directions", "3", "--directions-file", "", "-o", "{out}"],
+         "need at most one of --directions and --directions-file"),
     ], ids=["fouratom", "fouratom-neither", "exl-p", "exl-t", "export-exl-dist",
-            "cloud-directions"])
+            "cloud-directions", "cloud-empty-directions-file",
+            "cloud-directions-empty-file"])
     def test_exits_two(self, capsys, tmp_path, argv, message):
         out, dirs = tmp_path / "e.csv", tmp_path / "dirs.json"
         dirs.write_text("[[0.2, -0.5, 0.8]]")

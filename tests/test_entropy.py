@@ -5,6 +5,7 @@ import json
 import math
 import pickle
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +48,7 @@ from helpers import (
     exl_distribution_by_dict,
     four_atom_distribution_by_dict,
     marginal_index_by_fresh_plan,
+    marginal_index_by_unique,
     rand_distribution,
     subset_entropies_by_tile,
 )
@@ -573,6 +575,93 @@ class TestIndexPlanCache:
         info = entropy_mod._index_plan.cache_info()
         assert (info.currsize, info.misses) == (1, 1)
         assert info.hits == math.ceil((d.ground.size - 1) / 4) - 1
+
+
+class _UniqueSpy:
+    """Stands in for the entropy module's numpy and counts the ``np.unique``
+    calls, which only the sorting numbering makes."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def unique(self, *args, **kwargs):
+        self.calls += 1
+        return np.unique(*args, **kwargs)
+
+
+def _key_span(sizes, masks) -> int:
+    """Keys a range of masks may take: the sum of its subsets' cell counts."""
+    return sum(math.prod(s for i, s in enumerate(sizes) if m >> i & 1) for m in masks)
+
+
+class TestOccupancyNumbering:
+    """``marginal_index`` numbers the cells by occupancy ranks when the
+    range's key span is at most its key count and by ``np.unique`` when it is
+    larger, and both give the triple of ``np.unique`` on every range."""
+
+    @pytest.mark.parametrize("sizes", [(1,), (3,), (2, 1), (1, 3, 1), (2, 2, 2),
+                                       (1, 1, 1, 1), (3, 2, 4, 2), (4, 1, 2, 3),
+                                       (1, 3, 1, 2), (2, 1, 3, 2, 1), (2, 2, 2, 2, 2)])
+    def test_triples_equal_unique(self, monkeypatch, sizes):
+        n, cells = len(sizes), math.prod(sizes)
+        rng = np.random.default_rng(3 * cells + n)
+        grid = entropy_mod._config_grid(sizes)
+        top = 1 << n
+        ranges = [(1, None), *((lo, hi) for lo in range(1, top)
+                               for hi in range(lo + 1, top + 1))]
+        spy = _UniqueSpy()
+        for support in (cells, max(1, cells // 3), 1):
+            configs = grid[rng.permutation(cells)[:support]]
+            for lo, hi in ranges:
+                masks = range(lo, top if hi is None else hi)
+                want = marginal_index_by_unique(configs, sizes, lo, hi)
+                calls = spy.calls
+                monkeypatch.setattr(entropy_mod, "np", spy)
+                got = entropy_mod.marginal_index(configs, sizes, lo, hi)
+                monkeypatch.undo()
+                sorted_keys = _key_span(sizes, masks) > len(configs) * len(masks)
+                assert spy.calls - calls == sorted_keys, (support, lo, hi)
+                assert _same_triple(got, want), (support, lo, hi)
+
+    @staticmethod
+    def inputs():
+        """(name, distribution, the numbering of an unchunked call or None):
+        certify's sparse Dirichlet draws, exl (600 keys, span 624) and the
+        dist3242 golden (525 keys, span 179)."""
+        ground = GroundSet("ijkl")
+        rng = np.random.default_rng(0xCE47)
+        for a in (2, 3, 4):
+            n = a ** 4
+            for _ in range(3):
+                dense = rng.dirichlet(np.full(n, 0.5))
+                dense[rng.random(n) < 1.0 / 3.0] = 0.0
+                yield f"dirichlet {a}^4", JointDistribution.from_dense(
+                    ground, (a,) * 4, dense / dense.sum()), None
+        yield "exl", exl_distribution(EXL_REFERENCE), "unique"
+        golden = Path(__file__).parent / "goldens" / "dist3242.csv"
+        yield "dist3242", distribution_from_csv(golden.read_text()), "occupancy"
+
+    def test_entropy_function_equals_unique_path(self, monkeypatch):
+        """Whole and in chunks of four masks, ``entropy_function`` gives the
+        bits of the path that numbers every chunk with ``np.unique``."""
+        for name, d, numbering in self.inputs():
+            live = int(np.count_nonzero(d.probs))
+            for chunk in (entropy_mod.INDEX_CHUNK, 4 * live):
+                monkeypatch.setattr(entropy_mod, "INDEX_CHUNK", chunk)
+                monkeypatch.setattr(entropy_mod, "marginal_index", marginal_index_by_unique)
+                want = entropy_function(d).values.tobytes()
+                monkeypatch.undo()
+                spy = _UniqueSpy()
+                monkeypatch.setattr(entropy_mod, "INDEX_CHUNK", chunk)
+                monkeypatch.setattr(entropy_mod, "np", spy)
+                got = entropy_function(d).values.tobytes()
+                monkeypatch.undo()
+                assert got == want, (name, chunk)
+                if numbering and chunk == entropy_mod.INDEX_CHUNK:
+                    assert spy.calls == (numbering == "unique"), name
 
 
 # --- array-backed distributions against the dict-backed reference ------------
