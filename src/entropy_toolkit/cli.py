@@ -88,7 +88,7 @@ def cmd_check(args) -> int:
 
 def cmd_entropy(args) -> int:
     f = entropy.entropy_function(entropy.load_distribution(args.file))
-    if not core.check_axioms(f, tol=core.TOL_ENTROPIC).is_polymatroid:
+    if not core._is_polymatroid(f, core.TOL_ENTROPIC):
         raise ValueError("computed entropy function fails the polymatroid axioms; "
                          "the input distribution is corrupt")
     if args.output:

@@ -83,8 +83,10 @@ class GroundSet:
 
         A plain string is first matched against the labels themselves and
         otherwise read character by character, so ``"ik"`` works whenever
-        labels are single characters.
+        labels are single characters.  A bool is not a bitmask.
         """
+        if isinstance(subset, (bool, np.bool_)):
+            raise ValueError(f"subset mask must be an integer, not a bool: {subset!r}")
         if isinstance(subset, (int, np.integer)):
             m = int(subset)
             if not 0 <= m < self.size:
@@ -131,7 +133,7 @@ class SetFunction:
                              f"got shape {arr.shape}")
         if arr[0] != 0.0:
             raise ValueError(f"value on the empty set must be exactly 0, got {arr[0]!r}")
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise ValueError("set function values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "ground", ground)
@@ -308,8 +310,12 @@ def _write_json(doc, path) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < np.inf:
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    try:  # a bool is no tolerance, nor is a value that does not compare with 0.0
+        if (type(tol) is float or not isinstance(tol, (bool, np.bool_))) and 0.0 <= tol < np.inf:
+            return
+    except TypeError:
+        pass
+    raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
 def _violations(margins: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
@@ -325,23 +331,36 @@ def _violations(margins: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
     return worst, tuple(zip(pairs[0][bad].tolist(), pairs[1][bad].tolist()))
 
 
+def _elemental_margins(f: SetFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Monotone margins f(K + i) - f(K) and submodular defects delta(f, iK, jK)."""
+    v = f.values
+    lo, hi = _step_table(f.ground.n)
+    iK, jK, ijK, K = _square_table(f.ground.n)
+    return v[hi] - v[lo], v[iK] + v[jK] - v[ijK] - v[K]
+
+
+def _is_polymatroid(f: SetFunction, tol: float) -> bool:
+    """``check_axioms(f, tol).is_polymatroid`` without the report: both least
+    margins (0.0 for an empty table) are >= -tol, as the report compares."""
+    mono, sub = _elemental_margins(f)
+    return float(mono.min(initial=0.0)) >= -tol and float(sub.min(initial=0.0)) >= -tol
+
+
 def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
     """Check monotonicity and submodularity through elemental inequalities.
 
     Monotonicity is checked on all single-element increments
     f(K + i) - f(K) >= -tol, submodularity on all elemental defects
     delta(f, iK, jK) >= -tol with K disjoint from {i, j}.  For submodular
-    inputs these imply the full pairwise conditions.  One ``min`` per table
-    clears a function with no margin below -tol (rounding leaves computed
-    entropy functions a few ulps below 0); witnesses are searched only when
-    some margin is below -tol.
+    inputs these imply the full pairwise conditions; rounding leaves computed
+    entropy functions a few ulps below 0.  Witnesses are searched only when
+    some margin is below -tol.  The one decision rule: the guards and
+    :func:`is_modular` read these margins through :func:`_is_polymatroid`.
     """
     _check_tol(tol)
-    v = f.values
-    lo, hi = _step_table(f.ground.n)
-    iK, jK, ijK, K = _square_table(f.ground.n)
-    worst_mono, mono = _violations(v[hi] - v[lo], (lo, hi), tol)
-    worst_sub, sub = _violations(v[iK] + v[jK] - v[ijK] - v[K], (iK, jK), tol)
+    margins, defects = _elemental_margins(f)
+    worst_mono, mono = _violations(margins, _step_table(f.ground.n), tol)
+    worst_sub, sub = _violations(defects, _square_table(f.ground.n)[:2], tol)
     return AxiomReport(
         is_monotone=worst_mono >= -tol,
         is_submodular=worst_sub >= -tol,
@@ -389,17 +408,17 @@ def is_modular(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
     total = sum(f.values[1 << b] for b in range(f.ground.n))
     if abs(f.rank - total) > tol:
         return False
-    return check_axioms(f, tol).is_polymatroid
+    return _is_polymatroid(f, tol)
 
 
 def is_tight(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
     """True iff f(N) = f(N - i) for every element i, within tol."""
     _check_tol(tol)
-    return bool(np.all(np.abs(_top_increments(f.values)) <= tol))
+    return bool((np.abs(_top_increments(f.values)) <= tol).all())
 
 
 def _warn_if_not_polymatroid(h: SetFunction, where: str) -> None:
-    if not check_axioms(h, tol=TOL_ENTROPIC).is_polymatroid:
+    if not _is_polymatroid(h, TOL_ENTROPIC):
         warnings.warn(f"{where}: input is not a polymatroid at tolerance "
                       f"{TOL_ENTROPIC}; computing anyway",
                       NonPolymatroidWarning, stacklevel=3)
@@ -469,8 +488,9 @@ def modular_part(h: SetFunction) -> SetFunction:
 
     Its singleton values are the top increments h(N) - h(N - i).  The
     decomposition identity tight_part(h) + modular_part(h) = h holds
-    coordinatewise exactly in floating point.  Non-polymatroid input is
-    reported through :class:`NonPolymatroidWarning`; the formula is total.
+    coordinatewise exactly in floating point.  Non-polymatroid input, by
+    ``check_axioms(h, TOL_ENTROPIC)``'s rule with no report built, is reported
+    through :class:`NonPolymatroidWarning`; the formula is total.
     """
     _warn_if_not_polymatroid(h, "modular_part")
     return SetFunction(h.ground, _modular_values(h.values))
@@ -479,8 +499,8 @@ def modular_part(h: SetFunction) -> SetFunction:
 def tight_part(h: SetFunction) -> SetFunction:
     """Tight component of h: h minus its modular part.
 
-    Non-polymatroid input is reported through :class:`NonPolymatroidWarning`;
-    the formula is total.
+    Non-polymatroid input, judged as :func:`modular_part` judges it, is
+    reported through :class:`NonPolymatroidWarning`; the formula is total.
     """
     _warn_if_not_polymatroid(h, "tight_part")
     return SetFunction(h.ground, h.values - _modular_values(h.values))

@@ -139,7 +139,7 @@ def ingleton_score(h: SetFunction, frame: IngletonFrame) -> float:
     _require_frame_ground(h, frame)
     if h.rank <= 0.0:
         raise ValueError(f"Ingleton score needs h(N) > 0, got {h.rank}")
-    return ingleton_value(h, frame) / h.rank
+    return float(stv_vec(frame) @ h.values) / h.rank
 
 
 def violated_instances(h: SetFunction, tol: float = 1e-12) -> list[frozenset[str]]:
@@ -369,7 +369,7 @@ def section_weight_matrix(frame: IngletonFrame) -> np.ndarray:
 def section_weights(h: SetFunction, frame: IngletonFrame) -> tuple[float, float, float, float]:
     """Tetrahedron weight functionals of :func:`section_weight_matrix` at h."""
     _require_frame_ground(h, frame)
-    return tuple(float(w) for w in section_weight_matrix(frame) @ h.values)
+    return tuple((section_weight_matrix(frame) @ h.values).tolist())
 
 
 @lru_cache(maxsize=FRAME_CACHE)
@@ -396,7 +396,8 @@ def cross_section_point(f: SetFunction, frame: IngletonFrame,
     Returns the weight quadruple and the normalized symmetrized function
     itself.  Raises on degenerate inputs whose projected value at N is not
     positive (then the score is 0 and the point is undefined).
-    Non-polymatroid input is reported through
+    Non-polymatroid input, by ``check_axioms(f, TOL_ENTROPIC)``'s rule with
+    no report built, is reported through
     :class:`~entropy_toolkit.core.NonPolymatroidWarning`.
     """
     _require_frame_ground(f, frame)

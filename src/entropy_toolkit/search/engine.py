@@ -789,6 +789,8 @@ def sphere_directions(count: int, seed: int = 0) -> list[tuple[float, float, flo
     """Deterministic directions drawn uniformly on the sphere in weight space."""
     if not _is_integer(count) or count < 1:
         raise ValueError(f"need a positive integer direction count, got {count!r}")
+    if not _is_integer(seed) or seed < 0:
+        raise ValueError(f"need a non-negative integer seed, got {seed!r}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1F)))
     out = []
     while len(out) < count:

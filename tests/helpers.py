@@ -3,6 +3,7 @@
 import csv
 import math
 import numbers
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
@@ -31,6 +32,8 @@ from entropy_toolkit import (
 )
 from entropy_toolkit.core import (
     TOL_ANALYTIC,
+    TOL_ENTROPIC,
+    NonPolymatroidWarning,
     _bit_matrix,
     _check_pe_value,
     _check_tol,
@@ -226,6 +229,30 @@ def check_axioms_by_witness_search(f: SetFunction, tol: float = TOL_ANALYTIC) ->
         submodular_witnesses=sub,
         tol=tol,
     )
+
+
+def is_polymatroid_by_report(f: SetFunction, tol: float) -> bool:
+    """Reference: the verdict read off a full report whose margins are
+    computed inline."""
+    return check_axioms_by_witness_search(f, tol).is_polymatroid
+
+
+def warn_if_not_polymatroid_by_report(h: SetFunction, where: str) -> None:
+    """Reference: the decomposition guard through a full report; warns at
+    the caller's caller, as the library's guard does."""
+    if not is_polymatroid_by_report(h, TOL_ENTROPIC):
+        warnings.warn(f"{where}: input is not a polymatroid at tolerance "
+                      f"{TOL_ENTROPIC}; computing anyway",
+                      NonPolymatroidWarning, stacklevel=3)
+
+
+def is_modular_by_report(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
+    """Reference: ``is_modular`` with the verdict read off a full report."""
+    _check_tol(tol)
+    total = sum(f.values[1 << b] for b in range(f.ground.n))
+    if abs(f.rank - total) > tol:
+        return False
+    return is_polymatroid_by_report(f, tol)
 
 
 def matroid_rank_by_loops(ground: GroundSet, m: int, loops=0) -> SetFunction:
@@ -806,6 +833,21 @@ def e_face_margins_by_deltas(h: SetFunction, frame: IngletonFrame) -> dict[str, 
         "kl|j": delta_given(h, k, l, j),
         "kl|ij": delta_given(h, k, l, (i, j)),
     }
+
+
+def ingleton_score_by_value(h: SetFunction, frame: IngletonFrame) -> float:
+    """Reference: stv(h) / h(N) through :func:`ingleton_value`, which checks
+    the ground a second time."""
+    _require_frame_ground(h, frame)
+    if h.rank <= 0.0:
+        raise ValueError(f"Ingleton score needs h(N) > 0, got {h.rank}")
+    return ingleton_value(h, frame) / h.rank
+
+
+def section_weights_by_floats(h: SetFunction, frame: IngletonFrame) -> tuple[float, ...]:
+    """Reference: the weight functionals at h, converted one float() at a time."""
+    _require_frame_ground(h, frame)
+    return tuple(float(w) for w in section_weight_matrix(frame) @ h.values)
 
 
 def section_weight_matrix_by_deltas(frame: IngletonFrame) -> np.ndarray:

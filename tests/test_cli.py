@@ -221,6 +221,36 @@ class TestScoreAndEntropy:
         assert nats == pytest.approx(2.0 * 0.6931471805599453, abs=1e-9)
 
 
+class TestNonPolymatroidGoldens:
+    """``nonpoly.json`` is the exl table entropy with h(ijk) 0.01 below h(ij);
+    its ``score`` output was recorded while the guards built full reports."""
+
+    def test_score_prints_the_golden_and_warns_once_per_guard(self, capsys):
+        with warnings.catch_warnings(record=True) as records:
+            warnings.simplefilter("always")
+            code, out, _ = run(capsys, "score", str(GOLDENS / "nonpoly.json"))
+        assert code == 0
+        assert out == (GOLDENS / "score_nonpoly_stdout.txt").read_text()
+        assert [(str(w.message).split(":")[0], w.category, Path(w.filename).name)
+                for w in records] == [("tight_part", core.NonPolymatroidWarning, "cli.py"),
+                                      ("cross_section_point", core.NonPolymatroidWarning,
+                                       "cli.py")]
+
+    def test_check_calls_it_no_polymatroid(self, capsys):
+        code, out, _ = run(capsys, "check", str(GOLDENS / "nonpoly.json"))
+        assert code == 1
+        assert out.splitlines()[-1] == "polymatroid: no"
+
+    def test_entropy_builds_no_report(self, capsys, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an AxiomReport was built")
+        monkeypatch.setattr(core, "AxiomReport", refuse)
+        out = tmp_path / "h.json"
+        code, _, _ = run(capsys, "entropy", str(GOLDENS / "exl_dist.json"), "-o", str(out))
+        assert code == 0
+        assert out.read_bytes() == (GOLDENS / "entropy_exl.json").read_bytes()
+
+
 class TestMinimizeCommand:
     ARGS = ("minimize", "--alphabet", "2,2,2,2", "--restarts", "2",
             "--budget", "150", "--seed", "7", "--objective", "pipeline_score")

@@ -1,6 +1,9 @@
 """Core set-function algebra: axioms, generators, convolution, decomposition."""
 
+import contextlib
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -34,13 +37,21 @@ from entropy_toolkit import (
     set_function_to_json,
     tight_part,
 )
-from entropy_toolkit.core import (TOL_ANALYTIC, TOL_ENTROPIC, _square_table, _step_table,
+from entropy_toolkit import check_point, core, default_halfspace_bank
+from entropy_toolkit.core import (TOL_ANALYTIC, TOL_ENTROPIC, NonPolymatroidWarning,
+                                  _is_polymatroid, _square_table, _step_table,
                                   _submask_table)
-from entropy_toolkit.frame import ingleton_base
+from entropy_toolkit.frame import (IngletonFrame, cross_section_point, ingleton_base,
+                                   ingleton_score, section_weights)
 
 from helpers import (
     check_axioms_by_loops,
     check_axioms_by_witness_search,
+    ingleton_score_by_value,
+    is_modular_by_report,
+    is_polymatroid_by_report,
+    section_weights_by_floats,
+    warn_if_not_polymatroid_by_report,
     convolution_by_loops,
     convolve_modular_iterative_by_loops,
     is_tight_by_loop,
@@ -83,10 +94,9 @@ class TestGroundSet:
             GroundSet(labels)
 
     def test_mask_errors(self, ground):
-        with pytest.raises(ValueError):
-            ground.mask(16)
-        with pytest.raises(ValueError):
-            ground.mask("z")
+        for subset in (16, -1, "z", True, False, np.True_):
+            with pytest.raises(ValueError, match=re.escape(repr(subset))):
+                ground.mask(subset)
 
 
 class TestSetFunction:
@@ -132,6 +142,10 @@ class TestDelta:
             delta(f, 16, 0)
 
 
+def check_point_at_the_centroid(f, tol):
+    return check_point((0.25,) * 4, default_halfspace_bank(1), tol)
+
+
 class TestCheckAxioms:
     def test_matroid_is_clean(self, ground):
         report = check_axioms(matroid_rank(ground, 3), tol=0.0)
@@ -175,11 +189,13 @@ class TestCheckAxioms:
                 if report.is_polymatroid:
                     assert full_monotone_ok(f, 1e-9)
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9,
+                                     True, np.True_, "1e-9", None])
     @pytest.mark.parametrize("check", [check_axioms, is_tight, is_modular,
-                                       lambda f, tol: closure_of(f, "i", tol)])
+                                       lambda f, tol: closure_of(f, "i", tol),
+                                       check_point_at_the_centroid])
     def test_tolerance_must_be_finite_and_nonnegative(self, ground, check, tol):
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {re.escape(repr(tol))}"):
             check(matroid_rank(ground, 2), tol)
 
 
@@ -308,6 +324,182 @@ class TestCheckAxiomsAgainstWitnessSearch:
             monkeypatch.setattr(np, name, refuse)
         for f, w in ulp:
             assert _same_report(check_axioms(f, TOL_ENTROPIC), w)
+
+
+#: tolerances of the guard oracle tests: exact, analytic and entropic
+GUARD_TOLS = (0.0, TOL_ANALYTIC, TOL_ENTROPIC)
+
+
+def _planted(tol: float) -> st.SearchStrategy:
+    """-tol and the doubles one ulp below and above it."""
+    return st.sampled_from((np.nextafter(-tol, -np.inf), -tol, np.nextafter(-tol, np.inf)))
+
+
+@st.composite
+def guard_inputs(draw):
+    """A set function on n = 1..8 and a tolerance.  The base is a conic
+    combination of matroid ranks plus a modular part in which the elements
+    a and b are loops, so f(K + a) = f(K + b) = f(K).  Kinds: the base
+    perturbed by up to tol/2, 10 tol or 1e-3 per value; the margin f(a) - f({})
+    planted at -tol or one ulp from it (a's submodular defects follow to
+    within rounding); the defect delta(f, a, b) planted there (n >= 2); and
+    finite values near +-1.7e308, whose margins overflow to +-inf."""
+    n = draw(st.integers(1, 8))
+    g = GroundSet("abcdefgh"[:n])
+    tol = draw(st.sampled_from(GUARD_TOLS))
+    kind = draw(st.sampled_from(("perturbed", "monotone", "submodular", "huge")))
+    if kind == "huge":
+        values = draw(st.lists(st.sampled_from((1.7e308, -1.7e308, 1e308, 0.0, 1.0))
+                               | st.floats(-2.0, 2.0), min_size=g.size - 1,
+                               max_size=g.size - 1))
+        return SetFunction(g, [0.0] + values), tol
+    loops = 0b11 if n >= 2 else 0b1
+    weights = [0.0] * min(n, 2) + draw(st.lists(st.floats(0.0, 2.0), min_size=n - min(n, 2),
+                                                max_size=n - min(n, 2)))
+    values = modular_from(g, weights).values.copy()
+    for _ in range(draw(st.integers(0, 3))):
+        extra = draw(st.integers(0, g.size - 1)) | loops
+        m = draw(st.integers(0, n - bin(extra).count("1")))
+        values = values + draw(st.floats(0.0, 3.0)) * matroid_rank(g, m, extra).values
+    if kind == "perturbed":
+        scale = draw(st.sampled_from((tol / 2, 10 * tol, 1e-3)))
+        values[1:] += draw(st.lists(st.floats(-scale, scale), min_size=g.size - 1,
+                                    max_size=g.size - 1))
+    elif kind == "monotone" or n == 1:
+        values[0b1] = draw(_planted(tol))
+    else:
+        values[0b11] = -draw(_planted(tol))
+    return SetFunction(g, values), tol
+
+
+def _guard_calls(f: SetFunction):
+    """The guarded operations that apply to f, each with its guard's name."""
+    calls = [(tight_part, "tight_part"), (modular_part, "modular_part")]
+    if f.ground.n == 4:
+        frame = IngletonFrame.default(f.ground)
+        calls.append((lambda h: cross_section_point(h, frame), "cross_section_point"))
+    return calls
+
+
+def _guard_warnings(records) -> list:
+    return [(str(w.message), w.category, w.filename) for w in records
+            if issubclass(w.category, NonPolymatroidWarning)]
+
+
+class TestGuardsReadTheMargins:
+    """The guards, ``is_modular`` and the CLI read ``check_axioms``' margins
+    through ``_is_polymatroid``; verdicts, reports, warnings, scores and
+    section weights equal the bodies that read a full report."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(guard_inputs())
+    def test_verdicts_reports_and_warnings_equal_the_report_bodies(self, case):
+        f, tol = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _is_polymatroid(f, tol) is is_polymatroid_by_report(f, tol)
+            assert _same_report(check_axioms(f, tol), check_axioms_by_witness_search(f, tol))
+            assert is_modular(f, tol) is is_modular_by_report(f, tol)
+            wrong = not is_polymatroid_by_report(f, TOL_ENTROPIC)
+            for op, where in _guard_calls(f):
+                with warnings.catch_warnings(record=True) as got:
+                    warnings.simplefilter("always")
+                    with contextlib.suppress(ValueError):  # degenerate or overflowing output
+                        op(f)
+                with warnings.catch_warnings(record=True) as want:
+                    warnings.simplefilter("always")
+                    (lambda h: warn_if_not_polymatroid_by_report(h, where))(f)
+                got, want = _guard_warnings(got), _guard_warnings(want)
+                assert got == want and len(got) == wrong
+                if wrong:
+                    assert got[0][2] == __file__
+
+    @pytest.mark.parametrize("low", [-1.0, 0.0])
+    def test_guards_warn_at_the_caller(self, recwarn, low):
+        # recwarn counts every guard's warning; each names the calling line
+        g = GroundSet("abcd")
+        f = SetFunction(g, matroid_rank(g, 2).values + low * (np.arange(16) == 1))
+        for op, _ in _guard_calls(f):
+            op(f)
+        got = _guard_warnings(recwarn.list)
+        assert len(got) == (3 if low else 0)
+        assert [w[0].split(":")[0] for w in got] == (
+            ["tight_part", "modular_part", "cross_section_point"] if low else [])
+        assert all(w[2] == __file__ for w in got)
+
+    @pytest.mark.parametrize("tol", GUARD_TOLS)
+    @pytest.mark.parametrize("table", ["monotone", "submodular"])
+    def test_planted_margin_at_minus_tol(self, tol, table):
+        # one margin exactly -tol passes, one ulp below fails, and a function
+        # whose least margin is -tol is a polymatroid; n = 1 has no elemental
+        # squares, so its defect table is empty
+        for n in (1, 2, 5, 8):
+            if table == "submodular" and n == 1:
+                continue
+            g = GroundSet("abcdefgh"[:n])
+            # (one ulp above -0.0 is positive, which moves a margin elsewhere below 0)
+            for low, ok in ((-tol, True), (np.nextafter(-tol, -np.inf), False),
+                            (np.nextafter(-tol, np.inf), True))[:3 if tol else 2]:
+                values = np.zeros(g.size)
+                if table == "monotone":
+                    values[0b1] = low
+                else:
+                    values[0b11] = -low
+                f = SetFunction(g, values)
+                report = check_axioms(f, tol)
+                assert getattr(report, f"is_{table}") is ok
+                assert report.is_polymatroid is (ok if low == -tol else report.is_polymatroid)
+                assert _is_polymatroid(f, tol) is report.is_polymatroid
+
+    def test_each_table_decides(self):
+        g = GroundSet("ab")
+        # supermodular but monotone, then submodular but not monotone
+        for values, mono, sub in (([0.0, 1.0, 1.0, 2.5], True, False),
+                                  ([0.0, -1.0, 0.0, -1.0], False, True)):
+            f = SetFunction(g, values)
+            report = check_axioms(f, 0.0)
+            assert (report.is_monotone, report.is_submodular) == (mono, sub)
+            assert _is_polymatroid(f, 0.0) is False
+            assert is_modular(f, 0.0) is False
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_no_report_is_built(self, monkeypatch, n):
+        g = GroundSet("abcdefgh"[:n])
+        good = matroid_rank(g, min(n, 2))
+        bad = SetFunction(g, np.where(np.arange(g.size) == 1, -1.0, good.values))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an AxiomReport was built")
+        monkeypatch.setattr(core, "AxiomReport", refuse)
+        with pytest.raises(AssertionError, match="AxiomReport"):
+            check_axioms(good)
+        assert _is_polymatroid(good, 0.0) and not _is_polymatroid(bad, 0.0)
+        assert is_modular(modular_from(g, [1.0] * n), 0.0)
+        assert not is_modular(bad, 0.0)
+        for f, wrong in ((good, False), (bad, True)):
+            for op, where in _guard_calls(f):
+                with warnings.catch_warnings(record=True) as records:
+                    warnings.simplefilter("always")
+                    with contextlib.suppress(ValueError):
+                        op(f)
+                assert len(_guard_warnings(records)) == wrong, where
+
+    @settings(max_examples=200, deadline=None)
+    @given(guard_inputs())
+    def test_score_and_section_weights_equal_the_parent_bodies(self, case):
+        f, _ = case
+        if f.ground.n != 4:
+            f = SetFunction(GroundSet("abcd"), np.resize(f.values, 16) * (np.arange(16) > 0))
+        frame = IngletonFrame.default(f.ground)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert ([x.hex() for x in section_weights(f, frame)]
+                    == [x.hex() for x in section_weights_by_floats(f, frame)])
+            try:
+                want = ingleton_score_by_value(f, frame).hex()
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    ingleton_score(f, frame)
+            else:
+                assert ingleton_score(f, frame).hex() == want
 
 
 class TestMatroidRank:

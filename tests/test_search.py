@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import signal
 import time
 import tracemalloc
@@ -545,6 +546,7 @@ class TestCloud:
             assert math.hypot(*d) == pytest.approx(1.0, abs=1e-12)
         # integer counts keep their directions, numpy integers included
         assert sphere_directions(np.int64(5), seed=3) == dirs[:5]
+        assert sphere_directions(5, seed=np.int64(3)) == dirs[:5]
         assert [x.hex() for x in map(float, dirs[1])] == [
             "0x1.932c52dcd18e4p-1", "0x1.24ad1c1dcd414p-1", "-0x1.d8344c3dc7311p-3"]
 
@@ -552,6 +554,11 @@ class TestCloud:
     def test_sphere_directions_rejects_count(self, count):
         with pytest.raises(ValueError, match=f"direction count, got {count!r}"):
             sphere_directions(count)
+
+    @pytest.mark.parametrize("seed", [2.5, True, np.True_, "3", None, -1])
+    def test_sphere_directions_rejects_seed(self, seed):
+        with pytest.raises(ValueError, match=f"integer seed, got {re.escape(repr(seed))}"):
+            sphere_directions(1, seed=seed)
 
     def test_cloud_points_satisfy_builtin_bank(self, frame):
         # entropic points obey the non-Shannon bank; cross-module consistency
