@@ -191,7 +191,6 @@ def _result_json(result: engine.SearchResult, cfg: engine.SearchConfig) -> dict:
         "best_restart": result.best_restart,
         "eval_count": result.eval_count,
         "budget_exhausted": result.budget_exhausted,
-        "seed_trace": list(result.seed_trace),
         "best_point": point,
         "best_distribution": entropy.distribution_to_json(result.best_distribution),
     }

@@ -310,11 +310,9 @@ def _write_json(doc, path) -> None:
 
 
 def _check_tol(tol: float) -> None:
-    try:  # a bool is no tolerance, nor is a value that does not compare with 0.0
-        if (type(tol) is float or not isinstance(tol, (bool, np.bool_))) and 0.0 <= tol < np.inf:
-            return
-    except TypeError:
-        pass
+    # a real scalar: no bool, string or array (a float is tested first, per point)
+    if (type(tol) is float or _is_real(tol)) and 0.0 <= tol < np.inf:
+        return
     raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
@@ -392,13 +390,14 @@ def modular_from(ground: GroundSet,
         if missing or extra:
             raise ValueError(f"singleton keys must be exactly {ground.labels}; "
                              f"missing {sorted(missing)}, extra {sorted(extra)}")
-        per_bit = [float(singletons[lab]) for lab in ground.labels]
+        per_bit = [singletons[lab] for lab in ground.labels]
     else:
-        per_bit = [float(x) for x in singletons]
+        per_bit = list(singletons)
         if len(per_bit) != ground.n:
             raise ValueError(f"need {ground.n} singleton values, got {len(per_bit)}")
-    if any(x < 0 for x in per_bit):
-        raise ValueError(f"singleton values must be nonnegative: {per_bit}")
+    if not all(_is_real(x) and x >= 0 for x in per_bit):
+        raise ValueError(f"singleton values must be nonnegative reals: {per_bit}")
+    per_bit = [float(x) for x in per_bit]
     return SetFunction(ground, _bit_matrix(ground.n) @ np.array(per_bit))
 
 
@@ -570,8 +569,8 @@ def parallel_extension(f: SetFunction, L: SubsetLike, new_label: str) -> SetFunc
 
 def _check_pe_value(f: SetFunction, mL: int, t: float) -> float:
     fL = float(f.values[mL])
-    if not -1e-12 <= t <= fL + 1e-12:
-        raise ValueError(f"extension value t={t} outside [0, f(L)={fL}]")
+    if not (_is_real(t) and -1e-12 <= t <= fL + 1e-12):
+        raise ValueError(f"extension value t={t!r} is not a real in [0, f(L)={fL}]")
     return min(max(t, 0.0), fL)
 
 

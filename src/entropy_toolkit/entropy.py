@@ -62,8 +62,8 @@ PLAN_CACHE = 8
 
 def kappa(u: float) -> float:
     """Entropy kernel -u ln u on [0, 1], with kappa(0) = 0."""
-    if not -1e-12 <= u <= 1.0 + 1e-9:  # also rejects NaN
-        raise ValueError(f"kappa argument {u} outside [0, 1]")
+    if not (_is_real(u) and -1e-12 <= u <= 1.0 + 1e-9):  # also rejects NaN
+        raise ValueError(f"kappa argument {u!r} is not a real in [0, 1]")
     if u <= KAPPA_FLOOR or u >= 1.0:
         return 0.0
     return -u * math.log(u)
@@ -327,7 +327,9 @@ def entropy_function(d: JointDistribution) -> SetFunction:
 # --- four-atom family -------------------------------------------------------
 
 def _four_atom_p(p) -> float:
-    """p as a float, checked to lie in [0, 1/2] (NaN does not)."""
+    """p as a float, checked to be a real in [0, 1/2] (NaN does not lie there)."""
+    if not _is_real(p):
+        raise ValueError(f"p={p!r} is not a real number")
     p = float(p)
     if not 0.0 <= p <= 0.5:
         raise ValueError(f"p={p} outside [0, 1/2]")
@@ -394,8 +396,8 @@ class ExLParams:
 
     def __post_init__(self):
         vals = self.as_tuple()
-        if any(not math.isfinite(v) or v < -1e-15 for v in vals):
-            raise ValueError(f"parameters must be finite and nonnegative: {vals}")
+        if any(not _is_real(v) or not math.isfinite(v) or v < -1e-15 for v in vals):
+            raise ValueError(f"parameters must be finite nonnegative reals: {vals}")
         if abs(sum(vals) - 0.125) > 1e-12:
             raise ValueError(f"parameters sum to {sum(vals)!r}, need 1/8")
 

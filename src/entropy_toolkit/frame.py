@@ -55,7 +55,8 @@ FRAME_CACHE = 96
 DEGENERATE_TOL = 1e-12
 
 #: how far from 1 the sum of a weight quadruple may be for the readers of
-#: section points (``point_from_weights``, ``check_point``, the hulls)
+#: section points (``point_from_weights``, ``check_point``,
+#: ``active_constraints``, the hulls)
 WEIGHT_SUM_TOL = 1e-6
 
 
@@ -411,15 +412,29 @@ def cross_section_point(f: SetFunction, frame: IngletonFrame,
     return CrossSectionPoint(*section_weights(h, frame), source_tag=source_tag), h
 
 
-def point_from_weights(w: CrossSectionPoint, frame: IngletonFrame,
+def _weight_quadruple(weights, tol: float = WEIGHT_SUM_TOL) -> tuple:
+    """The one rule for a weight quadruple: a :class:`CrossSectionPoint` or
+    four numbers whose sum is within ``tol`` of 1, returned as a tuple of the
+    four weights as given.  A non-finite weight makes the sum non-finite."""
+    w = tuple(weights.as_tuple() if hasattr(weights, "as_tuple") else weights)
+    if len(w) != 4:
+        raise ValueError(f"need a weight quadruple, got {w!r}")
+    total = sum(w)
+    if not abs(total - 1.0) <= tol:
+        raise ValueError(f"weights sum to {total!r}, expected finite weights "
+                         f"summing to 1: {w!r}")
+    return w
+
+
+def point_from_weights(w, frame: IngletonFrame,
                        tol: float = WEIGHT_SUM_TOL) -> SetFunction:
-    """Convex combination of the tetrahedron vertices with the given weights."""
+    """Convex combination of the tetrahedron vertices with the given weights,
+    a :class:`CrossSectionPoint` or four numbers."""
     _check_tol(tol)
-    if not abs(w.weight_sum - 1.0) <= tol:  # also rejects non-finite weights
-        raise ValueError(f"weights sum to {w.weight_sum!r}, expected 1")
+    aw, bw, gw, dw = _weight_quadruple(w, tol)
     alpha, beta, gamma, delta_v = tetra_vertices(frame)
-    vals = (w.alpha_w * alpha.values + w.beta_w * beta.values
-            + w.gamma_w * gamma.values + w.delta_w * delta_v.values)
+    vals = (aw * alpha.values + bw * beta.values
+            + gw * gamma.values + dw * delta_v.values)
     return SetFunction(frame.ground, vals)
 
 

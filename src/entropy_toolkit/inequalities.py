@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import (GroundSet, SetFunction, _bit_matrix, _check_tol, _is_integer, _is_real,
                    _read_file, delta_vec)
-from .frame import FRAME_CACHE, WEIGHT_SUM_TOL, IngletonFrame, stv_vec, tetra_vertices
+from .frame import FRAME_CACHE, IngletonFrame, _weight_quadruple, stv_vec, tetra_vertices
 
 BALANCE_TOL = 1e-12
 
@@ -198,14 +198,7 @@ def check_point(weights, bank: Sequence[CrossSectionHalfspace],
     :meth:`CrossSectionHalfspace.margin`'s expression, inlined.
     """
     _check_tol(tol)
-    w = tuple(weights.as_tuple() if hasattr(weights, "as_tuple") else weights)
-    if len(w) != 4:
-        raise ValueError(f"need a weight quadruple, got {w!r}")
-    total = sum(w)
-    if not abs(total - 1.0) <= WEIGHT_SUM_TOL:  # a non-finite weight makes the sum non-finite
-        raise ValueError(f"weights {w!r} sum to {total!r}, expected finite "
-                         "weights summing to 1")
-    aw, bw, gw, dw = w
+    aw, bw, gw, dw = _weight_quadruple(weights)
     return PointCheckReport(
         names=tuple([hs.name for hs in bank]),
         margins=tuple([hs.a * aw + hs.b * bw + hs.c * gw + hs.d * dw for hs in bank]),

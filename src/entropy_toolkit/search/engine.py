@@ -234,14 +234,12 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Best point found by a distribution search.  ``seed_trace[r]`` is
-    restart r's :func:`restart_seed`, a fingerprint that does not reseed it."""
+    """Best point found by a distribution search."""
 
     best_value: float
     best_distribution: JointDistribution
     best_point: CrossSectionPoint | None
     eval_count: int
-    seed_trace: tuple[int, ...]
     budget_exhausted: bool
     best_restart: int
 
@@ -509,14 +507,6 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     return window[0].copy(), vals[0], evals, converged
 
 
-def restart_seed(master_seed: int, restart: int) -> int:
-    """A stable per-restart fingerprint: the first word of
-    ``SeedSequence((master_seed, restart))``.  The restart draws from
-    ``default_rng`` of that sequence, and ``default_rng`` of this integer
-    (``restart_seed(1, 3)`` = 4010755824) draws other numbers."""
-    return int(np.random.SeedSequence((master_seed, restart)).generate_state(1)[0])
-
-
 def _initial_theta(rng: np.random.Generator, dim: int, restart: int,
                    init: np.ndarray | None) -> np.ndarray:
     if init is None:
@@ -699,8 +689,6 @@ def optimize_distribution(cfg: SearchConfig, frame: IngletonFrame,
         best_distribution=best_distribution,
         best_point=point,
         eval_count=sum(o[2] for o in outcomes),
-        seed_trace=tuple(restart_seed(cfg.master_seed, r)
-                         for r in range(cfg.restarts)),
         budget_exhausted=any(not o[3] for o in outcomes),
         best_restart=best_restart,
     )

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ..core import _check_tol
-from ..frame import WEIGHT_SUM_TOL
+from ..frame import WEIGHT_SUM_TOL, _weight_quadruple
 from ..inequalities import CrossSectionHalfspace
 
 FEASIBILITY_TOL = 1e-9
@@ -199,7 +199,7 @@ def active_constraints(weights: Sequence[float],
     """Names of the simplex facets and bank halfspaces tight at a vertex."""
     _check_tol(tol)
     normals, offsets, names = _affine_constraints(bank)
-    x = np.asarray(weights, dtype=float)[1:]
+    x = np.asarray(_weight_quadruple(weights), dtype=float)[1:]
     margins = normals @ x + offsets
     return [name for name, margin in zip(names, margins) if abs(margin) <= tol]
 

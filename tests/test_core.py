@@ -190,7 +190,9 @@ class TestCheckAxioms:
                     assert full_monotone_ok(f, 1e-9)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9,
-                                     True, np.True_, "1e-9", None])
+                                     True, np.True_, "1e-9", None,
+                                     np.array([1e-9]), np.array(1e-9),
+                                     np.array([1e-9, 1e-9])])
     @pytest.mark.parametrize("check", [check_axioms, is_tight, is_modular,
                                        lambda f, tol: closure_of(f, "i", tol),
                                        check_point_at_the_centroid])
@@ -773,6 +775,12 @@ class TestExtensions:
         with pytest.raises(ValueError):
             pe_contract(f, "ij", -0.5)
 
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.5"])
+    @pytest.mark.parametrize("extend", [principal_extension, pe_contract])
+    def test_value_must_be_real(self, ground, extend, bad):
+        with pytest.raises(ValueError, match=f"t={re.escape(repr(bad))} is not a real"):
+            extend(matroid_rank(ground, 2), "ij", bad)
+
 
 class TestPeContract:
     def test_zero_value_is_identity(self, ground, rng):
@@ -912,6 +920,14 @@ class TestJsonKeyCollisions:
 
 
 class TestBitMatrixAgainstLoops:
+    @pytest.mark.parametrize("singletons", [[True, False, 1, 1], ["1", 1, 1, 1],
+                                            [np.True_, 1, 1, 1],
+                                            {"i": 1, "j": 1, "k": 1, "l": "1"}])
+    def test_modular_from_rejects_non_reals(self, ground, singletons):
+        values = singletons.values() if isinstance(singletons, dict) else singletons
+        with pytest.raises(ValueError, match=re.escape(repr(list(values)))):
+            modular_from(ground, singletons)
+
     def test_modular_from_and_parts(self, rng):
         g = GroundSet("abcdefgh")
         per_bit = list(rng.uniform(0.0, 3.0, g.n))

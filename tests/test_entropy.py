@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import pickle
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -462,6 +463,32 @@ class TestNonFiniteInputs:
     def test_exl_params_reject_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
             ExLParams(0.125, 0.0, 0.0, 0.0, bad)
+
+
+class TestNonRealParameters:
+    """A bool, a numpy bool or a string is no real parameter: each is rejected
+    with a ValueError that names it, while numpy floats are read as reals."""
+
+    @pytest.mark.parametrize("bad", [False, np.False_, "0"])
+    def test_exl_params(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            ExLParams(0.125, bad, bad, bad, bad)
+
+    @pytest.mark.parametrize("bad", [False, True, np.True_, "0.3"])
+    @pytest.mark.parametrize("family", [four_atom_distribution, four_atom_score])
+    def test_four_atom_p(self, family, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            family(bad)
+
+    @pytest.mark.parametrize("bad", [False, True, np.True_, "0.5"])
+    def test_kappa(self, bad):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            kappa(bad)
+
+    def test_numpy_floats_accepted(self):
+        assert ExLParams(*map(np.float64, EXL_REFERENCE.as_tuple())) == EXL_REFERENCE
+        assert four_atom_score(np.float64(0.3)) == four_atom_score(0.3)
+        assert kappa(np.float32(0.5)) == kappa(0.5)
 
 
 class TestMarginalIndex:

@@ -56,6 +56,7 @@ from entropy_toolkit import cli, frame as frame_mod
 from entropy_toolkit.frame import _coordinate_matrix, _generator_matrix
 from entropy_toolkit.search.engine import (DistributionObjective, SearchConfig,
                                            generate_cloud, optimize_distribution)
+from entropy_toolkit.search.geometry import active_constraints
 
 from helpers import (
     a_map_by_deltas,
@@ -164,7 +165,7 @@ class TestViolatedInstances:
     def test_base_violates_its_instance(self, frame):
         assert violated_instances(ingleton_base(frame)) == [frozenset("ij")]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, np.array([1e-9]), np.array(1e-9), np.array([1e-9, 1e-9])])
     def test_tolerance_validated(self, frame, bad):
         with pytest.raises(ValueError, match="tolerance"):
             violated_instances(ingleton_base(frame), tol=bad)
@@ -377,17 +378,19 @@ class TestCrossSection:
     def test_point_from_weights_validates_sum(self, frame):
         with pytest.raises(ValueError):
             point_from_weights(CrossSectionPoint(0.5, 0.5, 0.5, 0.5), frame)
-        # one WEIGHT_SUM_TOL for the three readers of a weight quadruple
+        # one WEIGHT_SUM_TOL for the five readers of a weight quadruple
         assert frame_mod.WEIGHT_SUM_TOL == 1e-6
         readers = (lambda w: point_from_weights(CrossSectionPoint(*w), frame),
+                   lambda w: point_from_weights(w, frame),
                    lambda w: check_point(w, [dfz_halfspace(1)]),
+                   lambda w: active_constraints(w, []),
                    lambda w: convex_hull_3d([w]))
         for read in readers:
             with pytest.raises(ValueError, match="sum"):
                 read((0.25 + 2e-6, 0.25, 0.25, 0.25))
             read((0.25 + 5e-7, 0.25, 0.25, 0.25))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, np.array([1e-9]), np.array(1e-9), np.array([1e-9, 1e-9])])
     def test_point_from_weights_validates_tolerance(self, frame, bad):
         with pytest.raises(ValueError, match="tolerance"):
             point_from_weights(CrossSectionPoint(5, 5, 5, 5), frame, tol=bad)
@@ -418,7 +421,7 @@ class TestEFace:
     def test_base_lies_in_face(self, frame):
         assert in_e_face(ingleton_base(frame), frame)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, np.array([1e-9]), np.array(1e-9), np.array([1e-9, 1e-9])])
     def test_tolerance_validated(self, frame, bad):
         with pytest.raises(ValueError, match="tolerance"):
             in_e_face(ingleton_base(frame), frame, tol=bad)

@@ -292,7 +292,7 @@ class TestArrayGeometryMatchesLoops:
 
 
 class TestRejectedInputs:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, np.array([1e-9]), np.array(1e-9), np.array([1e-9, 1e-9])])
     def test_active_constraints_tolerance(self, bad):
         with pytest.raises(ValueError, match="tolerance"):
             active_constraints((2 / 3, 1 / 3, 0.0, 0.0), [dfz_halfspace(1)], tol=bad)

@@ -106,7 +106,7 @@ class TestEvaluate:
 
 
 class TestBalanced:
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, np.array([1e-9]), np.array(1e-9), np.array([1e-9, 1e-9])])
     def test_tolerance_validated(self, frame, bad):
         with pytest.raises(ValueError, match="tolerance"):
             is_balanced(inequality_of("mono", frame.ground, {1: 1.0}), tol=bad)
@@ -241,7 +241,7 @@ class TestCheckPoint:
         with pytest.raises(ValueError, match="finite"):
             check_point(weights, default_halfspace_bank(6))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, np.array([1e-9]), np.array(1e-9), np.array([1e-9, 1e-9])])
     def test_tolerance_validated(self, bad):
         with pytest.raises(ValueError, match="tolerance"):
             check_point((1.0, 0.0, 0.0, 0.0), [dfz_halfspace(1)], tol=bad)

@@ -41,7 +41,6 @@ from entropy_toolkit.search.engine import (
     DistributionObjective,
     check_direction,
     nelder_mead,
-    restart_seed,
     softmax,
 )
 
@@ -407,7 +406,6 @@ class TestOptimizeDistribution:
         assert r1.best_value == r2.best_value
         assert r1.best_restart == r2.best_restart
         assert r1.eval_count == r2.eval_count
-        assert r1.seed_trace == r2.seed_trace
         assert r1.best_distribution.atoms == r2.best_distribution.atoms
 
     def test_parallel_equals_serial(self, frame):
@@ -460,10 +458,6 @@ class TestOptimizeDistribution:
         res = optimize_distribution(cfg, frame)
         assert res.best_value < -0.05
         assert res.best_point is not None
-
-    def test_seed_trace_derivation(self, frame):
-        res = optimize_distribution(self.CFG, frame)
-        assert res.seed_trace == tuple(restart_seed(11, r) for r in range(4))
 
     def test_init_mismatch_rejected(self, frame):
         from entropy_toolkit import exl_distribution
