@@ -383,9 +383,13 @@ def _entropy_args(p):
                    help="display entropies in bits (storage stays in nats)")
 
 
+def _frame_args(p):
+    p.add_argument("--frame", help="the labels in roles i,j,k,l, comma-separated, e.g. j,i,k,l")
+
+
 def _score_args(p):
     p.add_argument("file")
-    p.add_argument("--frame")
+    _frame_args(p)
 
 
 def _fouratom_args(p):
@@ -398,7 +402,7 @@ def _exl_args(p):
                    help="use the reference parameter point")
     for name in "pqrst":
         p.add_argument(f"--{name}", type=_number(float))
-    p.add_argument("--frame")
+    _frame_args(p)
 
 
 def _search_args(p):
@@ -409,7 +413,7 @@ def _search_args(p):
     p.add_argument("--budget", type=_number(int), dest="budget_evals", metavar="BUDGET",
                    help="objective evaluations per restart")
     p.add_argument("--seed", type=_number(int), dest="master_seed", metavar="SEED")
-    p.add_argument("--frame")
+    _frame_args(p)
 
 
 def _minimize_args(p):

@@ -15,6 +15,7 @@ function, so concurrent read access is safe.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import sys
@@ -79,27 +80,26 @@ class GroundSet:
         return 1 << self.bit(label)
 
     def mask(self, subset: SubsetLike) -> int:
-        """Normalize a subset given as bitmask, label string or label iterable.
-
-        A plain string is first matched against the labels themselves and
-        otherwise read character by character, so ``"ik"`` works whenever
-        labels are single characters.  A bool is not a bitmask.
-        """
-        if isinstance(subset, (bool, np.bool_)):
-            raise ValueError(f"subset mask must be an integer, not a bool: {subset!r}")
-        if isinstance(subset, (int, np.integer)):
-            m = int(subset)
-            if not 0 <= m < self.size:
-                raise ValueError(f"subset mask {m} out of range for n={self.n}")
-            return m
-        if isinstance(subset, str):
-            if subset == "":
-                return 0
-            if subset in self.labels:
-                return self.singleton(subset)
-            return self.mask(tuple(subset))
+        """The rule for a subset: a bitmask (an integer, not a bool; tested
+        first), a label string or an iterable of labels, as a bitmask.  A plain
+        string is first matched against the labels themselves and otherwise
+        read character by character, so ``"ik"`` works whenever labels are
+        single characters."""
+        if type(subset) is int or _is_integer(subset):
+            if 0 <= subset < self.size:
+                return int(subset)
+            raise ValueError(f"subset mask {subset!r} out of range for n={self.n}")
+        if isinstance(subset, str) and subset in self.labels:
+            return self.singleton(subset)
+        try:
+            labels = tuple(subset)
+        except TypeError:  # a bool, a float, None
+            labels = (subset,)
+        if not all(isinstance(lab, str) for lab in labels):
+            raise ValueError(f"subset must be a bitmask, a label string or labels, "
+                             f"got {subset!r}")
         m = 0
-        for lab in subset:
+        for lab in labels:
             m |= self.singleton(lab)
         return m
 
@@ -167,16 +167,16 @@ class SetFunction:
         return SetFunction(self.ground, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "SetFunction":
-        return SetFunction(self.ground, self.values * float(scalar))
+        return SetFunction(self.ground, self.values * _real(scalar, "scalar"))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: float) -> "SetFunction":
-        return SetFunction(self.ground, self.values / float(scalar))
+        return SetFunction(self.ground, self.values / _real(scalar, "scalar"))
 
     def allclose(self, other: "SetFunction", tol: float = 1e-12) -> bool:
         self._require_same_ground(other)
-        return bool(np.max(np.abs(self.values - other.values)) <= tol)
+        return bool(np.max(np.abs(self.values - other.values)) <= _check_tol(tol))
 
 
 @dataclass(frozen=True)
@@ -245,6 +245,69 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+# --- the rule for each kind of parameter --------------------------------------
+#
+# Every public reader checks its numeric and subset parameters here (subsets
+# in GroundSet.mask); a rejected value raises a ValueError that names the
+# parameter and the value.
+
+def _as_tuple(x) -> tuple:
+    """x as a tuple, or () when it is not iterable."""
+    try:
+        return tuple(x)
+    except TypeError:
+        return ()
+
+
+def _real(x, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """The rule for a real: a finite real in [lo, hi] as a float.  Python and
+    numpy reals pass (a float is tested first); bools, strings and arrays do not."""
+    if type(x) is float or _is_real(x):
+        v = float(x)
+        if lo <= v <= hi and math.isfinite(v):
+            return v
+    raise ValueError(f"{name} must be a finite real in [{lo!r}, {hi!r}], got {x!r}")
+
+
+def _count(x, name: str, least: int = 0, most: float = math.inf) -> int:
+    """The rule for a count (a seed is a count >= 0): an integer, not a bool,
+    in least..most (least 0 or 1 when most is unbounded), as an int."""
+    if _is_integer(x) and least <= x <= most:
+        return int(x)
+    kind = (f"an integer in {least}..{most}" if most < math.inf
+            else "a positive integer" if least else "a non-negative integer")
+    raise ValueError(f"{name} must be {kind}, got {x!r}")
+
+
+def _check_tol(tol) -> float:
+    """The rule for a tolerance: a real (as :func:`_real` reads it) in [0, inf)."""
+    if (type(tol) is float or _is_real(tol)) and 0.0 <= tol < math.inf:
+        return float(tol)
+    raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
+#: how far from 1 the sum of a weight quadruple may be for the readers of
+#: section points (``point_from_weights``, ``check_point``,
+#: ``active_constraints``, the hulls)
+WEIGHT_SUM_TOL = 1e-6
+
+
+def _weight_quadruple(weights, tol: float = WEIGHT_SUM_TOL) -> tuple:
+    """The rule for a weight quadruple: a section point or four reals summing
+    to 1 within ``tol``, as four floats.  Four floats (a cloud's points) skip
+    the real rule, since a non-finite one fails the sum."""
+    w = _as_tuple(weights.as_tuple() if hasattr(weights, "as_tuple") else weights)
+    if len(w) != 4:
+        raise ValueError(f"need a weight quadruple, got {weights!r}")
+    if not type(w[0]) is type(w[1]) is type(w[2]) is type(w[3]) is float:
+        w = tuple(_real(x, f"each weight of {weights!r}") for x in w)
+    total = sum(w)
+    if not abs(total - 1.0) <= tol:
+        raise ValueError(f"weights sum to {total!r}, expected finite weights "
+                         f"summing to 1: {w!r}")
+    return w
+
+
 def _csv_numbers(row: Sequence[str], kinds: Sequence[type],
                  width: int | None = None) -> list:
     """The rule for numbers in a CSV row of ``width`` fields (default one per
@@ -309,13 +372,6 @@ def _write_json(doc, path) -> None:
     _write_file(path, write)
 
 
-def _check_tol(tol: float) -> None:
-    # a real scalar: no bool, string or array (a float is tested first, per point)
-    if (type(tol) is float or _is_real(tol)) and 0.0 <= tol < np.inf:
-        return
-    raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-
-
 def _violations(margins: np.ndarray, pairs: tuple[np.ndarray, np.ndarray],
                 tol: float) -> tuple[float, tuple[tuple[int, int], ...]]:
     """The most negative margin (0.0 when none is negative) and the pairs of
@@ -355,7 +411,7 @@ def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
     some margin is below -tol.  The one decision rule: the guards and
     :func:`is_modular` read these margins through :func:`_is_polymatroid`.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     margins, defects = _elemental_margins(f)
     worst_mono, mono = _violations(margins, _step_table(f.ground.n), tol)
     worst_sub, sub = _violations(defects, _square_table(f.ground.n)[:2], tol)
@@ -371,13 +427,11 @@ def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
 
 
 def matroid_rank(ground: GroundSet, m: int, loops: SubsetLike = 0) -> SetFunction:
-    """Rank function of the uniform-up-to-loops matroid: min(m, |I - loops|).
-    The rank m is an integer (numpy integers accepted, bools rejected)."""
+    """Rank function of the uniform-up-to-loops matroid: min(m, |I - loops|),
+    for a rank m in 0..|N - loops|."""
     J = ground.mask(loops)
     free = 1.0 - _bit_matrix(ground.n)[J]
-    if not (_is_integer(m) and 0 <= m <= free.sum()):
-        raise ValueError(f"rank {m!r} is not an integer in 0..{free.sum():g} for loop set "
-                         f"{ground.subset_key(J)!r}")
+    m = _count(m, f"rank for loop set {ground.subset_key(J)!r}", 0, int(free.sum()))
     return SetFunction(ground, np.minimum(m, _bit_matrix(ground.n) @ free))
 
 
@@ -395,9 +449,7 @@ def modular_from(ground: GroundSet,
         per_bit = list(singletons)
         if len(per_bit) != ground.n:
             raise ValueError(f"need {ground.n} singleton values, got {len(per_bit)}")
-    if not all(_is_real(x) and x >= 0 for x in per_bit):
-        raise ValueError(f"singleton values must be nonnegative reals: {per_bit}")
-    per_bit = [float(x) for x in per_bit]
+    per_bit = [_real(x, f"each singleton value of {per_bit}", 0.0) for x in per_bit]
     return SetFunction(ground, _bit_matrix(ground.n) @ np.array(per_bit))
 
 
@@ -569,9 +621,7 @@ def parallel_extension(f: SetFunction, L: SubsetLike, new_label: str) -> SetFunc
 
 def _check_pe_value(f: SetFunction, mL: int, t: float) -> float:
     fL = float(f.values[mL])
-    if not (_is_real(t) and -1e-12 <= t <= fL + 1e-12):
-        raise ValueError(f"extension value t={t!r} is not a real in [0, f(L)={fL}]")
-    return min(max(t, 0.0), fL)
+    return min(max(_real(t, "extension value t", -1e-12, fL + 1e-12), 0.0), fL)
 
 
 def principal_extension(f: SetFunction, L: SubsetLike, t: float,

@@ -42,8 +42,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import (GroundSet, SetFunction, _csv_numbers, _is_integer, _is_real,
-                   _read_file, _read_only, _write_file, _write_json)
+from .core import (GroundSet, SetFunction, _as_tuple, _csv_numbers, _is_integer, _is_real,
+                   _read_file, _read_only, _real, _write_file, _write_json)
 
 LN2 = math.log(2.0)
 
@@ -62,8 +62,7 @@ PLAN_CACHE = 8
 
 def kappa(u: float) -> float:
     """Entropy kernel -u ln u on [0, 1], with kappa(0) = 0."""
-    if not (_is_real(u) and -1e-12 <= u <= 1.0 + 1e-9):  # also rejects NaN
-        raise ValueError(f"kappa argument {u!r} is not a real in [0, 1]")
+    u = _real(u, "kappa argument u", -1e-12, 1.0 + 1e-9)
     if u <= KAPPA_FLOOR or u >= 1.0:
         return 0.0
     return -u * math.log(u)
@@ -73,7 +72,7 @@ def _checked_sizes(ground: GroundSet, alphabet_sizes) -> tuple[int, ...]:
     """Alphabet sizes as Python ints: one positive integer per variable
     (numpy integers accepted, bools and floats rejected) and at most
     MAX_CELLS cells in all."""
-    sizes = tuple(alphabet_sizes)
+    sizes = _as_tuple(alphabet_sizes)
     if len(sizes) != ground.n or not all(_is_integer(s) and s >= 1 for s in sizes):
         raise ValueError(f"need {ground.n} positive integer alphabet sizes, "
                          f"got {alphabet_sizes!r}")
@@ -326,16 +325,6 @@ def entropy_function(d: JointDistribution) -> SetFunction:
 
 # --- four-atom family -------------------------------------------------------
 
-def _four_atom_p(p) -> float:
-    """p as a float, checked to be a real in [0, 1/2] (NaN does not lie there)."""
-    if not _is_real(p):
-        raise ValueError(f"p={p!r} is not a real number")
-    p = float(p)
-    if not 0.0 <= p <= 0.5:
-        raise ValueError(f"p={p} outside [0, 1/2]")
-    return p
-
-
 def _family_ground(ground: GroundSet | None, family: str) -> GroundSet:
     """``ground`` (default labels i, j, k, l) after checking it has four elements."""
     ground = ground or GroundSet("ijkl")
@@ -350,7 +339,7 @@ def four_atom_distribution(p: float, ground: GroundSet | None = None) -> JointDi
     Atoms on {0,1}^4: (0,0,0,0) and (1,1,1,1) carry probability p each,
     (0,1,0,1) and (1,0,0,1) carry 1/2 - p each.
     """
-    p = _four_atom_p(p)
+    p = _real(p, "p", 0.0, 0.5)
     return JointDistribution._from_arrays(
         _family_ground(ground, "four-atom"), (2, 2, 2, 2),
         np.array([[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]], dtype=np.int64),
@@ -364,7 +353,7 @@ def four_atom_score(p: float) -> float:
     ((2p+1) ln 2 - 2 kappa(p) - 2 kappa(1-p)) / (2 kappa(p) + 2 kappa(1/2-p)).
     The denominator is bounded away from 0 on [0, 1/2].
     """
-    p = _four_atom_p(p)
+    p = _real(p, "p", 0.0, 0.5)
     num = (2.0 * p + 1.0) * LN2 - 2.0 * kappa(p) - 2.0 * kappa(1.0 - p)
     den = 2.0 * kappa(p) + 2.0 * kappa(0.5 - p)
     if den <= 0.0:
@@ -395,9 +384,8 @@ class ExLParams:
     t: float
 
     def __post_init__(self):
-        vals = self.as_tuple()
-        if any(not _is_real(v) or not math.isfinite(v) or v < -1e-15 for v in vals):
-            raise ValueError(f"parameters must be finite nonnegative reals: {vals}")
+        vals = tuple(_real(v, f"ExLParams {name}", -1e-15)
+                     for name, v in zip("pqrst", self.as_tuple()))
         if abs(sum(vals) - 0.125) > 1e-12:
             raise ValueError(f"parameters sum to {sum(vals)!r}, need 1/8")
 

@@ -37,10 +37,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
+    WEIGHT_SUM_TOL,
     GroundSet,
     SetFunction,
     _check_tol,
     _modular_values,
+    _weight_quadruple,
     _warn_if_not_polymatroid,
     delta_vec,
     matroid_rank,
@@ -53,11 +55,6 @@ FRAME_CACHE = 96
 #: projected normalizers at or below this are degenerate: no cross-section
 #: point, and a search scores the evaluation 0
 DEGENERATE_TOL = 1e-12
-
-#: how far from 1 the sum of a weight quadruple may be for the readers of
-#: section points (``point_from_weights``, ``check_point``,
-#: ``active_constraints``, the hulls)
-WEIGHT_SUM_TOL = 1e-6
 
 
 def _frame_ground(ground: GroundSet) -> GroundSet:
@@ -93,7 +90,8 @@ class IngletonFrame:
         """Parse a frame given as comma-separated labels, e.g. ``"i,j,k,l"``."""
         parts = [p.strip() for p in spec.split(",")]
         if len(parts) != 4:
-            raise ValueError(f"frame spec needs 4 labels, got {spec!r}")
+            raise ValueError(f"frame spec needs 4 comma-separated labels, e.g. "
+                             f"'j,i,k,l', got {spec!r}")
         return cls(ground, *parts)
 
     @property
@@ -412,26 +410,11 @@ def cross_section_point(f: SetFunction, frame: IngletonFrame,
     return CrossSectionPoint(*section_weights(h, frame), source_tag=source_tag), h
 
 
-def _weight_quadruple(weights, tol: float = WEIGHT_SUM_TOL) -> tuple:
-    """The one rule for a weight quadruple: a :class:`CrossSectionPoint` or
-    four numbers whose sum is within ``tol`` of 1, returned as a tuple of the
-    four weights as given.  A non-finite weight makes the sum non-finite."""
-    w = tuple(weights.as_tuple() if hasattr(weights, "as_tuple") else weights)
-    if len(w) != 4:
-        raise ValueError(f"need a weight quadruple, got {w!r}")
-    total = sum(w)
-    if not abs(total - 1.0) <= tol:
-        raise ValueError(f"weights sum to {total!r}, expected finite weights "
-                         f"summing to 1: {w!r}")
-    return w
-
-
 def point_from_weights(w, frame: IngletonFrame,
                        tol: float = WEIGHT_SUM_TOL) -> SetFunction:
     """Convex combination of the tetrahedron vertices with the given weights,
     a :class:`CrossSectionPoint` or four numbers."""
-    _check_tol(tol)
-    aw, bw, gw, dw = _weight_quadruple(w, tol)
+    aw, bw, gw, dw = _weight_quadruple(w, _check_tol(tol))
     alpha, beta, gamma, delta_v = tetra_vertices(frame)
     vals = (aw * alpha.values + bw * beta.values
             + gw * gamma.values + dw * delta_v.values)

@@ -22,9 +22,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (GroundSet, SetFunction, _bit_matrix, _check_tol, _is_integer, _is_real,
-                   _read_file, delta_vec)
-from .frame import FRAME_CACHE, IngletonFrame, _weight_quadruple, stv_vec, tetra_vertices
+from .core import (GroundSet, SetFunction, _bit_matrix, _check_tol, _count, _is_real, _read_file,
+                   _real, _weight_quadruple, delta_vec)
+from .frame import FRAME_CACHE, IngletonFrame, stv_vec, tetra_vertices
 
 BALANCE_TOL = 1e-12
 
@@ -73,9 +73,8 @@ class CrossSectionHalfspace:
     d: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, self.abcd)):
-            raise ValueError(f"halfspace {self.name!r} has non-finite coefficients "
-                             f"{self.abcd}")
+        for c, v in zip("abcd", self.abcd):
+            _real(v, f"halfspace {self.name!r} coefficient {c}")
         if self.a == self.b == self.c == self.d == 0.0:
             raise ValueError(f"halfspace {self.name!r} has all-zero coefficients")
 
@@ -113,7 +112,7 @@ def dfz_linear(s: int, frame: IngletonFrame) -> LinearInequality:
     + ((s-2) 2^(s-1) + 1) [delta(jk|l) + delta(jl|k)] >= 0 on entropic points.
     s = 1 is the Zhang-Yeung inequality.
     """
-    _check_dfz_s(s)
+    _count(s, "DFZ parameter s", 1, 20)
     return LinearInequality(f"dfz-linear-s{s}", SetFunction(frame.ground, _dfz(s, frame)))
 
 
@@ -136,11 +135,6 @@ def _dfz(s: int, *frames: IngletonFrame) -> np.ndarray:
     return (2 ** s - 1) * stv + kl_i + s * half * ik_il + ((s - 2) * half + 1) * jk_jl
 
 
-def _check_dfz_s(s: int) -> None:
-    if not _is_integer(s) or not 1 <= s <= 20:
-        raise ValueError(f"DFZ parameter s must be an integer in 1..20, got {s!r}")
-
-
 def section_halfspace(ineq: LinearInequality, frame: IngletonFrame) -> CrossSectionHalfspace:
     """The inequality's values at the four tetrahedron vertices, whose convex combinations
     are the section points.  Raises if the inequality lives on another ground set than
@@ -151,7 +145,7 @@ def section_halfspace(ineq: LinearInequality, frame: IngletonFrame) -> CrossSect
 def dfz_halfspace(s: int) -> CrossSectionHalfspace:
     """DFZ member s plus its i<->j swap on section weights, which reads
     beta + ((s-1) 2^s + 1) delta >= (2^s - 1)/2 * alpha (s = 1: symmetrized ZY)."""
-    _check_dfz_s(s)
+    _count(s, "DFZ parameter s", 1, 20)
     ineq = LinearInequality(f"dfz-s{s}", SetFunction(
         SECTION_FRAME.ground, _dfz(s, SECTION_FRAME, SECTION_FRAME.swapped_ij())))
     return section_halfspace(ineq, SECTION_FRAME)
@@ -159,7 +153,7 @@ def dfz_halfspace(s: int) -> CrossSectionHalfspace:
 
 def default_halfspace_bank(max_s: int = 6) -> list[CrossSectionHalfspace]:
     """The DFZ halfspaces for s = 1..max_s (s = 1 being symmetrized ZY)."""
-    _check_dfz_s(max_s)
+    _count(max_s, "DFZ parameter max_s", 1, 20)
     return [dfz_halfspace(s) for s in range(1, max_s + 1)]
 
 
@@ -197,7 +191,7 @@ def check_point(weights, bank: Sequence[CrossSectionHalfspace],
     version of this call costs three to five times as much.  Each margin is
     :meth:`CrossSectionHalfspace.margin`'s expression, inlined.
     """
-    _check_tol(tol)
+    tol = _check_tol(tol)
     aw, bw, gw, dw = _weight_quadruple(weights)
     return PointCheckReport(
         names=tuple([hs.name for hs in bank]),

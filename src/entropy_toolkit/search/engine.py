@@ -55,7 +55,7 @@ from typing import Callable, NoReturn
 
 import numpy as np
 
-from ..core import _is_integer, _is_real, _modular_values
+from ..core import _as_tuple, _check_tol, _count, _is_integer, _modular_values, _real
 from ..entropy import (
     JointDistribution,
     _config_grid,
@@ -123,14 +123,6 @@ def _check_outcome_size(searches: int, atoms: int, what: str) -> None:
             f"MAX_OUTCOME_MIB = {MAX_OUTCOME_MIB} MiB bounds")
 
 
-def _as_tuple(x) -> tuple:
-    """x as a tuple, or () when it is not iterable."""
-    try:
-        return tuple(x)
-    except TypeError:
-        return ()
-
-
 def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
                     tol: float = 1e-8) -> tuple[float, float]:
     """Golden-section search for the minimizer of a unimodal f on [lo, hi].
@@ -138,9 +130,9 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
     Returns (x, f(x)) with |x - true minimizer| <= tol for unimodal f, or
     where float spacing stops a step from shrinking the bracket.
     """
-    if not (lo < hi and 0.0 < tol < math.inf):
+    a, b, tol = _real(lo, "lo"), _real(hi, "hi"), _check_tol(tol)
+    if not (a < b and tol > 0.0):
         raise ValueError(f"need lo < hi and a finite tol > 0, got [{lo}, {hi}], tol={tol!r}")
-    a, b = float(lo), float(hi)
     x1 = b - GOLDEN * (b - a)
     x2 = a + GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
@@ -164,14 +156,15 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
 
 
 def check_direction(direction) -> tuple[float, float, float]:
-    """A search direction as a tuple of three floats: a finite nonzero
-    3-vector of reals (no booleans) whose squared norm is a normal double,
+    """A search direction as a tuple of three floats: a nonzero 3-vector of
+    reals, each read by the real rule, whose squared norm is a normal double,
     else ValueError."""
-    d = _as_tuple(direction)
-    if (len(d) != 3 or not all(map(_is_real, d))
-            or not any(d) or not all(map(math.isfinite, d))):
+    try:
+        d = tuple(_real(x, "direction entry") for x in _as_tuple(direction))
+    except ValueError:  # the message below names the direction, and so the entry
+        d = ()
+    if len(d) != 3 or not any(d):
         raise ValueError(f"direction must be a finite nonzero 3-vector: {direction!r}")
-    d = tuple(float(x) for x in d)
     # make_objective divides by the norm, sqrt(d . d): a d . d that
     # underflows (to 0 or a subnormal) or overflows loses the ray
     dd = sum(x * x for x in d)
@@ -207,11 +200,7 @@ class SearchConfig:
                 f"its Nelder-Mead simplex would take {_simplex_mib(atoms):,.0f} MiB "
                 f"per worker (buffer with headroom plus one simplex-sized temporary)")
         for name, least in (("restarts", 1), ("budget_evals", 1), ("master_seed", 0)):
-            count = getattr(self, name)
-            if not _is_integer(count) or count < least:
-                kind = "positive" if least else "non-negative"
-                raise ValueError(f"{name} must be a {kind} integer: {count!r}")
-            object.__setattr__(self, name, int(count))
+            object.__setattr__(self, name, _count(getattr(self, name), name, least))
         _check_outcome_size(self.restarts, atoms, "restarts")
         if self.objective not in SCORE_OBJECTIVES:
             raise ValueError(f"objective {self.objective!r} not one of {SCORE_OBJECTIVES}")
@@ -426,6 +415,8 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     buffer.  A non-finite objective value raises ValueError, because it has
     no place in that order.
     """
+    budget = _count(budget, "budget", 1)
+
     def evaluate(x: np.ndarray) -> float:
         value = float(fn(x))
         if not math.isfinite(value):
@@ -546,6 +537,7 @@ def _thread_count(threads: int | None) -> int:
     """Requested workers (argument, else ENTROPY_TOOLKIT_THREADS), capped at
     the CPUs this process may run on (its affinity set where the OS reports
     one, else the host's CPU count), and at 1 where ``os.fork`` does not exist."""
+    threads = None if threads is None else _count(threads, "threads", 1)
     if not hasattr(os, "fork"):
         return 1
     if threads is None:
@@ -775,10 +767,7 @@ def generate_cloud(directions: Sequence[Sequence[float]], cfg: SearchConfig,
 
 def sphere_directions(count: int, seed: int = 0) -> list[tuple[float, float, float]]:
     """Deterministic directions drawn uniformly on the sphere in weight space."""
-    if not _is_integer(count) or count < 1:
-        raise ValueError(f"need a positive integer direction count, got {count!r}")
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError(f"need a non-negative integer seed, got {seed!r}")
+    count, seed = _count(count, "direction count", 1), _count(seed, "seed")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xD1F)))
     out = []
     while len(out) < count:

@@ -23,8 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import _check_tol
-from ..frame import WEIGHT_SUM_TOL, _weight_quadruple
+from ..core import WEIGHT_SUM_TOL, _check_tol, _weight_quadruple
 from ..inequalities import CrossSectionHalfspace
 
 FEASIBILITY_TOL = 1e-9

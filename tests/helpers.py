@@ -38,6 +38,7 @@ from entropy_toolkit.core import (
     _check_pe_value,
     _check_tol,
     _modular_values,
+    _real,
     _square_table,
     _step_table,
     is_modular,
@@ -48,7 +49,6 @@ from entropy_toolkit.entropy import (
     KAPPA_FLOOR,
     MAX_CELLS,
     ExLParams,
-    _four_atom_p,
     _index_plan,
     subset_entropies,
 )
@@ -1177,7 +1177,7 @@ def distribution_from_json_by_dict(data: dict) -> JointDistributionByDict:
 def four_atom_distribution_by_dict(params, ground: GroundSet | None = None) -> JointDistribution:
     """Reference: the four-atom family as a {configuration: probability} dict
     through the Mapping constructor."""
-    p = _four_atom_p(params)
+    p = _real(params, "p", 0.0, 0.5)
     ground = ground or GroundSet("ijkl")
     if ground.n != 4:
         raise ValueError("four-atom family needs a 4-element ground set")

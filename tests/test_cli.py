@@ -907,7 +907,7 @@ class TestMalformedDocuments:
         bank.write_text(f'[{{"name": "bad", "abcd": [{value}, 1, 0, 1]}}]')
         code, out, err = run(capsys, "outer", "--dfz-max-s", "1", "--ineq-file", str(bank))
         assert code == 2
-        assert "non-finite coefficients" in err
+        assert "'bad' coefficient a must be a finite real" in err
         assert out == ""
 
     def test_directions_file_entry(self, capsys, tmp_path):
@@ -1196,6 +1196,31 @@ class TestNumericFlags:
                          "-o", str(out))
         assert code == 0
         assert json.loads(out.read_text())["config"]["alphabet_sizes"] == [2, 2, 2, 2]
+
+
+class TestFrameFlag:
+    """--frame is one flag, declared once: its help and its error both name
+    the comma-separated form of the roles."""
+
+    @pytest.mark.parametrize("argv", [["minimize"], ["cloud", "-o", "c.csv"], ["exl", "--default"],
+                                      ["score"]])
+    def test_labels_without_commas_exit_two(self, capsys, tmp_path, monkeypatch, rbar_file,
+                                            argv):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(engine, "_run_all_restarts", _no_search)
+        # score builds the frame while it reads the file, so its error names the file
+        files = [rbar_file] if argv == ["score"] else []
+        where = f"{rbar_file}: " if files else ""
+        code, out, err = run(capsys, *argv, *files, "--frame", "ijkl")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: {where}frame spec needs 4 comma-separated labels, "
+                                    "e.g. 'j,i,k,l', got 'ijkl'"]
+
+    @pytest.mark.parametrize("command", ["score", "exl", "minimize", "cloud", "export"])
+    def test_help_names_the_form(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "-h"])
+        assert "comma-separated" in " ".join(capsys.readouterr().out.split())
 
 
 def _exit_and_output(capsys, call):

@@ -311,7 +311,7 @@ def _same_triple(fast, slow) -> bool:
 
 class TestFourAtomFamily:
     def test_param_validation(self):
-        with pytest.raises(ValueError, match=r"p=0.6 outside \[0, 1/2\]"):
+        with pytest.raises(ValueError, match=r"p must be a finite real in \[0.0, 0.5\], got 0.6"):
             four_atom_score(0.6)
         with pytest.raises(ValueError):
             four_atom_distribution(-0.01)

@@ -447,9 +447,10 @@ class TestWireFormats:
     def test_non_finite_halfspace_rejected(self, bad, slot):
         abcd = [-0.5, 1.0, 0.0, 1.0]
         abcd[slot] = bad
-        with pytest.raises(ValueError, match="non-finite"):
+        message = f"'bad' coefficient {'abcd'[slot]} must be a finite real in .*, got {bad!r}"
+        with pytest.raises(ValueError, match=message):
             CrossSectionHalfspace("bad", *abcd)
-        with pytest.raises(ValueError, match="malformed halfspace document.*non-finite"):
+        with pytest.raises(ValueError, match=f"malformed halfspace document.*{message}"):
             halfspace_from_json(json.loads(json.dumps({"name": "bad", "abcd": abcd})))
 
 

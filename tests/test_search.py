@@ -87,8 +87,10 @@ class TestMinimizeScalar:
                                          (0.0, math.inf)])
     def test_rejects_bad_tolerance(self, lo, tol):
         # without the check, tol 0 or -1 never ends the loop, and nan skips it
-        # and returns the first probe (0.23607 on [-1, 1])
-        with pytest.raises(ValueError, match="finite tol > 0"):
+        # and returns the first probe (0.23607 on [-1, 1]); a tolerance below 0
+        # fails the tolerance rule, and 0 the search's own tol > 0
+        match = "finite tol > 0" if tol == 0 else "tolerance must be finite and nonnegative"
+        with pytest.raises(ValueError, match=match):
             minimize_scalar(lambda x: (x - 0.3) ** 2, lo, 1.0, tol=tol)
 
     def test_tolerance_below_float_spacing(self):
@@ -546,12 +548,14 @@ class TestCloud:
 
     @pytest.mark.parametrize("count", [math.nan, 2.5, True, 0, -1, math.inf])
     def test_sphere_directions_rejects_count(self, count):
-        with pytest.raises(ValueError, match=f"direction count, got {count!r}"):
+        message = f"direction count must be a positive integer, got {count!r}"
+        with pytest.raises(ValueError, match=message):
             sphere_directions(count)
 
     @pytest.mark.parametrize("seed", [2.5, True, np.True_, "3", None, -1])
     def test_sphere_directions_rejects_seed(self, seed):
-        with pytest.raises(ValueError, match=f"integer seed, got {re.escape(repr(seed))}"):
+        message = f"seed must be a non-negative integer, got {re.escape(repr(seed))}"
+        with pytest.raises(ValueError, match=message):
             sphere_directions(1, seed=seed)
 
     def test_cloud_points_satisfy_builtin_bank(self, frame):
