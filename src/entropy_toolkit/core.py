@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import os
+import reprlib
 import sys
 import warnings
 from dataclasses import dataclass
@@ -104,6 +105,7 @@ class GroundSet:
         return m
 
     def labels_of(self, mask: int) -> tuple[str, ...]:
+        mask = self.mask(mask)
         return tuple(lab for b, lab in enumerate(self.labels) if mask >> b & 1)
 
     def subset_key(self, mask: int) -> str:
@@ -127,14 +129,10 @@ class SetFunction:
     values: np.ndarray
 
     def __init__(self, ground: GroundSet, values):
-        arr = np.array(values, dtype=float)
-        if arr.shape != (ground.size,):
-            raise ValueError(f"need {ground.size} values for n={ground.n}, "
-                             f"got shape {arr.shape}")
+        # a copy, which the function freezes
+        arr = _reals(values, "set function values", (ground.size,)).copy()
         if arr[0] != 0.0:
             raise ValueError(f"value on the empty set must be exactly 0, got {arr[0]!r}")
-        if not np.isfinite(arr).all():
-            raise ValueError("set function values must be finite")
         arr.flags.writeable = False
         object.__setattr__(self, "ground", ground)
         object.__setattr__(self, "values", arr)
@@ -251,14 +249,6 @@ def _is_integer(x) -> bool:
 # in GroundSet.mask); a rejected value raises a ValueError that names the
 # parameter and the value.
 
-def _as_tuple(x) -> tuple:
-    """x as a tuple, or () when it is not iterable."""
-    try:
-        return tuple(x)
-    except TypeError:
-        return ()
-
-
 def _real(x, name: str, lo: float = -math.inf, hi: float = math.inf) -> float:
     """The rule for a real: a finite real in [lo, hi] as a float.  Python and
     numpy reals pass (a float is tested first); bools, strings and arrays do not."""
@@ -286,6 +276,57 @@ def _check_tol(tol) -> float:
     raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
 
 
+def _numbers(x, name: str, shape, dtype, test: Callable, kind: str) -> np.ndarray:
+    """The array rule: x as a ``dtype`` array (x itself if it is one); an ndarray
+    of numbers passes on one dtype test, anything else on one ``test`` per
+    distinct entry type.  ``shape`` (-1: any positive length) is checked first."""
+    # a uint64 may not fit an int64
+    exact = isinstance(x, np.ndarray) and x.dtype.kind in ("fiu" if dtype is float else "i")
+    arr = x if exact else np.array(x, dtype=object)
+    if shape is not None and arr.shape != shape and not (arr.ndim == len(shape) and all(
+            got == want or (want == -1 and got) for got, want in zip(arr.shape, shape))):
+        raise ValueError(f"need {name} in shape {str(shape).replace('-1', 'k')}, "
+                         f"got {reprlib.repr(x)} of shape {arr.shape}")
+    if exact:
+        return arr.astype(dtype, copy=False)
+    flat = arr.ravel()
+    if not all(map(test, dict(zip(map(type, flat), flat)).values())):
+        raise ValueError(f"{name} must be {kind}, got {next(v for v in flat if not test(v))!r}")
+    try:
+        return arr.astype(dtype)
+    except OverflowError:  # an integer beyond the dtype
+        raise ValueError(f"{name} must be {kind}, got {max(flat, key=abs)!r}, "
+                         f"outside {np.dtype(dtype)}") from None
+
+
+def _reals(x, name: str, shape=None) -> np.ndarray:
+    """The rule for an array of reals: finite reals as :func:`_real` reads
+    them (no bool, numpy bool, string, None, NaN or infinity), as float64.
+    A non-finite entry of a 2-D array, whose rows are points, names its row."""
+    arr = _numbers(x, name, shape, float, _is_real, "finite reals")
+    finite = np.isfinite(arr)
+    if not finite.all():
+        at = int(finite.argmin())  # the first non-finite entry in C order
+        if arr.ndim == 2:
+            raise ValueError(f"point {at // arr.shape[1]} has non-finite {name} "
+                             f"{tuple(arr[at // arr.shape[1]].tolist())!r}")
+        raise ValueError(f"{name} must be finite reals, got {arr.ravel()[at].item()!r}")
+    return arr
+
+
+def _counts(x, name: str, shape=None, least: int = 0, most: float = math.inf) -> np.ndarray:
+    """The rule for an array of counts: integers, not bools, in least..most
+    as :func:`_count` reads one, as int64."""
+    kind = (f"integers in {least}..{most}" if most < math.inf
+            else "positive integers" if least else "non-negative integers")
+    arr = _numbers(x, name, shape, np.int64, _is_integer, kind)
+    # an int64 array compared with inf would be cast to float64 first
+    outside = (arr < least) | (arr > most) if most < math.inf else arr < least
+    if outside.any():
+        raise ValueError(f"{name} must be {kind}, got {arr[outside].flat[0].item()!r}")
+    return arr
+
+
 #: how far from 1 the sum of a weight quadruple may be for the readers of
 #: section points (``point_from_weights``, ``check_point``,
 #: ``active_constraints``, the hulls)
@@ -294,13 +335,12 @@ WEIGHT_SUM_TOL = 1e-6
 
 def _weight_quadruple(weights, tol: float = WEIGHT_SUM_TOL) -> tuple:
     """The rule for a weight quadruple: a section point or four reals summing
-    to 1 within ``tol``, as four floats.  Four floats (a cloud's points) skip
-    the real rule, since a non-finite one fails the sum."""
-    w = _as_tuple(weights.as_tuple() if hasattr(weights, "as_tuple") else weights)
-    if len(w) != 4:
-        raise ValueError(f"need a weight quadruple, got {weights!r}")
-    if not type(w[0]) is type(w[1]) is type(w[2]) is type(w[3]) is float:
-        w = tuple(_real(x, f"each weight of {weights!r}") for x in w)
+    to 1 within ``tol``, as four floats.  A tuple of four floats (a cloud's
+    points) skips the array rule, since a non-finite one fails the sum."""
+    w = weights.as_tuple() if hasattr(weights, "as_tuple") else weights
+    if not (type(w) is tuple and len(w) == 4
+            and type(w[0]) is type(w[1]) is type(w[2]) is type(w[3]) is float):
+        w = tuple(_reals(w, "weights", (4,)).tolist())
     total = sum(w)
     if not abs(total - 1.0) <= tol:
         raise ValueError(f"weights sum to {total!r}, expected finite weights "
@@ -444,13 +484,11 @@ def modular_from(ground: GroundSet,
         if missing or extra:
             raise ValueError(f"singleton keys must be exactly {ground.labels}; "
                              f"missing {sorted(missing)}, extra {sorted(extra)}")
-        per_bit = [singletons[lab] for lab in ground.labels]
-    else:
-        per_bit = list(singletons)
-        if len(per_bit) != ground.n:
-            raise ValueError(f"need {ground.n} singleton values, got {len(per_bit)}")
-    per_bit = [_real(x, f"each singleton value of {per_bit}", 0.0) for x in per_bit]
-    return SetFunction(ground, _bit_matrix(ground.n) @ np.array(per_bit))
+        singletons = [singletons[lab] for lab in ground.labels]
+    values = _reals(singletons, f"singleton values {singletons!r}", (ground.n,))
+    if (values < 0.0).any():
+        raise ValueError(f"singleton values {singletons!r} must be nonnegative")
+    return SetFunction(ground, _bit_matrix(ground.n) @ values)
 
 
 def is_modular(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
@@ -700,22 +738,22 @@ def set_function_to_json(f: SetFunction) -> dict:
 
 
 def set_function_from_json(data: dict) -> SetFunction:
+    """Values by the array rule; every error starts "malformed set-function document"."""
     try:
         ground = GroundSet(data["labels"])
         raw = data["values"]
+        if not isinstance(raw, dict):
+            raise ValueError("values need an object of numbers")
+        expected = _json_keys(ground)
+        if set(raw) != set(expected):
+            missing = sorted(set(expected) - set(raw))
+            extra = sorted(set(raw) - set(expected))
+            raise ValueError(f"subset keys incomplete: missing {missing}, extra {extra}")
+        if raw[""] != 0:
+            raise ValueError(f'values[""] must be 0, got {raw[""]!r}')
+        return SetFunction(ground, [raw[k] for k in expected])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed set-function document: {exc}") from exc
-    if not (isinstance(raw, dict) and all(map(_is_real, raw.values()))):
-        raise ValueError("malformed set-function document: values need an object of "
-                         "numbers (true and false are not numbers)")
-    expected = _json_keys(ground)
-    if set(raw) != set(expected):
-        missing = sorted(set(expected) - set(raw))
-        extra = sorted(set(raw) - set(expected))
-        raise ValueError(f"subset keys incomplete: missing {missing}, extra {extra}")
-    if raw[""] != 0:
-        raise ValueError(f'values[""] must be 0, got {raw[""]!r}')
-    return SetFunction(ground, [raw[k] for k in expected])
 
 
 def save_set_function(f: SetFunction, path) -> None:

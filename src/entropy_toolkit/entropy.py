@@ -2,9 +2,10 @@
 
 A :class:`JointDistribution` is two read-only arrays in insertion order: an
 int64 (k, n) array of configurations and a float64 (k,) array of their
-probabilities.  Construction validates both with array expressions
-(arity, integer symbols, range, duplicates through their mixed-radix cell
-index, finiteness, the -1e-12 clamp and a left-to-right sum);
+probabilities.  Construction reads both by the core array rules (arity,
+integer symbols, finiteness) and checks them with array expressions (range,
+duplicates through their mixed-radix cell index, the -1e-12 clamp and a
+left-to-right sum);
 :meth:`JointDistribution.from_dense` pairs a dense vector with a cached
 configuration grid per alphabet, and the file readers and writers go
 straight between rows and the arrays.  The ``atoms`` mapping is a read-only
@@ -36,14 +37,13 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .core import (GroundSet, SetFunction, _as_tuple, _csv_numbers, _is_integer, _is_real,
-                   _read_file, _read_only, _real, _write_file, _write_json)
+from .core import (GroundSet, SetFunction, _counts, _csv_numbers, _read_file, _read_only, _real,
+                   _reals, _write_file, _write_json)
 
 LN2 = math.log(2.0)
 
@@ -69,43 +69,13 @@ def kappa(u: float) -> float:
 
 
 def _checked_sizes(ground: GroundSet, alphabet_sizes) -> tuple[int, ...]:
-    """Alphabet sizes as Python ints: one positive integer per variable
-    (numpy integers accepted, bools and floats rejected) and at most
-    MAX_CELLS cells in all."""
-    sizes = _as_tuple(alphabet_sizes)
-    if len(sizes) != ground.n or not all(_is_integer(s) and s >= 1 for s in sizes):
-        raise ValueError(f"need {ground.n} positive integer alphabet sizes, "
-                         f"got {alphabet_sizes!r}")
-    sizes = tuple(int(s) for s in sizes)
+    """Alphabet sizes as Python ints by the count rule, at most MAX_CELLS cells in all."""
+    sizes = tuple(_counts(alphabet_sizes, "alphabet sizes", (ground.n,), 1).tolist())
     n_cells = math.prod(sizes)
     if n_cells > MAX_CELLS:
         raise ValueError(f"product alphabet has {n_cells} cells, exceeding "
                          f"the {MAX_CELLS} guard")
     return sizes
-
-
-def _config_array(rows: list, n: int) -> np.ndarray:
-    """Configuration rows as a (k, n) int64 array.
-
-    Every row must have n entries, and every entry must be an integer
-    (numpy integers accepted, bools and floats rejected).
-    """
-    try:
-        arities = set(map(len, rows))
-        entries = list(chain.from_iterable(rows))
-    except TypeError:
-        raise ValueError("configurations must be sequences of integers") from None
-    if arities - {n}:
-        bad = next(row for row in rows if len(row) != n)
-        raise ValueError(f"configuration {tuple(bad)} has wrong arity")
-    one_per_type = dict(zip(map(type, entries), entries)).values()
-    if not all(map(_is_integer, one_per_type)):
-        raise ValueError(f"configuration entries must be integers, got "
-                         f"{sorted(type(x).__name__ for x in one_per_type)}")
-    try:
-        return np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    except OverflowError:
-        raise ValueError("configuration entry outside every alphabet") from None
 
 
 def _checked_configs(configs: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
@@ -156,34 +126,35 @@ class JointDistribution:
     probs: np.ndarray
 
     def __init__(self, ground: GroundSet, alphabet_sizes, atoms: Mapping):
-        sizes = _checked_sizes(ground, alphabet_sizes)
-        configs = _checked_configs(_config_array(list(atoms), ground.n), sizes)
-        self._assign(ground, sizes, configs, np.array(list(atoms.values()), dtype=float))
+        self._read(ground, alphabet_sizes, list(atoms), list(atoms.values()))
 
     @classmethod
-    def _from_arrays(cls, ground: GroundSet, alphabet_sizes, configs: np.ndarray,
-                     probs: np.ndarray) -> "JointDistribution":
-        """Validated distribution from a (k, n) int64 configuration array and
-        its k probabilities, without a mapping in between."""
-        sizes = _checked_sizes(ground, alphabet_sizes)
+    def _from_arrays(cls, ground: GroundSet, alphabet_sizes, configs, probs) -> "JointDistribution":
+        """Validated distribution from configuration rows (arrays or lists)
+        and their probabilities, without a mapping in between."""
         d = cls.__new__(cls)
-        d._assign(ground, sizes, _checked_configs(configs, sizes), probs)
+        d._read(ground, alphabet_sizes, configs, probs)
         return d
 
+    def _read(self, ground: GroundSet, alphabet_sizes, rows, probs) -> None:
+        """Read and check one or more configuration rows, then their probabilities."""
+        sizes = _checked_sizes(ground, alphabet_sizes)
+        configs = _counts(rows, "configuration entries", (-1, ground.n))
+        self._assign(ground, sizes, _checked_configs(configs, sizes), probs)
+
     def _assign(self, ground: GroundSet, sizes: tuple[int, ...], configs: np.ndarray,
-                probs: np.ndarray) -> None:
-        """Check the probabilities of checked configurations and store both."""
-        if probs.shape != (len(configs),):
-            raise ValueError("need one probability (a number) per configuration")
-        bad = ~np.isfinite(probs) | (probs < -1e-12)
+                probs) -> None:
+        """Read and check the probabilities of checked configurations; store both."""
+        probs = _reals(probs, "probabilities", (len(configs),))
+        bad = probs < -1e-12
         if bad.any():
             at = bad.argmax()
             raise ValueError(f"probability {float(probs[at])} at "
-                             f"{tuple(configs[at].tolist())} is negative or not finite")
+                             f"{tuple(configs[at].tolist())} is negative")
         # np.where, unlike np.maximum, keeps -0.0 as max(-0.0, 0.0) does
         probs = np.where(probs < 0.0, 0.0, probs)
         # accumulate adds left to right, as a running total would
-        total = float(np.add.accumulate(probs)[-1]) if len(probs) else 0.0
+        total = float(np.add.accumulate(probs)[-1])
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
         object.__setattr__(self, "ground", ground)
@@ -222,8 +193,7 @@ class JointDistribution:
         """Distribution with one atom per cell of the grid, zero cells included."""
         sizes = _checked_sizes(ground, alphabet_sizes)
         d = cls.__new__(cls)
-        d._assign(ground, sizes, _config_grid(sizes),
-                  np.asarray(vec, dtype=float).reshape(math.prod(sizes)))
+        d._assign(ground, sizes, _config_grid(sizes), vec)
         return d
 
 
@@ -460,14 +430,14 @@ def distribution_from_csv(text: str, alphabet_sizes=None) -> JointDistribution:
     if header[-1] != "prob" or not all(h.startswith("x_") for h in header[:-1]):
         raise ValueError(f"bad distribution header: {header}")
     ground = GroundSet(h[2:] for h in header[:-1])
+    if not body:
+        raise ValueError("distribution CSV has no atoms")
     atoms = [_csv_numbers(row, [int] * ground.n + [float]) for row in body]
-    configs = _config_array([atom[:-1] for atom in atoms], ground.n)
-    probs = np.array([atom[-1] for atom in atoms])
+    configs = _counts([atom[:-1] for atom in atoms], "configuration entries", (-1, ground.n))
     if alphabet_sizes is None:
-        if not body:
-            raise ValueError("distribution CSV has no atoms")
         alphabet_sizes = tuple((configs.max(axis=0) + 1).tolist())
-    return JointDistribution._from_arrays(ground, alphabet_sizes, configs, probs)
+    return JointDistribution._from_arrays(ground, alphabet_sizes, configs,
+                                          [atom[-1] for atom in atoms])
 
 
 def distribution_to_json(d: JointDistribution) -> dict:
@@ -480,16 +450,11 @@ def distribution_to_json(d: JointDistribution) -> dict:
 
 def distribution_from_json(data: dict) -> JointDistribution:
     try:
-        ground = GroundSet(data["labels"])
-        sizes = data["alphabet_sizes"]
-        configs = _config_array([a["config"] for a in data["atoms"]], ground.n)
-        probs = [a["prob"] for a in data["atoms"]]
-        if not (all(map(_is_integer, sizes)) and all(map(_is_real, probs))):
-            raise ValueError("alphabet sizes need integers, probabilities numbers")
+        return JointDistribution._from_arrays(
+            GroundSet(data["labels"]), data["alphabet_sizes"],
+            [a["config"] for a in data["atoms"]], [a["prob"] for a in data["atoms"]])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed distribution document: {exc}") from exc
-    return JointDistribution._from_arrays(ground, sizes, configs,
-                                          np.array(probs, dtype=float))
 
 
 def save_distribution(d: JointDistribution, path) -> None:

@@ -42,6 +42,7 @@ from .core import (
     SetFunction,
     _check_tol,
     _modular_values,
+    _reals,
     _weight_quadruple,
     _warn_if_not_polymatroid,
     delta_vec,
@@ -77,7 +78,8 @@ class IngletonFrame:
     def __post_init__(self):
         _frame_ground(self.ground)
         roles = (self.i, self.j, self.k, self.l)
-        if sorted(roles) != sorted(self.ground.labels):
+        # sorted by str, a role that is no string compares unequal and does not raise
+        if sorted(roles, key=str) != sorted(self.ground.labels):
             raise ValueError(f"frame roles {roles} must enumerate the ground set "
                              f"{self.ground.labels}")
 
@@ -88,7 +90,7 @@ class IngletonFrame:
     @classmethod
     def from_spec(cls, ground: GroundSet, spec: str) -> "IngletonFrame":
         """Parse a frame given as comma-separated labels, e.g. ``"i,j,k,l"``."""
-        parts = [p.strip() for p in spec.split(",")]
+        parts = [p.strip() for p in spec.split(",")] if isinstance(spec, str) else []
         if len(parts) != 4:
             raise ValueError(f"frame spec needs 4 comma-separated labels, e.g. "
                              f"'j,i,k,l', got {spec!r}")
@@ -199,7 +201,7 @@ class BasisCoefficients(NamedTuple):
 
     @classmethod
     def from_array(cls, arr) -> "BasisCoefficients":
-        return cls(*(float(x) for x in arr))
+        return cls(*_reals(arr, "basis coefficients", (11,)).tolist())
 
 
 _COORDINATES = BasisCoefficients._fields
@@ -272,7 +274,8 @@ def basis_coefficients(h: SetFunction, frame: IngletonFrame) -> BasisCoefficient
 
 def reconstruct(coeffs: BasisCoefficients, frame: IngletonFrame) -> SetFunction:
     """Sum coefficient * generator over the eleven basis functions."""
-    return SetFunction(frame.ground, _generator_matrix(frame) @ coeffs.as_array())
+    return SetFunction(frame.ground,
+                       _generator_matrix(frame) @ _reals(coeffs, "basis coefficients", (11,)))
 
 
 # --- the face maps and symmetrization ----------------------------------------

@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (GroundSet, SetFunction, _bit_matrix, _check_tol, _count, _is_real, _read_file,
-                   _real, _weight_quadruple, delta_vec)
+                   _real, _reals, _weight_quadruple, delta_vec)
 from .frame import FRAME_CACHE, IngletonFrame, stv_vec, tetra_vertices
 
 BALANCE_TOL = 1e-12
@@ -43,6 +43,8 @@ class LinearInequality:
     coefficients: SetFunction
 
     def __post_init__(self):
+        if not isinstance(self.name, str):  # as the JSON reader requires
+            raise ValueError(f"inequality name must be a string, got {self.name!r}")
         if not self.coefficients.values.any():
             raise ValueError(f"inequality {self.name!r} has no nonzero coefficient")
 
@@ -73,6 +75,8 @@ class CrossSectionHalfspace:
     d: float
 
     def __post_init__(self):
+        if not isinstance(self.name, str):  # as the JSON reader requires
+            raise ValueError(f"halfspace name must be a string, got {self.name!r}")
         for c, v in zip("abcd", self.abcd):
             _real(v, f"halfspace {self.name!r} coefficient {c}")
         if self.a == self.b == self.c == self.d == 0.0:
@@ -83,7 +87,8 @@ class CrossSectionHalfspace:
         return (self.a, self.b, self.c, self.d)
 
     def margin(self, weights: Sequence[float]) -> float:
-        aw, bw, gw, dw = weights
+        """The left side at four weights, read by the real rule (no sum test)."""
+        aw, bw, gw, dw = _reals(weights, "weights", (4,)).tolist()
         return self.a * aw + self.b * bw + self.c * gw + self.d * dw
 
 

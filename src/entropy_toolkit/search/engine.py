@@ -55,7 +55,7 @@ from typing import Callable, NoReturn
 
 import numpy as np
 
-from ..core import _as_tuple, _check_tol, _count, _is_integer, _modular_values, _real
+from ..core import _check_tol, _count, _counts, _modular_values, _real, _reals
 from ..entropy import (
     JointDistribution,
     _config_grid,
@@ -157,13 +157,13 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
 
 def check_direction(direction) -> tuple[float, float, float]:
     """A search direction as a tuple of three floats: a nonzero 3-vector of
-    reals, each read by the real rule, whose squared norm is a normal double,
+    reals, read by the array rule, whose squared norm is a normal double,
     else ValueError."""
     try:
-        d = tuple(_real(x, "direction entry") for x in _as_tuple(direction))
+        d = tuple(_reals(direction, "direction entries", (3,)).tolist())
     except ValueError:  # the message below names the direction, and so the entry
         d = ()
-    if len(d) != 3 or not any(d):
+    if not any(d):
         raise ValueError(f"direction must be a finite nonzero 3-vector: {direction!r}")
     # make_objective divides by the norm, sqrt(d . d): a d . d that
     # underflows (to 0 or a subnormal) or overflows loses the ray
@@ -185,11 +185,7 @@ class SearchConfig:
     objective: str = "pipeline_score"
 
     def __post_init__(self):
-        sizes = _as_tuple(self.alphabet_sizes)
-        if len(sizes) != 4 or any(not _is_integer(s) or not 1 <= s <= 11 for s in sizes):
-            raise ValueError(f"alphabet sizes must be four integers in 1..11: "
-                             f"{self.alphabet_sizes!r}")
-        sizes = tuple(int(s) for s in sizes)
+        sizes = tuple(_counts(self.alphabet_sizes, "alphabet sizes", (4,), 1, 11).tolist())
         object.__setattr__(self, "alphabet_sizes", sizes)
         if all(s < 2 for s in sizes):
             raise ValueError("at least one variable needs an alphabet of size >= 2")
@@ -416,6 +412,7 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     no place in that order.
     """
     budget = _count(budget, "budget", 1)
+    x0 = _reals(x0, "x0", (-1,))
 
     def evaluate(x: np.ndarray) -> float:
         value = float(fn(x))
@@ -434,7 +431,7 @@ def nelder_mead(fn: Callable[[np.ndarray], float], x0: np.ndarray,
     flat = rows.reshape(-1)
     top = headroom
     window = rows[top:]
-    window[:] = np.asarray(x0, dtype=float)
+    window[:] = x0
     window[np.arange(1, dim + 1), np.arange(dim)] += INITIAL_STEP
     vals = [evaluate(row.copy()) for row in window]
     sort_window()

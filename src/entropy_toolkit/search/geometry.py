@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import WEIGHT_SUM_TOL, _check_tol, _weight_quadruple
+from ..core import WEIGHT_SUM_TOL, _check_tol, _reals, _weight_quadruple
 from ..inequalities import CrossSectionHalfspace
 
 FEASIBILITY_TOL = 1e-9
@@ -57,12 +57,10 @@ class Polytope3:
 
 
 def _as_weight_array(points: Sequence[Sequence[float]]) -> np.ndarray:
-    arr = np.asarray(points, dtype=float)
+    """Points by the array rule, as an (n, 4) float64 array of rows summing to 1."""
+    arr = _reals(points, "weights")
     if arr.ndim != 2 or arr.shape[1] != 4 or not arr.size:
         raise ValueError(f"need weight quadruples, got shape {arr.shape}")
-    bad = np.flatnonzero(~np.isfinite(arr).all(axis=1))
-    if bad.size:
-        raise ValueError(f"point {bad[0]} has non-finite weights {tuple(arr[bad[0]].tolist())!r}")
     sums = arr.sum(axis=1)
     bad = np.flatnonzero(np.abs(sums - 1.0) > WEIGHT_SUM_TOL)
     if bad.size:

@@ -842,7 +842,7 @@ class TestNonFiniteInput:
         dist.write_text("x_i,x_j,x_k,x_l,prob\n0,0,0,0,1.0\n1,1,1,1,nan\n")
         code, _, err = run(capsys, "entropy", str(dist))
         assert code == 2
-        assert "not finite" in err
+        assert "probabilities must be finite reals, got nan" in err
 
 
 class TestMalformedDocuments:

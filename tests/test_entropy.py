@@ -455,7 +455,7 @@ class TestDistributionFormats:
 class TestNonFiniteInputs:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_distribution_rejects_non_finite(self, ground, bad):
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match=f"probabilities must be finite reals, got {bad!r}"):
             JointDistribution(ground, (2, 2, 2, 2), {(0, 0, 0, 0): 1.0,
                                                      (1, 1, 1, 1): bad})
 
@@ -915,15 +915,17 @@ class TestRejectedDistributions:
     @pytest.mark.parametrize("sizes", [(2.7, 2, 2, 2), (2.0, 2, 2, 2), (True, 2, 2, 2),
                                        ("2", 2, 2, 2), (np.float64(2), 2, 2, 2)])
     def test_non_integral_alphabet_sizes(self, ground, sizes):
-        with pytest.raises(ValueError, match="positive integer alphabet sizes"):
+        match = f"alphabet sizes must be positive integers, got {re.escape(repr(sizes[0]))}"
+        with pytest.raises(ValueError, match=match):
             JointDistribution(ground, sizes, {(0, 0, 0, 0): 1.0})
-        with pytest.raises(ValueError, match="positive integer alphabet sizes"):
+        with pytest.raises(ValueError, match=match):
             JointDistribution.from_dense(ground, sizes, np.full(16, 1 / 16))
 
     @pytest.mark.parametrize("cfg", [(0.9, 0, 0, 0), (0.0, 0, 0, 0), (True, 0, 0, 0),
                                      (np.float64(1), 0, 0, 0), ("1", 0, 0, 0)])
     def test_non_integral_configurations(self, ground, cfg):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="configuration entries must be non-negative "
+                                             f"integers, got {re.escape(repr(cfg[0]))}"):
             JointDistribution(ground, (2, 2, 2, 2), {cfg: 1.0})
 
     def test_issue_example(self, ground):

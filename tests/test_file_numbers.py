@@ -351,7 +351,7 @@ class TestCommandLine:
         message = {"check": "malformed set-function document",
                    "outer": "malformed halfspace document",
                    "entropy": "malformed distribution document",
-                   "minimize": "alphabet sizes must be four integers",
+                   "minimize": "alphabet sizes must be integers in 1..11, got -1000",
                    "cloud": "direction must be a finite nonzero 3-vector"}[command]
         code, out, err = run(capsys, command, *argv)
         assert code == 2

@@ -1,15 +1,20 @@
 """One rule per argument kind, checked over the public signatures.
 
-``TABLE`` lists every real, count, tolerance, subset and weight-quadruple
-parameter of the public callables, and of the engine and geometry readers
-the searches and hulls use, each with its kind, a call that passes a value
-in that parameter and a value that call accepts.  Every entry is fed its
-kind's bad values, each of which must raise a ValueError that names the
-value.  A sequence kind ("reals", "counts", "direction", "weights") holds
-one rule per entry, so its bad values are the good sequence with its first
-entry replaced by a bad one.  ``test_every_kind_bearing_parameter_has_an_entry``
-walks ``inspect.signature`` over the public names and fails on a parameter
-of these kinds that has no entry and whose callable is not exempt.
+``TABLE`` lists every real, count, tolerance, subset, weight-quadruple and
+array parameter of the public callables and of their public methods, and of
+the engine and geometry readers the searches and hulls use, each with its
+kind, a call that passes a value in that parameter and a value that call
+accepts.  Every entry is fed its kind's bad values, each of which must raise
+a ValueError that names the value.  A sequence kind ("reals", "counts",
+"direction", "weights") holds one rule per entry, so its bad values are the
+good sequence with its first entry replaced by a bad one.  The "array" kind
+(an array, mapping or record read by the core array rule) is fed the same
+bad entries in its first scalar place, plus a wrong shape and an empty
+array, whose message must name the shape.
+``test_every_kind_bearing_parameter_has_an_entry`` walks ``inspect.signature``
+over the public names and the public methods of the exported classes, and
+fails on a parameter of these kinds that has no entry and whose callable is
+not exempt.
 """
 
 import inspect
@@ -31,6 +36,11 @@ ATOM = {(0, 0, 0, 0): 1.0}
 EXL = (0.125, 0.0, 0.0, 0.0, 0.0)
 UNIT = (1.0, 0.0, 0.0, 0.0)
 CSV = "x_i,x_j,x_k,x_l,prob\n0,0,0,0,1.0\n"
+CORNERS = np.eye(4).tolist()
+
+
+def nelder_mead(x0):
+    return engine.nelder_mead(lambda x: float(x @ x), x0, 10)
 
 
 def with_field(fields, i, value):
@@ -57,6 +67,10 @@ TABLE = {
     ("SetFunction.__mul__", "scalar"): ("real", lambda v: F * v, 2.0),
     ("SetFunction.__truediv__", "scalar"): ("real", lambda v: F / v, 2.0),
     ("SetFunction.allclose", "tol"): ("tol", lambda v: F.allclose(F, v), 1e-12),
+    ("SetFunction", "values"): ("array", lambda v: et.SetFunction(G, v), F.values.tolist()),
+    ("SetFunction.with_values", "values"): ("array", F.with_values, F.values.tolist()),
+    ("GroundSet.labels_of", "mask"): ("subset", G.labels_of, 1),
+    ("GroundSet.subset_key", "mask"): ("subset", G.subset_key, 1),
     ("check_axioms", "tol"): ("tol", lambda v: et.check_axioms(F, v), 1e-9),
     ("is_modular", "tol"): ("tol", lambda v: et.is_modular(F, v), 1e-9),
     ("is_tight", "tol"): ("tol", lambda v: et.is_tight(F, v), 1e-9),
@@ -89,6 +103,16 @@ TABLE = {
     **{("ExLParams", name): ("real", exl(i), EXL[i]) for i, name in enumerate("pqrst")},
     ("JointDistribution", "alphabet_sizes"): (
         "counts", lambda v: et.JointDistribution(G, v, ATOM), (2, 2, 2, 2)),
+    # the atoms' configurations as rows, then their probabilities
+    ("JointDistribution", "atoms"): (
+        "array", lambda v: et.JointDistribution(G, (2, 2, 2, 2), {tuple(c): 1.0 for c in v}),
+        [[0, 0, 0, 0]]),
+    ("JointDistribution", "atoms.values()"): (
+        "reals", lambda v: et.JointDistribution(G, (2,) * 4, dict(zip([(0,) * 4, (1,) * 4], v))),
+        (1.0, 0.0)),
+    ("JointDistribution.from_dense", "vec"): (
+        "array", lambda v: et.JointDistribution.from_dense(G, (2, 2, 2, 2), v),
+        [1.0] + [0.0] * 15),
     ("JointDistribution.from_dense", "alphabet_sizes"): (
         "counts", lambda v: et.JointDistribution.from_dense(G, v, [1.0] + [0.0] * 15),
         (2, 2, 2, 2)),
@@ -100,9 +124,13 @@ TABLE = {
     ("point_from_weights", "w"): ("weights", lambda v: et.point_from_weights(v, FRAME), UNIT),
     ("point_from_weights", "tol"): (
         "tol", lambda v: et.point_from_weights(UNIT, FRAME, v), 1e-6),
+    ("reconstruct", "coeffs"): ("array", lambda v: et.reconstruct(v, FRAME), [0.5] * 11),
+    ("BasisCoefficients.from_array", "arr"): (
+        "array", et.BasisCoefficients.from_array, [0.5] * 11),
     # inequalities
     **{("CrossSectionHalfspace", name): ("real", halfspace(i), 1.0 if i < 2 else 0.0)
        for i, name in enumerate("abcd")},
+    ("CrossSectionHalfspace.margin", "weights"): ("array", BANK[0].margin, list(UNIT)),
     ("is_balanced", "tol"): ("tol", lambda v: et.is_balanced(et.symmetrized_zy(FRAME), v), 1e-12),
     ("dfz_linear", "s"): ("count", lambda v: et.dfz_linear(v, FRAME), 1),
     ("dfz_halfspace", "s"): ("count", et.dfz_halfspace, 1),
@@ -128,8 +156,10 @@ TABLE = {
         1),
     ("engine.nelder_mead", "budget"): (
         "count", lambda v: engine.nelder_mead(lambda x: float(x @ x), np.ones(2), v), 10),
+    ("engine.nelder_mead", "x0"): ("array", nelder_mead, [1.0, 1.0]),
     ("engine.check_direction", "direction"): (
         "direction", engine.check_direction, (0.0, 0.0, 1.0)),
+    ("convex_hull_3d", "points"): ("array", et.convex_hull_3d, CORNERS),
     ("geometry.active_constraints", "weights"): (
         "weights", lambda v: geometry.active_constraints(v, BANK), UNIT),
     ("geometry.active_constraints", "tol"): (
@@ -144,33 +174,46 @@ EXEMPT = {
     "PointCheckReport": "a result record that check_point writes",
     "Polytope3": "a result record that the hulls write",
     "SearchResult": "a result record that optimize_distribution writes",
-    "convex_hull_3d": "an array of weight rows, read by numpy under its own array rule",
 }
 
-#: annotations that mark a real, count, tolerance, subset or weight parameter,
-#: and the unannotated parameters that are one
+#: annotations that mark a real, count, tolerance, subset, weight or array
+#: parameter, and the unannotated parameters that are one
 KIND_ANNOTATIONS = {"float", "int", "int | None", "SubsetLike", "Sequence[Sequence[float]]",
-                    "tuple[int, int, int, int]",
-                    "Union[Mapping[str, float], Sequence[float]]"}
-KIND_NAMES = {"weights", "w", "alphabet_sizes"}
+                    "tuple[int, int, int, int]", "Sequence[float]", "Mapping",
+                    "BasisCoefficients", "Union[Mapping[str, float], Sequence[float]]"}
+KIND_NAMES = {"weights", "w", "alphabet_sizes", "values", "vec", "arr"}
 
 SCALAR_BAD = [True, np.True_, "1", None, math.nan, math.inf]
 NOT_INTEGER = {"count", "optional count", "counts", "subset"}
 SEQUENCE_KINDS = {"reals": "real", "counts": "count", "direction": "real", "weights": "real"}
 
 
+def array_bad_values(good):
+    """An array's bad values, each with what its message must name: the
+    scalar bad values in its first scalar place, then a wrong shape (a
+    table's last column dropped, a list nested once more) and the empty
+    list, named by their shapes."""
+    nested = isinstance(good[0], list)
+    bad = [[[b, *good[0][1:]], *good[1:]] if nested else [b, *good[1:]] for b in SCALAR_BAD]
+    shaped = [[row[:-1] for row in good] if nested else [good], []]
+    return bad + shaped, [*map(repr, SCALAR_BAD), *(f"shape {np.shape(v)}" for v in shaped)]
+
+
 def bad_values(kind, good):
     """The kind's bad values: bools, a string, None (where None is not the
     default), NaN, inf and a one-element array, and 1.5 for counts and
-    subsets; in a sequence, as its first entry."""
+    subsets; in a sequence, as its first entry.  With each, what the
+    message must name: the value's repr, or a text for an array's shape."""
+    if kind == "array":
+        return array_bad_values(good)
     first = good[0] if kind in SEQUENCE_KINDS else good
     bad = [b for b in SCALAR_BAD if not (b is None and kind == "optional count")]
     bad.append(np.array([first]))
     if kind in NOT_INTEGER:
         bad.append(1.5)
     if kind in SEQUENCE_KINDS:
-        return [with_field(tuple(good), 0, b) for b in bad], bad
-    return bad, bad
+        return [with_field(tuple(good), 0, b) for b in bad], list(map(repr, bad))
+    return bad, list(map(repr, bad))
 
 
 CASES = [pytest.param(call, value, named, id=f"{owner}-{param}-{i}")
@@ -189,7 +232,7 @@ def test_the_good_value_is_accepted(owner, param):
 def test_bad_values_raise_a_value_error_naming_them(call, value, named):
     with pytest.raises(ValueError) as info:
         call(value)
-    assert repr(named) in str(info.value)
+    assert named in str(info.value)
 
 
 def kind_bearing(param: inspect.Parameter) -> bool:
@@ -200,16 +243,33 @@ def kind_bearing(param: inspect.Parameter) -> bool:
     return getattr(annotation, "__forward_arg__", annotation) in KIND_ANNOTATIONS
 
 
-def test_every_kind_bearing_parameter_has_an_entry():
-    missing = []
+def public_callables():
+    """(name, callable) for each public name and each public method of an
+    exported class; an exempt name's constructor is skipped, not its methods."""
     for name in PUBLIC_NAMES:
         obj = getattr(et, name)
-        if name in EXEMPT or not callable(obj) or obj is et.NonPolymatroidWarning:
+        if not callable(obj) or obj is et.NonPolymatroidWarning:
             continue
-        for param in inspect.signature(obj).parameters.values():
-            if kind_bearing(param) and (name, param.name) not in TABLE:
-                missing.append(f"{name}({param.name})")
+        if name not in EXEMPT:
+            yield name, obj
+        if inspect.isclass(obj):
+            for attr in vars(obj):
+                if not attr.startswith("_") and callable(getattr(obj, attr)):
+                    yield f"{name}.{attr}", getattr(obj, attr)
+
+
+def test_every_kind_bearing_parameter_has_an_entry():
+    missing = [f"{name}({param.name})" for name, obj in public_callables()
+               for param in inspect.signature(obj).parameters.values()
+               if kind_bearing(param) and (name, param.name) not in TABLE]
     assert missing == []
+
+
+def test_the_walk_sees_the_methods():
+    """margin, a method, is walked, and so is from_array of an exempt record."""
+    names = dict(public_callables())
+    assert {"CrossSectionHalfspace.margin", "BasisCoefficients.from_array"} <= set(names)
+    assert "BasisCoefficients" not in names
 
 
 def test_the_walk_sees_the_exempt_records():
@@ -231,7 +291,7 @@ class TestReproducedDefects:
                                       lambda w: geometry.active_constraints(w, BANK)])
     def test_weights_are_reals(self, read, weights):
         # check_point((True, False, False, False), ...) read margin -0.5, as for (1, 0, 0, 0)
-        with pytest.raises(ValueError, match=f"each weight of .*, got {weights[0]!r}"):
+        with pytest.raises(ValueError, match=f"weights must be finite reals, got {weights[0]!r}"):
             read(weights)
 
     def test_equal_weights_give_equal_margins(self):
@@ -260,3 +320,62 @@ class TestReproducedDefects:
         # each used to raise TypeError: 'float' object is not iterable
         with pytest.raises(ValueError, match=f"subset must be a bitmask, .*, got {subset!r}"):
             read(subset)
+
+    @pytest.mark.parametrize("call, value", [
+        (lambda: et.SetFunction(et.GroundSet("ij"), [0, "1", True, "2"]), "'1'"),
+        (lambda: et.JointDistribution(G, (2, 2, 2, 2), {(0, 0, 0, 0): "1"}), "'1'"),
+        (lambda: et.JointDistribution(G, (2, 2, 2, 2), {(0, 0, 0, 0): True}), "True"),
+        (lambda: et.JointDistribution.from_dense(G, (2, 2, 2, 2), [True] + [0] * 15), "True"),
+        (lambda: et.convex_hull_3d([(True, 0, 0, 0), (0, "1", 0, 0), (0, 0, 1, 0),
+                                    (0, 0, 0, 1)]), "True"),
+        (lambda: et.reconstruct(et.BasisCoefficients(True, *[0.0] * 10), FRAME), "True"),
+        (lambda: et.dfz_halfspace(1).margin((True, 0, 0, 0)), "True"),
+        (lambda: nelder_mead(["1", "2"]), "'1'"),
+        (lambda: nelder_mead([]), "[] of shape (0,)"),
+    ])
+    def test_arrays_are_read_by_the_array_rule(self, call, value):
+        # the values [0, 1, 1, 2], probability 1.0, the full tetrahedron, 4.0 at N and
+        # margin -0.5 were read from bools and strings; x0 = [] raised IndexError
+        with pytest.raises(ValueError) as info:
+            call()
+        assert value in str(info.value)
+
+    @pytest.mark.parametrize("call, value", [
+        (lambda: et.IngletonFrame(G, "i", 1, "k", "l"), "('i', 1, 'k', 'l')"),
+        (lambda: et.IngletonFrame.from_spec(G, None), "got None"),
+        (lambda: et.CrossSectionHalfspace(None, 1.0, 0.0, 0.0, 0.0), "got None"),
+        (lambda: et.LinearInequality(5, et.symmetrized_zy(FRAME).coefficients), "got 5"),
+    ])
+    def test_names_and_roles_are_strings(self, call, value):
+        # a bare TypeError from sorted, an AttributeError from split, and two
+        # records whose writers wrote documents their readers reject
+        with pytest.raises(ValueError) as info:
+            call()
+        assert value in str(info.value)
+
+
+def test_a_count_beyond_int64_is_named():
+    """An unsigned count that an int64 cannot hold is named as it is, not wrapped."""
+    with pytest.raises(ValueError, match="got 9223372036854775808, outside int64"):
+        et.JointDistribution.from_dense(G, np.array([2**63, 2, 2, 2], dtype=np.uint64),
+                                        np.full(16, 1 / 16))
+
+
+def builtin_records():
+    """Every built-in halfspace and inequality, on the section frame."""
+    frame = et.inequalities.SECTION_FRAME
+    yield from et.default_halfspace_bank(20)
+    yield from (et.stv_functional(frame), et.symmetrized_zy(frame))
+    yield from (et.dfz_linear(s, frame) for s in range(1, 21))
+
+
+@pytest.mark.parametrize("record", builtin_records(), ids=lambda r: r.name)
+def test_builtin_records_round_trip_through_json(record):
+    """Each built-in record's writer writes a document its reader reads back."""
+    if isinstance(record, et.CrossSectionHalfspace):
+        assert et.halfspace_from_json(et.halfspace_to_json(record)) == record
+    else:
+        ground = record.coefficients.ground
+        back = et.inequality_from_json(et.inequality_to_json(record), ground)
+        assert back.name == record.name
+        assert back.coefficients.values.tobytes() == record.coefficients.values.tobytes()

@@ -913,10 +913,10 @@ def assert_direction_moved(doc: dict, match: str) -> None:
 
 class TestSearchConfigInputs:
     @pytest.mark.parametrize("kwargs, match", [
-        ({"alphabet_sizes": (2.7, 2, 2, 2)}, "four integers"),
-        ({"alphabet_sizes": (2, 2.0, 2, 2)}, "four integers"),
-        ({"alphabet_sizes": (True, 2, 2, 2)}, "four integers"),
-        ({"alphabet_sizes": ("2", 2, 2, 2)}, "four integers"),
+        ({"alphabet_sizes": (2.7, 2, 2, 2)}, "alphabet sizes must be integers in 1..11, got 2.7"),
+        ({"alphabet_sizes": (2, 2.0, 2, 2)}, "alphabet sizes must be integers in 1..11, got 2.0"),
+        ({"alphabet_sizes": (True, 2, 2, 2)}, "alphabet sizes must be integers in 1..11, got True"),
+        ({"alphabet_sizes": ("2", 2, 2, 2)}, "alphabet sizes must be integers in 1..11, got '2'"),
         ({"master_seed": 2.5}, "master_seed"),
         ({"master_seed": "7"}, "master_seed"),
         ({"master_seed": True}, "master_seed"),
@@ -1049,8 +1049,9 @@ class TestSearchConfigWireFormat:
 
     @pytest.mark.parametrize("doc, match", [
         ({"seeds": 3}, r"unknown config keys \['seeds'\]"),
-        ({"alphabet_sizes": 4}, "four integers"),
-        ({"alphabet_sizes": None}, "four integers"),
+        ({"alphabet_sizes": 4}, r"need alphabet sizes in shape \(4,\), got 4 of shape \(\)"),
+        ({"alphabet_sizes": None},
+         r"need alphabet sizes in shape \(4,\), got None of shape \(\)"),
         ({"objective": "raw_score", "direction": [math.nan, 0.0, 0.0]}, "finite"),
         ({"objective": "pipeline_score", "direction": [1.0, 0.0]}, "3-vector"),
         ({"direction": 5}, "3-vector"),
