@@ -200,11 +200,9 @@ def cmd_minimize(args) -> int:
     cfg = _config_from_args(args)
     fr = _frame(args)
     init = entropy.load_distribution(args.init_dist) if args.init_dist else None
-    if init is not None:
-        try:  # the search checks the same; this check names the file
+    if init is not None:  # the search checks the same; this check names the file
+        with core._name_errors(args.init_dist):
             engine._init_dense(init, cfg, fr)
-        except ValueError as exc:
-            raise ValueError(f"{args.init_dist}: {exc}") from exc
     result = engine.optimize_distribution(cfg, fr, init=init)
     print(f"objective      = {cfg.objective}")
     print(f"best value     = {_fmt(result.best_value)}")

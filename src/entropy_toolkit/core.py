@@ -21,6 +21,7 @@ import os
 import reprlib
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -151,17 +152,17 @@ class SetFunction:
     def with_values(self, values) -> "SetFunction":
         return SetFunction(self.ground, values)
 
-    def _require_same_ground(self, other: "SetFunction") -> None:
-        if self.ground != other.ground:
-            raise ValueError(f"ground sets differ: {self.ground.labels} "
-                             f"vs {other.ground.labels}")
+    def _require_ground(self, ground: GroundSet) -> None:
+        """The rule for a second operand: it lives on this function's ground."""
+        if self.ground != ground:
+            raise ValueError(f"ground sets differ: {self.ground.labels} vs {ground.labels}")
 
     def __add__(self, other: "SetFunction") -> "SetFunction":
-        self._require_same_ground(other)
+        self._require_ground(other.ground)
         return SetFunction(self.ground, self.values + other.values)
 
     def __sub__(self, other: "SetFunction") -> "SetFunction":
-        self._require_same_ground(other)
+        self._require_ground(other.ground)
         return SetFunction(self.ground, self.values - other.values)
 
     def __mul__(self, scalar: float) -> "SetFunction":
@@ -173,8 +174,8 @@ class SetFunction:
         return SetFunction(self.ground, self.values / _real(scalar, "scalar"))
 
     def allclose(self, other: "SetFunction", tol: float = 1e-12) -> bool:
-        self._require_same_ground(other)
-        return bool(np.max(np.abs(self.values - other.values)) <= _check_tol(tol))
+        self._require_ground(other.ground)
+        return bool(np.max(np.abs(self.values - other.values)) <= _real(tol, "tolerance", 0.0))
 
 
 @dataclass(frozen=True)
@@ -269,11 +270,12 @@ def _count(x, name: str, least: int = 0, most: float = math.inf) -> int:
     raise ValueError(f"{name} must be {kind}, got {x!r}")
 
 
-def _check_tol(tol) -> float:
-    """The rule for a tolerance: a real (as :func:`_real` reads it) in [0, inf)."""
-    if (type(tol) is float or _is_real(tol)) and 0.0 <= tol < math.inf:
-        return float(tol)
-    raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+def _four_labels(ground: GroundSet, what: str) -> GroundSet:
+    """The rule for the ground of a four-variable object: ``ground`` if it
+    has four elements."""
+    if ground.n != 4:
+        raise ValueError(f"{what} needs a 4-element ground set, got n={ground.n}")
+    return ground
 
 
 def _numbers(x, name: str, shape, dtype, test: Callable, kind: str) -> np.ndarray:
@@ -365,28 +367,29 @@ def _csv_numbers(row: Sequence[str], kinds: Sequence[type],
         raise ValueError(f"bad row {row}: {exc}") from None
 
 
-def _read_file(path, build: Callable, parse: Callable = json.load):
-    """The one way an input file is read: ``build(parse(fh))`` on the open
-    file.  A ValueError or OverflowError from either step, or an OSError
-    (a missing file, a directory; its strerror only), is re-raised as a
-    ValueError that starts with the path, so every input error names its file."""
+@contextmanager
+def _name_errors(path):
+    """The one way an error names its file: a ValueError or OverflowError
+    raised in the body, or an OSError (a missing file, a directory; its
+    strerror only), is re-raised as a ValueError that starts with the path."""
     try:
-        with open(path, newline="") as fh:
-            return build(parse(fh))
+        yield
     except (ValueError, OverflowError, OSError) as exc:
         raise ValueError(f"{path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
+def _read_file(path, build: Callable, parse: Callable = json.load):
+    """The one way an input file is read: ``build(parse(fh))`` on the open
+    file, with every error naming the file."""
+    with _name_errors(path), open(path, newline="") as fh:
+        return build(parse(fh))
+
+
 def _write_file(path, write: Callable, newline: str | None = None) -> None:
     """The one way an output file is written: ``write(fh)`` on the file opened
-    for writing.  An OSError (a missing directory, a directory; its strerror
-    only) is re-raised as a ValueError that starts with the path, as
-    :func:`_read_file` does for inputs."""
-    try:
-        with open(path, "w", newline=newline) as fh:
-            write(fh)
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+    for writing, with every error naming the file."""
+    with _name_errors(path), open(path, "w", newline=newline) as fh:
+        write(fh)
 
 
 def _check_writable(path) -> None:
@@ -395,11 +398,8 @@ def _check_writable(path) -> None:
     an existing file keeps its contents, and a file the check creates is
     removed again."""
     existed = os.path.lexists(path)
-    try:
-        with open(path, "a"):
-            pass
-    except OSError as exc:
-        raise ValueError(f"{path}: {exc.strerror or exc}") from exc
+    with _name_errors(path), open(path, "a"):
+        pass
     if not existed:
         os.remove(path)
 
@@ -451,7 +451,7 @@ def check_axioms(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
     some margin is below -tol.  The one decision rule: the guards and
     :func:`is_modular` read these margins through :func:`_is_polymatroid`.
     """
-    tol = _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0)
     margins, defects = _elemental_margins(f)
     worst_mono, mono = _violations(margins, _step_table(f.ground.n), tol)
     worst_sub, sub = _violations(defects, _square_table(f.ground.n)[:2], tol)
@@ -493,7 +493,7 @@ def modular_from(ground: GroundSet,
 
 def is_modular(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
     """True iff f passes the axioms and f(N) equals the sum of singleton values."""
-    _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0)
     total = sum(f.values[1 << b] for b in range(f.ground.n))
     if abs(f.rank - total) > tol:
         return False
@@ -502,7 +502,7 @@ def is_modular(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
 
 def is_tight(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
     """True iff f(N) = f(N - i) for every element i, within tol."""
-    _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0)
     return bool((np.abs(_top_increments(f.values)) <= tol).all())
 
 
@@ -602,7 +602,7 @@ def convolution(f: SetFunction, g: SetFunction) -> SetFunction:
     Commutative; the result is a polymatroid whenever f is one and g is
     modular.
     """
-    f._require_same_ground(g)
+    f._require_ground(g.ground)
     I, J, starts = _submask_table(f.ground.n)
     out = np.minimum.reduceat(f.values[J] + g.values[I ^ J], starts)
     out[0] = 0.0
@@ -618,7 +618,7 @@ def convolve_modular_iterative(f: SetFunction, g: SetFunction,
     containing i via min(h(I) + g(i), h(iI)).  Agrees exactly with
     :func:`convolution` on polymatroid inputs.
     """
-    f._require_same_ground(g)
+    f._require_ground(g.ground)
     if not is_modular(g, tol):
         raise ValueError("g must be modular for the iterative convolution")
     lo, hi = (steps.reshape(f.ground.n, -1) for steps in _step_table(f.ground.n))
@@ -691,7 +691,7 @@ def pe_contract(f: SetFunction, L: SubsetLike, t: float) -> SetFunction:
 
 def closure_of(f: SetFunction, I: SubsetLike, tol: float = TOL_ANALYTIC) -> int:
     """Closure of I under f: all elements i with f(i | I) <= f(I) + tol."""
-    _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0)
     mI = f.ground.mask(I)
     bits = 1 << np.arange(f.ground.n)
     return int(bits[f.values[mI | bits] <= f.values[mI] + tol].sum())
@@ -718,8 +718,8 @@ def relabel(f: SetFunction, perm: Mapping[str, str]) -> SetFunction:
 #
 # {"labels": ["i","j","k","l"], "values": {"": 0.0, "i": ..., "ij": ..., ...}}
 # with every subset key present, keys being labels concatenated in ground
-# order.  The reader enforces values[""] == 0 and completeness.  Labels whose
-# concatenations collide (a, b, ab) are rejected both ways.
+# order.  The reader enforces completeness and SetFunction values[""] == 0.
+# Labels whose concatenations collide (a, b, ab) are rejected both ways.
 
 def _json_keys(ground: GroundSet) -> list[str]:
     keys = [ground.subset_key(m) for m in ground.subsets()]
@@ -749,8 +749,6 @@ def set_function_from_json(data: dict) -> SetFunction:
             missing = sorted(set(expected) - set(raw))
             extra = sorted(set(raw) - set(expected))
             raise ValueError(f"subset keys incomplete: missing {missing}, extra {extra}")
-        if raw[""] != 0:
-            raise ValueError(f'values[""] must be 0, got {raw[""]!r}')
         return SetFunction(ground, [raw[k] for k in expected])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed set-function document: {exc}") from exc

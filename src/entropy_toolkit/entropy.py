@@ -42,8 +42,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import (GroundSet, SetFunction, _counts, _csv_numbers, _read_file, _read_only, _real,
-                   _reals, _write_file, _write_json)
+from .core import (GroundSet, SetFunction, _counts, _csv_numbers, _four_labels, _read_file,
+                   _read_only, _real, _reals, _write_file, _write_json)
 
 LN2 = math.log(2.0)
 
@@ -295,14 +295,6 @@ def entropy_function(d: JointDistribution) -> SetFunction:
 
 # --- four-atom family -------------------------------------------------------
 
-def _family_ground(ground: GroundSet | None, family: str) -> GroundSet:
-    """``ground`` (default labels i, j, k, l) after checking it has four elements."""
-    ground = ground or GroundSet("ijkl")
-    if ground.n != 4:
-        raise ValueError(f"{family} family needs a 4-element ground set")
-    return ground
-
-
 def four_atom_distribution(p: float, ground: GroundSet | None = None) -> JointDistribution:
     """Two exchangeable fair bits at positions 0,1 with their min and max.
 
@@ -311,7 +303,7 @@ def four_atom_distribution(p: float, ground: GroundSet | None = None) -> JointDi
     """
     p = _real(p, "p", 0.0, 0.5)
     return JointDistribution._from_arrays(
-        _family_ground(ground, "four-atom"), (2, 2, 2, 2),
+        _four_labels(ground or GroundSet("ijkl"), "four-atom family"), (2, 2, 2, 2),
         np.array([[0, 0, 0, 0], [0, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1]], dtype=np.int64),
         np.array([p, 0.5 - p, 0.5 - p, p], dtype=float))
 
@@ -321,14 +313,11 @@ def four_atom_score(p: float) -> float:
 
     Score of the pair formed by the two exchangeable bits:
     ((2p+1) ln 2 - 2 kappa(p) - 2 kappa(1-p)) / (2 kappa(p) + 2 kappa(1/2-p)).
-    The denominator is bounded away from 0 on [0, 1/2].
+    The denominator is at least ln 2 on [0, 1/2], reached at both ends.
     """
     p = _real(p, "p", 0.0, 0.5)
     num = (2.0 * p + 1.0) * LN2 - 2.0 * kappa(p) - 2.0 * kappa(1.0 - p)
-    den = 2.0 * kappa(p) + 2.0 * kappa(0.5 - p)
-    if den <= 0.0:
-        raise ValueError(f"degenerate denominator at p={p}")
-    return num / den
+    return num / (2.0 * kappa(p) + 2.0 * kappa(0.5 - p))
 
 
 # --- exl family: forty configurations over {0,1,2,3}^4 ----------------------
@@ -345,7 +334,8 @@ EXL_COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
 
 @dataclass(frozen=True)
 class ExLParams:
-    """Column weights of the forty-configuration family; they sum to 1/8."""
+    """Column weights of the forty-configuration family, stored as floats by
+    the real rule; they sum to 1/8."""
 
     p: float
     q: float
@@ -354,10 +344,10 @@ class ExLParams:
     t: float
 
     def __post_init__(self):
-        vals = tuple(_real(v, f"ExLParams {name}", -1e-15)
-                     for name, v in zip("pqrst", self.as_tuple()))
-        if abs(sum(vals) - 0.125) > 1e-12:
-            raise ValueError(f"parameters sum to {sum(vals)!r}, need 1/8")
+        for name in "pqrst":
+            object.__setattr__(self, name, _real(getattr(self, name), f"ExLParams {name}", -1e-15))
+        if abs(sum(self.as_tuple()) - 0.125) > 1e-12:
+            raise ValueError(f"parameters sum to {sum(self.as_tuple())!r}, need 1/8")
 
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.p, self.q, self.r, self.s, self.t)
@@ -370,7 +360,7 @@ EXL_REFERENCE = ExLParams(p=0.09524, q=0.02494, r=0.00160, s=0.00161, t=0.00161)
 def exl_distribution(params: ExLParams, ground: GroundSet | None = None) -> JointDistribution:
     """Distribution over {0,1,2,3}^4 supported on the forty tabled configurations."""
     return JointDistribution._from_arrays(
-        _family_ground(ground, "exl"), (4, 4, 4, 4),
+        _four_labels(ground or GroundSet("ijkl"), "exl family"), (4, 4, 4, 4),
         np.array([[*map(int, cfg)] for _, cfgs in EXL_COLUMNS for cfg in cfgs], dtype=np.int64),
         np.repeat(np.array(params.as_tuple(), dtype=float), 8))
 
@@ -382,7 +372,7 @@ def exl_closed_form(params: ExLParams, ground: GroundSet | None = None) -> SetFu
     remaining coordinates are short kappa sums in the column weights.  Agrees
     with entropy_function(exl_distribution(params)) to full precision.
     """
-    ground = _family_ground(ground, "exl")
+    ground = _four_labels(ground or GroundSet("ijkl"), "exl family")
     p, q, r, s, t = params.as_tuple()
     k = kappa
     vals = np.zeros(16)

@@ -40,8 +40,9 @@ from .core import (
     WEIGHT_SUM_TOL,
     GroundSet,
     SetFunction,
-    _check_tol,
+    _four_labels,
     _modular_values,
+    _real,
     _reals,
     _weight_quadruple,
     _warn_if_not_polymatroid,
@@ -58,13 +59,6 @@ FRAME_CACHE = 96
 DEGENERATE_TOL = 1e-12
 
 
-def _frame_ground(ground: GroundSet) -> GroundSet:
-    """``ground`` after checking it has the four elements a frame needs."""
-    if ground.n != 4:
-        raise ValueError(f"frame needs a 4-element ground set, got n={ground.n}")
-    return ground
-
-
 @dataclass(frozen=True)
 class IngletonFrame:
     """Role assignment (i, j, k, l) of the four ground labels."""
@@ -76,7 +70,7 @@ class IngletonFrame:
     l: str
 
     def __post_init__(self):
-        _frame_ground(self.ground)
+        _four_labels(self.ground, "frame")
         roles = (self.i, self.j, self.k, self.l)
         # sorted by str, a role that is no string compares unequal and does not raise
         if sorted(roles, key=str) != sorted(self.ground.labels):
@@ -85,7 +79,7 @@ class IngletonFrame:
 
     @classmethod
     def default(cls, ground: GroundSet) -> "IngletonFrame":
-        return cls(ground, *_frame_ground(ground).labels)
+        return cls(ground, *_four_labels(ground, "frame").labels)
 
     @classmethod
     def from_spec(cls, ground: GroundSet, spec: str) -> "IngletonFrame":
@@ -107,12 +101,6 @@ class IngletonFrame:
         return IngletonFrame(self.ground, self.i, self.j, self.l, self.k)
 
 
-def _require_frame_ground(h: SetFunction, frame: IngletonFrame) -> None:
-    if h.ground != frame.ground:
-        raise ValueError(f"set function lives on {h.ground.labels}, frame on "
-                         f"{frame.ground.labels}")
-
-
 @lru_cache(maxsize=FRAME_CACHE)
 def stv_vec(frame: IngletonFrame) -> np.ndarray:
     """The Ingleton functional as a mask-indexed coefficient vector, written
@@ -131,13 +119,13 @@ def ingleton_value(h: SetFunction, frame: IngletonFrame) -> float:
     nonnegative on linearly representable rank functions, can be negative on
     entropy functions.
     """
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     return float(stv_vec(frame) @ h.values)
 
 
 def ingleton_score(h: SetFunction, frame: IngletonFrame) -> float:
     """Normalized Ingleton expression stv(h) / h(N); requires h(N) > 0."""
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     if h.rank <= 0.0:
         raise ValueError(f"Ingleton score needs h(N) > 0, got {h.rank}")
     return float(stv_vec(frame) @ h.values) / h.rank
@@ -148,8 +136,8 @@ def violated_instances(h: SetFunction, tol: float = 1e-12) -> list[frozenset[str
 
     A polymatroid violates at most one of the six instances.
     """
-    _check_tol(tol)
-    _frame_ground(h.ground)
+    tol = _real(tol, "tolerance", 0.0)
+    _four_labels(h.ground, "frame")
     out = []
     for a, b in combinations(h.ground.labels, 2):
         c, d = [x for x in h.ground.labels if x not in (a, b)]
@@ -268,7 +256,7 @@ def basis_coefficients(h: SetFunction, frame: IngletonFrame) -> BasisCoefficient
     """Read the basis coordinates of h off the coordinate functionals.  The
     read-off is linear and total; it inverts :func:`reconstruct` on tight
     inputs (the generators form a basis of the tight subspace)."""
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     return BasisCoefficients.from_array(_coordinate_matrix(frame) @ h.values)
 
 
@@ -285,7 +273,7 @@ def _move_coordinate(h: SetFunction, frame: IngletonFrame,
     """Add coordinate ``source`` of h times (generator of ``target`` minus
     generator of ``source``): ``source`` drops to zero and ``target`` gains
     its value, while stv and the other coordinates stay."""
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     s, t = _COORDINATES.index(source), _COORDINATES.index(target)
     gens = _generator_matrix(frame)
     c = float(_coordinate_matrix(frame)[s] @ h.values)
@@ -310,7 +298,7 @@ def c_sym(h: SetFunction, frame: IngletonFrame) -> SetFunction:
     The output is invariant under each of the four; stv and the value at N
     are preserved.
     """
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     acc = np.zeros(h.ground.size)
     for image in (frame, frame.swapped_ij(), frame.swapped_kl(),
                   frame.swapped_ij().swapped_kl()):
@@ -370,7 +358,7 @@ def section_weight_matrix(frame: IngletonFrame) -> np.ndarray:
 
 def section_weights(h: SetFunction, frame: IngletonFrame) -> tuple[float, float, float, float]:
     """Tetrahedron weight functionals of :func:`section_weight_matrix` at h."""
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     return tuple((section_weight_matrix(frame) @ h.values).tolist())
 
 
@@ -402,7 +390,7 @@ def cross_section_point(f: SetFunction, frame: IngletonFrame,
     no report built, is reported through
     :class:`~entropy_toolkit.core.NonPolymatroidWarning`.
     """
-    _require_frame_ground(f, frame)
+    f._require_ground(frame.ground)
     _warn_if_not_polymatroid(f, "cross_section_point")
     g = pipeline_operator(frame) @ f.values
     norm = float(g[-1])
@@ -417,7 +405,7 @@ def point_from_weights(w, frame: IngletonFrame,
                        tol: float = WEIGHT_SUM_TOL) -> SetFunction:
     """Convex combination of the tetrahedron vertices with the given weights,
     a :class:`CrossSectionPoint` or four numbers."""
-    aw, bw, gw, dw = _weight_quadruple(w, _check_tol(tol))
+    aw, bw, gw, dw = _weight_quadruple(w, _real(tol, "tolerance", 0.0))
     alpha, beta, gamma, delta_v = tetra_vertices(frame)
     vals = (aw * alpha.values + bw * beta.values
             + gw * gamma.values + dw * delta_v.values)
@@ -440,5 +428,5 @@ def e_face_margins(h: SetFunction, frame: IngletonFrame) -> dict[str, float]:
 
 def in_e_face(h: SetFunction, frame: IngletonFrame, tol: float = 1e-9) -> bool:
     """True iff all five face functionals vanish on h within tol."""
-    _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0)
     return all(abs(v) <= tol for v in e_face_margins(h, frame).values())

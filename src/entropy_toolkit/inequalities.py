@@ -15,15 +15,14 @@ invented coefficients.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
-from .core import (GroundSet, SetFunction, _bit_matrix, _check_tol, _count, _is_real, _read_file,
-                   _real, _reals, _weight_quadruple, delta_vec)
+from .core import (GroundSet, SetFunction, _bit_matrix, _count, _read_file, _real, _reals,
+                   _weight_quadruple, delta_vec)
 from .frame import FRAME_CACHE, IngletonFrame, stv_vec, tetra_vertices
 
 BALANCE_TOL = 1e-12
@@ -52,21 +51,22 @@ class LinearInequality:
 def evaluate(ineq: LinearInequality, h: SetFunction) -> float:
     """Scalar product of the coefficient vector with h, which must live on the
     inequality's ground set.  A value >= -tol signals consistency with the inequality."""
-    ineq.coefficients._require_same_ground(h)
+    ineq.coefficients._require_ground(h.ground)
     return float(ineq.coefficients.values @ h.values)
 
 
 def is_balanced(ineq: LinearInequality, tol: float = BALANCE_TOL) -> bool:
     """True iff for every element the coefficient sum over subsets containing
     it vanishes; balanced functionals annihilate modular functions."""
-    _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0)
     c = ineq.coefficients
     return bool(np.all(np.abs(c.values @ _bit_matrix(c.ground.n)) <= tol))
 
 
 @dataclass(frozen=True)
 class CrossSectionHalfspace:
-    """Constraint a*alpha + b*beta + c*gamma + d*delta >= 0 on section weights."""
+    """Constraint a*alpha + b*beta + c*gamma + d*delta >= 0 on section weights,
+    the coefficients stored as floats by the real rule."""
 
     name: str
     a: float
@@ -77,8 +77,9 @@ class CrossSectionHalfspace:
     def __post_init__(self):
         if not isinstance(self.name, str):  # as the JSON reader requires
             raise ValueError(f"halfspace name must be a string, got {self.name!r}")
-        for c, v in zip("abcd", self.abcd):
-            _real(v, f"halfspace {self.name!r} coefficient {c}")
+        for c in "abcd":
+            object.__setattr__(self, c, _real(getattr(self, c),
+                                              f"halfspace {self.name!r} coefficient {c}"))
         if self.a == self.b == self.c == self.d == 0.0:
             raise ValueError(f"halfspace {self.name!r} has all-zero coefficients")
 
@@ -196,7 +197,7 @@ def check_point(weights, bank: Sequence[CrossSectionHalfspace],
     version of this call costs three to five times as much.  Each margin is
     :meth:`CrossSectionHalfspace.margin`'s expression, inlined.
     """
-    tol = _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0)
     aw, bw, gw, dw = _weight_quadruple(weights)
     return PointCheckReport(
         names=tuple([hs.name for hs in bank]),
@@ -223,18 +224,18 @@ def inequality_to_json(ineq: LinearInequality) -> dict:
 
 
 def inequality_from_json(data: dict, ground: GroundSet) -> LinearInequality:
+    """Coefficients by the array rule, summed per subset; the sums by
+    SetFunction's."""
     try:
         name, coeffs = data["name"], data["coefficients"]
-        if not (isinstance(name, str) and isinstance(coeffs, dict)
-                and all(map(_is_real, coeffs.values()))):
-            raise ValueError("name needs a string, coefficients an object of numbers")
+        if not isinstance(coeffs, dict):
+            raise ValueError("coefficients need an object of numbers")
         if "" in coeffs:
             raise ValueError("coefficient on the empty set is not allowed")
+        raw = _reals(list(coeffs.values()), f"inequality {name!r} coefficients", (len(coeffs),))
         values = [0.0] * ground.size  # Python floats: an overflowing sum is inf, unwarned
-        for key, c in coeffs.items():  # one label per character, as the writer writes
-            values[ground.mask(tuple(key))] += float(c)
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"inequality {name!r} has non-finite coefficients")
+        for key, c in zip(coeffs, raw.tolist()):  # one label per character, as written
+            values[ground.mask(tuple(key))] += c
         return LinearInequality(name, SetFunction(ground, values))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed inequality document: {exc}") from exc
@@ -246,10 +247,10 @@ def halfspace_to_json(hs: CrossSectionHalfspace) -> dict:
 
 def halfspace_from_json(data: dict) -> CrossSectionHalfspace:
     try:
-        name, abcd = data["name"], tuple(data["abcd"])
-        if not (isinstance(name, str) and len(abcd) == 4 and all(map(_is_real, abcd))):
-            raise ValueError("name needs a string, abcd four numbers")
-        return CrossSectionHalfspace(name, *map(float, abcd))
+        abcd = tuple(data["abcd"])
+        if len(abcd) != 4:
+            raise ValueError(f"abcd needs four numbers, got {len(abcd)}")
+        return CrossSectionHalfspace(data["name"], *abcd)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed halfspace document: {exc}") from exc
 

@@ -55,7 +55,7 @@ from typing import Callable, NoReturn
 
 import numpy as np
 
-from ..core import _check_tol, _count, _counts, _modular_values, _real, _reals
+from ..core import _count, _counts, _modular_values, _real, _reals
 from ..entropy import (
     JointDistribution,
     _config_grid,
@@ -130,7 +130,7 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
     Returns (x, f(x)) with |x - true minimizer| <= tol for unimodal f, or
     where float spacing stops a step from shrinking the bracket.
     """
-    a, b, tol = _real(lo, "lo"), _real(hi, "hi"), _check_tol(tol)
+    a, b, tol = _real(lo, "lo"), _real(hi, "hi"), _real(tol, "tolerance", 0.0)
     if not (a < b and tol > 0.0):
         raise ValueError(f"need lo < hi and a finite tol > 0, got [{lo}, {hi}], tol={tol!r}")
     x1 = b - GOLDEN * (b - a)

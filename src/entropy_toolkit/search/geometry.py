@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import WEIGHT_SUM_TOL, _check_tol, _reals, _weight_quadruple
+from ..core import WEIGHT_SUM_TOL, _real, _reals, _weight_quadruple
 from ..inequalities import CrossSectionHalfspace
 
 FEASIBILITY_TOL = 1e-9
@@ -194,7 +194,7 @@ def active_constraints(weights: Sequence[float],
                        bank: Sequence[CrossSectionHalfspace],
                        tol: float = FEASIBILITY_TOL) -> list[str]:
     """Names of the simplex facets and bank halfspaces tight at a vertex."""
-    _check_tol(tol)
+    tol = _real(tol, "tolerance", 0.0)
     normals, offsets, names = _affine_constraints(bank)
     x = np.asarray(_weight_quadruple(weights), dtype=float)[1:]
     margins = normals @ x + offsets

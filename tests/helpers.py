@@ -36,7 +36,6 @@ from entropy_toolkit.core import (
     NonPolymatroidWarning,
     _bit_matrix,
     _check_pe_value,
-    _check_tol,
     _modular_values,
     _real,
     _square_table,
@@ -55,7 +54,6 @@ from entropy_toolkit.entropy import (
 from entropy_toolkit.frame import (
     DEGENERATE_TOL,
     CrossSectionPoint,
-    _require_frame_ground,
     pipeline_operator,
     section_weight_matrix,
 )
@@ -213,7 +211,7 @@ def violations_by_witness_search(margins: np.ndarray, pairs: tuple[np.ndarray, n
 
 def check_axioms_by_witness_search(f: SetFunction, tol: float = TOL_ANALYTIC) -> AxiomReport:
     """Reference: ``check_axioms`` over :func:`violations_by_witness_search`."""
-    _check_tol(tol)
+    _real(tol, "tolerance", 0.0)
     v = f.values
     lo, hi = _step_table(f.ground.n)
     iK, jK, ijK, K = _square_table(f.ground.n)
@@ -248,7 +246,7 @@ def warn_if_not_polymatroid_by_report(h: SetFunction, where: str) -> None:
 
 def is_modular_by_report(f: SetFunction, tol: float = TOL_ANALYTIC) -> bool:
     """Reference: ``is_modular`` with the verdict read off a full report."""
-    _check_tol(tol)
+    _real(tol, "tolerance", 0.0)
     total = sum(f.values[1 << b] for b in range(f.ground.n))
     if abs(f.rank - total) > tol:
         return False
@@ -268,7 +266,7 @@ def matroid_rank_by_loops(ground: GroundSet, m: int, loops=0) -> SetFunction:
 
 def convolution_by_loops(f: SetFunction, g: SetFunction) -> SetFunction:
     """Reference: the submask walk J = I, (J - 1) & I, ... for every I."""
-    f._require_same_ground(g)
+    f._require_ground(g.ground)
     fv, gv = f.values, g.values
     out = np.empty(f.ground.size)
     for I in f.ground.subsets():
@@ -287,7 +285,7 @@ def convolution_by_loops(f: SetFunction, g: SetFunction) -> SetFunction:
 def convolve_modular_iterative_by_loops(f: SetFunction, g: SetFunction,
                                         tol: float = TOL_ANALYTIC) -> SetFunction:
     """Reference: the single-element convolutions applied subset by subset."""
-    f._require_same_ground(g)
+    f._require_ground(g.ground)
     if not is_modular(g, tol):
         raise ValueError("g must be modular for the iterative convolution")
     h = np.array(f.values)
@@ -751,7 +749,7 @@ def basis_coefficients_by_deltas(h: SetFunction, frame: IngletonFrame) -> BasisC
     Reference: the delta_given read-off that ``frame.basis_coefficients``
     must reproduce within rounding.
     """
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     i, j, k, l = frame.roles
     return BasisCoefficients(
         c_bar=-ingleton_value(h, frame),
@@ -776,7 +774,7 @@ def a_map_by_deltas(h: SetFunction, frame: IngletonFrame) -> SetFunction:
 
     Reference for ``frame.a_map``.
     """
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     c = delta_given(h, frame.i, frame.j)
     shift = matroid_rank(frame.ground, 1, (frame.i,)) - matroid_rank(frame.ground, 1)
     return h + c * shift
@@ -790,7 +788,7 @@ def b_map_by_deltas(h: SetFunction, frame: IngletonFrame) -> SetFunction:
 
     Reference for ``frame.b_map``.
     """
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     c = delta_given(h, frame.k, frame.l, (frame.i, frame.j))
     shift = matroid_rank(frame.ground, 2, (frame.k,)) - matroid_rank(frame.ground, 3)
     return h + c * shift
@@ -824,7 +822,7 @@ def e_face_margins_by_deltas(h: SetFunction, frame: IngletonFrame) -> dict[str, 
 
     Reference for ``frame.e_face_margins``.
     """
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     i, j, k, l = frame.roles
     return {
         "ij|k": delta_given(h, i, j, k),
@@ -838,7 +836,7 @@ def e_face_margins_by_deltas(h: SetFunction, frame: IngletonFrame) -> dict[str, 
 def ingleton_score_by_value(h: SetFunction, frame: IngletonFrame) -> float:
     """Reference: stv(h) / h(N) through :func:`ingleton_value`, which checks
     the ground a second time."""
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     if h.rank <= 0.0:
         raise ValueError(f"Ingleton score needs h(N) > 0, got {h.rank}")
     return ingleton_value(h, frame) / h.rank
@@ -846,7 +844,7 @@ def ingleton_score_by_value(h: SetFunction, frame: IngletonFrame) -> float:
 
 def section_weights_by_floats(h: SetFunction, frame: IngletonFrame) -> tuple[float, ...]:
     """Reference: the weight functionals at h, converted one float() at a time."""
-    _require_frame_ground(h, frame)
+    h._require_ground(frame.ground)
     return tuple(float(w) for w in section_weight_matrix(frame) @ h.values)
 
 

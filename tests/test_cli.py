@@ -20,6 +20,7 @@ from entropy_toolkit import (
     ingleton_base,
     inequality_to_json,
     matroid_rank,
+    modular_from,
     save_distribution,
     save_set_function,
     vertex_seed_distributions,
@@ -104,7 +105,7 @@ class TestCheck:
     def test_non_finite_tolerance_exits_two(self, capsys, rbar_file, tol):
         code, out, err = run(capsys, "check", rbar_file, "--tol", tol)
         assert code == 2
-        assert "tolerance must be finite and nonnegative" in err
+        assert f"tolerance must be a finite real in [0.0, inf], got {tol}" in err
         assert "polymatroid" not in out
 
     def test_missing_file(self, capsys):
@@ -191,6 +192,18 @@ class TestScoreAndEntropy:
         code, out, _ = run(capsys, "score", rbar_file)
         assert code == 0
         assert "tolerance   = 1e-09 (tight), 1e-12 (degenerate)" in out.splitlines()
+
+    def test_score_of_a_degenerate_point(self, capsys, tmp_path):
+        """A modular function's tight part is 0, so its section point is
+        degenerate: score says so and exits 0."""
+        path = tmp_path / "modular.json"
+        save_set_function(modular_from(GroundSet("ijkl"), [1, 1, 1, 1]), path)
+        code, out, err = run(capsys, "score", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-2:] == [
+            "I(f)        = 0",
+            "cross-section point: degenerate (degenerate input: projected value at N is "
+            "0.0, score vanishes and no cross-section point exists)"]
 
     def test_frame_override_changes_instance(self, capsys, rbar_file):
         code, out, _ = run(capsys, "score", rbar_file, "--frame", "k,l,i,j")
@@ -455,6 +468,13 @@ class TestCloudHullOuter:
         code, out, err = run(capsys, "hull", str(path))
         assert (code, out) == (2, "")
         assert err == f"error: {path}: need weight quadruples, got shape (0, 4)\n"
+
+    def test_hull_of_a_cloud_with_another_header_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("a,b,c,d,source\n1.0,0.0,0.0,0.0,a\n")
+        code, out, err = run(capsys, "hull", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: expected header alpha,beta,gamma,delta,source\n"
 
     @pytest.mark.parametrize("row, message", [
         ("1.0,1.0,0.0,0.0", "point 1 has weight sum 2.0, expected 1"),
@@ -820,6 +840,12 @@ class TestExport:
         table = (tmp_path / "table.csv").read_text()
         assert table.splitlines()[0] == "column,config"
         assert len(table.strip().splitlines()) == 41
+
+    def test_fouratom_dist_needs_p(self, capsys, tmp_path):
+        path = tmp_path / "d.csv"
+        code, out, err = run(capsys, "export", "--what", "fouratom-dist", "-o", str(path))
+        assert (code, out, err) == (2, "", "error: fouratom-dist needs --p\n")
+        assert not path.exists()
 
     def test_exl_dist_default(self, capsys, tmp_path):
         path = tmp_path / "exl.csv"

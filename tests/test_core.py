@@ -37,7 +37,7 @@ from entropy_toolkit import (
     set_function_to_json,
     tight_part,
 )
-from entropy_toolkit import check_point, core, default_halfspace_bank
+from entropy_toolkit import core
 from entropy_toolkit.core import (TOL_ANALYTIC, TOL_ENTROPIC, NonPolymatroidWarning,
                                   _is_polymatroid, _square_table, _step_table,
                                   _submask_table)
@@ -113,6 +113,13 @@ class TestSetFunction:
         with pytest.raises(ValueError):
             f.values[3] = 7.0
 
+    def test_indexing_reads_a_subset_as_a_call_does(self, ground):
+        f = matroid_rank(ground, 2)
+        for subset in [0, "i", "ik", ("j", "l"), 15]:
+            assert f[subset] == f(subset)
+        with pytest.raises(ValueError, match="unknown label 'x'"):
+            f["x"]
+
     def test_arithmetic_keeps_empty_zero(self, ground, rng):
         f = rand_polymatroid(rng, ground)
         g = rand_polymatroid(rng, ground)
@@ -140,10 +147,6 @@ class TestDelta:
         f = matroid_rank(ground, 1)
         with pytest.raises(ValueError):
             delta(f, 16, 0)
-
-
-def check_point_at_the_centroid(f, tol):
-    return check_point((0.25,) * 4, default_halfspace_bank(1), tol)
 
 
 class TestCheckAxioms:
@@ -188,17 +191,6 @@ class TestCheckAxioms:
                 assert report.is_submodular == full_pairwise_submodular_ok(f, 1e-9)
                 if report.is_polymatroid:
                     assert full_monotone_ok(f, 1e-9)
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9,
-                                     True, np.True_, "1e-9", None,
-                                     np.array([1e-9]), np.array(1e-9),
-                                     np.array([1e-9, 1e-9])])
-    @pytest.mark.parametrize("check", [check_axioms, is_tight, is_modular,
-                                       lambda f, tol: closure_of(f, "i", tol),
-                                       check_point_at_the_centroid])
-    def test_tolerance_must_be_finite_and_nonnegative(self, ground, check, tol):
-        with pytest.raises(ValueError, match=f"finite and nonnegative, got {re.escape(repr(tol))}"):
-            check(matroid_rank(ground, 2), tol)
 
 
 #: finite values whose sums and differences overflow to +-inf
@@ -546,6 +538,17 @@ class TestModular:
     def test_negative_rejected(self, ground):
         with pytest.raises(ValueError):
             modular_from(ground, [1, -1, 0, 0])
+
+    @pytest.mark.parametrize("singletons, missing, extra", [
+        ({"i": 1, "j": 1, "k": 1}, "['l']", "[]"),
+        ({"i": 1, "j": 1, "k": 1, "l": 1, "m": 1}, "[]", "['m']"),
+        ({"i": 1, "j": 1, "k": 1, "x": 1}, "['l']", "['x']"),
+    ])
+    def test_mapping_keys_must_be_the_labels(self, ground, singletons, missing, extra):
+        message = (rf"^singleton keys must be exactly \('i', 'j', 'k', 'l'\); "
+                   rf"missing {re.escape(missing)}, extra {re.escape(extra)}$")
+        with pytest.raises(ValueError, match=message):
+            modular_from(ground, singletons)
 
     def test_modular_part_of_single_free_element(self, ground):
         # rank-1 matroid whose loops are {j,k,l}: only i carries rank,

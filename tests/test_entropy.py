@@ -87,6 +87,15 @@ class TestJointDistribution:
             JointDistribution(ground, (2, 2, 2, 2), {(0, 0, 0, 0): 1.5,
                                                      (1, 1, 1, 1): -0.5})
 
+    def test_cell_guard(self, ground):
+        """An alphabet of more than MAX_CELLS cells is rejected before any grid
+        or vector of that size is built."""
+        with pytest.raises(ValueError, match=r"^product alphabet has 100000000 cells, "
+                                             r"exceeding the 10000000 guard$"):
+            JointDistribution.from_dense(ground, (100, 100, 100, 100), [1.0])
+        with pytest.raises(ValueError, match="exceeding the 10000000 guard"):
+            JointDistribution(ground, (100, 100, 100, 100), {(0, 0, 0, 0): 1.0})
+
     def test_dense_roundtrip(self, ground, rng):
         d = rand_distribution(rng, ground, (2, 3, 2, 2))
         back = JointDistribution.from_dense(ground, d.alphabet_sizes, d.as_dense())
@@ -366,6 +375,12 @@ class TestExlFamily:
             ExLParams(0.13, -0.005, 0.0, 0.0, 0.0)
         assert sum(EXL_REFERENCE.as_tuple()) == pytest.approx(0.125, abs=1e-12)
 
+    def test_params_are_stored_as_floats(self):
+        """The record keeps what the real rule returns, not the numbers given."""
+        params = ExLParams(np.float32(0.125), np.int64(0), 0, np.float64(0.0), 0.0)
+        assert params.as_tuple() == (0.125, 0.0, 0.0, 0.0, 0.0)
+        assert all(type(v) is float for v in params.as_tuple())
+
     def test_forty_distinct_configurations(self):
         d = exl_distribution(EXL_REFERENCE)
         assert len(d.atoms) == 40
@@ -450,6 +465,15 @@ class TestDistributionFormats:
     def test_csv_header_rejected(self):
         with pytest.raises(ValueError):
             distribution_from_csv("a,b,prob\n0,0,1.0\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty distribution CSV"),
+        ("\n \n", "empty distribution CSV"),
+        ("x_i,x_j,x_k,x_l,prob\n", "distribution CSV has no atoms"),
+    ])
+    def test_csv_without_atoms_rejected(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            distribution_from_csv(text)
 
 
 class TestNonFiniteInputs:

@@ -112,6 +112,12 @@ class TestIngletonValue:
     def test_base_function(self, frame):
         assert ingleton_value(ingleton_base(frame), frame) == -1.0
 
+    def test_function_on_another_ground_is_rejected(self, frame):
+        h = matroid_rank(GroundSet("abcd"), 2)
+        with pytest.raises(ValueError, match=r"^ground sets differ: \('a', 'b', 'c', 'd'\) "
+                                             r"vs \('i', 'j', 'k', 'l'\)$"):
+            ingleton_value(h, frame)
+
     def test_four_atom_identity(self, frame):
         # stv = delta(kl|i) + delta(kl|j) + delta(ij|) - delta(kl|)
         for p in (0.1, 0.25, 0.350457, 0.49):

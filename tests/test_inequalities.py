@@ -407,6 +407,16 @@ class TestWireFormats:
         back = halfspace_from_json(halfspace_to_json(hs))
         assert back == hs
 
+    @pytest.mark.parametrize("number", [np.int64(1), np.float32(1.0), np.float64(1.0), 1])
+    def test_halfspace_stores_floats(self, number):
+        """A halfspace keeps its coefficients as the real rule returns them,
+        Python floats, so its document goes through json.dumps (a numpy
+        integer or float32 raised "Object of type int64 is not JSON
+        serializable")."""
+        hs = CrossSectionHalfspace("x", number, 0, 0, 0)
+        assert all(type(c) is float for c in hs.abcd)
+        assert json.dumps(halfspace_to_json(hs)) == '{"name": "x", "abcd": [1.0, 0.0, 0.0, 0.0]}'
+
     def test_mixed_file(self, frame, tmp_path):
         path = tmp_path / "bank.json"
         doc = [inequality_to_json(symmetrized_zy(frame)),

@@ -184,6 +184,8 @@ KIND_ANNOTATIONS = {"float", "int", "int | None", "SubsetLike", "Sequence[Sequen
 KIND_NAMES = {"weights", "w", "alphabet_sizes", "values", "vec", "arr"}
 
 SCALAR_BAD = [True, np.True_, "1", None, math.nan, math.inf]
+#: a tolerance's further bad values: below 0, a numeric string and arrays of other shapes
+TOL_BAD = [-1e-9, "1e-9", np.array(1e-9), np.array([1e-9, 1e-9])]
 NOT_INTEGER = {"count", "optional count", "counts", "subset"}
 SEQUENCE_KINDS = {"reals": "real", "counts": "count", "direction": "real", "weights": "real"}
 
@@ -201,9 +203,10 @@ def array_bad_values(good):
 
 def bad_values(kind, good):
     """The kind's bad values: bools, a string, None (where None is not the
-    default), NaN, inf and a one-element array, and 1.5 for counts and
-    subsets; in a sequence, as its first entry.  With each, what the
-    message must name: the value's repr, or a text for an array's shape."""
+    default), NaN, inf and a one-element array, 1.5 for counts and subsets
+    and ``TOL_BAD`` for tolerances; in a sequence, as its first entry.  With
+    each, what the message must name: the value's repr, or a text for an
+    array's shape, or for a tolerance the rule's whole message."""
     if kind == "array":
         return array_bad_values(good)
     first = good[0] if kind in SEQUENCE_KINDS else good
@@ -213,6 +216,9 @@ def bad_values(kind, good):
         bad.append(1.5)
     if kind in SEQUENCE_KINDS:
         return [with_field(tuple(good), 0, b) for b in bad], list(map(repr, bad))
+    if kind == "tol":
+        bad += TOL_BAD
+        return bad, [f"tolerance must be a finite real in [0.0, inf], got {b!r}" for b in bad]
     return bad, list(map(repr, bad))
 
 

@@ -83,13 +83,26 @@ class TestMinimizeScalar:
         with pytest.raises(ValueError):
             minimize_scalar(lambda x: float("nan"), 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_a_late_non_finite_value(self, bad):
+        """A value that turns non-finite after the first two probes stops the
+        bracket loop."""
+        calls = []
+
+        def late(x):
+            calls.append(x)
+            return bad if len(calls) == 5 else (x - 0.3) ** 2
+        with pytest.raises(ValueError, match="^objective returned a non-finite value$"):
+            minimize_scalar(late, 0.0, 1.0)
+        assert len(calls) == 5
+
     @pytest.mark.parametrize("lo, tol", [(0.0, 0.0), (0.0, -1.0), (-1.0, math.nan),
                                          (0.0, math.inf)])
     def test_rejects_bad_tolerance(self, lo, tol):
         # without the check, tol 0 or -1 never ends the loop, and nan skips it
         # and returns the first probe (0.23607 on [-1, 1]); a tolerance below 0
         # fails the tolerance rule, and 0 the search's own tol > 0
-        match = "finite tol > 0" if tol == 0 else "tolerance must be finite and nonnegative"
+        match = "finite tol > 0" if tol == 0 else r"tolerance must be a finite real in \[0.0, inf\]"
         with pytest.raises(ValueError, match=match):
             minimize_scalar(lambda x: (x - 0.3) ** 2, lo, 1.0, tol=tol)
 
@@ -1290,6 +1303,28 @@ class TestForkFailures:
         with pytest.raises(RuntimeError, match=r"worker \d+ ended without a result: "
                                                r"exit code -9"):
             generate_cloud([(0.0, 0.0, 1.0)], self.CFG, frame, threads=2)
+
+
+class TestFailedFork:
+    """A fork that fails (no process left) raises its OSError in the caller
+    before any restart runs, and closes the pipe it made for the child."""
+
+    def test_oserror_reaches_the_caller_and_the_pipe_is_closed(self, frame, monkeypatch):
+        allow_cpus(monkeypatch, 2)
+        pipes, ran = [], []
+        pipe, run = os.pipe, engine._run_restarts
+        monkeypatch.setattr(engine.os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+        monkeypatch.setattr(engine, "_run_restarts", lambda chunk: ran.append(chunk) or run(chunk))
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(engine.os, "fork", no_fork)
+        with pytest.raises(BlockingIOError, match="Resource temporarily unavailable"):
+            optimize_distribution(TestForkFailures.CFG, frame, threads=2)
+        assert ran == [] and len(pipes) == 1
+        for fd in pipes[0]:
+            with pytest.raises(OSError):
+                os.fstat(fd)
 
 
 def hexed_points(points):
